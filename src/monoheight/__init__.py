@@ -81,13 +81,11 @@ from .baker import (
     linear_form_bound_exponent,
     tower_constant,
 )
-from .kernels import BACKEND
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraicScalar",
-    "BACKEND",
     "BakerConstants",
     "BakerInputs",
     "BudgetError",

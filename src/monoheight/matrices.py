@@ -19,6 +19,7 @@ from .errors import IndistinguishableModuliError, InputError, UnsupportedError
 from .polys import (
     IntPoly,
     is_squarefree,
+    root_bound,
     squarefree_part,
     sturm_chain,
     sturm_count,
@@ -223,16 +224,10 @@ def real_roots(p: IntPoly, precision=Fraction(1, 2**53)):
     out = []
     for lo, hi in intervals:
         out.append(_bisect_to_width(p, lo, hi, eps))
-    total = sturm_count(p, -_root_bound(p), _root_bound(p), chain=chain)
+    total = sturm_count(p, -root_bound(p), root_bound(p), chain=chain)
     if total != len(out):
         raise ArithmeticError("isolated root count disagrees with Sturm count")
     return out
-
-
-def _root_bound(p: IntPoly) -> Fraction:
-    from .polys import root_bound
-
-    return root_bound(p)
 
 
 def _isolate_real_roots(p: IntPoly):

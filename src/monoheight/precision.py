@@ -1,6 +1,6 @@
 """Working-precision plumbing: default bits, mpf/Fraction conversions, log enclosures."""
 
-import os
+import math
 from fractions import Fraction
 
 from mpmath import mp, mpf
@@ -17,9 +17,6 @@ PAD_BITS = 8
 
 
 def default_precision() -> int:
-    env = os.environ.get("MONOHEIGHT_PRECISION")
-    if env:
-        return max(64, int(env))
     return DEFAULT_PRECISION
 
 
@@ -70,16 +67,10 @@ def sqrt_enclosure(q: Fraction, prec: int) -> tuple[Fraction, Fraction]:
     # sqrt(p/r) = sqrt(p*r)/r; scale by 4^prec so the isqrt carries prec bits.
     n = q.numerator * q.denominator
     scale = 1 << prec
-    s = _isqrt(n * scale * scale)
+    s = math.isqrt(n * scale * scale)
     lo = Fraction(s, scale * q.denominator)
     hi = Fraction(s + 1, scale * q.denominator)
     return lo, hi
-
-
-def _isqrt(n: int) -> int:
-    import math
-
-    return math.isqrt(n)
 
 
 def real_str(x, digits: int = 15) -> str:

@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import monoheight
 from monoheight.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
@@ -167,3 +172,23 @@ def test_precision_flag_changes_report(files):
     _, a = invoke(["canonical-height", "--matrix", files["fib"], "--point", "2,3",
                    "--precision", "64"])
     assert json.loads(a)["precision_bits"] == 64
+
+
+def test_precision_environment_variable_is_ignored(files):
+    src = str(Path(monoheight.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items() if k != "MONOHEIGHT_PRECISION"}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+
+    def python(code, *argv, **extra):
+        out = subprocess.run([sys.executable, "-c", code, *argv], env=dict(base, **extra),
+                             capture_output=True, text=True, check=True)
+        return out.stdout
+
+    assert python("from monoheight import default_precision; print(default_precision())",
+                  MONOHEIGHT_PRECISION="256").strip() == "128"
+    cli = "from monoheight.cli import main; main()"
+    argv = ("canonical-height", "--matrix", files["fib"], "--point", "2,3")
+    plain = json.loads(python(cli, *argv))
+    with_env = json.loads(python(cli, *argv, MONOHEIGHT_PRECISION="256"))
+    del plain["timestamp"], with_env["timestamp"]
+    assert plain == with_env

@@ -7,6 +7,7 @@ from itertools import permutations
 import pytest
 import sympy
 
+from monoheight import kernels
 from monoheight import (
     CertifiedReal,
     InputError,
@@ -193,3 +194,43 @@ def test_modulus_profile_groups_conjugates():
     # both roots of x^2-x-1 lie in one factor; moduli phi and 1/phi differ
     assert prof.rho.descriptor == Quad(Fraction(1, 2), Fraction(1, 2), 5)
     assert len(prof.factors) == 1
+
+
+
+def _random_rows(rng, n, bits):
+    return [[rng.getrandbits(bits) - (1 << (bits - 1)) for _ in range(n)] for _ in range(n)]
+
+
+def test_mat_mul_matches_sympy(rng):
+    for bits in (8, 64, 300, 2000):
+        a = _random_rows(rng, 4, bits)
+        b = _random_rows(rng, 4, bits)
+        assert kernels.mat_mul(a, b) == (sympy.Matrix(a) * sympy.Matrix(b)).tolist()
+
+
+def test_mat_vec_matches_sympy(rng):
+    for bits in (8, 64, 1000):
+        a = _random_rows(rng, 5, bits)
+        v = [rng.getrandbits(bits) - (1 << (bits - 1)) for _ in range(5)]
+        assert kernels.mat_vec(a, v) == list(sympy.Matrix(a) * sympy.Matrix(v))
+
+
+def test_mat_pow_matches_sympy(rng):
+    a = _random_rows(rng, 3, 16)
+    for e in (1, 2, 7, 30):
+        assert kernels.mat_pow(a, e) == (sympy.Matrix(a) ** e).tolist()
+
+
+def test_mat_pow_identity_and_fibonacci():
+    a = [[1, 1], [1, 0]]
+    assert kernels.mat_pow(a, 0) == [[1, 0], [0, 1]]
+    assert kernels.mat_pow(a, 10) == [[89, 55], [55, 34]]
+
+
+def test_max_bits():
+    assert kernels.max_bits([[1, 2], [3, 2**100]]) == 101
+
+
+def test_kernel_backend_is_python():
+    # the value the benchmark records for its environment
+    assert kernels.BACKEND == "python"
