@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .errors import InputError, UnsupportedError
 from .precision import default_precision, fraction_to_mpf, mp, real_str
 from .rationals import NegLogScalar
-from .matrices import CertifiedReal, IntMatrix, charpoly, factor_over_q
+from .matrices import CertifiedReal, IntMatrix
 from .jordan import jordan_basis, jordan_profile
 from .points import PointGm, log_profile, weil_height_of_point
 from .heights import canonical_height_closed
@@ -252,9 +252,8 @@ def _baker_inputs(A: IntMatrix, P: PointGm, prec) -> tuple:
         raise UnsupportedError("rho <= 1: the height lower bound needs a dominant modulus above 1")
     jb = jordan_basis(A)
 
-    cp = charpoly(A)
-    facs = factor_over_q(cp)
-    irreducible = len(facs) == 1 and facs[0][1] == 1 and facs[0][0].degree == A.n
+    facs = prof.factors
+    irreducible = len(facs) == 1 and facs[0].multiplicity == 1 and facs[0].poly.degree == A.n
     if prof.l >= 1:
         path = "repeated-root"
     elif irreducible:

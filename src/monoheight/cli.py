@@ -14,7 +14,7 @@ from datetime import datetime, timezone
 from .errors import BudgetError, InputError, MonoheightError, UnsupportedError
 from .precision import default_precision, mp, real_str
 from .polys import poly_str
-from .matrices import IntMatrix, charpoly, factor_over_q
+from .matrices import IntMatrix
 from .jordan import jordan_basis, jordan_profile, limit_matrix_B
 from .points import PointGm, log_profile, weil_height_of_point
 from .heights import (
@@ -85,11 +85,11 @@ def _height_json(hv):
 def _cmd_analyze(args):
     A = load_matrix(args.matrix)
     prof = jordan_profile(A)
-    cp = charpoly(A)
     report = {
         "matrix": A.to_json(),
-        "charpoly": _poly_json(cp),
-        "factors": [{"poly": _poly_json(g), "multiplicity": e} for g, e in factor_over_q(cp)],
+        "charpoly": _poly_json(prof.modulus.charpoly),
+        "factors": [{"poly": _poly_json(pf.poly), "multiplicity": pf.multiplicity}
+                    for pf in prof.factors],
         "rho": prof.rho.to_json(),
         "l": prof.l,
         "r": prof.r,

@@ -171,8 +171,9 @@ def _delta_and_l(mats, delta, l_override):
     return delta_mpf, delta_str, l
 
 
-def _level_states(mats, prof: LogProfile):
-    """Iterate levels: dict state_key -> (profile, word multiplicity)."""
+def _level_states(mats, P: PointGm):
+    """Iterate levels: (exact Weil height, word multiplicity) per distinct orbit state."""
+    prof = log_profile(P)
     level = {prof.state_key(): (prof, 1)}
     while True:
         nxt = {}
@@ -185,7 +186,66 @@ def _level_states(mats, prof: LogProfile):
                 else:
                     nxt[key] = (image, count)
         level = nxt
-        yield level
+        yield [(weil_height(state).symbolic, count) for state, count in level.values()]
+
+
+def _level_heights(mats, P: PointGm, n: int, word_budget: int):
+    """Check n and the k^n word budget; return a lazy iterator of (nu, level), nu = 1..n."""
+    k = len(mats)
+    if n < 1:
+        raise InputError("n must be >= 1")
+    if k**n > word_budget:
+        raise BudgetError(f"k^n = {k}^{n} exceeds the word budget {word_budget}")
+    return zip(range(1, n + 1), _level_states(mats, P))
+
+
+def truncated_estimates(
+    F, P: PointGm, n: int, l_override=None, delta=None, word_budget: int = DEFAULT_WORD_BUDGET, prec=None
+) -> dict:
+    """Both variants of canonical_height_truncated, keyed by variant name,
+    from one walk over the word levels."""
+    prec = prec or default_precision()
+    mats = _as_matrix_list(F)
+    k = len(mats)
+    levels = _level_heights(mats, P, n, word_budget)
+    delta_mpf, delta_str, l = _delta_and_l(mats, delta, l_override)
+    values = {"summed": [], "averaged": []}
+    level_sums = []
+    words = 0
+    with mp.workprec(prec + 32):
+        logs = {}
+        for nu, level in levels:
+            words += k**nu
+            coeffs = {}
+            for h, count in level:
+                for p, q in h.coeffs.items():
+                    coeffs[p] = coeffs.get(p, Fraction(0)) + q.a * count
+            coeffs = {p: c for p, c in coeffs.items() if c}
+            level_sums.append(LogLinear({p: Quad(c) for p, c in coeffs.items()}))
+            s = mpf(0)
+            for p, c in coeffs.items():
+                if p not in logs:
+                    logs[p] = mp.log(p)
+                s += (mpf(c.numerator) / c.denominator) * logs[p]
+            norm = mpf(nu) ** l * delta_mpf**nu
+            values["summed"].append(s / norm)
+            values["averaged"].append(s / (norm * mpf(k) ** nu))
+    window = max(1, math.ceil(n / 4))
+    return {
+        variant: TruncatedEstimate(
+            values=vals,
+            estimate=max(vals[-window:]),
+            tail_window=window,
+            n=n,
+            k=k,
+            variant=variant,
+            l=l,
+            delta_str=delta_str,
+            word_count=words,
+            exact_level_sums=level_sums,
+        )
+        for variant, vals in values.items()
+    }
 
 
 def canonical_height_truncated(
@@ -203,56 +263,10 @@ def canonical_height_truncated(
     variant "summed" normalizes by n^l delta^n; "averaged" additionally by k^n
     (the per-word average rather than the level sum).
     """
-    prec = prec or default_precision()
-    mats = _as_matrix_list(F)
-    k = len(mats)
-    if n < 1:
-        raise InputError("n must be >= 1")
     if variant not in ("summed", "averaged"):
         raise InputError("variant must be 'summed' or 'averaged'")
-    if k**n > word_budget:
-        raise BudgetError(f"k^n = {k}^{n} exceeds the word budget {word_budget}")
-    delta_mpf, delta_str, l = _delta_and_l(mats, delta, l_override)
-    prof = log_profile(P)
-    values = []
-    level_sums = []
-    words = 0
-    with mp.workprec(prec + 32):
-        logs = {}
-        gen = _level_states(mats, prof)
-        for nu in range(1, n + 1):
-            level = next(gen)
-            words += k**nu
-            coeffs = {}
-            for _, (state, count) in level.items():
-                h = weil_height(state).symbolic
-                for p, q in h.coeffs.items():
-                    coeffs[p] = coeffs.get(p, Fraction(0)) + q.a * count
-            coeffs = {p: c for p, c in coeffs.items() if c}
-            level_sums.append(LogLinear({p: Quad(c) for p, c in coeffs.items()}))
-            s = mpf(0)
-            for p, c in coeffs.items():
-                if p not in logs:
-                    logs[p] = mp.log(p)
-                s += (mpf(c.numerator) / c.denominator) * logs[p]
-            norm = mpf(nu) ** l * delta_mpf**nu
-            if variant == "averaged":
-                norm *= mpf(k) ** nu
-            values.append(s / norm)
-    window = max(1, math.ceil(n / 4))
-    estimate = max(values[-window:])
-    return TruncatedEstimate(
-        values=values,
-        estimate=estimate,
-        tail_window=window,
-        n=n,
-        k=k,
-        variant=variant,
-        l=l,
-        delta_str=delta_str,
-        word_count=words,
-        exact_level_sums=level_sums,
-    )
+    return truncated_estimates(F, P, n, l_override=l_override, delta=delta,
+                               word_budget=word_budget, prec=prec)[variant]
 
 
 @dataclass
@@ -426,22 +440,15 @@ def arithmetic_degree_estimate(
     prec = prec or default_precision()
     mats = _as_matrix_list(F)
     k = len(mats)
-    if n < 1:
-        raise InputError("n must be >= 1")
-    if k**n > word_budget:
-        raise BudgetError(f"k^n = {k}^{n} exceeds the word budget {word_budget}")
-    prof = log_profile(P)
+    levels = _level_heights(mats, P, n, word_budget)
     values = []
     words = 0
     with mp.workprec(prec + 32):
         logs = {}
-        gen = _level_states(mats, prof)
-        for nu in range(1, n + 1):
-            level = next(gen)
+        for nu, level in levels:
             words += k**nu
             s = mpf(0)
-            for _, (state, count) in level.items():
-                h = weil_height(state).symbolic
+            for h, count in level:
                 hv = mpf(0)
                 for p, q in h.coeffs.items():
                     if p not in logs:

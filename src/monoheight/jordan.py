@@ -58,14 +58,6 @@ class JordanProfile:
     m: int
     modulus: ModulusProfile  # detailed per-root modulus data, for internal reuse
 
-    def max_block_counts(self):
-        """Per max-modulus factor: number of blocks of size l+1 per root."""
-        out = []
-        for pf in self.factors:
-            if pf.has_max_modulus_root:
-                out.append(sum(1 for s in pf.block_sizes if s == self.l + 1))
-        return out
-
 
 def _poly_at_matrix(p: IntPoly, A: IntMatrix):
     """p(A) as integer rows, by Horner."""
@@ -163,11 +155,6 @@ class LimitMatrixB:
     xi_signs: tuple
     all_eigenvalues_real: bool
     notes: tuple = ()
-
-    def entry_mpf(self, i, j, prec=None):
-        prec = prec or default_precision()
-        v = self.entries[i][j]
-        return v.to_mpf(prec) if isinstance(v, Quad) else v
 
 
 def _qmat(rows_int):
@@ -414,18 +401,6 @@ class JordanBasisData:
     det_inv_scalar: AlgebraicScalar
     max_entry_mult_log: tuple  # enclosure of max log H_mult over entries
 
-    def max_entry_scalar(self) -> AlgebraicScalar:
-        best = self.entry_scalars[0]
-        for s in self.entry_scalars[1:]:
-            if _mult_log_key(s) > _mult_log_key(best):
-                best = s
-        return best
-
-
-def _mult_log_key(s: AlgebraicScalar):
-    lo, hi = s.h_mult_log_enclosure(96)
-    return (lo + hi) / 2
-
 
 def _quad_roots_of_factor(g: IntPoly):
     """Roots of an irreducible degree <= 2 integer polynomial, as Quad values."""
@@ -552,7 +527,7 @@ def _chains_for_eigenvalue(qa, n, lam: Quad, sizes):
     for s in sorted(set(sizes), reverse=True):
         count = sum(1 for x in sizes if x == s)
         lower = kernels_by_level.get(s - 1, []) if s > 1 else []
-        pushed = [_qmat_vec(powers[t - s], top) for t, top in chains_tops(chains) if t > s]
+        pushed = [_qmat_vec(powers[t - s], top) for t, top, _ in chains if t > s]
         span = [v[:] for v in lower] + [v[:] for v in pushed]
         tops = []
         for cand in kernels_by_level[s]:
@@ -571,10 +546,6 @@ def _chains_for_eigenvalue(qa, n, lam: Quad, sizes):
             chains.append((s, top, chain))
     chains.sort(key=lambda c: (-c[0], _vec_height_key(c[1])))
     return [chain for _, _, chain in chains]
-
-
-def chains_tops(chains):
-    return [(s, top) for s, top, _ in chains]
 
 
 def _qmat_vec(mat, v):

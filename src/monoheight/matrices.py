@@ -115,9 +115,6 @@ class IntMatrix:
     def max_bit_length(self) -> int:
         return kernels.max_bits(self._rows)
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix([[self._rows[j][i] for j in range(self.n)] for i in range(self.n)], _trusted=True)
-
     def row_lists(self):
         """Internal row storage; callers must not mutate."""
         return self._rows
@@ -231,28 +228,27 @@ def real_roots(p: IntPoly, precision=Fraction(1, 2**53)):
 
 
 def _isolate_real_roots(p: IntPoly):
-    """Raw isolating intervals with rational endpoints that are not roots."""
+    """Isolating intervals whose endpoints are not roots, or degenerate ones at roots."""
     sp = p.to_sympy()
-    raw = sp.intervals()
-    out = []
-    for (a, b), _k in raw:
+    out = set()
+    for (a, b), _k in sp.intervals():
         lo = Fraction(int(a.p), int(a.q))
         hi = Fraction(int(b.p), int(b.q))
-        if lo == hi:
-            out.append((lo, hi))
-            continue
-        # push endpoints off roots so bisection signs are well defined
-        while p(lo) == 0 or p(hi) == 0:
-            width = hi - lo
-            if p(lo) == 0:
-                lo -= width / 4
-            if p(hi) == 0:
-                hi += width / 4
-            if sturm_count(p, lo, hi) != 1:
-                raise ArithmeticError("endpoint adjustment broke isolation")
-        out.append((lo, hi))
-    out.sort()
-    return out
+        # an endpoint may be a neighbouring root: shrink towards the root in
+        # the open interval (lo, hi), or keep the endpoint root if there is none
+        while lo < hi and (p(lo) == 0 or p(hi) == 0):
+            inside = sturm_count(p, lo, hi) - (p(hi) == 0)  # roots in the open (lo, hi)
+            mid = (lo + hi) / 2
+            if not inside:
+                lo = hi = lo if p(lo) == 0 else hi
+            elif p(mid) == 0:
+                lo = hi = mid
+            elif sturm_count(p, lo, mid):
+                hi = mid
+            else:
+                lo = mid
+        out.add((lo, hi))
+    return sorted(out)
 
 
 def _bisect_to_width(p: IntPoly, lo: Fraction, hi: Fraction, eps: Fraction):
@@ -326,10 +322,6 @@ class CertifiedReal:
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    @property
-    def is_exact(self) -> bool:
-        return self.descriptor is not None
 
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
@@ -627,7 +619,7 @@ def _factor_data_high_degree(g: IntPoly, mult: int) -> FactorData:
     intervals = [list(_bisect_to_width(q, lo, hi, Fraction(1, 2**40))) for lo, hi in intervals]
     top = intervals[-1]
 
-    roots = g.to_sympy().all_roots()
+    roots = g.to_sympy().all_roots(radicals=False)
     assignment = []
     for root in roots:
         idx = _assign_root(root, q, intervals)

@@ -70,11 +70,6 @@ class AlgebraicScalar:
 
         return fraction_to_mpf((lo + hi) / 2, prec)
 
-    def h_mult_str(self) -> str:
-        if self.mult_root == 1:
-            return str(Quad(self.mult_base) if not isinstance(self.mult_base, Quad) else self.mult_base)
-        return f"({self.mult_base})^(1/{self.mult_root})"
-
     def height_inequality_holds(self) -> bool:
         """H <= (2 H_mult)^degree, exactly (both sides to the degree-th power)."""
         # compare H^? : (2 H_mult)^deg ; for deg d: (2 H_mult)^d = 2^d * mult_base^(d/mult_root)

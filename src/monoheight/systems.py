@@ -14,18 +14,12 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from .errors import BudgetError, InputError
-from .heights import (
-    canonical_height_closed,
-    canonical_height_truncated,
-    classify_orbit,
-)
+from .errors import BudgetError, InputError, MonoheightError
+from .heights import canonical_height_closed, classify_orbit, truncated_estimates
 from .jordan import jordan_profile
 from .matrices import (
     CertifiedReal,
     IntMatrix,
-    charpoly,
-    factor_over_q,
     frac_solve,
     monomial_degree,
     spectral_radius,
@@ -171,20 +165,25 @@ class GrowthRow:
         }
 
 
+def _best_row(rows, prec):
+    """(row, rho^(1/n)) for the first row maximizing rho^(1/n); None without rows."""
+    best = None
+    with mp.workprec(prec):
+        for row in rows:
+            v = mp.root(row.rho.to_mpf(prec), row.n)
+            if best is None or v > best[1]:
+                best = (row, v)
+    return best
+
+
 @dataclass
 class GrowthTable:
     rows: list
 
     def lower_bound(self, prec=None):
         """max over rows of rho^(1/n): certified lower bound for delta."""
-        prec = prec or default_precision()
-        best = mpf(1)
-        with mp.workprec(prec):
-            for row in self.rows:
-                v = mp.root(row.rho.to_mpf(prec), row.n)
-                if v > best:
-                    best = v
-        return best
+        best = _best_row(self.rows, prec or default_precision())
+        return mpf(1) if best is None else max(mpf(1), best[1])
 
     def upper_bound(self, prec=None):
         """min over rows of maxdeg^(1/m): Fekete bound from submultiplicativity."""
@@ -337,6 +336,15 @@ def certify_reduction(
     word-growth inequality up to n_max.
     """
     system = _as_system(F)
+    cert = _structural_certificate(system)
+    if cert is not None:
+        return cert
+    table = growth_table(system, n_max=n_max, word_budget=word_budget, bit_budget=bit_budget)
+    return _empirical_certificate(system, table.rows)
+
+
+def _structural_certificate(system: SystemF):
+    """Certificate for a recognized family (diagonal, k = 1, polynomial), else None."""
     mats = system.matrices
     if all(_is_diagonal(M) for M in mats):
         i, _ = _argmax_radius(mats)
@@ -345,37 +353,29 @@ def certify_reduction(
         return StarCertificate(status="certified_polynomial_family", psi_word=(0,), t=1,
                                base_index=0, polynomials=())
     polys = []
-    ok = True
     for M in mats[1:]:
         coeffs = _polynomial_in_base(mats[0], M)
         if coeffs is None:
-            ok = False
-            break
+            return None
         polys.append(coeffs)
-    if ok:
-        i, _ = _argmax_radius(mats)
-        return StarCertificate(
-            status="certified_polynomial_family", psi_word=(i,), t=1,
-            base_index=0, polynomials=tuple(polys),
-        )
-    # empirical: best single word from the growth table as psi candidate
-    table = growth_table(system, n_max=n_max, word_budget=word_budget, bit_budget=bit_budget)
+    i, _ = _argmax_radius(mats)
+    return StarCertificate(
+        status="certified_polynomial_family", psi_word=(i,), t=1,
+        base_index=0, polynomials=tuple(polys),
+    )
+
+
+def _empirical_certificate(system: SystemF, rows) -> StarCertificate:
+    """Best single word of the growth rows as psi candidate, checked on every row."""
     prec = default_precision()
-    best_row = None
-    best_val = None
-    with mp.workprec(prec):
-        for row in table.rows:
-            v = mp.root(row.rho.to_mpf(prec), row.n)
-            if best_val is None or v > best_val:
-                best_val, best_row = v, row
+    best_row, delta = _best_row(rows, prec)  # delta = rho(psi)^(1/t), the candidate value
     psi_word = best_row.word
     t = best_row.n
-    psi = word_product([mats[i] for i in psi_word])
+    psi = word_product([system.matrices[i] for i in psi_word])
     l = jordan_profile(psi).l
-    delta = best_val  # rho(psi)^(1/t), the candidate value
     with mp.workprec(prec):
         bound_factor = mpf(1) / mpf(t) ** l  # sup_s rho(psi^s)/((ts)^l delta^(ts))
-        for row in table.rows:
+        for row in rows:
             lhs = row.rho.to_mpf(prec)
             rhs = bound_factor * mpf(row.n) ** l * delta**row.n
             if lhs > rhs * (1 + mpf(2) ** (24 - prec)):
@@ -383,7 +383,7 @@ def certify_reduction(
                     status="unknown",
                     notes=(f"word-growth inequality fails at n={row.n} for the best candidate",),
                 )
-    return StarCertificate(status="empirical", psi_word=psi_word, t=t, n_checked=len(table.rows))
+    return StarCertificate(status="empirical", psi_word=psi_word, t=t, n_checked=len(rows))
 
 
 @dataclass
@@ -419,9 +419,12 @@ def dynamical_degree(
 ) -> DynamicalDegree:
     """Two-sided enclosure of the dynamical degree; exact on certified systems."""
     system = _as_system(F)
-    cert = certify_reduction(system, n_max=min(n_max, 8), word_budget=word_budget,
-                             bit_budget=bit_budget)
+    cert = _structural_certificate(system)
     table = growth_table(system, n_max=n_max, word_budget=word_budget, bit_budget=bit_budget)
+    if cert is None:
+        # the table is built level by level, so its first rows are the table
+        # certify_reduction(system, min(n_max, 8)) would build
+        cert = _empirical_certificate(system, table.rows[:min(n_max, 8)])
     lo = table.lower_bound()
     hi = table.upper_bound()
     exact = None
@@ -481,6 +484,18 @@ def correction_exponent(F, n_max: int = DEFAULT_N_MAX, degree: DynamicalDegree =
                               method="heuristic fallback (no monotone tail found)")
 
 
+def _height_estimates(system: SystemF, P: PointGm, n_max: int, degree: DynamicalDegree, l: int,
+                      word_budget: int = DEFAULT_WORD_BUDGET) -> dict:
+    """Both truncated height estimates at the deepest level n <= n_max with
+    k^n <= 4096 words (at least level 1)."""
+    n_feasible = n_max
+    while system.k**n_feasible > 4096 and n_feasible > 1:
+        n_feasible -= 1
+    delta = degree.exact if degree.exact is not None else degree.hi
+    return truncated_estimates(system, P, n_feasible, l_override=l, delta=delta,
+                               word_budget=word_budget)
+
+
 @dataclass
 class ReductionReport:
     items: list  # (name, passed: bool, detail: str)
@@ -515,14 +530,7 @@ def check_reduction(F, P: PointGm, n_max: int = DEFAULT_N_MAX, tol=1e-9) -> Redu
     l_sys = correction_exponent(system, n_max=n_max, degree=degree).l
     items.append(("correction exponent matches reduced map",
                   l_sys == l_psi, f"system l = {l_sys}, psi l = {l_psi}"))
-    n_feasible = n_max
-    while system.k**n_feasible > 4096 and n_feasible > 1:
-        n_feasible -= 1
-    trunc = canonical_height_truncated(
-        list(system.matrices), P, n_feasible, variant="summed",
-        delta=degree.exact if degree.exact is not None else degree.hi,
-        l_override=l_psi,
-    )
+    trunc = _height_estimates(system, P, n_max, degree, l_psi)["summed"]
     closed = canonical_height_closed(psi, P)
     trunc_zero = float(trunc.estimate) < tol or trunc.is_exact_zero()
     closed_zero = closed.is_zero() or float(closed) < tol
@@ -593,23 +601,15 @@ def system_report(
     cert = degree.certificate
     correction = correction_exponent(system, n_max=n_max, degree=degree)
     notes = []
-    n_feasible = n_max
-    while system.k**n_feasible > 4096 and n_feasible > 1:
-        n_feasible -= 1
-    delta_arg = degree.exact if degree.exact is not None else degree.hi
-    trunc_s = canonical_height_truncated(list(system.matrices), P, n_feasible,
-                                         variant="summed", delta=delta_arg,
-                                         l_override=correction.l, word_budget=word_budget)
-    trunc_a = canonical_height_truncated(list(system.matrices), P, n_feasible,
-                                         variant="averaged", delta=delta_arg,
-                                         l_override=correction.l, word_budget=word_budget)
+    estimates = _height_estimates(system, P, n_max, degree, correction.l, word_budget)
+    trunc_s, trunc_a = estimates["summed"], estimates["averaged"]
     closed = None
     psi = None
     if cert is not None and cert.certified:
         psi = cert.psi_matrix(system)
         try:
             closed = canonical_height_closed(psi, P)
-        except Exception as exc:  # closed form is optional in the report
+        except MonoheightError as exc:  # closed form is optional in the report
             notes.append(f"closed-form height unavailable: {exc}")
     verdict = classify_orbit(list(system.matrices), P)
 
@@ -623,8 +623,8 @@ def system_report(
     )
     if psi is not None:
         jp = jordan_profile(psi)
-        factors = factor_over_q(charpoly(psi))
-        irreducible = len(factors) == 1 and factors[0][1] == 1 and factors[0][0].degree == system.n
+        irreducible = (len(jp.factors) == 1 and jp.factors[0].multiplicity == 1
+                       and jp.factors[0].poly.degree == system.n)
         delta_gt_k = float(degree.lo) > system.k or (
             degree.exact is not None
             and degree.exact.compare(CertifiedReal.from_fraction(Fraction(system.k))) > 0

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import monoheight
+from monoheight import IntMatrix, charpoly, factor_over_q, poly_str
 from monoheight.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
@@ -57,6 +58,23 @@ def test_analyze_fib(files):
     assert rep["parity_period"] == 1
     assert rep["jordan"]["det_J"].startswith("-")
     assert rep["jordan"]["field"] == "Q(sqrt(5))"
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 0, -2], [1, 0, 0], [0, 1, 0]],  # x^3 + 2
+    [[0, 0, 3], [1, 0, 0], [0, 1, 0]],  # x^3 - 3
+])
+def test_analyze_binomial_companion(tmp_path, rows):
+    path = tmp_path / "companion.json"
+    path.write_text(json.dumps(rows))
+    code, text = invoke(["analyze", "--matrix", str(path)])
+    assert code == EXIT_OK
+    rep = json.loads(text)["report"]
+    cp = charpoly(IntMatrix(rows))
+    assert rep["charpoly"]["str"] == poly_str(cp)
+    assert [(f["poly"]["str"], f["multiplicity"]) for f in rep["factors"]] == [
+        (poly_str(g), e) for g, e in factor_over_q(cp)
+    ]
 
 
 def test_matrix_loader_tolerance(files):

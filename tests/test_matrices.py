@@ -20,7 +20,9 @@ from monoheight import (
     poly_str,
     spectral_radius,
 )
+from monoheight.jordan import jordan_profile
 from monoheight.matrices import (
+    _modulus_resultant,
     det_int,
     frac_nullspace,
     frac_rank,
@@ -32,6 +34,7 @@ from monoheight.matrices import (
     real_roots,
     word_product,
 )
+from monoheight.polys import root_bound, squarefree_part, sturm_count
 from conftest import random_matrix
 
 FIB = IntMatrix([[1, 1], [1, 0]])
@@ -110,6 +113,30 @@ def test_real_roots_match_sympy():
     for (lo, hi), expect in zip(roots, sy):
         assert hi - lo <= Fraction(1, 2**53)
         assert abs(float((lo + hi) / 2) - expect) < 1e-9
+
+
+def test_real_roots_when_an_endpoint_is_a_root():
+    # sympy isolates this modulus resultant (of x^4-3x^3+3x^2-3x+1) with the
+    # intervals [0, 1] and [1, 1]: the first one ends on the root of the second
+    q = squarefree_part(_modulus_resultant(IntPoly([1, -3, 3, -3, 1])))
+    roots = real_roots(q)
+    assert len(roots) == sturm_count(q, -root_bound(q), root_bound(q)) == 3
+    for lo, hi in roots:
+        assert (lo == hi and q(lo) == 0) or (q(lo) != 0 and sturm_count(q, lo, hi) == 1)
+    A = IntMatrix([[0, 0, 0, 0, 1], [1, 0, 0, 0, -4], [0, 1, 0, 0, 6],
+                   [0, 0, 1, 0, -6], [0, 0, 0, 1, 4]])
+    assert abs(float(jordan_profile(A).rho.to_mpf(64)) - 2.15372137554177) < 1e-12
+
+
+@pytest.mark.parametrize("rows, cube", [
+    ([[0, 0, -2], [1, 0, 0], [0, 1, 0]], 2),  # x^3 + 2
+    ([[0, 0, 3], [1, 0, 0], [0, 1, 0]], 3),  # x^3 - 3
+])
+def test_binomial_companion_radius(rows, cube):
+    # sympy gives radical roots for binomials unless asked for CRootOf
+    rho = jordan_profile(IntMatrix(rows)).rho
+    rho.refine(Fraction(1, 2**60))
+    assert rho.lo**3 <= cube <= rho.hi**3
 
 
 def test_spectral_radius_exact_values():

@@ -5,6 +5,8 @@ from fractions import Fraction
 from mpmath import mp
 import pytest
 
+import monoheight.heights
+import monoheight.systems
 from monoheight import (
     BudgetError,
     CertifiedReal,
@@ -13,10 +15,14 @@ from monoheight import (
     PointGm,
     Quad,
     SystemF,
+    UnsupportedError,
+    canonical_height_truncated,
+    certify_reduction,
     check_reduction,
     correction_exponent,
     dynamical_degree,
     growth_table,
+    log_profile,
     max_word_radius,
     system_report,
 )
@@ -28,6 +34,7 @@ SHEAR_U = IntMatrix([[1, 1], [0, 1]])
 SHEAR_L = IntMatrix([[1, 0], [1, 1]])
 DIAG23 = IntMatrix([[2, 0], [0, 3]])
 DIAG52 = IntMatrix([[5, 0], [0, 2]])
+FREE3 = [SHEAR_U, SHEAR_L, IntMatrix([[2, 1], [1, 1]])]
 
 
 def pt(*coords):
@@ -189,3 +196,72 @@ def test_system_report_torsion():
 def test_system_report_dimension_check():
     with pytest.raises(InputError):
         system_report(FIB, pt(2, 3, 5))
+
+
+@pytest.mark.parametrize("mats, n_max", [
+    ([SHEAR_U, SHEAR_L], 6),
+    (FREE3, 4),
+    ([DIAG23, DIAG52], 6),
+])
+def test_system_report_estimates_match_standalone_calls(mats, n_max):
+    rep = system_report(mats, pt(2, 3), n_max=n_max)
+    delta = rep.degree.exact if rep.degree.exact is not None else rep.degree.hi
+    assert (rep.trunc_summed.variant, rep.trunc_averaged.variant) == ("summed", "averaged")
+    for est in (rep.trunc_summed, rep.trunc_averaged):
+        alone = canonical_height_truncated(mats, pt(2, 3), est.n, variant=est.variant,
+                                           l_override=rep.correction.l, delta=delta)
+        assert alone.to_json() == est.to_json()
+
+
+@pytest.mark.parametrize("word_budget", [10**6, 100])
+def test_dynamical_degree_certificate_matches_certify_reduction(word_budget):
+    shears = [SHEAR_U, SHEAR_L]
+    d = dynamical_degree(shears, n_max=12, word_budget=word_budget)
+    # 2 + 4 + ... + 32 = 62 words fit in a budget of 100, level 6 does not
+    assert len(d.table.rows) == (12 if word_budget == 10**6 else 5)
+    expected = certify_reduction(shears, n_max=8, word_budget=word_budget)
+    assert d.certificate.to_json() == expected.to_json()
+
+
+def test_system_report_walks_each_system_once(monkeypatch):
+    tables = []
+    states = []
+    real_table = monoheight.systems.growth_table
+    real_weil = monoheight.heights.weil_height
+
+    def counting_table(*args, **kwargs):
+        tables.append(args)
+        return real_table(*args, **kwargs)
+
+    def counting_weil(prof):
+        states.append(prof.state_key())
+        return real_weil(prof)
+
+    monkeypatch.setattr(monoheight.systems, "growth_table", counting_table)
+    monkeypatch.setattr(monoheight.heights, "weil_height", counting_weil)
+    shears = [SHEAR_U, SHEAR_L]
+    rep = system_report(shears, pt(2, 3), n_max=6)
+    assert len(tables) == 1
+    level = [log_profile(pt(2, 3))]
+    distinct = 0
+    for _ in range(rep.trunc_summed.n):
+        level = list({img.state_key(): img
+                      for state in level for img in (state.transport(M) for M in shears)}.values())
+        distinct += len(level)
+    assert len(states) == distinct
+
+
+def test_system_report_surfaces_internal_failures(monkeypatch):
+    def failing(exc):
+        def closed(*args, **kwargs):
+            raise exc
+        return closed
+
+    monkeypatch.setattr(monoheight.systems, "canonical_height_closed",
+                        failing(ArithmeticError("exact self-check failed")))
+    with pytest.raises(ArithmeticError):
+        system_report(DIAG23, pt(2, 3), n_max=4)
+    monkeypatch.setattr(monoheight.systems, "canonical_height_closed",
+                        failing(UnsupportedError("no closed form")))
+    rep = system_report(DIAG23, pt(2, 3), n_max=4)
+    assert "closed-form height unavailable: no closed form" in rep.notes
