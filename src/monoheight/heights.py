@@ -16,7 +16,7 @@ from mpmath import mp, mpf
 
 from .errors import BudgetError, InputError, UnsupportedError
 from .jordan import jordan_profile, limit_matrix_B
-from .logforms import LogLinear
+from .logforms import LogLinear, max_with_zero
 from .matrices import IntMatrix
 from .points import HeightValue, LogProfile, PointGm, log_profile, weil_height
 from .polys import cyclotomic_index
@@ -82,12 +82,8 @@ def _closed_exact(entries, prof: LogProfile) -> LogLinear:
             c = sum((entries[i][j] * Quad(vec[j]) for j in range(n)), Quad(0))
             if c != zero:
                 coeffs[pl.p] = c
-        candidates.append(LogLinear(coeffs))
-    best = LogLinear({})
-    for cand in candidates:
-        if best.compare(cand) < 0:
-            best = cand
-    return total + best
+        candidates.append(coeffs)
+    return total + LogLinear(max_with_zero(candidates))
 
 
 def _closed_numeric(b, prof: LogProfile, tol, prec: int) -> HeightValue:

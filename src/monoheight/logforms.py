@@ -7,6 +7,8 @@ equality decidable and sign evaluation terminating.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 from mpmath import mp
 
@@ -18,9 +20,113 @@ from .quadratic import Quad
 # logarithms separates from 0 long before this runs out.
 _SIGN_PRECISIONS = (128, 256, 512, 1024, 2048)
 
+# A rational form whose cleared exponents e_p have sum |e_p| * bitlen(p) up to
+# this many bits is decided by comparing prod p^e_p+ with prod p^e_p- as
+# integers, which is exact and cheaper than any enclosure; larger forms go up
+# the ladder.
+_EXACT_BITS = 1 << 16
+
 
 def _as_quad(c) -> Quad:
     return c if isinstance(c, Quad) else Quad(Fraction(c))
+
+
+@lru_cache(maxsize=1024)
+def _prime_log_enclosure(p: int, prec: int) -> tuple[Fraction, Fraction]:
+    return log_enclosure(Fraction(p), prec)
+
+
+def _enclosure(coeffs, prec: int) -> tuple[Fraction, Fraction]:
+    """Rigorous rational interval for sum c * log p over coeffs = {p: c}."""
+    lo = Fraction(0)
+    hi = Fraction(0)
+    for p, c in coeffs.items():
+        clo, chi = c.enclosure(prec) if isinstance(c, Quad) else (c, c)
+        llo, lhi = _prime_log_enclosure(p, prec)
+        # log p > 0, so only the coefficient's sign matters for orientation
+        products = (clo * llo, clo * lhi, chi * llo, chi * lhi)
+        lo += min(products)
+        hi += max(products)
+    return lo, hi
+
+
+def _power_ratio(exps):
+    """(prod p^e over e > 0, prod p^-e over e < 0) for integer exponents {p: e}.
+
+    None when an exponent is not an int or sum |e| * bitlen(p) exceeds
+    _EXACT_BITS; sum e * log p then has the sign of the first minus the second.
+    """
+    pos = neg = 1
+    bits = 0
+    for p, e in exps.items():
+        if type(e) is not int:
+            return None
+        bits += abs(e) * p.bit_length()
+        if bits > _EXACT_BITS:
+            return None
+        if e > 0:
+            pos *= p**e
+        elif e:
+            neg *= p**-e
+    return pos, neg
+
+
+def _form_sign(coeffs) -> int:
+    """Exact sign of sum c * log p over coeffs = {p: c}, c an int, Fraction or Quad.
+
+    0 only when every coefficient is zero.  A rational form is scaled to
+    integer exponents and decided by _power_ratio while they stay within
+    _EXACT_BITS; otherwise, and for quadratic coefficients, the enclosure is
+    tightened up the precision ladder until it excludes zero.
+    """
+    ratio = _power_ratio(coeffs)
+    if ratio is None:
+        rational = {}
+        for p, c in coeffs.items():
+            if isinstance(c, Quad):
+                if c.b:
+                    rational = None
+                    break
+                c = c.a
+            rational[p] = c
+        if rational is not None:
+            den = lcm(*(c.denominator for c in rational.values()))
+            coeffs = {p: int(c * den) for p, c in rational.items()}
+            ratio = _power_ratio(coeffs)
+    if ratio is not None:
+        pos, neg = ratio
+        return (pos > neg) - (pos < neg)
+    for prec in _SIGN_PRECISIONS:
+        lo, hi = _enclosure(coeffs, prec)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+    raise IndistinguishableModuliError(
+        "sign of log-linear form did not separate from zero", [_enclosure(coeffs, _SIGN_PRECISIONS[-1])]
+    )
+
+
+def max_with_zero(forms):
+    """The largest of the forms {p: c} (sum c * log p) and the empty zero form.
+
+    Decided exactly; on a tie the earlier form is kept.  Two integer forms
+    within _EXACT_BITS are compared through their power ratios, any other
+    pair through the sign of their difference.
+    """
+    best, best_ratio = {}, (1, 1)
+    for form in forms:
+        ratio = _power_ratio(form)
+        if ratio is not None and best_ratio is not None:
+            wins = ratio[0] * best_ratio[1] > best_ratio[0] * ratio[1]
+        else:
+            diff = dict(form)
+            for p, c in best.items():
+                diff[p] = diff.get(p, 0) - c
+            wins = _form_sign(diff) > 0
+        if wins:
+            best, best_ratio = form, ratio
+    return best
 
 
 class LogLinear:
@@ -65,17 +171,7 @@ class LogLinear:
 
     def enclosure(self, prec=None) -> tuple[Fraction, Fraction]:
         """Rigorous rational interval for the value."""
-        prec = prec or default_precision()
-        lo = Fraction(0)
-        hi = Fraction(0)
-        for p, c in self.coeffs.items():
-            clo, chi = c.enclosure(prec)
-            llo, lhi = log_enclosure(Fraction(p), prec)
-            # log p > 0, so only the coefficient's sign matters for orientation
-            products = (clo * llo, clo * lhi, chi * llo, chi * lhi)
-            lo += min(products)
-            hi += max(products)
-        return lo, hi
+        return _enclosure(self.coeffs, prec or default_precision())
 
     def evaluate(self, prec=None):
         """mpf value at the given binary precision."""
@@ -88,17 +184,7 @@ class LogLinear:
 
     def sign(self) -> int:
         """Exact sign; 0 only for the identically zero form."""
-        if self.is_zero:
-            return 0
-        for prec in _SIGN_PRECISIONS:
-            lo, hi = self.enclosure(prec)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-        raise IndistinguishableModuliError(
-            "sign of log-linear form did not separate from zero", [self.enclosure(_SIGN_PRECISIONS[-1])]
-        )
+        return _form_sign(self.coeffs)
 
     def compare(self, other) -> int:
         return (self - other).sign()

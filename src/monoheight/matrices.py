@@ -353,8 +353,10 @@ class CertifiedReal:
                 self.lo = max(self.lo, lo)
                 self.hi = min(self.hi, hi)
                 prec *= 2
-                if prec > 2**16:
-                    break
+                if prec > 2**16 and self.width > eps:
+                    raise IndistinguishableModuliError(
+                        "square-root refinement did not reach the requested width", [(self.lo, self.hi)]
+                    )
             return self
         if self.poly is not None:
             self.lo, self.hi = _bisect_to_width(self.poly, self.lo, self.hi, eps)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import kernels
 from .errors import BudgetError, InputError
-from .logforms import LogLinear
+from .logforms import LogLinear, max_with_zero
 from .matrices import IntMatrix
 from .precision import default_precision, real_str
 from .quadratic import Quad
@@ -241,30 +241,22 @@ class HeightValue:
         return out
 
 
-def _max_plus_loglinear(candidates) -> LogLinear:
-    """Exact max of the candidates and zero, all LogLinear."""
-    best = LogLinear({})
-    for cand in candidates:
-        if best.compare(cand) < 0:
-            best = cand
-    return best
-
-
 def weil_height(prof: LogProfile) -> HeightValue:
     """h(P) = sum over places of max(0, max_j log||x_j||_v), exactly.
 
     Finite place p contributes max(0, -min_j v_p(x_j)) * log p; the
-    archimedean place contributes the exact symbolic max of the coordinate
-    logs and zero.
+    archimedean place contributes the exact max of zero and the coordinate
+    logs sum_p v_p(x_j) log p, decided on the integer exponents.
     """
     coeffs = {}
     for pl, vec in prof.vals.items():
         c = max(0, -min(vec))
         if c:
-            coeffs[pl.p] = Quad(c)
-    total = LogLinear(coeffs)
-    arch = _max_plus_loglinear(prof.arch_loglinear(j) for j in range(prof.n))
-    return HeightValue.from_loglinear(total + arch)
+            coeffs[pl.p] = c
+    arch = max_with_zero([{pl.p: vec[j] for pl, vec in prof.vals.items() if vec[j]} for j in range(prof.n)])
+    for p, c in arch.items():
+        coeffs[p] = coeffs.get(p, 0) + c
+    return HeightValue.from_loglinear(LogLinear(coeffs))
 
 
 def weil_height_of_point(P: PointGm) -> HeightValue:

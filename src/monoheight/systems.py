@@ -207,6 +207,8 @@ def growth_table(
     bit_budget: int = DEFAULT_BIT_BUDGET,
 ) -> GrowthTable:
     system = _as_system(F)
+    if n_max < 1:
+        raise InputError("n_max must be >= 1")
     levels = _WordLevels(system, word_budget, bit_budget)
     rows = []
     for n in range(1, n_max + 1):

@@ -2,7 +2,14 @@
 
 from fractions import Fraction
 
-from monoheight import LogLinear, Quad
+from hypothesis import example, given, settings, strategies as st
+from mpmath import mp
+import pytest
+
+import monoheight.logforms
+from monoheight import LogLinear, PointGm, Quad, weil_height_of_point
+from monoheight.points import LogProfile, weil_height
+from monoheight.rationals import Place
 
 SQRT5 = Quad(0, 1, 5)
 
@@ -69,3 +76,141 @@ def test_str():
     assert str(LogLinear({2: 1})) == "log 2"
     s = str(LogLinear({2: Fraction(5, 3), 3: -1}))
     assert "log 2" in s and "log 3" in s
+
+
+def _ladder_sign(form):
+    """Sign from interval enclosures alone, tightened until they exclude 0."""
+    for prec in (128, 256, 512, 1024, 2048):
+        lo, hi = form.enclosure(prec)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+    raise AssertionError("ladder did not separate")
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+rational_forms = st.dictionaries(
+    st.sampled_from(SMALL_PRIMES),
+    st.fractions(min_value=-400, max_value=400, max_denominator=12),
+    max_size=4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_forms)
+@example({2: 485, 3: -306})  # a convergent of log 3 / log 2: 0.00102...
+@example({2: -485, 3: 306})
+@example({2: 84, 3: -53})  # 84 log 2 - 53 log 3 = -0.00209...
+@example({2: Fraction(485, 7), 3: Fraction(-306, 7)})
+@example({2: 1, 3: 1, 5: -1})
+def test_integer_sign_matches_ladder_and_evaluation(coeffs):
+    form = LogLinear(coeffs)
+    sign = form.sign()
+    if form.is_zero:
+        assert sign == 0
+        return
+    assert sign == _ladder_sign(form)
+    assert sign == int(mp.sign(form.evaluate(4096)))
+
+
+def _count_enclosures(monkeypatch):
+    calls = []
+    inner = monoheight.logforms._enclosure
+
+    def counted(coeffs, prec):
+        calls.append(prec)
+        return inner(coeffs, prec)
+
+    monkeypatch.setattr(monoheight.logforms, "_enclosure", counted)
+    return calls
+
+
+def test_small_rational_form_needs_no_enclosure(monkeypatch):
+    calls = _count_enclosures(monkeypatch)
+    assert LogLinear({2: 485, 3: -306}).sign() == 1
+    assert LogLinear({2: Fraction(-485, 3), 3: 102}).sign() == -1
+    assert calls == []
+
+
+def test_form_above_the_bit_bound_takes_the_ladder(monkeypatch):
+    calls = _count_enclosures(monkeypatch)
+    scale = 2**20
+    assert sum(abs(e) * p.bit_length() for p, e in {2: 485 * scale, 3: 306 * scale}.items()) \
+        > monoheight.logforms._EXACT_BITS
+    assert LogLinear({2: 485 * scale, 3: -306 * scale}).sign() == 1
+    assert LogLinear({2: -485 * scale, 3: 306 * scale}).sign() == -1
+    assert calls
+
+
+def test_quadratic_form_takes_the_ladder(monkeypatch):
+    calls = _count_enclosures(monkeypatch)
+    phi = Quad(Fraction(1, 2), Fraction(1, 2), 5)
+    # phi log 2 - log 3 = 0.0228...
+    assert LogLinear({2: phi, 3: -1}).sign() == 1
+    assert calls
+
+
+def test_ladder_reads_prime_logs_from_the_cache(monkeypatch):
+    calls = []
+    inner = monoheight.logforms.log_enclosure
+
+    def counted(q, prec):
+        calls.append((q, prec))
+        return inner(q, prec)
+
+    monkeypatch.setattr(monoheight.logforms, "log_enclosure", counted)
+    monoheight.logforms._prime_log_enclosure.cache_clear()
+    phi = Quad(Fraction(1, 2), Fraction(1, 2), 5)
+    form = LogLinear({2: phi, 3: -1})
+    assert form.sign() == 1
+    first = sorted(calls)
+    assert len(first) == len(set(first))  # one computation per prime and rung
+    assert form.sign() == 1 and form.scale(2).sign() == 1
+    assert sorted(calls) == first
+    monoheight.logforms._prime_log_enclosure.cache_clear()
+
+
+def _weil_height_by_candidates(prof):
+    """Weil height with one LogLinear per archimedean candidate, compared pairwise."""
+    total = LogLinear({pl.p: max(0, -min(vec)) for pl, vec in prof.vals.items()})
+    best = LogLinear({})
+    for j in range(prof.n):
+        cand = prof.arch_loglinear(j)
+        if best.compare(cand) < 0:
+            best = cand
+    return total + best
+
+
+@st.composite
+def profiles(draw):
+    n = draw(st.integers(min_value=1, max_value=3))
+    # a scale of 2^12 puts most candidate differences above the bit bound
+    scale = draw(st.sampled_from([1, 1, 2**12]))
+    primes = draw(st.lists(st.sampled_from(SMALL_PRIMES), unique=True, max_size=4))
+    vals = {Place(p): tuple(scale * draw(st.integers(-60, 60)) for _ in range(n)) for p in primes}
+    return LogProfile(n=n, vals=vals, signs=(1,) * n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(profiles())
+def test_weil_height_matches_candidate_route(prof):
+    h = weil_height(prof)
+    assert h.symbolic == _weil_height_by_candidates(prof)
+    assert str(h.symbolic) == str(_weil_height_by_candidates(prof))
+
+
+@pytest.mark.parametrize("ambient", [20, 53, 300])
+def test_signs_and_heights_ignore_ambient_precision(ambient):
+    forms = [
+        {2: 485, 3: -306},
+        {2: 485 * 2**20, 3: -306 * 2**20},
+        {2: Quad(Fraction(1, 2), Fraction(1, 2), 5), 3: -1},
+        {2: 1, 3: 1, 5: -1},
+    ]
+    points = ["2,3", "-4/9,10", "1/1024,3/5", "7/6,-12/35,11"]
+    with mp.workprec(ambient):
+        signs = [LogLinear(f).sign() for f in forms]
+        heights = [weil_height_of_point(PointGm.parse(p)).to_json() for p in points]
+    assert signs == [1, 1, 1, 1]
+    assert heights == [weil_height_of_point(PointGm.parse(p)).to_json() for p in points]

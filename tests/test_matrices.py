@@ -7,9 +7,11 @@ from itertools import permutations
 import pytest
 import sympy
 
+import monoheight.matrices
 from monoheight import kernels
 from monoheight import (
     CertifiedReal,
+    IndistinguishableModuliError,
     InputError,
     IntMatrix,
     IntPoly,
@@ -166,6 +168,26 @@ def test_certified_real_compare():
     assert a.compare(b) == 1  # 1.5 > sqrt2
     assert b.compare(b) == 0
     assert (b**2).descriptor == Quad(2)
+
+
+def test_square_root_refinement_raises_rather_than_fall_short(monkeypatch):
+    # 2^(1/4) as the square root of the quadratic sqrt(2)
+    r = CertifiedReal.sqrt_of(CertifiedReal.from_quad(Quad.sqrt_of(Fraction(2))))
+    assert r.sq is not None
+    r.refine(Fraction(1, 2**300))
+    assert r.width <= Fraction(1, 2**300)
+    # square-root enclosures that stall at a width of 2^-200 cannot reach 2^-400
+    exact = monoheight.matrices.sqrt_enclosure
+    pad = Fraction(1, 2**201)
+
+    def stalled(q, prec):
+        lo, hi = exact(q, prec)
+        return lo - pad, hi + pad
+
+    monkeypatch.setattr(monoheight.matrices, "sqrt_enclosure", stalled)
+    r = CertifiedReal.sqrt_of(CertifiedReal.from_quad(Quad.sqrt_of(Fraction(2))))
+    with pytest.raises(IndistinguishableModuliError, match="did not reach"):
+        r.refine(Fraction(1, 2**400))
 
 
 def test_monomial_degree():

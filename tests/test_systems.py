@@ -91,6 +91,19 @@ def test_growth_table_bounds_sandwich():
         assert lo <= phi <= hi
 
 
+@pytest.mark.parametrize("call", [
+    lambda F, n_max: growth_table(F, n_max=n_max),
+    lambda F, n_max: dynamical_degree(F, n_max=n_max),
+    lambda F, n_max: correction_exponent(F, n_max=n_max),
+    lambda F, n_max: check_reduction(F, pt(2, 3), n_max=n_max),
+    lambda F, n_max: system_report(F, pt(2, 3), n_max=n_max),
+], ids=["growth_table", "dynamical_degree", "correction_exponent", "check_reduction", "system_report"])
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_n_max_below_one_rejected(call, n_max):
+    with pytest.raises(InputError, match="n_max must be >= 1"):
+        call([SHEAR_U, SHEAR_L], n_max)
+
+
 def test_dynamical_degree_diagonal_pair():
     d = dynamical_degree([DIAG23, DIAG52], n_max=6)
     assert d.certificate.status == "certified_diagonal"
