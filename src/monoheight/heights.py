@@ -150,13 +150,9 @@ class TruncatedEstimate:
 
 def _delta_and_l(mats, delta, l_override):
     if delta is None:
-        if len(mats) == 1:
-            jp = jordan_profile(mats[0])
-            delta_mpf = jp.rho.to_mpf(default_precision())
-            delta_str = jp.rho.exact_str() or real_str(delta_mpf, 20)
-            l = jp.l if l_override is None else l_override
-            return delta_mpf, delta_str, l
-        raise InputError("multi-map systems need delta (use the system analyzer)")
+        if len(mats) != 1:
+            raise InputError("multi-map systems need delta (use the system analyzer)")
+        delta = jordan_profile(mats[0]).rho
     if hasattr(delta, "to_mpf"):
         delta_mpf = delta.to_mpf(default_precision())
         delta_str = getattr(delta, "exact_str", lambda: None)() or real_str(delta_mpf, 20)

@@ -102,7 +102,10 @@ def jordan_profile(A: IntMatrix) -> JordanProfile:
     ========
     diag(2,3) has l=0, r=1, rbar=1; the Fibonacci companion matrix has r=1 but
     rbar=2 because the Galois conjugate eigenspace is counted in rbar.
+    Computed once per matrix object.
     """
+    if A._jordan is not None:
+        return A._jordan
     prof = modulus_profile(A)
     factors = []
     for fd in prof.factors:
@@ -129,7 +132,7 @@ def jordan_profile(A: IntMatrix) -> JordanProfile:
         if top_blocks:
             r += top_blocks * pf.roots_at_max
             rbar += top_blocks * pf.poly.degree
-    return JordanProfile(
+    A._jordan = JordanProfile(
         rho=prof.rho,
         factors=tuple(factors),
         l=l,
@@ -138,6 +141,7 @@ def jordan_profile(A: IntMatrix) -> JordanProfile:
         m=prof.parity,
         modulus=prof,
     )
+    return A._jordan
 
 
 @dataclass
@@ -161,11 +165,6 @@ def _qmat(rows_int):
     return [[Quad(v) for v in row] for row in rows_int]
 
 
-def _qmat_mul(a, b):
-    n = len(a)
-    return [[sum((a[i][k] * b[k][j] for k in range(n)), Quad(0)) for j in range(n)] for i in range(n)]
-
-
 def _qmat_scale(a, c: Quad):
     return [[v * c for v in row] for row in a]
 
@@ -181,35 +180,24 @@ def _qmat_sub_scalar(a, lam: Quad):
     return out
 
 
-def _qmat_pow(a, e: int):
-    n = len(a)
-    out = [[Quad(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    base = a
-    while e:
-        if e & 1:
-            out = _qmat_mul(out, base)
-        base = _qmat_mul(base, base)
-        e >>= 1
-    return out
+def _divide_linear(coeffs, lam: Quad):
+    """(quotient, remainder) of a polynomial (ascending coefficients) by x - lam,
+    by synthetic division; the remainder is the value at lam."""
+    acc = Quad(0)
+    quot = []
+    for c in reversed(coeffs):
+        acc = acc * lam + c
+        quot.append(acc)
+    return list(reversed(quot[:-1])), quot[-1]
 
 
 def _taylor_at(p_coeffs, lam: Quad, terms: int):
-    """First `terms` Taylor coefficients of the polynomial at lam (synthetic division)."""
+    """First `terms` Taylor coefficients of the polynomial at lam."""
     work = list(p_coeffs)
     out = []
     for _ in range(terms):
-        rem = Quad(0)
-        for c in reversed(work):
-            rem = rem * lam + c
+        work, rem = _divide_linear(work, lam)
         out.append(rem)
-        # divide by (x - lam): synthetic division, quotient replaces work
-        quot = []
-        acc = Quad(0)
-        for c in reversed(work):
-            acc = acc * lam + c
-            quot.append(acc)
-        quot = quot[:-1]
-        work = list(reversed([q for q in quot]))
         if not work:
             work = [Quad(0)]
     return out
@@ -221,20 +209,11 @@ def _spectral_projector(A: IntMatrix, cp: IntPoly, lam: Quad, mult: int):
     charpoly = (x-lam)^mult * h; P = s(A) h(A) where s is the series inverse of
     h modulo (x-lam)^mult.
     """
-    coeffs = [Quad(c) for c in cp.coeffs]
-    # h = charpoly / (x-lam)^mult by synthetic division
-    work = coeffs
-    for _ in range(mult):
-        quot = []
-        acc = Quad(0)
-        for c in reversed(work):
-            acc = acc * lam + c
-            quot.append(acc)
-        rem = quot[-1]
+    h = [Quad(c) for c in cp.coeffs]
+    for _ in range(mult):  # h = charpoly / (x-lam)^mult
+        h, rem = _divide_linear(h, lam)
         if rem != Quad(0):
             raise ArithmeticError("eigenvalue multiplicity mismatch in projector")
-        work = list(reversed(quot[:-1]))
-    h = work
     t = _taylor_at(h, lam, mult)  # h around lam
     if t[0] == Quad(0):
         raise ArithmeticError("h(lam) = 0; factor multiplicities inconsistent")
@@ -250,7 +229,7 @@ def _spectral_projector(A: IntMatrix, cp: IntPoly, lam: Quad, mult: int):
     # h(A) by Horner
     hA = [[Quad(0)] * n for _ in range(n)]
     for c in reversed(h):
-        hA = _qmat_mul(hA, qa)
+        hA = kernels.mat_mul(hA, qa)
         for i in range(n):
             hA[i][i] = hA[i][i] + c
     shifted = _qmat_sub_scalar(qa, lam)
@@ -259,9 +238,9 @@ def _spectral_projector(A: IntMatrix, cp: IntPoly, lam: Quad, mult: int):
     for j in range(mult):
         acc = _qmat_add(acc, _qmat_scale(power, s[j]))
         if j + 1 < mult:
-            power = _qmat_mul(power, shifted)
-    proj = _qmat_mul(acc, hA)
-    if _qmat_mul(proj, proj) != proj:
+            power = kernels.mat_mul(power, shifted)
+    proj = kernels.mat_mul(acc, hA)
+    if kernels.mat_mul(proj, proj) != proj:
         raise ArithmeticError("spectral projector is not idempotent")
     return proj
 
@@ -271,8 +250,12 @@ def limit_matrix_B(A: IntMatrix, tol=1e-12, prec=None) -> LimitMatrixB:
 
     Exact spectral-projector entries whenever the dominant eigenvalues are
     rational or quadratic; otherwise a certified iteration with the stated
-    stopping rule.  Dominant complex eigenvalues are rejected.
+    stopping rule.  Dominant complex eigenvalues are rejected.  The exact
+    limit, which depends on neither tol nor prec, is computed once per matrix
+    object.
     """
+    if A._limit is not None:
+        return A._limit
     prec = prec or default_precision()
     jp = jordan_profile(A)
     prof = jp.modulus
@@ -280,7 +263,7 @@ def limit_matrix_B(A: IntMatrix, tol=1e-12, prec=None) -> LimitMatrixB:
     dominant = []
     for idx in prof.max_indices:
         fd = prof.factors[idx]
-        pf = jp.factors[[f.poly for f in jp.factors].index(fd.poly)]
+        pf = jp.factors[idx]  # jordan_profile keeps the order of prof.factors
         if (l + 1) not in pf.block_sizes:
             continue  # max-modulus but smaller blocks: vanishes in the limit
         real_at_max = len(fd.max_real_signs)
@@ -305,6 +288,7 @@ def limit_matrix_B(A: IntMatrix, tol=1e-12, prec=None) -> LimitMatrixB:
             rho=jp.rho, xi_signs=tuple(xi), all_eigenvalues_real=all_real, notes=tuple(notes),
         )
         _check_exact_limit(A, b)
+        A._limit = b
         return b
     entries, width = _iterated_limit(A, jp, Fraction(str(tol)), prec)
     return LimitMatrixB(
@@ -326,7 +310,7 @@ def _exact_limit(A: IntMatrix, prof, jp, dominant):
                 rho = abs(lam)
             proj = _spectral_projector(A, prof.charpoly, lam, fd.multiplicity)
             nil = _qmat_sub_scalar(qa, lam)
-            term = _qmat_mul(_qmat_pow(nil, l), proj) if l else proj
+            term = kernels.mat_mul(kernels.mat_pow(nil, l), proj) if l else proj
             sgn = lam.sign()
             factor = Quad(1) if (sgn > 0 or l % 2 == 0) else Quad(-1)
             total = _qmat_add(total, _qmat_scale(term, factor))
@@ -338,8 +322,8 @@ def _check_exact_limit(A: IntMatrix, b: LimitMatrixB):
     if all(v == Quad(0) for row in b.entries for v in row):
         raise ArithmeticError("limit matrix vanished identically")
     qa = _qmat(A.row_lists())
-    am = _qmat_pow(qa, b.m)
-    lhs = _qmat_mul(b.entries, am)
+    am = kernels.mat_pow(qa, b.m)
+    lhs = kernels.mat_mul(b.entries, am)
     rho_m = b.rho.descriptor ** b.m
     rhs = _qmat_scale(b.entries, rho_m)
     if lhs != rhs:
@@ -492,7 +476,7 @@ def jordan_basis(A: IntMatrix) -> JordanBasisData:
             if k + 1 < size:
                 T[pos + k][pos + k + 1] = Quad(1)
         pos += size
-    if _qmat_mul(qa, J) != _qmat_mul(J, T):
+    if kernels.mat_mul(qa, J) != kernels.mat_mul(J, T):
         raise ArithmeticError("A J = J T verification failed")
     det = quad_det(J)
     if det == Quad(0):
@@ -518,7 +502,7 @@ def _chains_for_eigenvalue(qa, n, lam: Quad, sizes):
     powers = [None]
     cur = [[Quad(1 if i == j else 0) for j in range(n)] for i in range(n)]
     for _ in range(max_size):
-        cur = _qmat_mul(cur, shifted)
+        cur = kernels.mat_mul(cur, shifted)
         powers.append([row[:] for row in cur])
     kernels_by_level = {j: _quad_nullspace_sorted(powers[j]) for j in range(1, max_size + 1)}
 
@@ -527,7 +511,7 @@ def _chains_for_eigenvalue(qa, n, lam: Quad, sizes):
     for s in sorted(set(sizes), reverse=True):
         count = sum(1 for x in sizes if x == s)
         lower = kernels_by_level.get(s - 1, []) if s > 1 else []
-        pushed = [_qmat_vec(powers[t - s], top) for t, top, _ in chains if t > s]
+        pushed = [kernels.mat_vec(powers[t - s], top) for t, top, _ in chains if t > s]
         span = [v[:] for v in lower] + [v[:] for v in pushed]
         tops = []
         for cand in kernels_by_level[s]:
@@ -541,16 +525,11 @@ def _chains_for_eigenvalue(qa, n, lam: Quad, sizes):
         for top in tops:
             chain = []
             for k in range(s - 1, -1, -1):
-                vec = _qmat_vec(powers[k], top) if k else top
+                vec = kernels.mat_vec(powers[k], top) if k else top
                 chain.append(vec)
             chains.append((s, top, chain))
     chains.sort(key=lambda c: (-c[0], _vec_height_key(c[1])))
     return [chain for _, _, chain in chains]
-
-
-def _qmat_vec(mat, v):
-    n = len(v)
-    return [sum((mat[i][k] * v[k] for k in range(n)), Quad(0)) for i in range(n)]
 
 
 def _quad_nullspace_sorted(rows):

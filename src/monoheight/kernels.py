@@ -1,6 +1,7 @@
-"""Exact integer matrix products on lists of rows.
+"""Exact matrix products on lists of rows.
 
-Inputs are rectangular lists of lists of ints; outputs are fresh lists.
+Entries may be ints, Fractions or Quads (which mix with ints); outputs are
+fresh lists.
 """
 
 # Recorded in benchmark results; this module is the only implementation.
@@ -8,7 +9,7 @@ BACKEND = "python"
 
 
 def mat_mul(a, b):
-    """Exact product of two square integer matrices given as lists of rows."""
+    """Exact product of two square matrices given as lists of rows."""
     n = len(a)
     bt = [[b[k][j] for k in range(n)] for j in range(n)]
     return [[sum(ra[k] * cb[k] for k in range(n)) for cb in bt] for ra in a]
@@ -34,5 +35,5 @@ def mat_pow(a, e):
 
 
 def max_bits(a):
-    """Largest bit length over the entries."""
+    """Largest bit length over the entries of an integer matrix."""
     return max((abs(x).bit_length() for row in a for x in row), default=0)

@@ -57,9 +57,13 @@ def det_int(rows) -> int:
 
 
 class IntMatrix:
-    """Square integer matrix with nonzero determinant (exponent matrix of a monomial map)."""
+    """Square integer matrix with nonzero determinant (exponent matrix of a monomial map).
 
-    __slots__ = ("n", "_rows", "_key", "_det")
+    The matrix is immutable, so it keeps its own analysis: modulus_profile,
+    jordan_profile and the exact limit_matrix_B each fill one slot on first use.
+    """
+
+    __slots__ = ("n", "_rows", "_key", "_det", "_modulus", "_jordan", "_limit")
 
     def __init__(self, rows, _trusted=False):
         rows = [list(r) for r in rows]
@@ -74,6 +78,7 @@ class IntMatrix:
         self._rows = rows
         self._key = tuple(tuple(r) for r in rows)
         self._det = None
+        self._modulus = self._jordan = self._limit = None
         if not _trusted and self.det() == 0:
             raise InputError("determinant is zero")
 
@@ -338,6 +343,8 @@ class CertifiedReal:
         eps = Fraction(eps)
         if self.width <= eps:
             return self
+        if eps <= 0:
+            raise InputError("only an exact value has an enclosure of width <= 0")
         if self.descriptor is not None:
             prec = 64
             while self.width > eps:
@@ -678,7 +685,10 @@ def _real_root_sign(root) -> int:
 
 
 def modulus_profile(A: IntMatrix) -> ModulusProfile:
-    """Factor the characteristic polynomial and rank all root moduli exactly."""
+    """Factor the characteristic polynomial and rank all root moduli exactly;
+    computed once per matrix object."""
+    if A._modulus is not None:
+        return A._modulus
     cp = charpoly(A)
     data = []
     for g, mult in factor_over_q(cp):
@@ -707,13 +717,14 @@ def modulus_profile(A: IntMatrix) -> ModulusProfile:
             seconds.append(fd.rho_sq.hi)
         if fd.second_sq_hi is not None:
             seconds.append(fd.second_sq_hi)
-    return ModulusProfile(
+    A._modulus = ModulusProfile(
         charpoly=cp,
         factors=data,
         rho=rho,
         max_indices=best,
         second_sq_hi=max(seconds) if seconds else None,
     )
+    return A._modulus
 
 
 def spectral_radius(A: IntMatrix) -> CertifiedReal:
@@ -763,21 +774,25 @@ def frac_rank(rows) -> int:
     return len(frac_rref(rows)[1])
 
 
-def frac_nullspace(rows):
-    """Basis of the rational kernel (column-vector convention)."""
+def _nullspace(rows, zero, one):
+    """Kernel basis over the field of zero and one (column-vector convention)."""
     if not rows:
         return []
     ncols = len(rows[0])
-    rr, pivots = frac_rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    rr, pivots = _rref(rows, zero)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [zero] * ncols
+        v[fc] = one
         for r, pc in enumerate(pivots):
             v[pc] = -rr[r][fc]
         basis.append(v)
     return basis
+
+
+def frac_nullspace(rows):
+    """Basis of the rational kernel (column-vector convention)."""
+    return _nullspace([[Fraction(v) for v in r] for r in rows], Fraction(0), Fraction(1))
 
 
 def int_nullspace(rows):
@@ -829,19 +844,7 @@ def quad_rank(rows) -> int:
 
 
 def quad_nullspace(rows):
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    rr, pivots = quad_rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Quad(0)] * ncols
-        v[fc] = Quad(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = Quad(0) - rr[r][fc]
-        basis.append(v)
-    return basis
+    return _nullspace(rows, Quad(0), Quad(1))
 
 
 def quad_det(rows):

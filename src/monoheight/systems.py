@@ -236,6 +236,7 @@ class StarCertificate:
 
     status: str  # certified_diagonal | certified_polynomial_family | empirical | unknown
     psi_word: tuple = ()
+    psi: IntMatrix = None  # product of psi_word; the generator itself when t = 1
     t: int = 0
     base_index: int = None
     polynomials: tuple = ()  # Fraction coefficient tuples, ascending, for i >= 2
@@ -245,9 +246,6 @@ class StarCertificate:
     @property
     def certified(self) -> bool:
         return self.status in ("certified_diagonal", "certified_polynomial_family")
-
-    def psi_matrix(self, system: SystemF) -> IntMatrix:
-        return word_product([system.matrices[i] for i in self.psi_word])
 
     def to_json(self):
         out = {"status": self.status}
@@ -295,13 +293,14 @@ def _is_diagonal(M: IntMatrix) -> bool:
 
 
 def _argmax_radius(mats):
+    """Index of the first matrix of largest spectral radius."""
     best = None
     best_i = None
     for i, M in enumerate(mats):
         rho = spectral_radius(M)
         if best is None or best.compare(rho) < 0:
             best, best_i = rho, i
-    return best_i, best
+    return best_i
 
 
 def _polynomial_in_base(base: IntMatrix, target: IntMatrix):
@@ -349,20 +348,20 @@ def _structural_certificate(system: SystemF):
     """Certificate for a recognized family (diagonal, k = 1, polynomial), else None."""
     mats = system.matrices
     if all(_is_diagonal(M) for M in mats):
-        i, _ = _argmax_radius(mats)
-        return StarCertificate(status="certified_diagonal", psi_word=(i,), t=1)
+        i = _argmax_radius(mats)
+        return StarCertificate(status="certified_diagonal", psi_word=(i,), psi=mats[i], t=1)
     if system.k == 1:
-        return StarCertificate(status="certified_polynomial_family", psi_word=(0,), t=1,
-                               base_index=0, polynomials=())
+        return StarCertificate(status="certified_polynomial_family", psi_word=(0,), psi=mats[0],
+                               t=1, base_index=0, polynomials=())
     polys = []
     for M in mats[1:]:
         coeffs = _polynomial_in_base(mats[0], M)
         if coeffs is None:
             return None
         polys.append(coeffs)
-    i, _ = _argmax_radius(mats)
+    i = _argmax_radius(mats)
     return StarCertificate(
-        status="certified_polynomial_family", psi_word=(i,), t=1,
+        status="certified_polynomial_family", psi_word=(i,), psi=mats[i], t=1,
         base_index=0, polynomials=tuple(polys),
     )
 
@@ -385,7 +384,7 @@ def _empirical_certificate(system: SystemF, rows) -> StarCertificate:
                     status="unknown",
                     notes=(f"word-growth inequality fails at n={row.n} for the best candidate",),
                 )
-    return StarCertificate(status="empirical", psi_word=psi_word, t=t, n_checked=len(rows))
+    return StarCertificate(status="empirical", psi_word=psi_word, psi=psi, t=t, n_checked=len(rows))
 
 
 @dataclass
@@ -431,7 +430,7 @@ def dynamical_degree(
     hi = table.upper_bound()
     exact = None
     if cert.certified and cert.t == 1:
-        exact = spectral_radius(cert.psi_matrix(system))
+        exact = spectral_radius(cert.psi)
         prec = default_precision()
         # widen at full precision; at ambient 53 bits the products round onto
         # float(rho) and the interval can exclude the true value
@@ -467,8 +466,7 @@ def correction_exponent(F, n_max: int = DEFAULT_N_MAX, degree: DynamicalDegree =
         degree = dynamical_degree(system, n_max=n_max)
     cert = degree.certificate
     if cert is not None and cert.certified:
-        psi = cert.psi_matrix(system)
-        return CorrectionExponent(l=jordan_profile(psi).l, certified=True,
+        return CorrectionExponent(l=jordan_profile(cert.psi).l, certified=True,
                                   method="reduced map jordan profile")
     prec = default_precision()
     table = degree.table
@@ -518,7 +516,7 @@ def check_reduction(F, P: PointGm, n_max: int = DEFAULT_N_MAX, tol=1e-9) -> Redu
     cert = degree.certificate
     if cert is None or not cert.certified:
         raise InputError("reduction checks need a certified system")
-    psi = cert.psi_matrix(system)
+    psi = cert.psi
     prec = default_precision()
     items = []
     rho_psi = spectral_radius(psi)
@@ -608,7 +606,7 @@ def system_report(
     closed = None
     psi = None
     if cert is not None and cert.certified:
-        psi = cert.psi_matrix(system)
+        psi = cert.psi
         try:
             closed = canonical_height_closed(psi, P)
         except MonoheightError as exc:  # closed form is optional in the report

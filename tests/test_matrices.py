@@ -190,6 +190,14 @@ def test_square_root_refinement_raises_rather_than_fall_short(monkeypatch):
         r.refine(Fraction(1, 2**400))
 
 
+def test_refine_to_width_zero():
+    # an exact rational already has width 0; an irrational value can never reach it
+    assert CertifiedReal.from_fraction(Fraction(3, 2)).refine(0).width == 0
+    for value, eps in ((Quad.sqrt_of(Fraction(2)), 0), (Quad.sqrt_of(Fraction(2)), -1), (Quad(3), -1)):
+        with pytest.raises(InputError, match="width <= 0"):
+            CertifiedReal.from_quad(value).refine(eps)
+
+
 def test_monomial_degree():
     # max row abs sum: the degree of the induced monomial map
     assert monomial_degree(FIB) == 2
@@ -250,11 +258,46 @@ def _random_rows(rng, n, bits):
     return [[rng.getrandbits(bits) - (1 << (bits - 1)) for _ in range(n)] for _ in range(n)]
 
 
+def _random_sqrt5(rng, bits):
+    """An element of Q(sqrt 5); one in five is a plain int, which Quads mix with."""
+    a = rng.getrandbits(bits) - (1 << (bits - 1))
+    if rng.random() < 0.2:
+        return a
+    return Quad(Fraction(a, rng.randint(1, 9)), Fraction(rng.randint(-9, 9), rng.randint(1, 4)), 5)
+
+
+def _random_sqrt5_rows(rng, n, bits):
+    return [[_random_sqrt5(rng, bits) for _ in range(n)] for _ in range(n)]
+
+
+def _to_sympy(x):
+    if isinstance(x, Quad):
+        return sympy.Rational(x.a.numerator, x.a.denominator) \
+            + sympy.Rational(x.b.numerator, x.b.denominator) * sympy.sqrt(5)
+    return sympy.Integer(x)
+
+
+def _sympy_matrix(rows):
+    return sympy.Matrix([[_to_sympy(x) for x in row] for row in rows])
+
+
+def _equal_rows(got, expected):
+    """Exact equality of Q(sqrt 5) rows with sympy rows."""
+    return len(got) == len(expected) and all(
+        len(g) == len(e) and all(sympy.expand(_to_sympy(x) - y) == 0 for x, y in zip(g, e))
+        for g, e in zip(got, expected)
+    )
+
+
 def test_mat_mul_matches_sympy(rng):
     for bits in (8, 64, 300, 2000):
         a = _random_rows(rng, 4, bits)
         b = _random_rows(rng, 4, bits)
         assert kernels.mat_mul(a, b) == (sympy.Matrix(a) * sympy.Matrix(b)).tolist()
+    for bits in (8, 300):
+        a = _random_sqrt5_rows(rng, 3, bits)
+        b = _random_sqrt5_rows(rng, 3, bits)
+        assert _equal_rows(kernels.mat_mul(a, b), (_sympy_matrix(a) * _sympy_matrix(b)).tolist())
 
 
 def test_mat_vec_matches_sympy(rng):
@@ -262,12 +305,20 @@ def test_mat_vec_matches_sympy(rng):
         a = _random_rows(rng, 5, bits)
         v = [rng.getrandbits(bits) - (1 << (bits - 1)) for _ in range(5)]
         assert kernels.mat_vec(a, v) == list(sympy.Matrix(a) * sympy.Matrix(v))
+    for bits in (8, 300):
+        a = _random_sqrt5_rows(rng, 4, bits)
+        v = [_random_sqrt5(rng, bits) for _ in range(4)]
+        expected = _sympy_matrix(a) * sympy.Matrix([_to_sympy(x) for x in v])
+        assert _equal_rows([kernels.mat_vec(a, v)], [list(expected)])
 
 
 def test_mat_pow_matches_sympy(rng):
     a = _random_rows(rng, 3, 16)
     for e in (1, 2, 7, 30):
         assert kernels.mat_pow(a, e) == (sympy.Matrix(a) ** e).tolist()
+    a = _random_sqrt5_rows(rng, 3, 8)
+    for e in (1, 2, 7):
+        assert _equal_rows(kernels.mat_pow(a, e), (_sympy_matrix(a) ** e).tolist())
 
 
 def test_mat_pow_identity_and_fibonacci():

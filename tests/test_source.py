@@ -3,9 +3,13 @@
 import ast
 from pathlib import Path
 
+from monoheight import IntMatrix
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "monoheight"
 BROAD = ("Exception", "BaseException")
 ENVIRONMENT = ("environ", "getenv")
+# IntMatrix analysis slot -> the one function that fills it
+SLOT_FILLERS = {"_modulus": "modulus_profile", "_jordan": "jordan_profile", "_limit": "limit_matrix_B"}
 
 
 def _broad_handlers(path):
@@ -40,4 +44,35 @@ def test_no_environment_reads():
     # no environment variable selects behaviour: results depend on arguments only
     found = [f"{path.name}:{line}" for path in sorted(SRC.rglob("*.py"))
              for line in _environment_reads(path)]
+    assert found == []
+
+
+def _slot_writes(path):
+    """(qualified name of the enclosing def, slot, line) of each assignment,
+    deletion or setattr of an IntMatrix analysis slot."""
+    writes = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Attribute) and node.attr in SLOT_FILLERS \
+                and not isinstance(node.ctx, ast.Load):
+            writes.append((scope, node.attr, node.lineno))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) \
+                in ("setattr", "__setattr__"):
+            writes.extend((scope, a.value, node.lineno) for a in node.args
+                          if isinstance(a, ast.Constant) and a.value in SLOT_FILLERS)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return writes
+
+
+def test_only_the_analysis_functions_fill_the_matrix_slots():
+    # the memo lives on the matrix and nowhere else: no ad-hoc caches
+    assert set(SLOT_FILLERS) <= set(IntMatrix.__slots__)
+    found = [f"{path.name}:{line} {scope} sets {slot}" for path in sorted(SRC.rglob("*.py"))
+             for scope, slot, line in _slot_writes(path)
+             if scope not in (SLOT_FILLERS[slot], "IntMatrix.__init__")]
     assert found == []
