@@ -25,6 +25,7 @@ from .matrices import (
     CertifiedReal,
     IntMatrix,
     charpoly,
+    charpoly_factors,
     factor_over_q,
     modulus_profile,
     spectral_radius,
@@ -121,6 +122,7 @@ __all__ = [
     "canonical_height_truncated",
     "certify_reduction",
     "charpoly",
+    "charpoly_factors",
     "check_reduction",
     "classify_orbit",
     "correction_exponent",

@@ -17,7 +17,7 @@ from mpmath import mp, mpf
 from .errors import BudgetError, InputError, UnsupportedError
 from .jordan import jordan_profile, limit_matrix_B
 from .logforms import LogLinear, max_with_zero
-from .matrices import IntMatrix
+from .matrices import IntMatrix, charpoly_factors
 from .points import HeightValue, LogProfile, PointGm, log_profile, weil_height
 from .polys import cyclotomic_index
 from .precision import default_precision, real_str
@@ -293,10 +293,8 @@ class OrbitVerdict:
 
 def _torsion_order_lcm(A: IntMatrix) -> int:
     """lcm of the orders of root-of-unity eigenvalues (1 when there are none)."""
-    from .matrices import charpoly, factor_over_q
-
     M = 1
-    for g, _ in factor_over_q(charpoly(A)):
+    for g, _ in charpoly_factors(A)[1]:
         idx = cyclotomic_index(g)
         if idx:
             M = lcm(M, idx)

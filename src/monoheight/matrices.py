@@ -59,11 +59,12 @@ def det_int(rows) -> int:
 class IntMatrix:
     """Square integer matrix with nonzero determinant (exponent matrix of a monomial map).
 
-    The matrix is immutable, so it keeps its own analysis: modulus_profile,
-    jordan_profile and the exact limit_matrix_B each fill one slot on first use.
+    The matrix is immutable, so it keeps its own analysis: charpoly_factors,
+    modulus_profile, jordan_profile and the exact limit_matrix_B each fill one
+    slot on first use.
     """
 
-    __slots__ = ("n", "_rows", "_key", "_det", "_modulus", "_jordan", "_limit")
+    __slots__ = ("n", "_rows", "_key", "_det", "_factors", "_modulus", "_jordan", "_limit")
 
     def __init__(self, rows, _trusted=False):
         rows = [list(r) for r in rows]
@@ -78,7 +79,7 @@ class IntMatrix:
         self._rows = rows
         self._key = tuple(tuple(r) for r in rows)
         self._det = None
-        self._modulus = self._jordan = self._limit = None
+        self._factors = self._modulus = self._jordan = self._limit = None
         if not _trusted and self.det() == 0:
             raise InputError("determinant is zero")
 
@@ -684,14 +685,26 @@ def _real_root_sign(root) -> int:
     raise ArithmeticError("real root sign did not resolve")
 
 
+def charpoly_factors(A: IntMatrix):
+    """(charpoly(A), factor_over_q(charpoly(A))); computed once per matrix object.
+
+    The first stage of a matrix's analysis: it factors and ranks nothing, so
+    callers that need only the factors never meet a modulus-ranking error.
+    """
+    if A._factors is None:
+        cp = charpoly(A)
+        A._factors = (cp, factor_over_q(cp))
+    return A._factors
+
+
 def modulus_profile(A: IntMatrix) -> ModulusProfile:
-    """Factor the characteristic polynomial and rank all root moduli exactly;
+    """Rank all root moduli of the factored characteristic polynomial exactly;
     computed once per matrix object."""
     if A._modulus is not None:
         return A._modulus
-    cp = charpoly(A)
+    cp, factors = charpoly_factors(A)
     data = []
-    for g, mult in factor_over_q(cp):
+    for g, mult in factors:
         if g.degree == 1:
             data.append(_factor_data_deg1(g, mult))
         elif g.degree == 2:
@@ -708,8 +721,7 @@ def modulus_profile(A: IntMatrix) -> ModulusProfile:
             best.append(i)
     for i in best:
         data[i].is_max = True
-    rho = data[best[0]].rho
-    rho.refine(max(rho.hi, Fraction(1)) * _RADIUS_REL_WIDTH)
+    rho = _within_radius_width(data[best[0]].rho)
 
     seconds = []
     for i, fd in enumerate(data):
@@ -727,10 +739,23 @@ def modulus_profile(A: IntMatrix) -> ModulusProfile:
     return A._modulus
 
 
+def _within_radius_width(rho: CertifiedReal) -> CertifiedReal:
+    """rho refined in place to the relative width every certified radius has."""
+    return rho.refine(max(rho.hi, Fraction(1)) * _RADIUS_REL_WIDTH)
+
+
 def spectral_radius(A: IntMatrix) -> CertifiedReal:
     """Certified spectral radius; exact descriptor when the maximizing eigenvalue
     is rational or quadratic over Q."""
     return modulus_profile(A).rho
+
+
+def trace_det_radius(t: int, d: int) -> CertifiedReal:
+    """spectral_radius of any 2x2 integer matrix with trace t and determinant d,
+    from x^2 - t x + d directly, with no charpoly and no factorization."""
+    if t * t == 4 * d:  # double eigenvalue t/2
+        return CertifiedReal.from_fraction(Fraction(abs(t), 2))
+    return _within_radius_width(_factor_data_deg2(IntPoly((d, -t, 1)), 1).rho)
 
 
 # ---------------------------------------------------------------------------

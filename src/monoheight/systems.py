@@ -23,6 +23,7 @@ from .matrices import (
     frac_solve,
     monomial_degree,
     spectral_radius,
+    trace_det_radius,
     word_product,
 )
 from .points import PointGm
@@ -116,13 +117,49 @@ class _WordLevels:
         return nxt
 
 
-def _level_max_radius(level):
-    """(CertifiedReal, word) for the max spectral radius over one level.
+def _twice_radius(t: int, d: int):
+    """(u, v) with 2 rho = u + sqrt(v), integers u, v >= 0, for the roots of
+    x^2 - t x + d: |t| + sqrt(t^2 - 4d) for real roots, sqrt(4d) for a complex pair."""
+    disc = t * t - 4 * d
+    return (abs(t), disc) if disc >= 0 else (0, 4 * d)
 
-    The cheap norm bound prunes words that cannot beat the current certified
-    lower bound, so the exact machinery runs on few words per level.
+
+def _compare_surds(x, y) -> int:
+    """Exact sign of (u1 + sqrt v1) - (u2 + sqrt v2) for x = (u1, v1), y = (u2, v2)."""
+    (u1, v1), (u2, v2) = x, y
+    p = (u1 > u2) - (u1 < u2)
+    w = (v1 > v2) - (v1 < v2)  # sign of sqrt v1 - sqrt v2
+    if p * w >= 0:
+        return p or w
+    # opposite signs: the larger of |u1 - u2| and |sqrt v1 - sqrt v2| wins, and
+    # (u1 - u2)^2 - (sqrt v1 - sqrt v2)^2 = q + 2 sqrt(v1 v2)
+    q = (u1 - u2) ** 2 - v1 - v2
+    if q >= 0:
+        return p if q or v1 * v2 else 0
+    r = 4 * v1 * v2 - q * q
+    return p * ((r > 0) - (r < 0))
+
+
+def _level_max_radius(level):
+    """(CertifiedReal, word) for the max spectral radius over one level: the
+    first word of largest radius in order of decreasing norm bound.
+
+    2x2 words are ranked by exact integer tests on trace and determinant, and
+    only the winner's radius is certified.  Otherwise the cheap norm bound
+    prunes words that cannot beat the current certified lower bound, so the
+    exact machinery runs on few words per level.
     """
     ranked = sorted(level, key=lambda wm: -_norm_bound(wm[1]))
+    if ranked[0][1].n == 2:
+        best_key = best = None
+        for word, M in ranked:
+            (a, b), (c, e) = M.row_lists()
+            t, d = a + e, a * e - b * c
+            key = _twice_radius(t, d)
+            if best_key is None or _compare_surds(key, best_key) > 0:
+                best_key, best = key, (t, d, word)
+        t, d, word = best
+        return trace_det_radius(t, d), word
     best = None
     best_word = None
     for word, M in ranked:

@@ -1,6 +1,6 @@
-"""One analysis per matrix: an IntMatrix computes its modulus profile, its
-Jordan profile and its exact limit matrix once, and sharing that analysis
-between callers changes no output."""
+"""One analysis per matrix: an IntMatrix computes its factored characteristic
+polynomial, its modulus profile, its Jordan profile and its exact limit matrix
+once, and sharing that analysis between callers changes no output."""
 
 import io
 import json
@@ -40,8 +40,9 @@ def _points(n):
 @pytest.fixture
 def analyses(monkeypatch):
     """Per matrix object, how often the computation behind each slot ran:
-    charpoly inside modulus_profile, the block sizes of each factor inside
-    jordan_profile, and the exact limit inside limit_matrix_B."""
+    charpoly inside charpoly_factors (which modulus_profile reads), the block
+    sizes of each factor inside jordan_profile, and the exact limit inside
+    limit_matrix_B."""
     counts = {"modulus": Counter(), "jordan": Counter(), "limit": Counter()}
     alive = []  # counted matrices stay alive, so their ids stay distinct
 
@@ -56,7 +57,7 @@ def analyses(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    count(monoheight.matrices, "charpoly", "modulus", lambda A, args: id(A), caller="modulus_profile")
+    count(monoheight.matrices, "charpoly", "modulus", lambda A, args: id(A), caller="charpoly_factors")
     count(monoheight.jordan, "_block_sizes", "jordan", lambda A, args: (id(A), args[0].coeffs))
     count(monoheight.jordan, "_exact_limit", "limit", lambda A, args: id(A))
     return counts
@@ -110,7 +111,7 @@ def test_system_report_analyses_psi_once(analyses):
     psi = report.degree.certificate.psi
     assert psi is generators[1]
     assert analyses["modulus"][id(psi)] == 1
-    assert set(analyses["modulus"].values()) == {1}  # every word product once, too
+    assert set(analyses["modulus"].values()) == {1}  # no other matrix twice, either
     assert {key: v for key, v in analyses["jordan"].items() if key[0] == id(psi)} == {
         (id(psi), (-2, 1)): 1, (id(psi), (-5, 1)): 1,
     }

@@ -9,7 +9,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "monoheight"
 BROAD = ("Exception", "BaseException")
 ENVIRONMENT = ("environ", "getenv")
 # IntMatrix analysis slot -> the one function that fills it
-SLOT_FILLERS = {"_modulus": "modulus_profile", "_jordan": "jordan_profile", "_limit": "limit_matrix_B"}
+SLOT_FILLERS = {"_factors": "charpoly_factors", "_modulus": "modulus_profile",
+                "_jordan": "jordan_profile", "_limit": "limit_matrix_B"}
 
 
 def _broad_handlers(path):

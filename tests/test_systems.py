@@ -1,11 +1,13 @@
 """Word growth, dynamical degree enclosures, and reduction certificates."""
 
 from fractions import Fraction
+from itertools import combinations, product
 
 from mpmath import mp
 import pytest
 
 import monoheight.heights
+import monoheight.matrices
 import monoheight.systems
 from monoheight import (
     BudgetError,
@@ -24,10 +26,12 @@ from monoheight import (
     growth_table,
     log_profile,
     max_word_radius,
+    spectral_radius,
     system_report,
 )
-from monoheight.matrices import charpoly
+from monoheight.matrices import charpoly, trace_det_radius, word_product
 from monoheight.polys import IntPoly
+from monoheight.systems import _compare_surds, _norm_bound, _twice_radius
 
 FIB = IntMatrix([[1, 1], [1, 0]])
 SHEAR_U = IntMatrix([[1, 1], [0, 1]])
@@ -35,6 +39,18 @@ SHEAR_L = IntMatrix([[1, 0], [1, 1]])
 DIAG23 = IntMatrix([[2, 0], [0, 3]])
 DIAG52 = IntMatrix([[5, 0], [0, 2]])
 FREE3 = [SHEAR_U, SHEAR_L, IntMatrix([[2, 1], [1, 1]])]
+# non-commuting 3x3 pair whose level 3 has tied maximisers out of enumeration order
+PAIR3 = [IntMatrix([[-1, -1, -1], [1, 2, -1], [2, 2, -1]]), IntMatrix([[-1, -1, 0], [-1, 0, 1], [2, 0, 0]])]
+
+# 2x2 cases of each shape the trace/determinant ranking distinguishes
+RANKING_CASES = [
+    [[1, 1], [0, 1]], [[1, 0], [1, 1]], [[2, 1], [0, 2]], [[-3, 1], [0, -3]],  # t^2 = 4d
+    [[2, 0], [0, 3]], [[2, 0], [0, -3]], [[1, 2], [2, 1]], [[-1, 0], [0, 1]],  # square t^2 - 4d
+    [[0, 1], [1, 0]], [[0, 2], [3, 0]], [[0, -1], [1, 0]],  # t = 0
+    [[1, 1], [1, 0]], [[2, 1], [1, 1]], [[3, 1], [1, -2]],  # irrational real roots, d < 0 or > 0
+    [[1, -1], [1, 1]], [[1, -2], [3, 1]], [[-2, -5], [1, 0]],  # complex pairs
+    [[1000, -999], [998, 1000]], [[-1000, 7], [13, 999]], [[1000, 1000], [-1000, 999]],
+]
 
 
 def pt(*coords):
@@ -278,3 +294,76 @@ def test_system_report_surfaces_internal_failures(monkeypatch):
                         failing(UnsupportedError("no closed form")))
     rep = system_report(DIAG23, pt(2, 3), n_max=4)
     assert "closed-form height unavailable: no closed form" in rep.notes
+
+
+def _trace_det(M):
+    (a, b), (c, e) = M.row_lists()
+    return a + e, a * e - b * c
+
+
+def _ranking_matrices(rng):
+    mats = [IntMatrix(rows) for rows in RANKING_CASES]
+    while len(mats) < 140:
+        bound = 3 if len(mats) < 100 else 1000
+        try:
+            mats.append(IntMatrix([[rng.randint(-bound, bound) for _ in range(2)] for _ in range(2)]))
+        except InputError:  # determinant zero
+            continue
+    # transposes share trace and determinant: exact ties
+    return mats + [IntMatrix([list(col) for col in zip(*M.row_lists())]) for M in mats[::7]]
+
+
+def test_trace_det_ranking_matches_spectral_radius(rng):
+    mats = _ranking_matrices(rng)
+    radii = [spectral_radius(M) for M in mats]
+    for M, rho in zip(mats, radii):
+        winner = trace_det_radius(*_trace_det(M))
+        assert (winner.to_json(), winner.exact_str()) == (rho.to_json(), rho.exact_str())
+    keys = [_twice_radius(*_trace_det(M)) for M in mats]
+    signs = {-1: 0, 0: 0, 1: 0}
+    for i, j in combinations(range(len(mats)), 2):
+        sign = _compare_surds(keys[i], keys[j])
+        assert sign == radii[i].compare(radii[j]) == -_compare_surds(keys[j], keys[i]), (mats[i], mats[j])
+        signs[sign] += 1
+    assert min(signs.values()) > 100
+
+
+def test_system_report_certifies_no_level_word(monkeypatch):
+    analysed = []
+    real = monoheight.matrices.charpoly
+
+    def counting(A):
+        analysed.append(A)
+        return real(A)
+
+    monkeypatch.setattr(monoheight.matrices, "charpoly", counting)
+    shears = [SHEAR_U, SHEAR_L]
+    rep = system_report(shears, pt(2, 3), n_max=6)
+    psi = rep.degree.certificate.psi
+    ids = [id(A) for A in analysed]
+    # psi, and generators that classify_orbit factors; never a word of a level
+    assert id(psi) in ids
+    assert set(ids) <= {id(psi)} | {id(M) for M in shears}
+    assert len(ids) == len(set(ids))
+
+
+@pytest.mark.parametrize("mats, n_max", [
+    ([SHEAR_U, SHEAR_L], 6),
+    (FREE3, 4),
+    ([IntMatrix([[3, -7], [2, 5]]), IntMatrix([[-4, 1], [9, 2]])], 5),
+    (PAIR3, 4),
+], ids=["shears", "free3", "mixed_2x2", "pair_3x3"])
+def test_growth_rows_are_first_maximisers(mats, n_max):
+    rows = growth_table(mats, n_max=n_max).rows
+    assert [row.n for row in rows] == list(range(1, n_max + 1))
+    for row in rows:
+        # the level in enumeration order, stably sorted by decreasing norm bound
+        level = {w: word_product([mats[i] for i in w]) for w in product(range(len(mats)), repeat=row.n)}
+        words = sorted(level, key=lambda w: -_norm_bound(level[w]))
+        radii = [spectral_radius(level[w]) for w in words]
+        best = 0
+        for i, rho in enumerate(radii):
+            if rho.compare(radii[best]) > 0:
+                best = i
+        assert row.word == words[best]
+        assert row.rho.compare(radii[best]) == 0
