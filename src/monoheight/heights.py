@@ -50,7 +50,7 @@ def canonical_height_closed(A: IntMatrix, P: PointGm, tol=1e-12, prec=None) -> H
         raise InputError("matrix dimension does not match point dimension")
     prof = log_profile(P)
     if prof.is_torsion():
-        b = limit_matrix_B(A, tol=tol, prec=prec)  # validate support, then exact 0
+        limit_matrix_B(A, tol=tol, prec=prec)  # validate support, then exact 0
         return HeightValue.zero()
     # scale the B tolerance by the profile mass so the final width is <= tol
     mass = 0.0
@@ -210,10 +210,9 @@ def truncated_estimates(
             words += k**nu
             coeffs = {}
             for h, count in level:
-                for p, q in h.coeffs.items():
-                    coeffs[p] = coeffs.get(p, Fraction(0)) + q.a * count
-            coeffs = {p: c for p, c in coeffs.items() if c}
-            level_sums.append(LogLinear({p: Quad(c) for p, c in coeffs.items()}))
+                for p, c in h.coeffs.items():
+                    coeffs[p] = coeffs.get(p, 0) + c * count
+            level_sums.append(LogLinear(coeffs))
             s = mpf(0)
             for p, c in coeffs.items():
                 if p not in logs:
@@ -440,10 +439,10 @@ def arithmetic_degree_estimate(
             s = mpf(0)
             for h, count in level:
                 hv = mpf(0)
-                for p, q in h.coeffs.items():
+                for p, c in h.coeffs.items():
                     if p not in logs:
                         logs[p] = mp.log(p)
-                    hv += (mpf(q.a.numerator) / q.a.denominator) * logs[p]
+                    hv += (mpf(c.numerator) / c.denominator) * logs[p]
                 s += max(mpf(1), hv) * count
             values.append(mp.root(s, nu) / k)
     return ArithDegreeEstimate(values=values, estimate=values[-1], n=n, k=k, word_count=words)

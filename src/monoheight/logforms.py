@@ -1,6 +1,8 @@
 """Symbolic linear combinations sum c_p * log p over primes, with exact coefficients.
 
-Coefficients are rational or real quadratic (Quad).  Logarithms of distinct
+Coefficients are rational or real quadratic.  A rational one is stored as
+an int, or a Fraction when it has a denominator; a Quad only when it has a
+surd, so a Quad with b == 0 becomes its rational part.  Logarithms of distinct
 primes are linearly independent over the algebraic numbers (Baker), so such a
 combination is zero exactly when every coefficient is zero; that makes
 equality decidable and sign evaluation terminating.
@@ -27,8 +29,16 @@ _SIGN_PRECISIONS = (128, 256, 512, 1024, 2048)
 _EXACT_BITS = 1 << 16
 
 
-def _as_quad(c) -> Quad:
-    return c if isinstance(c, Quad) else Quad(Fraction(c))
+def _coefficient(c):
+    """c as stored: a Quad only when it has a surd, else an int or a Fraction."""
+    if isinstance(c, Quad):
+        if c.b:
+            return c
+        c = c.a
+    if type(c) is not int:
+        c = Fraction(c)
+        c = c.numerator if c.denominator == 1 else c
+    return c
 
 
 @lru_cache(maxsize=1024)
@@ -74,28 +84,17 @@ def _power_ratio(exps):
 def _form_sign(coeffs) -> int:
     """Exact sign of sum c * log p over coeffs = {p: c}, c an int, Fraction or Quad.
 
-    0 only when every coefficient is zero.  A rational form is scaled to
-    integer exponents and decided by _power_ratio while they stay within
-    _EXACT_BITS; otherwise, and for quadratic coefficients, the enclosure is
-    tightened up the precision ladder until it excludes zero.
+    0 only when every coefficient is zero.  A rational form, Quads with b == 0
+    included, is scaled to integer exponents and decided by _power_ratio while
+    they stay within _EXACT_BITS; otherwise, and for quadratic coefficients,
+    the enclosure is tightened up the precision ladder until it excludes zero.
     """
-    ratio = _power_ratio(coeffs)
-    if ratio is None:
-        rational = {}
-        for p, c in coeffs.items():
-            if isinstance(c, Quad):
-                if c.b:
-                    rational = None
-                    break
-                c = c.a
-            rational[p] = c
-        if rational is not None:
-            den = lcm(*(c.denominator for c in rational.values()))
-            coeffs = {p: int(c * den) for p, c in rational.items()}
-            ratio = _power_ratio(coeffs)
-    if ratio is not None:
-        pos, neg = ratio
-        return (pos > neg) - (pos < neg)
+    coeffs = {p: _coefficient(c) for p, c in coeffs.items()}
+    if not any(isinstance(c, Quad) for c in coeffs.values()):
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        ratio = _power_ratio({p: c.numerator * (den // c.denominator) for p, c in coeffs.items()})
+        if ratio is not None:
+            return (ratio[0] > ratio[1]) - (ratio[0] < ratio[1])
     for prec in _SIGN_PRECISIONS:
         lo, hi = _enclosure(coeffs, prec)
         if lo > 0:
@@ -137,26 +136,21 @@ class LogLinear:
     def __init__(self, coeffs=None):
         clean = {}
         for p, c in (coeffs or {}).items():
-            c = _as_quad(c)
-            if c != Quad(0):
+            c = _coefficient(c)
+            if c:  # a stored Quad has b != 0, so it is never zero
                 clean[int(p)] = c
         self.coeffs = dict(sorted(clean.items()))
 
     def __add__(self, other):
         out = dict(self.coeffs)
         for p, c in other.coeffs.items():
-            s = out.get(p, Quad(0)) + c
-            if s == Quad(0):
-                out.pop(p, None)
-            else:
-                out[p] = s
+            out[p] = out.get(p, 0) + c
         return LogLinear(out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, factor):
-        factor = _as_quad(factor)
         return LogLinear({p: c * factor for p, c in self.coeffs.items()})
 
     @property
@@ -179,7 +173,8 @@ class LogLinear:
         with mp.workprec(prec):
             total = mp.mpf(0)
             for p, c in self.coeffs.items():
-                total += c.to_mpf(prec) * mp.log(p)
+                value = c.to_mpf(prec) if isinstance(c, Quad) else mp.mpf(c.numerator) / mp.mpf(c.denominator)
+                total += value * mp.log(p)
             return total
 
     def sign(self) -> int:
@@ -203,7 +198,7 @@ class LogLinear:
                 parts.append(f"log {p}")
             elif cs == "-1":
                 parts.append(f"-log {p}")
-            elif c.is_rational or cs.startswith("("):
+            elif not isinstance(c, Quad) or cs.startswith("("):
                 parts.append(f"{cs}*log {p}")
             else:
                 parts.append(f"({cs})*log {p}")

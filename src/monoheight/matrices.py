@@ -750,12 +750,20 @@ def spectral_radius(A: IntMatrix) -> CertifiedReal:
     return modulus_profile(A).rho
 
 
+def _twice_radius(t: int, d: int):
+    """(u, v) with 2 rho = u + sqrt(v), integers u, v >= 0, for the roots of
+    x^2 - t x + d: |t| + sqrt(t^2 - 4d) for real roots, sqrt(4d) for a complex pair."""
+    disc = t * t - 4 * d
+    return (abs(t), disc) if disc >= 0 else (0, 4 * d)
+
+
 def trace_det_radius(t: int, d: int) -> CertifiedReal:
     """spectral_radius of any 2x2 integer matrix with trace t and determinant d,
-    from x^2 - t x + d directly, with no charpoly and no factorization."""
-    if t * t == 4 * d:  # double eigenvalue t/2
-        return CertifiedReal.from_fraction(Fraction(abs(t), 2))
-    return _within_radius_width(_factor_data_deg2(IntPoly((d, -t, 1)), 1).rho)
+    (u + sqrt(v))/2 from _twice_radius, with no charpoly and no factorization."""
+    u, v = _twice_radius(t, d)
+    if v == 0:  # double eigenvalue t/2, where Quad.sqrt_of(0) would raise
+        return CertifiedReal.from_fraction(Fraction(u, 2))
+    return _within_radius_width(CertifiedReal.from_quad(Quad(Fraction(u, 2)) + Quad.sqrt_of(Fraction(v, 4))))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from .errors import BudgetError, InputError
 from .logforms import LogLinear, max_with_zero
 from .matrices import IntMatrix
 from .precision import default_precision, real_str
-from .quadratic import Quad
 from .rationals import Place, factor_rational, parse_rational
 
 
@@ -89,13 +88,13 @@ class LogProfile:
 
     def arch_loglinear(self, j: int) -> LogLinear:
         """Exact symbolic log|x_j| as an integer combination of prime logs."""
-        return LogLinear({pl.p: Quad(vec[j]) for pl, vec in self.vals.items() if vec[j]})
+        return LogLinear({pl.p: vec[j] for pl, vec in self.vals.items() if vec[j]})
 
     def product_formula_sum(self, j: int) -> LogLinear:
         """sum_v log||x_j||_v in symbolic form; identically zero."""
         total = self.arch_loglinear(j)
         for pl, vec in self.vals.items():
-            total = total + LogLinear({pl.p: Quad(-vec[j])})
+            total = total + LogLinear({pl.p: -vec[j]})
         return total
 
     def transport(self, M: IntMatrix) -> "LogProfile":
@@ -183,9 +182,10 @@ def transport_profile(M: IntMatrix, prof: LogProfile) -> LogProfile:
 class HeightValue:
     """A nonnegative real height, symbolic when exact.
 
-    symbolic is a LogLinear (rational or quadratic coefficients on prime
-    logarithms) when the value is known in closed form; otherwise lo/hi is a
-    certified enclosure.
+    symbolic is a LogLinear on prime logarithms when the value is known in
+    closed form; otherwise lo/hi is a certified enclosure.  Its coefficients
+    are ints or Fractions when rational (every Weil height has int
+    coefficients) and Quads only when they carry a surd.
     """
 
     symbolic: object = None

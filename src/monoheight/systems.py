@@ -20,6 +20,7 @@ from .jordan import jordan_profile
 from .matrices import (
     CertifiedReal,
     IntMatrix,
+    _twice_radius,
     frac_solve,
     monomial_degree,
     spectral_radius,
@@ -115,13 +116,6 @@ class _WordLevels:
         self.words_used += new_count
         self.level = nxt
         return nxt
-
-
-def _twice_radius(t: int, d: int):
-    """(u, v) with 2 rho = u + sqrt(v), integers u, v >= 0, for the roots of
-    x^2 - t x + d: |t| + sqrt(t^2 - 4d) for real roots, sqrt(4d) for a complex pair."""
-    disc = t * t - 4 * d
-    return (abs(t), disc) if disc >= 0 else (0, 4 * d)
 
 
 def _compare_surds(x, y) -> int:

@@ -7,7 +7,11 @@ from mpmath import mp
 import pytest
 
 import monoheight.logforms
-from monoheight import LogLinear, PointGm, Quad, weil_height_of_point
+from monoheight import (
+    CertifiedReal, IntMatrix, LogLinear, PointGm, Quad, canonical_height_closed, weil_height_of_point,
+)
+from monoheight.heights import truncated_estimates
+from monoheight.logforms import max_with_zero
 from monoheight.points import LogProfile, weil_height
 from monoheight.rationals import Place
 
@@ -214,3 +218,43 @@ def test_signs_and_heights_ignore_ambient_precision(ambient):
         heights = [weil_height_of_point(PointGm.parse(p)).to_json() for p in points]
     assert signs == [1, 1, 1, 1]
     assert heights == [weil_height_of_point(PointGm.parse(p)).to_json() for p in points]
+
+
+def test_coefficients_are_plain_rationals_unless_quadratic():
+    mixed = LogLinear({2: Quad(3), 3: Quad(Fraction(1, 2)), 5: Quad(1, 1, 5)})
+    plain = LogLinear({2: 3, 3: Fraction(1, 2), 5: Quad(1, 1, 5)})
+    assert [type(c) for c in mixed.coeffs.values()] == [int, Fraction, Quad]
+    assert mixed == plain and hash(mixed) == hash(plain)
+    assert str(mixed) == str(plain) == "3*log 2 + 1/2*log 3 + (1+sqrt(5))*log 5"
+    assert str(mixed.scale(-1) + LogLinear({7: Quad(0, -1, 5)})) == \
+        "-3*log 2 - 1/2*log 3 + (-1-sqrt(5))*log 5 + (-sqrt(5))*log 7"
+
+
+def test_rational_quad_differences_tie_exactly(monkeypatch):
+    # closed heights compare candidate forms with Quad coefficients; a tie
+    # must come out as 0 from the integer test, not fail on the ladder
+    assert max_with_zero([{2: Quad(1)}, {2: Quad(1)}]) == {2: 1}
+    h = canonical_height_closed(IntMatrix([[3, 2], [0, 5]]), PointGm.parse("-143/5,22"))
+    assert h.symbolic == LogLinear({2: 1, 11: 1})
+
+    def no_enclosure(p, prec):
+        raise AssertionError("an exact zero reached the precision ladder")
+
+    monkeypatch.setattr(monoheight.logforms, "_prime_log_enclosure", no_enclosure)
+    assert monoheight.logforms._form_sign({2: Quad(1) - Quad(1), 3: Quad(2) - Quad(2)}) == 0
+
+
+def test_word_sums_construct_no_quad(monkeypatch):
+    shears = [IntMatrix([[1, 1], [0, 1]]), IntMatrix([[1, 0], [1, 1]])]
+    golden = CertifiedReal.from_quad(Quad(Fraction(1, 2), Fraction(1, 2), 5))
+    made = []
+    real = Quad.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Quad, "__init__", counting)
+    est = truncated_estimates(shears, PointGm.parse("2,3"), 6, delta=golden)
+    assert len(est["summed"].exact_level_sums) == 6
+    assert made == []
