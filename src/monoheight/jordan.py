@@ -34,6 +34,9 @@ from .precision import default_precision
 from .quadratic import Quad
 from .scalars import AlgebraicScalar, scalar_heights
 
+# bit size at which the power iteration of _iterated_limit gives up
+_POWER_BIT_BUDGET = 2**22
+
 
 @dataclass(frozen=True)
 class ProfileFactor:
@@ -346,27 +349,35 @@ def _iterated_limit(A: IntMatrix, jp, tol: Fraction, prec: int):
     )
     tol_mpf = mpf(tol.numerator) / mpf(tol.denominator)
     with mp.workprec(prec + 64):
+
+        def scaled(power, nval):
+            denom = mpf(nval) ** l * rho_mpf**nval
+            return [[mpf(v) / denom for v in row] for row in power.row_lists()]
+
         step = A.pow(m)
         power = step
         nval = m
-        prev = None
+        prev = None  # scaled power of the step before, when that step built it
         for _ in range(4000):
-            scalemat = [[mpf(v) for v in row] for row in power.row_lists()]
-            denom = mpf(nval) ** l * rho_mpf**nval
-            cur = [[v / denom for v in row] for row in scalemat]
-            if prev is not None:
-                diff = max(abs(cur[i][j] - prev[i][j]) for i in range(n) for j in range(n))
-                geo = (ratio**nval * mpf(nval) ** (2 * n)) if ratio is not None else mpf(0)
-                poly_ok = (not poly_decay) or diff * nval < tol_mpf
-                if diff < tol_mpf and geo < tol_mpf and poly_ok:
-                    width = diff + geo
-                    return cur, width
-            prev = cur
+            # the geometric tail bound depends on nval alone: scale only where it can pass
+            geo = (ratio**nval * mpf(nval) ** (2 * n)) if ratio is not None else mpf(0)
+            cur = None
+            if geo < tol_mpf:
+                cur = scaled(power, nval)
+                if prev is None and nval > m:
+                    prev = scaled(last, nval - m)
+                if prev is not None:
+                    diff = max(abs(cur[i][j] - prev[i][j]) for i in range(n) for j in range(n))
+                    poly_ok = (not poly_decay) or diff * nval < tol_mpf
+                    if diff < tol_mpf and poly_ok:
+                        return cur, diff + geo
+            prev, last = cur, power
             power = power.mul(step)
             nval += m
-            if power.max_bit_length() > 2**22:
+            if power.max_bit_length() > _POWER_BIT_BUDGET:
                 break
-        raise BudgetError("power iteration for the limit matrix did not converge", partial=prev)
+        partial = prev if prev is not None else scaled(last, nval - m)
+        raise BudgetError("power iteration for the limit matrix did not converge", partial=partial)
 
 
 # ---------------------------------------------------------------------------

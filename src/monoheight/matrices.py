@@ -3,16 +3,19 @@ certified spectral radii, factorization over Q, and monomial-map degrees.
 
 Eigenvalue moduli are ranked exactly.  For an irreducible factor g the squared
 root moduli are among the real roots of the composed resultant
-q(y) = Res_x(g(x), x^deg(g) * g(y/x)), whose largest real root is rho(g)^2;
-per-root membership at the maximum is decided by certified root boxes, and
-cross-factor ties by polynomial gcds with Sturm counts.  Nothing is ever
-ranked from floating point alone.
+q(y) = Res_x(g(x), x^deg(g) * g(y/x)), whose largest real root is rho(g)^2.
+Each root of g is enclosed in its own certified disc (mpmath's approximate
+roots with Weierstrass corrections, checked in exact rational arithmetic), and
+the disc places the root's |z|^2 in one isolating interval of q; Sturm counts
+decide which roots are real.  Cross-factor ties are decided by polynomial gcds
+with Sturm counts.  Nothing is ever ranked from floating point alone.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import sympy
+from mpmath import mp
 
 from . import kernels
 from .errors import IndistinguishableModuliError, InputError, UnsupportedError
@@ -24,13 +27,18 @@ from .polys import (
     sturm_chain,
     sturm_count,
 )
-from .precision import default_precision, fraction_to_mpf, sqrt_enclosure
+from .precision import default_precision, fraction_to_mpf, mpf_to_fraction, sqrt_enclosure
 from .quadratic import Quad
 
 FACTOR_DEGREE_BOUND = 16
 
 # relative enclosure width contract for spectral radii
 _RADIUS_REL_WIDTH = Fraction(1, 2**80)
+
+# working precision, in bits, of the first and the last try at certified root
+# discs; each failed try doubles it
+_DISC_PREC = 64
+_DISC_PREC_CAP = 2**12
 
 
 def det_int(rows) -> int:
@@ -598,16 +606,9 @@ def _modulus_resultant(g: IntPoly) -> IntPoly:
     return IntPoly.from_sympy(sympy.Poly(q, y)).primitive()
 
 
-def _complex_box(root, eps: Fraction):
-    """Rigorous box [re_lo, re_hi] x [im_lo, im_hi] around a CRootOf value."""
-    approx = root.eval_rational(dx=sympy.Rational(eps), dy=sympy.Rational(eps))
-    re = Fraction(int(sympy.re(approx).p), int(sympy.re(approx).q))
-    im = Fraction(int(sympy.im(approx).p), int(sympy.im(approx).q))
-    return re - eps, re + eps, im - eps, im + eps
-
-
-def _sq_modulus_interval(root, eps: Fraction):
-    relo, rehi, imlo, imhi = _complex_box(root, eps)
+def _sq_modulus_interval(box):
+    """Range [lo, hi] of |z|^2 over the box [re_lo, re_hi] x [im_lo, im_hi]."""
+    relo, rehi, imlo, imhi = box
 
     def sq_range(lo, hi):
         if lo <= 0 <= hi:
@@ -620,6 +621,80 @@ def _sq_modulus_interval(root, eps: Fraction):
     return alo + blo, ahi + bhi
 
 
+def _gauss_mul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _root_boxes(g: IntPoly, prec: int):
+    """One box [re_lo, re_hi] x [im_lo, im_hi] around each root of the
+    squarefree g, or None when the approximate roots at prec bits certify no
+    disjoint discs.
+
+    For approximate roots z_i and Weierstrass corrections
+    W_i = g(z_i) / (lc * prod_{j != i} (z_i - z_j)), the roots of g are the
+    eigenvalues of diag(z) - W 1^T, so the Gerschgorin discs
+    D(z_i - W_i, (d - 1)|W_i|) cover them; pairwise disjoint discs hold
+    exactly one root each.  All of it is exact Gaussian-rational arithmetic.
+    """
+    # polyroots stops on an absolute error and walks out to large or clustered
+    # roots at a bounded rate per step, so its guard bits and steps grow with prec
+    with mp.workprec(prec):
+        try:
+            approx = mp.polyroots(list(reversed(g.coeffs)), maxsteps=prec, extraprec=prec)
+        except mp.NoConvergence:
+            return None
+    z = [(mpf_to_fraction(r.real), mpf_to_fraction(r.imag)) for r in approx]
+    discs = []
+    for i, zi in enumerate(z):
+        value = (Fraction(0), Fraction(0))
+        for c in reversed(g.coeffs):
+            value = _gauss_mul(value, zi)
+            value = (value[0] + c, value[1])
+        den = (Fraction(g.lc), Fraction(0))
+        for j, zj in enumerate(z):
+            if j != i:
+                den = _gauss_mul(den, (zi[0] - zj[0], zi[1] - zj[1]))
+        den_sq = den[0] * den[0] + den[1] * den[1]
+        if den_sq == 0:  # coincident approximations certify nothing
+            return None
+        w = _gauss_mul(value, (den[0] / den_sq, -den[1] / den_sq))
+        radius = (g.degree - 1) * sqrt_enclosure(w[0] * w[0] + w[1] * w[1], 2 * prec)[1]
+        discs.append((zi[0] - w[0], zi[1] - w[1], radius))
+    for i, (x1, y1, r1) in enumerate(discs):
+        for x2, y2, r2 in discs[i + 1:]:
+            if (x1 - x2) ** 2 + (y1 - y2) ** 2 <= (r1 + r2) ** 2:
+                return None
+    return [(x - r, x + r, y - r, y + r) for x, y, r in discs]
+
+
+def _rank_boxes(boxes, intervals, n_real: int):
+    """(index of the q-interval holding |z|^2 for each root box, ascending signs
+    of the real roots in the top interval), or None when a box is too wide.
+
+    |z|^2 = z * conj(z) is a real root of q, so it lies in exactly one of the
+    disjoint intervals, and a unique overlap decides.  A box meeting the real
+    axis holds a real root once exactly n_real boxes meet it.
+    """
+    assignment = []
+    for box in boxes:
+        slo, shi = _sq_modulus_interval(box)
+        hits = [k for k, (lo, hi) in enumerate(intervals) if shi >= lo and slo <= hi]
+        if len(hits) != 1:
+            return None
+        assignment.append(hits[0])
+    real = [box[2] <= 0 <= box[3] for box in boxes]
+    if sum(real) != n_real:
+        return None
+    signs = []
+    for box, is_real, k in zip(boxes, real, assignment):
+        if is_real and k == len(intervals) - 1:
+            if box[0] <= 0 <= box[1]:  # g(0) != 0, so a tighter box excludes 0
+                return None
+            signs.append(1 if box[0] > 0 else -1)
+    # real roots at the maximum are -rho and rho, so sorted signs are in root order
+    return assignment, sorted(signs)
+
+
 def _factor_data_high_degree(g: IntPoly, mult: int) -> FactorData:
     q = squarefree_part(_modulus_resultant(g))
     intervals = [list(iv) for iv in _isolate_real_roots(q)]
@@ -629,60 +704,32 @@ def _factor_data_high_degree(g: IntPoly, mult: int) -> FactorData:
     intervals = [list(_bisect_to_width(q, lo, hi, Fraction(1, 2**40))) for lo, hi in intervals]
     top = intervals[-1]
 
-    roots = g.to_sympy().all_roots(radicals=False)
-    assignment = []
-    for root in roots:
-        idx = _assign_root(root, q, intervals)
-        assignment.append(idx)
+    bound = root_bound(g)
+    n_real = sturm_count(g, -bound, bound)
+    prec = _DISC_PREC
+    ranked = None
+    while ranked is None:
+        if prec > _DISC_PREC_CAP:
+            raise IndistinguishableModuliError(
+                "root discs did not separate the moduli", [tuple(iv) for iv in intervals])
+        boxes = _root_boxes(g, prec)
+        ranked = boxes and _rank_boxes(boxes, intervals, n_real)
+        prec *= 2
+    assignment, signs = ranked
 
     top_idx = len(intervals) - 1
-    at_max = [i for i, a in enumerate(assignment) if a == top_idx]
-    signs = []
-    for i in at_max:
-        if roots[i].is_real:
-            signs.append(_real_root_sign(roots[i]))
     seconds = [intervals[a][1] for a in assignment if a != top_idx]
     rho_sq = CertifiedReal.from_poly_root(q, top[0], top[1])
     rho = CertifiedReal.sqrt_of(rho_sq)
     return FactorData(
         poly=g, multiplicity=mult, rho=rho, rho_sq=rho_sq,
-        roots_at_max=len(at_max),
-        pos_real_at_max=any(s > 0 for s in signs),
-        neg_real_at_max=any(s < 0 for s in signs),
-        all_roots_real=all(r.is_real for r in roots),
+        roots_at_max=assignment.count(top_idx),
+        pos_real_at_max=1 in signs,
+        neg_real_at_max=-1 in signs,
+        all_roots_real=n_real == g.degree,
         max_real_signs=signs,
         second_sq_hi=max(seconds) if seconds else None,
     )
-
-
-def _assign_root(root, q: IntPoly, intervals) -> int:
-    """Index of the q-root interval containing |root|^2; exact, terminating.
-
-    |root|^2 = root * conj(root) is itself a real root of q, so shrinking the
-    certified box eventually selects a unique interval.
-    """
-    eps = Fraction(1, 2**16)
-    for _ in range(40):
-        slo, shi = _sq_modulus_interval(root, eps)
-        hits = [k for k, (lo, hi) in enumerate(intervals) if shi >= lo and slo <= hi]
-        # |root|^2 lies in the box and is a real root of q, hence inside one of
-        # the (pairwise disjoint, complete) intervals; a unique overlap decides.
-        if len(hits) == 1:
-            return hits[0]
-        eps = eps * eps if eps > Fraction(1, 2**512) else eps / 2**64
-    raise IndistinguishableModuliError("root modulus membership did not resolve", [tuple(iv) for iv in intervals])
-
-
-def _real_root_sign(root) -> int:
-    eps = Fraction(1, 4)
-    for _ in range(200):
-        lo, hi, _, _ = _complex_box(root, eps)
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        eps /= 16
-    raise ArithmeticError("real root sign did not resolve")
 
 
 def charpoly_factors(A: IntMatrix):

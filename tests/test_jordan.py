@@ -8,8 +8,12 @@ spectral-projector path existed, then pinned.
 from fractions import Fraction
 
 import pytest
+from mpmath import mp, mpf
+
+import monoheight.jordan
 
 from monoheight import (
+    BudgetError,
     IntMatrix,
     Quad,
     UnsupportedError,
@@ -168,3 +172,92 @@ def test_jordan_basis_heights_attached():
     lo, hi = jb.max_entry_mult_log
     assert lo <= hi
     assert jb.det_inv_scalar.mult_root in (1, 2)
+
+
+def _stepping_limit(A, jp, tol, prec):
+    """The power iteration of _iterated_limit as it scaled every step to mpf,
+    kept as the reference; returns (entries, width, stop n)."""
+    l, m = jp.l, jp.m
+    n = A.n
+    rho_mpf = jp.rho.to_mpf(prec + 32)
+    second = jp.modulus.second_sq_hi
+    ratio = None
+    if second is not None:
+        jp.rho.refine(Fraction(1, 2**96))
+        ratio = mp.sqrt(mpf(second.numerator) / mpf(second.denominator)) / rho_mpf
+    poly_decay = any(
+        pf.has_max_modulus_root and any(s < l + 1 for s in pf.block_sizes)
+        for pf in jp.factors
+    )
+    tol_mpf = mpf(tol.numerator) / mpf(tol.denominator)
+    with mp.workprec(prec + 64):
+        step = A.pow(m)
+        power = step
+        nval = m
+        prev = None
+        for _ in range(4000):
+            scalemat = [[mpf(v) for v in row] for row in power.row_lists()]
+            denom = mpf(nval) ** l * rho_mpf**nval
+            cur = [[v / denom for v in row] for row in scalemat]
+            if prev is not None:
+                diff = max(abs(cur[i][j] - prev[i][j]) for i in range(n) for j in range(n))
+                geo = (ratio**nval * mpf(nval) ** (2 * n)) if ratio is not None else mpf(0)
+                poly_ok = (not poly_decay) or diff * nval < tol_mpf
+                if diff < tol_mpf and geo < tol_mpf and poly_ok:
+                    return cur, diff + geo, nval
+            prev = cur
+            power = power.mul(step)
+            nval += m
+            if power.max_bit_length() > monoheight.jordan._POWER_BIT_BUDGET:
+                break
+        raise BudgetError("power iteration for the limit matrix did not converge", partial=prev)
+
+
+# companions of x^3-x-1, x^4-x^3-1, x^5-x^4-2 (a simple real dominant root of
+# degree >= 3) and x^4-3x^2-1 (dominant roots -r and r, so m = 2)
+LIMIT_COMPANIONS = [
+    [[0, 0, 1], [1, 0, 1], [0, 1, 0]],
+    [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]],
+    [[0, 0, 0, 0, 2], [1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 1]],
+    [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 3], [0, 0, 1, 0]],
+]
+
+
+def _counting_muls(monkeypatch):
+    """Count IntMatrix.mul calls: the power iteration makes one per step."""
+    calls = []
+    mul = IntMatrix.mul
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(IntMatrix, "mul", counted)
+    return calls
+
+
+@pytest.mark.parametrize("rows", LIMIT_COMPANIONS)
+def test_iterated_limit_matches_the_stepping_reference(rows, monkeypatch):
+    A = IntMatrix(rows)
+    jp = jordan_profile(A)
+    muls = _counting_muls(monkeypatch)
+    for tol in ("1e-8", "1e-12", "1e-16"):
+        for prec in (64, 128, 256):
+            entries, width, stop = _stepping_limit(A, jp, Fraction(tol), prec)
+            muls.clear()
+            got = monoheight.jordan._iterated_limit(A, jp, Fraction(tol), prec)
+            assert got == (entries, width)
+            assert jp.m * (len(muls) + 1) == stop
+
+
+@pytest.mark.parametrize("rows", LIMIT_COMPANIONS)
+def test_iterated_limit_budget_keeps_the_partial_limit(rows, monkeypatch):
+    A = IntMatrix(rows)
+    jp = jordan_profile(A)
+    monkeypatch.setattr(monoheight.jordan, "_POWER_BIT_BUDGET", 12)
+    with pytest.raises(BudgetError) as expected:
+        _stepping_limit(A, jp, Fraction("1e-16"), 128)
+    with pytest.raises(BudgetError) as got:
+        monoheight.jordan._iterated_limit(A, jp, Fraction("1e-16"), 128)
+    assert expected.value.partial is not None
+    assert got.value.partial == expected.value.partial

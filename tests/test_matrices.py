@@ -6,6 +6,8 @@ from itertools import permutations
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings, strategies as st
+from mpmath import mp
 
 import monoheight.matrices
 from monoheight import kernels
@@ -24,7 +26,12 @@ from monoheight import (
 )
 from monoheight.jordan import jordan_profile
 from monoheight.matrices import (
+    _bisect_to_width,
+    _factor_data_high_degree,
+    _isolate_real_roots,
     _modulus_resultant,
+    _rank_boxes,
+    _sq_modulus_interval,
     det_int,
     frac_nullspace,
     frac_rank,
@@ -334,3 +341,173 @@ def test_max_bits():
 def test_kernel_backend_is_python():
     # the value the benchmark records for its environment
     assert kernels.BACKEND == "python"
+
+
+# ---------------------------------------------------------------------------
+# root-modulus ranking of factors of degree >= 3 against the former sympy route
+
+EISENSTEIN = IntPoly([-2, 2**60, -2**121, 1])  # x^3 - 2^121 x^2 + 2^60 x - 2
+LEHMER = IntPoly([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
+
+
+def _companion(poly):
+    """Companion matrix of a monic integer polynomial."""
+    n = poly.degree
+    return IntMatrix([[1 if i == j + 1 else 0 for j in range(n - 1)] + [-poly.coeffs[i]] for i in range(n)])
+
+
+def _sympy_route(g):
+    """(roots_at_max, max_real_signs, all_roots_real, second_sq_hi) by the
+    former route: sympy's CRootOf roots, boxed by eval_rational and shrunk
+    until each |root|^2 meets one isolating interval of the modulus resultant."""
+    q = squarefree_part(_modulus_resultant(g))
+    intervals = [_bisect_to_width(q, lo, hi, Fraction(1, 2**40)) for lo, hi in _isolate_real_roots(q)]
+    top = len(intervals) - 1
+
+    def box(root, eps):
+        approx = root.eval_rational(dx=sympy.Rational(eps), dy=sympy.Rational(eps))
+        re, im = (Fraction(int(v.p), int(v.q)) for v in (sympy.re(approx), sympy.im(approx)))
+        return re - eps, re + eps, im - eps, im + eps
+
+    def assign(root):
+        eps = Fraction(1, 2**16)
+        while True:
+            slo, shi = _sq_modulus_interval(box(root, eps))
+            hits = [k for k, (lo, hi) in enumerate(intervals) if shi >= lo and slo <= hi]
+            if len(hits) == 1:
+                return hits[0]
+            eps = eps * eps if eps > Fraction(1, 2**512) else eps / 2**64
+
+    def sign(root):
+        eps = Fraction(1, 4)
+        while True:
+            lo, hi, _, _ = box(root, eps)
+            if lo > 0 or hi < 0:
+                return 1 if lo > 0 else -1
+            eps /= 16
+
+    roots = g.to_sympy().all_roots(radicals=False)
+    where = [assign(r) for r in roots]
+    seconds = [intervals[k][1] for k in where if k != top]
+    return (where.count(top), [sign(r) for r, k in zip(roots, where) if k == top and r.is_real],
+            all(r.is_real for r in roots), max(seconds) if seconds else None)
+
+
+def _disc_route(g):
+    fd = _factor_data_high_degree(g, 1)
+    return fd.roots_at_max, fd.max_real_signs, fd.all_roots_real, fd.second_sq_hi
+
+
+@pytest.mark.parametrize("coeffs", [
+    [-1, -1, 0, 1],  # x^3 - x - 1
+    [-1, -1, 0, 0, 0, 1],  # x^5 - x - 1
+    [2, 0, 0, 1],  # x^3 + 2
+    [-3, 0, 0, 1],  # x^3 - 3
+    [1, 1, 1, 1, 1],  # the 5th cyclotomic polynomial
+    [1, -3, 3, -3, 1],  # its modulus resultant has an isolating interval ending on a root
+    [2, 0, -5, 0, 1],  # x^4 - 5x^2 + 2: -r and r at the maximum
+    LEHMER.coeffs,
+    EISENSTEIN.coeffs,
+    [-2**150, 1, 0, 1],  # x^3 + x - 2^150: moduli^2 rho^2 and rho^2 + 1 near 2^100
+])
+def test_root_discs_agree_with_the_sympy_route(coeffs):
+    g = IntPoly(coeffs)
+    assert _disc_route(g) == _sympy_route(g)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.integers(-20, 20), min_size=4, max_size=5))
+def test_root_discs_agree_on_irreducible_cubics_and_quartics(coeffs):
+    assume(coeffs[0] != 0 and coeffs[-1] != 0)
+    g = IntPoly(coeffs).primitive()
+    assume(factor_over_q(g) == [(g, 1)])
+    assert _disc_route(g) == _sympy_route(g)
+
+
+def _count_polyroots(monkeypatch, replacement=None):
+    """Record (working precision, converged) of every mpmath.polyroots call."""
+    calls = []
+    exact = mp.polyroots
+
+    def counted(*args, **kwargs):
+        try:
+            roots = (replacement or exact)(*args, **kwargs)
+        except mp.NoConvergence:
+            calls.append((mp.prec, False))
+            raise
+        calls.append((mp.prec, True))
+        return roots
+
+    monkeypatch.setattr(mp, "polyroots", counted)
+    return calls
+
+
+def test_root_discs_ignore_the_order_of_the_approximations(monkeypatch):
+    exact = mp.polyroots
+    monkeypatch.setattr(mp, "polyroots", lambda *args, **kwargs: exact(*args, **kwargs)[::-1])
+    g = IntPoly([2, 0, -5, 0, 1])  # x^4 - 5x^2 + 2: max_real_signs stay in root order
+    assert _disc_route(g) == _sympy_route(g)
+
+
+def test_overlapping_root_discs_certify_nothing(monkeypatch):
+    # two approximations of one complex root of x^3 - x - 1 and none of its conjugate
+    with mp.workprec(64):
+        real, root, _ = mp.polyroots([1, 0, -1, -1])
+    monkeypatch.setattr(mp, "polyroots", lambda coeffs, **kwargs: [real, root, root + mp.mpf(2) ** -30])
+    assert monoheight.matrices._root_boxes(IntPoly([-1, -1, 0, 1]), 64) is None
+
+
+def test_root_discs_double_the_precision_when_polyroots_fails(monkeypatch):
+    calls = _count_polyroots(monkeypatch)
+    _factor_data_high_degree(EISENSTEIN, 1)
+    assert calls == [(64, False), (128, True)]
+
+
+def test_root_discs_double_the_precision_until_the_boxes_decide(monkeypatch):
+    # at 64 bits the discs around the roots of modulus ~2^50 are disjoint, but
+    # their |z|^2 ranges are wider than the gap 1 between rho^2 and rho^2 + 1
+    g = IntPoly([-2**150, 1, 0, 1])
+    assert monoheight.matrices._root_boxes(g, 64) is not None
+    calls = _count_polyroots(monkeypatch)
+    fd = _factor_data_high_degree(g, 1)
+    assert calls == [(64, True), (128, True)]
+    assert (fd.roots_at_max, fd.max_real_signs) == (2, [])
+
+
+def test_coincident_root_approximations_raise_at_the_precision_cap(monkeypatch):
+    calls = _count_polyroots(monkeypatch, lambda coeffs, **kwargs: [mp.mpf(1)] * (len(coeffs) - 1))
+    with pytest.raises(IndistinguishableModuliError, match="did not separate"):
+        _factor_data_high_degree(IntPoly([-1, -1, 0, 0, 0, 1]), 1)
+    assert [prec for prec, _ in calls] == [64, 128, 256, 512, 1024, 2048, 4096]
+
+
+def test_root_boxes_decide_realness_and_signs_only_when_certain():
+    F = Fraction
+    at_1_and_4 = [[F(1), F(1)], [F(4), F(4)]]
+    real = (F(19, 10), F(21, 10), F(-1, 10), F(1, 10))  # around the real root 2
+    near = (F(199, 100), F(201, 100), F(-1, 1000), F(2, 1000))  # around 2 + i*eps, |z|^2 = 4
+    assert _rank_boxes([real, near], at_1_and_4, 2) == ([1, 1], [1, 1])
+    # one real root but two boxes meet the real axis: which one is real is open
+    assert _rank_boxes([real, near], at_1_and_4, 1) is None
+    # a box meeting both q-intervals, or a real root's box holding 0, decides nothing
+    assert _rank_boxes([(F(0), F(2), F(-1), F(1))], at_1_and_4, 1) is None
+    assert _rank_boxes([(F(-1, 2), F(1, 2), F(-1, 2), F(1, 2))], [[F(0), F(1, 2)]], 1) is None
+
+
+def _profile_fields(prof):
+    def real(x):
+        return x.lo, x.hi, x.exact_str()
+
+    return (real(prof.rho), prof.max_indices, prof.second_sq_hi, [
+        (fd.poly, fd.multiplicity, real(fd.rho), real(fd.rho_sq), fd.roots_at_max, fd.pos_real_at_max,
+         fd.neg_real_at_max, fd.all_roots_real, fd.real_roots_at_max, fd.max_real_signs,
+         fd.second_sq_hi, fd.is_max) for fd in prof.factors])
+
+
+@pytest.mark.parametrize("poly", [IntPoly([-1, -1, 0, 0, 0, 1]), LEHMER])
+def test_modulus_profile_ignores_the_ambient_precision(poly):
+    seen = []
+    for prec in (20, 53, 300):
+        with mp.workprec(prec):
+            seen.append(_profile_fields(modulus_profile(_companion(poly))))
+    assert seen[0] == seen[1] == seen[2]

@@ -8,6 +8,8 @@ from monoheight import IntMatrix
 SRC = Path(__file__).resolve().parents[1] / "src" / "monoheight"
 BROAD = ("Exception", "BaseException")
 ENVIRONMENT = ("environ", "getenv")
+# sympy's root objects: moduli are ranked from certified root discs instead
+ROOT_OBJECTS = ("CRootOf", "rootof", "all_roots", "eval_rational")
 # IntMatrix analysis slot -> the one function that fills it
 SLOT_FILLERS = {"_factors": "charpoly_factors", "_modulus": "modulus_profile",
                 "_jordan": "jordan_profile", "_limit": "limit_matrix_B"}
@@ -45,6 +47,22 @@ def test_no_environment_reads():
     # no environment variable selects behaviour: results depend on arguments only
     found = [f"{path.name}:{line}" for path in sorted(SRC.rglob("*.py"))
              for line in _environment_reads(path)]
+    assert found == []
+
+
+def _root_object_references(path):
+    """Line numbers naming one of ROOT_OBJECTS, as a name, an attribute or an import."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        names = {getattr(node, "id", None), getattr(node, "attr", None)}
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = {part for alias in node.names for part in alias.name.split(".")}
+        if names & set(ROOT_OBJECTS):
+            yield node.lineno
+
+
+def test_no_sympy_root_objects():
+    found = [f"{path.name}:{line}" for path in sorted(SRC.rglob("*.py"))
+             for line in _root_object_references(path)]
     assert found == []
 
 
