@@ -42,8 +42,10 @@ def canonical_height_closed(A: IntMatrix, P: PointGm, tol=1e-12, prec=None) -> H
     """h_hat for a single monomial map; exact symbolic value when possible.
 
     Exactness follows the limit matrix: rational or quadratic dominant
-    eigenvalues give a LogLinear with coefficients in the same field, anything
-    else a certified enclosure of width <= tol.
+    eigenvalues give a LogLinear with coefficients in the same field.  Anything
+    else gives an enclosure built from the iterated limit matrix of
+    limit_matrix_B, whose stopping rule at tol is a heuristic, so that
+    enclosure is not certified.
     """
     prec = prec or default_precision()
     if A.n != P.n:

@@ -14,7 +14,7 @@ eigenvalues are real.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from mpmath import mp, mpf
 
@@ -62,12 +62,13 @@ class JordanProfile:
     modulus: ModulusProfile  # detailed per-root modulus data, for internal reuse
 
 
-def _poly_at_matrix(p: IntPoly, A: IntMatrix):
-    """p(A) as integer rows, by Horner."""
+def _poly_at_matrix(coeffs, A: IntMatrix):
+    """p(A) as integer rows, by Horner on the ascending integer coefficients of p."""
     n = A.n
     acc = [[0] * n for _ in range(n)]
-    for c in reversed(p.coeffs):
-        acc = kernels.mat_mul(acc, A.row_lists())
+    for c in reversed(coeffs):
+        if any(map(any, acc)):  # 0 * A = 0: skip zero leading coefficients
+            acc = kernels.mat_mul(acc, A.row_lists())
         for i in range(n):
             acc[i][i] += c
     return acc
@@ -77,7 +78,7 @@ def _block_sizes(A: IntMatrix, g: IntPoly, mult: int):
     """Jordan block sizes (per root of g), from kernel dimensions of g(A)^j."""
     n = A.n
     deg = g.degree
-    base = _poly_at_matrix(g, A)
+    base = _poly_at_matrix(g.coeffs, A)
     dims = [0]
     power = None
     for j in range(1, mult + 1):
@@ -168,14 +169,6 @@ def _qmat(rows_int):
     return [[Quad(v) for v in row] for row in rows_int]
 
 
-def _qmat_scale(a, c: Quad):
-    return [[v * c for v in row] for row in a]
-
-
-def _qmat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def _qmat_sub_scalar(a, lam: Quad):
     out = [row[:] for row in a]
     for i in range(len(out)):
@@ -194,68 +187,16 @@ def _divide_linear(coeffs, lam: Quad):
     return list(reversed(quot[:-1])), quot[-1]
 
 
-def _taylor_at(p_coeffs, lam: Quad, terms: int):
-    """First `terms` Taylor coefficients of the polynomial at lam."""
-    work = list(p_coeffs)
-    out = []
-    for _ in range(terms):
-        work, rem = _divide_linear(work, lam)
-        out.append(rem)
-        if not work:
-            work = [Quad(0)]
-    return out
-
-
-def _spectral_projector(A: IntMatrix, cp: IntPoly, lam: Quad, mult: int):
-    """P with P^2 = P, image the generalized eigenspace of lam; exact over Q(sqrt d).
-
-    charpoly = (x-lam)^mult * h; P = s(A) h(A) where s is the series inverse of
-    h modulo (x-lam)^mult.
-    """
-    h = [Quad(c) for c in cp.coeffs]
-    for _ in range(mult):  # h = charpoly / (x-lam)^mult
-        h, rem = _divide_linear(h, lam)
-        if rem != Quad(0):
-            raise ArithmeticError("eigenvalue multiplicity mismatch in projector")
-    t = _taylor_at(h, lam, mult)  # h around lam
-    if t[0] == Quad(0):
-        raise ArithmeticError("h(lam) = 0; factor multiplicities inconsistent")
-    inv0 = t[0].inverse()
-    s = [inv0]
-    for j in range(1, mult):
-        acc = Quad(0)
-        for i in range(1, j + 1):
-            acc = acc + t[i] * s[j - i]
-        s.append(Quad(0) - acc * inv0)
-    qa = _qmat(A.row_lists())
-    n = A.n
-    # h(A) by Horner
-    hA = [[Quad(0)] * n for _ in range(n)]
-    for c in reversed(h):
-        hA = kernels.mat_mul(hA, qa)
-        for i in range(n):
-            hA[i][i] = hA[i][i] + c
-    shifted = _qmat_sub_scalar(qa, lam)
-    acc = [[Quad(0)] * n for _ in range(n)]
-    power = [[Quad(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for j in range(mult):
-        acc = _qmat_add(acc, _qmat_scale(power, s[j]))
-        if j + 1 < mult:
-            power = kernels.mat_mul(power, shifted)
-    proj = kernels.mat_mul(acc, hA)
-    if kernels.mat_mul(proj, proj) != proj:
-        raise ArithmeticError("spectral projector is not idempotent")
-    return proj
-
-
 def limit_matrix_B(A: IntMatrix, tol=1e-12, prec=None) -> LimitMatrixB:
     """Limit of A^n/(n^l rho^n) along the parity subsequence n = 0 (mod m).
 
-    Exact spectral-projector entries whenever the dominant eigenvalues are
-    rational or quadratic; otherwise a certified iteration with the stated
-    stopping rule.  Dominant complex eigenvalues are rejected.  The exact
-    limit, which depends on neither tol nor prec, is computed once per matrix
-    object.
+    Exact entries whenever the dominant eigenvalues are rational or
+    quadratic.  Otherwise the entries come from a power iteration that stops
+    when successive iterates differ by less than tol and a geometric tail
+    estimate falls below tol; that stopping rule is a heuristic, not a proven
+    error bound, so such entries and their width are not certified.  Dominant
+    complex eigenvalues are rejected.  The exact limit, which depends on
+    neither tol nor prec, is computed once per matrix object.
     """
     if A._limit is not None:
         return A._limit
@@ -302,35 +243,53 @@ def limit_matrix_B(A: IntMatrix, tol=1e-12, prec=None) -> LimitMatrixB:
 
 
 def _exact_limit(A: IntMatrix, prof, jp, dominant):
+    """B = sum over the dominant lam of q_lam(A) / (l! lam^l h(lam)), exactly.
+
+    With charpoly = (x - lam)^mult h and q_lam = (x - lam)^l h, A^n on the
+    generalised eigenspace of lam leads with C(n, l) lam^(n-l) (A - lam)^l P_lam,
+    and (A - lam)^l P_lam = q_lam(A) / h(lam) because (A - lam)^(l+1) vanishes
+    there.  The sum is one polynomial over Q(sqrt d); written as
+    (u + sqrt(d) v) / den with integer u and v, it takes two integer Horners.
+    """
     l = jp.l
-    n = A.n
-    rho = None
-    total = [[Quad(0)] * n for _ in range(n)]
-    qa = _qmat(A.row_lists())
-    for fd, pf in dominant:
+    total = [Quad(0)] * A.n
+    for fd, _ in dominant:
         for lam in fd.real_roots_at_max:
-            if rho is None:
-                rho = abs(lam)
-            proj = _spectral_projector(A, prof.charpoly, lam, fd.multiplicity)
-            nil = _qmat_sub_scalar(qa, lam)
-            term = kernels.mat_mul(kernels.mat_pow(nil, l), proj) if l else proj
-            sgn = lam.sign()
-            factor = Quad(1) if (sgn > 0 or l % 2 == 0) else Quad(-1)
-            total = _qmat_add(total, _qmat_scale(term, factor))
-    scale = (Quad(1) / (abs(rho) ** l)) * Quad(Fraction(1, factorial(l)))
-    return _qmat_scale(total, scale)
+            quotients = [prof.charpoly.coeffs]
+            for _ in range(fd.multiplicity):
+                quot, rem = _divide_linear(quotients[-1], lam)
+                if rem != 0:
+                    raise ArithmeticError("eigenvalue multiplicity mismatch in the limit")
+                quotients.append(quot)
+            q, h = quotients[fd.multiplicity - l], quotients[-1]
+            h_lam = _divide_linear(h, lam)[1]
+            if h_lam == 0:
+                raise ArithmeticError("h(lam) = 0; factor multiplicities inconsistent")
+            c = (h_lam * lam**l * factorial(l)).inverse()
+            for k, v in enumerate(q):
+                total[k] = total[k] + c * v
+    d = max(v.d for v in total)
+    den = lcm(*(f.denominator for v in total for f in (v.a, v.b)))
+    u_at_A = _poly_at_matrix([int(v.a * den) for v in total], A)
+    v_at_A = _poly_at_matrix([int(v.b * den) for v in total], A)
+    return [
+        [Quad(Fraction(x, den), Fraction(y, den), d) for x, y in zip(ru, rv)]
+        for ru, rv in zip(u_at_A, v_at_A)
+    ]
 
 
 def _check_exact_limit(A: IntMatrix, b: LimitMatrixB):
-    if all(v == Quad(0) for row in b.entries for v in row):
+    """B != 0, B A^m = rho^m B, and B^2 = B when l = 0 (a sum of spectral
+    projectors) or B^2 = 0 when l >= 1 (then 2l >= l + 1), all exactly."""
+    B = b.entries
+    if all(v == 0 for row in B for v in row):
         raise ArithmeticError("limit matrix vanished identically")
-    qa = _qmat(A.row_lists())
-    am = kernels.mat_pow(qa, b.m)
-    lhs = kernels.mat_mul(b.entries, am)
     rho_m = b.rho.descriptor ** b.m
-    rhs = _qmat_scale(b.entries, rho_m)
-    if lhs != rhs:
+    if kernels.mat_mul(B, A.pow(b.m).row_lists()) != [[v * rho_m for v in row] for row in B]:
         raise ArithmeticError("B A^m = rho^m B identity failed in exact arithmetic")
+    square = kernels.mat_mul(B, B)
+    if (square != B) if b.l == 0 else any(v != 0 for row in square for v in row):
+        raise ArithmeticError("B^2 = B (l = 0) or B^2 = 0 (l >= 1) failed in exact arithmetic")
 
 
 def _iterated_limit(A: IntMatrix, jp, tol: Fraction, prec: int):
@@ -397,21 +356,6 @@ class JordanBasisData:
     max_entry_mult_log: tuple  # enclosure of max log H_mult over entries
 
 
-def _quad_roots_of_factor(g: IntPoly):
-    """Roots of an irreducible degree <= 2 integer polynomial, as Quad values."""
-    if g.degree == 1:
-        return [Quad(Fraction(-g.coeffs[0], g.coeffs[1]))]
-    c0, c1, c2 = (Fraction(c) for c in g.coeffs)
-    disc = c1 * c1 - 4 * c0 * c2
-    if disc <= 0:
-        raise UnsupportedError("complex eigenvalues: no real quadratic Jordan basis")
-    root = Quad.sqrt_of(disc)
-    r1 = (Quad(-c1) + root) / Quad(2 * c2)
-    r2 = (Quad(-c1) - root) / Quad(2 * c2)
-    # deterministic order: the +sqrt branch first
-    return [r1, r2]
-
-
 def _vec_height_key(v):
     """Sorting key preferring small entries, then lexicographic order."""
     mags = []
@@ -441,20 +385,12 @@ def jordan_basis(A: IntMatrix) -> JordanBasisData:
     is reproducible.
     """
     jp = jordan_profile(A)
-    # coefficient field
-    ds = set()
-    for pf in jp.factors:
-        if pf.poly.degree > 2:
+    for fd in jp.modulus.factors:
+        if fd.degree > 2:
             raise UnsupportedError("eigenvalue of degree > 2: exact Jordan basis out of scope")
-        if pf.poly.degree == 2:
-            c0, c1, c2 = pf.poly.coeffs
-            disc = c1 * c1 - 4 * c0 * c2
-            if disc < 0:
-                raise UnsupportedError("complex eigenvalues: no real quadratic Jordan basis")
-            from .quadratic import squarefree_part as _sqf
-
-            _, d = _sqf(disc)
-            ds.add(d)
+        if not fd.all_roots_real:
+            raise UnsupportedError("complex eigenvalues: no real quadratic Jordan basis")
+    ds = {lam.d for fd in jp.modulus.factors for lam in fd.roots} - {0}
     if len(ds) > 1:
         raise UnsupportedError("eigenvalues span more than one quadratic field")
     field_d = ds.pop() if ds else 0
@@ -470,8 +406,9 @@ def jordan_basis(A: IntMatrix) -> JordanBasisData:
             return (1, Fraction(-pf.poly.coeffs[0], pf.poly.coeffs[1]), ())
         return (pf.poly.degree, Fraction(0), pf.poly.coeffs)
 
-    for pf in sorted(jp.factors, key=_factor_key):
-        for lam in _quad_roots_of_factor(pf.poly):
+    # jordan_profile keeps the order of the modulus profile's factors
+    for pf, fd in sorted(zip(jp.factors, jp.modulus.factors), key=lambda pair: _factor_key(pair[0])):
+        for lam in fd.roots:
             chains = _chains_for_eigenvalue(qa, n, lam, pf.block_sizes)
             for chain in chains:
                 chain = _normalize_chain(chain)

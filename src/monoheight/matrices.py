@@ -513,6 +513,7 @@ class FactorData:
     pos_real_at_max: bool
     neg_real_at_max: bool
     all_roots_real: bool
+    roots: list = field(default_factory=list)  # Quad values, +sqrt first; real degree <= 2 only
     real_roots_at_max: list = field(default_factory=list)  # Quad values, degree <= 2 only
     max_real_signs: list = field(default_factory=list)  # one +-1 per real root at max modulus
     second_sq_hi: Fraction | None = None
@@ -551,6 +552,7 @@ def _factor_data_deg1(g: IntPoly, mult: int) -> FactorData:
         pos_real_at_max=lam > 0,
         neg_real_at_max=lam < 0,
         all_roots_real=True,
+        roots=[Quad(lam)],
         real_roots_at_max=[Quad(lam)],
         max_real_signs=[1 if lam > 0 else -1],
     )
@@ -590,6 +592,7 @@ def _factor_data_deg2(g: IntPoly, mult: int) -> FactorData:
         pos_real_at_max=any(r.sign() > 0 for r in at_max),
         neg_real_at_max=any(r.sign() < 0 for r in at_max),
         all_roots_real=True,
+        roots=[r1, r2],
         real_roots_at_max=at_max,
         max_real_signs=[r.sign() for r in at_max],
         second_sq_hi=second,

@@ -1,13 +1,21 @@
 """Jordan structure: profiles, exact limit matrices, symbolic bases.
 
 The frozen entries below were derived by high-precision power iteration
-A^n / (n^l rho^n) along the parity subsequence before the exact
-spectral-projector path existed, then pinned.
+A^n / (n^l rho^n) along the parity subsequence before any exact path existed,
+then pinned.  The exact limit B = sum q_lam(A) / (l! lam^l h(lam)) is also
+checked against independent routes: the power iteration at tol 1e-30 when
+l = 0, and the l-th difference of the scaled powers when l >= 1.  Exact
+identities (B^2 = B or B^2 = 0) are checked on random matrices, and a
+corrupted B must fail the runtime self-check.
 """
 
+import re
+from collections import Counter
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
+import sympy
 from mpmath import mp, mpf
 
 import monoheight.jordan
@@ -22,6 +30,7 @@ from monoheight import (
     limit_matrix_B,
     spectral_radius,
 )
+from monoheight import kernels
 from monoheight.matrices import quad_rank
 from conftest import random_matrix
 
@@ -261,3 +270,114 @@ def test_iterated_limit_budget_keeps_the_partial_limit(rows, monkeypatch):
         monoheight.jordan._iterated_limit(A, jp, Fraction("1e-16"), 128)
     assert expected.value.partial is not None
     assert got.value.partial == expected.value.partial
+
+
+# ---------------------------------------------------------------------------
+# the exact limit B = sum q_lam(A) / (l! lam^l h(lam)) against independent routes
+
+U3 = [[1, 2, 0], [0, 1, 3], [1, 2, 1]]
+U4 = [[1, 2, 0, 0], [0, 1, 3, 0], [1, 2, 1, 0], [0, 0, 1, 1]]
+
+
+def _conjugated(u, rows):
+    """u rows u^-1 for a unimodular u, as an integer matrix."""
+    u = sympy.Matrix(u)
+    assert abs(u.det()) == 1
+    return IntMatrix([[int(v) for v in row] for row in (u * sympy.Matrix(rows) * u.inv()).tolist()])
+
+
+# (name, matrix, l, m); the l >= 1 cases carry a smaller eigenvalue so that
+# their reference converges from a nontrivial tail
+EXACT_LIMIT_CASES = [
+    ("rational", _conjugated(U3, [[3, 0, 0], [0, 2, 0], [0, 0, -1]]), 0, 1),
+    ("quadratic", _conjugated(U3, [[2, 1, 0], [1, 1, 0], [0, 0, 1]]), 0, 1),
+    ("negative", _conjugated(U3, [[-3, 0, 0], [0, 2, 0], [0, 0, 1]]), 0, 2),
+    ("plus_minus_sqrt2", _conjugated(U3, [[0, 2, 0], [1, 0, 0], [0, 0, 1]]), 0, 2),
+    ("jordan_l1", _conjugated(U3, [[3, 1, 0], [0, 3, 0], [0, 0, -2]]), 1, 1),
+    ("jordan_l1_negative", _conjugated(U3, [[-2, 1, 0], [0, -2, 0], [0, 0, 1]]), 1, 2),
+    ("jordan_l1_quadratic",
+     _conjugated(U4, [[1, 1, 1, 0], [1, 0, 0, 1], [0, 0, 1, 1], [0, 0, 1, 0]]), 1, 1),
+    ("jordan_l2", _conjugated(U4, [[2, 1, 0, 0], [0, 2, 1, 0], [0, 0, 2, 0], [0, 0, 0, 1]]), 2, 1),
+]
+
+
+def _differenced_limit(A, jp, k, prec):
+    """The l-th difference in k of A^(km) / rho^(km), over m^l l!.
+
+    Along n = km each dominant generalised eigenspace contributes a polynomial
+    of degree l in k whose top coefficient is m^l B / l!, and the rest decays
+    geometrically; the difference removes every lower-degree term, so this
+    converges to B geometrically, where A^n / (n^l rho^n) gains only 1/n.
+    """
+    l, m, n = jp.l, jp.m, A.n
+    with mp.workprec(prec):
+        rho = jp.rho.to_mpf(prec)
+        total = [[mpf(0)] * n for _ in range(n)]
+        for j in range(l + 1):
+            e = (k + j) * m
+            weight = (-1) ** (l - j) * comb(l, j) / rho**e
+            rows = A.pow(e).row_lists()
+            total = [[t + weight * v for t, v in zip(rt, rv)] for rt, rv in zip(total, rows)]
+        scale = m**l * factorial(l)
+        return [[v / scale for v in row] for row in total]
+
+
+@pytest.mark.parametrize("name, A, l, m", EXACT_LIMIT_CASES, ids=[c[0] for c in EXACT_LIMIT_CASES])
+def test_exact_limit_matches_an_independent_limit(name, A, l, m):
+    prec = 512
+    b = limit_matrix_B(A)
+    jp = jordan_profile(A)
+    assert b.exact and (b.l, b.m) == (jp.l, jp.m) == (l, m)
+    if l == 0:
+        reference, _ = monoheight.jordan._iterated_limit(A, jp, Fraction("1e-30"), prec)
+    else:
+        # A^n / (n^l rho^n) moves by about 1/n^2 per step, so the power
+        # iteration cannot reach tol 1e-30 when l >= 1
+        reference = _differenced_limit(A, jp, 300, prec)
+    with mp.workprec(prec):
+        err = max(abs(b.entries[i][j].to_mpf(prec) - reference[i][j])
+                  for i in range(A.n) for j in range(A.n))
+    assert err < mpf("1e-28")
+
+
+def test_exact_limit_square_identity(rng):
+    # B^2 = B when l = 0 (a sum of spectral projectors), B^2 = 0 when l >= 1;
+    # entries in [-1, 1] give the Jordan blocks that [-3, 3] rarely does
+    checked = Counter()
+    for t in range(100):
+        A = random_matrix(rng, rng.choice((2, 3, 4)), *((-1, 1) if t % 2 else (-3, 3)))
+        prof = jordan_profile(A).modulus
+        if any(prof.factors[i].degree > 2 for i in prof.max_indices):
+            continue
+        try:
+            b = limit_matrix_B(A)
+        except UnsupportedError:
+            continue  # a complex dominant eigenvalue
+        assert b.exact
+        square = kernels.mat_mul(b.entries, b.entries)
+        if b.l == 0:
+            assert square == b.entries
+        else:
+            assert all(v == 0 for row in square for v in row)
+        checked[min(b.l, 1)] += 1
+    assert checked[0] >= 20 and checked[1] >= 3
+
+
+def _plus_unit_at_1_1(B):
+    # for the shear the rows of B + E_11 are still left eigenvectors of A
+    return [[v + (i == j == 1) for j, v in enumerate(row)] for i, row in enumerate(B)]
+
+
+@pytest.mark.parametrize("rows, corrupt, message", [
+    ([[1, 1], [1, 0]], lambda B: [[2 * v for v in row] for row in B], "B^2"),
+    ([[1, 1], [0, 1]], _plus_unit_at_1_1, "B^2"),
+    ([[1, 1], [0, 1]], lambda B: [list(col) for col in zip(*B)], "B A^m"),
+    ([[2, 0], [0, 3]], lambda B: [[0 * v for v in row] for row in B], "vanished"),
+], ids=["fib_2B", "shear_not_nilpotent", "shear_transposed", "diag_zero"])
+def test_corrupted_limit_raises(rows, corrupt, message, monkeypatch):
+    exact = monoheight.jordan._exact_limit
+    monkeypatch.setattr(monoheight.jordan, "_exact_limit", lambda *args: corrupt(exact(*args)))
+    A = IntMatrix(rows)  # a fresh matrix: its limit slot is empty
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        limit_matrix_B(A)
+    assert A._limit is None
