@@ -97,7 +97,7 @@ def _cmd_analyze(args):
         "parity_period": prof.m,
     }
     try:
-        b = limit_matrix_B(A, tol=args.tol, prec=args.precision)
+        b = limit_matrix_B(A, prec=args.precision)
         report["limit_matrix"] = {
             "exact": b.exact,
             "entries": [[str(v) if b.exact else real_str(v, 15) for v in row] for row in b.entries],
@@ -130,7 +130,7 @@ def _cmd_height(args):
 def _cmd_canonical_height(args):
     A = load_matrix(args.matrix)
     P = PointGm.parse(args.point)
-    hv = canonical_height_closed(A, P, tol=args.tol, prec=args.precision)
+    hv = canonical_height_closed(A, P, prec=args.precision)
     report = {
         "matrix": A.to_json(),
         "point": P.to_json(),
@@ -147,7 +147,7 @@ def _cmd_canonical_height(args):
 def _cmd_system(args):
     F = load_system(args.system)
     P = PointGm.parse(args.point)
-    rep = system_report(F, P, n_max=args.n_max, tol=args.tol, word_budget=args.word_budget)
+    rep = system_report(F, P, n_max=args.n_max, word_budget=args.word_budget)
     return rep.to_json()
 
 
@@ -188,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--system", metavar="FILE", help="JSON file with a list of matrices")
     parser.add_argument("--point", metavar="LIST", help="comma-separated rational coordinates")
     parser.add_argument("--n-max", type=int, default=12, dest="n_max")
-    parser.add_argument("--tol", type=float, default=1e-12)
     parser.add_argument("--precision", type=int, default=None, metavar="BITS")
     parser.add_argument("--word-budget", type=int, default=10**6, dest="word_budget")
     parser.add_argument("--truncation-order", type=int, default=0, dest="truncation_order")
@@ -207,8 +206,6 @@ def _validate(args):
         raise InputError("budgets must be positive")
     if args.precision is not None and not 16 <= args.precision <= 1 << 16:
         raise InputError("precision must be between 16 and 65536 bits")
-    if not 0 < args.tol < 1:
-        raise InputError("tolerance must lie in (0, 1)")
     return handler
 
 

@@ -15,9 +15,9 @@ from math import lcm
 from mpmath import mp, mpf
 
 from .errors import BudgetError, InputError, UnsupportedError
-from .jordan import jordan_profile, limit_matrix_B
+from .jordan import LIMIT_TOL, jordan_profile, limit_matrix_B
 from .logforms import LogLinear, max_with_zero
-from .matrices import IntMatrix, charpoly_factors
+from .matrices import IntMatrix, _as_system, charpoly_factors
 from .points import HeightValue, LogProfile, PointGm, log_profile, weil_height
 from .polys import cyclotomic_index
 from .precision import default_precision, real_str
@@ -26,69 +26,53 @@ from .quadratic import Quad
 DEFAULT_WORD_BUDGET = 10**6
 
 
-def _as_matrix_list(F):
-    if isinstance(F, IntMatrix):
-        return [F]
-    # accept a SystemF without importing it (systems imports this module)
-    mats = list(getattr(F, "matrices", F))
-    if not mats or not all(isinstance(m, IntMatrix) for m in mats):
-        raise InputError("expected an IntMatrix or a nonempty list of them")
-    if len({m.n for m in mats}) != 1:
-        raise InputError("all maps in a system must share one dimension")
-    return mats
-
-
-def canonical_height_closed(A: IntMatrix, P: PointGm, tol=1e-12, prec=None) -> HeightValue:
+def canonical_height_closed(A: IntMatrix, P: PointGm, prec=None) -> HeightValue:
     """h_hat for a single monomial map; exact symbolic value when possible.
 
     Exactness follows the limit matrix: rational or quadratic dominant
     eigenvalues give a LogLinear with coefficients in the same field.  Anything
     else gives an enclosure built from the iterated limit matrix of
-    limit_matrix_B, whose stopping rule at tol is a heuristic, so that
-    enclosure is not certified.
+    limit_matrix_B, run to LIMIT_TOL scaled down by the point's log mass; its
+    stopping rule is a heuristic, so that enclosure is not certified.
     """
     prec = prec or default_precision()
     if A.n != P.n:
         raise InputError("matrix dimension does not match point dimension")
     prof = log_profile(P)
     if prof.is_torsion():
-        limit_matrix_B(A, tol=tol, prec=prec)  # validate support, then exact 0
+        limit_matrix_B(A, prec=prec)  # validate support, then exact 0
         return HeightValue.zero()
-    # scale the B tolerance by the profile mass so the final width is <= tol
+    # scale the B tolerance by the profile mass so the final width is <= LIMIT_TOL
     mass = 0.0
     for pl, vec in prof.vals.items():
         mass += 2.0 * sum(abs(v) for v in vec) * math.log(pl.p)
-    tol_b = tol / (4.0 * (mass + 1.0))
-    b = limit_matrix_B(A, tol=tol_b, prec=prec)
+    b = limit_matrix_B(A, prec=prec, _tol=LIMIT_TOL / (4.0 * (mass + 1.0)))
     if b.exact:
         return HeightValue.from_loglinear(_closed_exact(b.entries, prof))
-    return _closed_numeric(b, prof, tol, prec)
+    return _closed_numeric(b, prof, prec)
 
 
 def _closed_exact(entries, prof: LogProfile) -> LogLinear:
+    """With c = B v_p per place: the finite place adds max(0, max_i -c_i) log p,
+    and the archimedean place takes max(0, max_i sum_p c_i log p)."""
     n = prof.n
     total = LogLinear({})
     zero = Quad(0)
+    candidates = [{} for _ in range(n)]
     for pl, vec in prof.vals.items():
         best = zero
         for i in range(n):
-            w = sum((entries[i][j] * Quad(-vec[j]) for j in range(n)), Quad(0))
-            if best < w:
-                best = w
+            c = sum((entries[i][j] * vec[j] for j in range(n)), zero)
+            if best < -c:
+                best = -c
+            if c != zero:
+                candidates[i][pl.p] = c
         if best != zero:
             total = total + LogLinear({pl.p: best})
-    candidates = []
-    for i in range(n):
-        coeffs = {}
-        for pl, vec in prof.vals.items():
-            c = sum((entries[i][j] * Quad(vec[j]) for j in range(n)), Quad(0))
-            if c != zero:
-                coeffs[pl.p] = c
-        candidates.append(coeffs)
     return total + LogLinear(max_with_zero(candidates))
 
 
-def _closed_numeric(b, prof: LogProfile, tol, prec: int) -> HeightValue:
+def _closed_numeric(b, prof: LogProfile, prec: int) -> HeightValue:
     n = prof.n
     with mp.workprec(prec + 32):
         logs = {pl: mp.log(pl.p) for pl in prof.vals}
@@ -199,7 +183,7 @@ def truncated_estimates(
     """Both variants of canonical_height_truncated, keyed by variant name,
     from one walk over the word levels."""
     prec = prec or default_precision()
-    mats = _as_matrix_list(F)
+    mats = _as_system(F).matrices
     k = len(mats)
     levels = _level_heights(mats, P, n, word_budget)
     delta_mpf, delta_str, l = _delta_and_l(mats, delta, l_override)
@@ -351,7 +335,7 @@ def classify_orbit(F, P: PointGm, budget: int = 65536) -> OrbitVerdict:
     always move in a finite space.  Systems fall back to per-generator escape
     tests plus breadth-first closure within the budget.
     """
-    mats = _as_matrix_list(F)
+    mats = _as_system(F).matrices
     prof = log_profile(P)
     if len(mats) == 1:
         A = mats[0]
@@ -429,7 +413,7 @@ def arithmetic_degree_estimate(
 ) -> ArithDegreeEstimate:
     """(1/k) * (sum over length-nu words of max(1, h))^(1/nu), for nu <= n."""
     prec = prec or default_precision()
-    mats = _as_matrix_list(F)
+    mats = _as_system(F).matrices
     k = len(mats)
     levels = _level_heights(mats, P, n, word_budget)
     values = []

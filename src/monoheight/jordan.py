@@ -37,6 +37,9 @@ from .scalars import AlgebraicScalar, scalar_heights
 # bit size at which the power iteration of _iterated_limit gives up
 _POWER_BIT_BUDGET = 2**22
 
+# stopping tolerance of the power iteration for degree >= 3 dominant eigenvalues
+LIMIT_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class ProfileFactor:
@@ -150,18 +153,15 @@ def jordan_profile(A: IntMatrix) -> JordanProfile:
 
 @dataclass
 class LimitMatrixB:
-    """B = lim_{n = n0 mod m} A^n / (n^l rho^n) with certification data."""
+    """B = lim_{n = 0 mod m} A^n / (n^l rho^n) with certification data."""
 
     n: int
     exact: bool
     entries: list  # Quad rows when exact, mpf rows otherwise
     width: object  # mpf bound on entrywise error (0 when exact)
     m: int
-    n0: int
     l: int
     rho: CertifiedReal
-    xi_signs: tuple
-    all_eigenvalues_real: bool
     notes: tuple = ()
 
 
@@ -187,16 +187,18 @@ def _divide_linear(coeffs, lam: Quad):
     return list(reversed(quot[:-1])), quot[-1]
 
 
-def limit_matrix_B(A: IntMatrix, tol=1e-12, prec=None) -> LimitMatrixB:
+def limit_matrix_B(A: IntMatrix, prec=None, *, _tol=LIMIT_TOL) -> LimitMatrixB:
     """Limit of A^n/(n^l rho^n) along the parity subsequence n = 0 (mod m).
 
     Exact entries whenever the dominant eigenvalues are rational or
     quadratic.  Otherwise the entries come from a power iteration that stops
-    when successive iterates differ by less than tol and a geometric tail
-    estimate falls below tol; that stopping rule is a heuristic, not a proven
-    error bound, so such entries and their width are not certified.  Dominant
-    complex eigenvalues are rejected.  The exact limit, which depends on
-    neither tol nor prec, is computed once per matrix object.
+    when successive iterates differ by less than LIMIT_TOL and a geometric
+    tail estimate falls below it; that stopping rule is a heuristic, not a
+    proven error bound, so such entries and their width are not certified.
+    Dominant complex eigenvalues are rejected.  The exact limit, which
+    depends on neither the tolerance nor prec, is computed once per matrix
+    object.  The private _tol lets canonical_height_closed tighten the
+    tolerance for its point.
     """
     if A._limit is not None:
         return A._limit
@@ -213,31 +215,21 @@ def limit_matrix_B(A: IntMatrix, tol=1e-12, prec=None) -> LimitMatrixB:
         real_at_max = len(fd.max_real_signs)
         if real_at_max != fd.roots_at_max:
             raise UnsupportedError("dominant eigenvalue is not real; limit has no fixed phase")
-        dominant.append((fd, pf))
-    all_real = all(fd.all_roots_real for fd in prof.factors)
-    notes = [] if all_real else [
+        dominant.append(fd)
+    notes = [] if all(fd.all_roots_real for fd in prof.factors) else [
         "matrix has nonreal eigenvalues below the spectral radius; the limit only needs the dominant ones real",
     ]
-    xi = []
-    for fd, pf in dominant:
-        top_blocks = sum(1 for s in pf.block_sizes if s == l + 1)
-        for sgn in fd.max_real_signs:
-            xi.extend([sgn**l] * top_blocks)
-
-    exact_ok = all(fd.poly.degree <= 2 for fd, _ in dominant)
-    if exact_ok:
-        entries = _exact_limit(A, prof, jp, dominant)
+    if all(fd.poly.degree <= 2 for fd in dominant):
         b = LimitMatrixB(
-            n=A.n, exact=True, entries=entries, width=mp.mpf(0), m=m, n0=0, l=l,
-            rho=jp.rho, xi_signs=tuple(xi), all_eigenvalues_real=all_real, notes=tuple(notes),
+            n=A.n, exact=True, entries=_exact_limit(A, prof, jp, dominant), width=mp.mpf(0),
+            m=m, l=l, rho=jp.rho, notes=tuple(notes),
         )
         _check_exact_limit(A, b)
         A._limit = b
         return b
-    entries, width = _iterated_limit(A, jp, Fraction(str(tol)), prec)
+    entries, width = _iterated_limit(A, jp, Fraction(str(_tol)), prec)
     return LimitMatrixB(
-        n=A.n, exact=False, entries=entries, width=width, m=m, n0=0, l=l,
-        rho=jp.rho, xi_signs=tuple(xi), all_eigenvalues_real=all_real,
+        n=A.n, exact=False, entries=entries, width=width, m=m, l=l, rho=jp.rho,
         notes=tuple(notes + ["entries are certified enclosure midpoints, not exact"]),
     )
 
@@ -253,7 +245,7 @@ def _exact_limit(A: IntMatrix, prof, jp, dominant):
     """
     l = jp.l
     total = [Quad(0)] * A.n
-    for fd, _ in dominant:
+    for fd in dominant:
         for lam in fd.real_roots_at_max:
             quotients = [prof.charpoly.coeffs]
             for _ in range(fd.multiplicity):
@@ -292,8 +284,9 @@ def _check_exact_limit(A: IntMatrix, b: LimitMatrixB):
         raise ArithmeticError("B^2 = B (l = 0) or B^2 = 0 (l >= 1) failed in exact arithmetic")
 
 
-def _iterated_limit(A: IntMatrix, jp, tol: Fraction, prec: int):
-    """Certified iteration for dominant eigenvalues of degree > 2 (real)."""
+def _iterated_limit(A: IntMatrix, jp, stop: Fraction, prec: int):
+    """Power iteration for dominant eigenvalues of degree > 2 (real), until
+    iterates move by less than stop and the geometric tail estimate is below it."""
     l, m = jp.l, jp.m
     n = A.n
     rho_mpf = jp.rho.to_mpf(prec + 32)
@@ -306,7 +299,7 @@ def _iterated_limit(A: IntMatrix, jp, tol: Fraction, prec: int):
         pf.has_max_modulus_root and any(s < l + 1 for s in pf.block_sizes)
         for pf in jp.factors
     )
-    tol_mpf = mpf(tol.numerator) / mpf(tol.denominator)
+    stop_mpf = mpf(stop.numerator) / mpf(stop.denominator)
     with mp.workprec(prec + 64):
 
         def scaled(power, nval):
@@ -321,14 +314,14 @@ def _iterated_limit(A: IntMatrix, jp, tol: Fraction, prec: int):
             # the geometric tail bound depends on nval alone: scale only where it can pass
             geo = (ratio**nval * mpf(nval) ** (2 * n)) if ratio is not None else mpf(0)
             cur = None
-            if geo < tol_mpf:
+            if geo < stop_mpf:
                 cur = scaled(power, nval)
                 if prev is None and nval > m:
                     prev = scaled(last, nval - m)
                 if prev is not None:
                     diff = max(abs(cur[i][j] - prev[i][j]) for i in range(n) for j in range(n))
-                    poly_ok = (not poly_decay) or diff * nval < tol_mpf
-                    if diff < tol_mpf and poly_ok:
+                    poly_ok = (not poly_decay) or diff * nval < stop_mpf
+                    if diff < stop_mpf and poly_ok:
                         return cur, diff + geo
             prev, last = cur, power
             power = power.mul(step)
@@ -351,7 +344,6 @@ class JordanBasisData:
     T: list  # Jordan form, Quad rows
     det_J: Quad
     field_d: int  # 0 for rational, else the squarefree radicand
-    entry_scalars: list  # AlgebraicScalar per nonzero entry
     det_inv_scalar: AlgebraicScalar
     max_entry_mult_log: tuple  # enclosure of max log H_mult over entries
 
@@ -429,15 +421,14 @@ def jordan_basis(A: IntMatrix) -> JordanBasisData:
     det = quad_det(J)
     if det == Quad(0):
         raise ArithmeticError("Jordan basis is singular")
-    scalars = [scalar_heights(v) for row in J for v in row if v != Quad(0)]
+    los, his = zip(*(scalar_heights(v).h_mult_log_enclosure(96)
+                     for row in J for v in row if v != Quad(0)))
     det_inv = scalar_heights(det.inverse())
-    los, his = zip(*(s.h_mult_log_enclosure(96) for s in scalars))
     return JordanBasisData(
         J=J,
         T=T,
         det_J=det,
         field_d=field_d,
-        entry_scalars=scalars,
         det_inv_scalar=det_inv,
         max_entry_mult_log=(max(los), max(his)),
     )

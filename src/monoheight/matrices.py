@@ -1,5 +1,6 @@
 """Exact integer-matrix algebra: determinants, characteristic polynomials,
-certified spectral radii, factorization over Q, and monomial-map degrees.
+certified spectral radii, factorization over Q, monomial-map degrees, and
+the checked container for a finite system of matrices.
 
 Eigenvalue moduli are ranked exactly.  For an irreducible factor g the squared
 root moduli are among the real roots of the composed resultant
@@ -144,6 +145,53 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({self._rows!r})"
+
+
+@dataclass(frozen=True)
+class SystemF:
+    """A finite system of monomial maps: nonempty, one shared dimension."""
+
+    matrices: tuple
+
+    def __post_init__(self):
+        mats = tuple(self.matrices)
+        if not mats:
+            raise InputError("a system needs at least one matrix")
+        if not all(isinstance(m, IntMatrix) for m in mats):
+            raise InputError("system entries must be integer matrices")
+        if len({m.n for m in mats}) != 1:
+            raise InputError("all matrices must share one dimension")
+        object.__setattr__(self, "matrices", mats)
+
+    @property
+    def k(self) -> int:
+        return len(self.matrices)
+
+    @property
+    def n(self) -> int:
+        return self.matrices[0].n
+
+    @classmethod
+    def from_json(cls, obj) -> "SystemF":
+        try:
+            mats = [IntMatrix.from_json(m) for m in obj["matrices"]]
+        except (KeyError, TypeError) as exc:
+            raise InputError(f"malformed system JSON: {exc}") from exc
+        if "k" in obj and obj["k"] != len(mats):
+            raise InputError("system JSON: k does not match the matrix count")
+        return cls(tuple(mats))
+
+    def to_json(self):
+        return {"k": self.k, "matrices": [m.to_json() for m in self.matrices]}
+
+
+def _as_system(F) -> SystemF:
+    """F as a SystemF: a SystemF, one IntMatrix, or an iterable of them."""
+    if isinstance(F, SystemF):
+        return F
+    if isinstance(F, IntMatrix):
+        return SystemF((F,))
+    return SystemF(tuple(F))
 
 
 def word_product(matrices) -> IntMatrix:
@@ -510,7 +558,6 @@ class FactorData:
     rho: CertifiedReal
     rho_sq: CertifiedReal
     roots_at_max: int
-    pos_real_at_max: bool
     neg_real_at_max: bool
     all_roots_real: bool
     roots: list = field(default_factory=list)  # Quad values, +sqrt first; real degree <= 2 only
@@ -549,7 +596,6 @@ def _factor_data_deg1(g: IntPoly, mult: int) -> FactorData:
         rho=rho,
         rho_sq=CertifiedReal.from_quad(Quad(lam * lam)),
         roots_at_max=1,
-        pos_real_at_max=lam > 0,
         neg_real_at_max=lam < 0,
         all_roots_real=True,
         roots=[Quad(lam)],
@@ -568,7 +614,7 @@ def _factor_data_deg2(g: IntPoly, mult: int) -> FactorData:
         return FactorData(
             poly=g, multiplicity=mult, rho=rho,
             rho_sq=CertifiedReal.from_quad(Quad(sq)),
-            roots_at_max=2, pos_real_at_max=False, neg_real_at_max=False,
+            roots_at_max=2, neg_real_at_max=False,
             all_roots_real=False,
         )
     root_disc = Quad.sqrt_of(disc)
@@ -589,7 +635,6 @@ def _factor_data_deg2(g: IntPoly, mult: int) -> FactorData:
         rho=CertifiedReal.from_quad(rho_val),
         rho_sq=CertifiedReal.from_quad(rho_val * rho_val),
         roots_at_max=len(at_max),
-        pos_real_at_max=any(r.sign() > 0 for r in at_max),
         neg_real_at_max=any(r.sign() < 0 for r in at_max),
         all_roots_real=True,
         roots=[r1, r2],
@@ -727,7 +772,6 @@ def _factor_data_high_degree(g: IntPoly, mult: int) -> FactorData:
     return FactorData(
         poly=g, multiplicity=mult, rho=rho, rho_sq=rho_sq,
         roots_at_max=assignment.count(top_idx),
-        pos_real_at_max=1 in signs,
         neg_real_at_max=-1 in signs,
         all_roots_real=n_real == g.degree,
         max_real_signs=signs,

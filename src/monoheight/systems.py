@@ -15,11 +15,13 @@ from fractions import Fraction
 from mpmath import mp, mpf
 
 from .errors import BudgetError, InputError, MonoheightError
-from .heights import canonical_height_closed, classify_orbit, truncated_estimates
+from .heights import DEFAULT_WORD_BUDGET, canonical_height_closed, classify_orbit, truncated_estimates
 from .jordan import jordan_profile
 from .matrices import (
     CertifiedReal,
     IntMatrix,
+    SystemF,
+    _as_system,
     _twice_radius,
     frac_solve,
     monomial_degree,
@@ -31,52 +33,7 @@ from .points import PointGm
 from .precision import default_precision, real_str
 
 DEFAULT_N_MAX = 12
-DEFAULT_WORD_BUDGET = 10**6
 DEFAULT_BIT_BUDGET = 2**16
-
-
-@dataclass(frozen=True)
-class SystemF:
-    matrices: tuple
-
-    def __post_init__(self):
-        mats = tuple(self.matrices)
-        if not mats:
-            raise InputError("a system needs at least one matrix")
-        if not all(isinstance(m, IntMatrix) for m in mats):
-            raise InputError("system entries must be integer matrices")
-        if len({m.n for m in mats}) != 1:
-            raise InputError("all matrices must share one dimension")
-        object.__setattr__(self, "matrices", mats)
-
-    @property
-    def k(self) -> int:
-        return len(self.matrices)
-
-    @property
-    def n(self) -> int:
-        return self.matrices[0].n
-
-    @classmethod
-    def from_json(cls, obj) -> "SystemF":
-        try:
-            mats = [IntMatrix.from_json(m) for m in obj["matrices"]]
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed system JSON: {exc}") from exc
-        if "k" in obj and obj["k"] != len(mats):
-            raise InputError("system JSON: k does not match the matrix count")
-        return cls(tuple(mats))
-
-    def to_json(self):
-        return {"k": self.k, "matrices": [m.to_json() for m in self.matrices]}
-
-
-def _as_system(F) -> SystemF:
-    if isinstance(F, SystemF):
-        return F
-    if isinstance(F, IntMatrix):
-        return SystemF((F,))
-    return SystemF(tuple(F))
 
 
 def _norm_bound(M: IntMatrix) -> int:
@@ -539,9 +496,14 @@ class ReductionReport:
         return [{"check": n, "pass": p, "detail": d} for n, p, d in self.items]
 
 
-def check_reduction(F, P: PointGm, n_max: int = DEFAULT_N_MAX, tol=1e-9) -> ReductionReport:
+def check_reduction(F, P: PointGm, n_max: int = DEFAULT_N_MAX) -> ReductionReport:
     """Verify the reduction facts on a certified system: degree match,
-    correction exponent match, and zero-height transfer to the reduced map."""
+    correction exponent match, and zero-height transfer to the reduced map.
+
+    The zero decisions are exact, with no float threshold: the truncated sums
+    are zero only when every level sum is the zero log form, and the
+    reduced-map height is zero when its closed form is zero or its enclosure
+    contains 0."""
     system = _as_system(F)
     degree = dynamical_degree(system, n_max=n_max)
     cert = degree.certificate
@@ -563,9 +525,7 @@ def check_reduction(F, P: PointGm, n_max: int = DEFAULT_N_MAX, tol=1e-9) -> Redu
                   l_sys == l_psi, f"system l = {l_sys}, psi l = {l_psi}"))
     trunc = _height_estimates(system, P, n_max, degree, l_psi)["summed"]
     closed = canonical_height_closed(psi, P)
-    trunc_zero = float(trunc.estimate) < tol or trunc.is_exact_zero()
-    closed_zero = closed.is_zero() or float(closed) < tol
-    ok_c = (not trunc_zero) or closed_zero
+    ok_c = (not trunc.is_exact_zero()) or closed.is_zero()
     items.append(("zero height transfers to reduced map", ok_c,
                   f"truncated estimate {real_str(trunc.estimate, 10)}, "
                   f"reduced-map height {closed.str15()}"))
@@ -614,7 +574,6 @@ def system_report(
     F,
     P: PointGm,
     n_max: int = DEFAULT_N_MAX,
-    tol=1e-9,
     word_budget: int = DEFAULT_WORD_BUDGET,
     bit_budget: int = DEFAULT_BIT_BUDGET,
 ) -> SystemReport:
@@ -623,7 +582,10 @@ def system_report(
     The finiteness equivalence (zero canonical height iff finite orbit) needs
     the reduced map's characteristic polynomial irreducible and delta > k;
     when only zero height holds, the report falls back to the subgroup bound
-    dim >= N - rbar.
+    dim >= N - rbar.  Zero height is decided exactly: by the reduced map's
+    exact closed form when there is one, else by every level sum of the
+    truncated estimate being the zero log form.  A small but nonzero estimate
+    is never taken for zero.
     """
     system = _as_system(F)
     if P.n != system.n:
@@ -644,9 +606,10 @@ def system_report(
             notes.append(f"closed-form height unavailable: {exc}")
     verdict = classify_orbit(list(system.matrices), P)
 
-    height_zero = trunc_s.is_exact_zero() or float(trunc_s.estimate) < tol
     if closed is not None and closed.exact:
         height_zero = closed.is_zero()
+    else:
+        height_zero = trunc_s.is_exact_zero()
     bound = None
     equivalence = None
     with_delta_gt1 = float(degree.lo) > 1 + 1e-15 or (

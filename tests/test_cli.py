@@ -164,6 +164,12 @@ def test_exit_input_errors(files):
     assert code == EXIT_INPUT
 
 
+def test_there_is_no_tolerance_flag(files):
+    # the degree >= 3 limit stops at a fixed tolerance and zero tests are exact
+    code, _ = invoke(["analyze", "--matrix", files["fib"], "--tol", "1e-20"])
+    assert code == EXIT_INPUT
+
+
 def test_exit_unsupported(files):
     code, text = invoke(["baker-bound", "--matrix", files["rotation"], "--point", "2,3"])
     assert code == EXIT_UNSUPPORTED

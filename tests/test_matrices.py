@@ -499,7 +499,7 @@ def _profile_fields(prof):
         return x.lo, x.hi, x.exact_str()
 
     return (real(prof.rho), prof.max_indices, prof.second_sq_hi, [
-        (fd.poly, fd.multiplicity, real(fd.rho), real(fd.rho_sq), fd.roots_at_max, fd.pos_real_at_max,
+        (fd.poly, fd.multiplicity, real(fd.rho), real(fd.rho_sq), fd.roots_at_max,
          fd.neg_real_at_max, fd.all_roots_real, fd.real_roots_at_max, fd.max_real_signs,
          fd.second_sq_hi, fd.is_max) for fd in prof.factors])
 

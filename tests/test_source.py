@@ -66,6 +66,23 @@ def test_no_sympy_root_objects():
     assert found == []
 
 
+def _tol_parameters(path):
+    """(function name, line) of each function with a parameter named tol."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            if any(p.arg == "tol" for p in params):
+                yield getattr(node, "name", "<lambda>"), node.lineno
+
+
+def test_no_tolerance_parameters():
+    # zero tests are exact and the degree >= 3 limit stops at jordan.LIMIT_TOL
+    found = [f"{path.name}:{line} {name}" for path in sorted(SRC.rglob("*.py"))
+             for name, line in _tol_parameters(path)]
+    assert found == []
+
+
 def _slot_writes(path):
     """(qualified name of the enclosing def, slot, line) of each assignment,
     deletion or setattr of an IntMatrix analysis slot."""

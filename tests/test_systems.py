@@ -215,6 +215,19 @@ def test_system_report_zero_height_bound():
     assert any("dimension >= 1" in n for n in rep.notes)
 
 
+def test_system_report_needs_an_exact_zero():
+    # dominant eigenvalues +-10i: no closed form, and the level sums are
+    # log 2 at every level, so the estimate log(2)/10^10 is small but not zero
+    A = IntMatrix([[0, -100, 0], [1, 0, 0], [0, 0, 1]])
+    rep = system_report(A, pt(1, 1, 2))
+    assert rep.closed_height is None
+    assert rep.trunc_summed.estimate < 1e-10
+    assert not rep.trunc_summed.is_exact_zero()
+    assert rep.zero_height_dim_bound is None
+    assert "zero_height_subgroup_dim_bound" not in rep.to_json()
+    assert not any("zero canonical height" in n for n in rep.notes)
+
+
 def test_system_report_torsion():
     rep = system_report(FIB, pt(1, -1), n_max=8)
     assert rep.finiteness_equivalence == "applies"
