@@ -44,15 +44,12 @@ from .points import (
     PointGm,
     eval_monomial,
     log_profile,
-    profile_point,
-    transport_profile,
     weil_height,
     weil_height_of_point,
 )
 from .heights import (
     OrbitVerdict,
     TruncatedEstimate,
-    arithmetic_degree_estimate,
     canonical_height_closed,
     canonical_height_truncated,
     classify_orbit,
@@ -63,24 +60,18 @@ from .systems import (
     StarCertificate,
     SystemF,
     SystemReport,
-    certify_reduction,
     check_reduction,
     correction_exponent,
     dynamical_degree,
     growth_table,
-    max_word_radius,
     system_report,
 )
 from .scalars import AlgebraicScalar, scalar_heights
 from .baker import (
     BakerConstants,
     BakerInputs,
-    LinearFormBound,
-    TowerConstant,
     baker_c11,
     effective_constants,
-    linear_form_bound_exponent,
-    tower_constant,
 )
 
 __version__ = "0.1.0"
@@ -101,7 +92,6 @@ __all__ = [
     "JordanBasisData",
     "JordanProfile",
     "LimitMatrixB",
-    "LinearFormBound",
     "LogLinear",
     "LogProfile",
     "MonoheightError",
@@ -113,14 +103,11 @@ __all__ = [
     "StarCertificate",
     "SystemF",
     "SystemReport",
-    "TowerConstant",
     "TruncatedEstimate",
     "UnsupportedError",
-    "arithmetic_degree_estimate",
     "baker_c11",
     "canonical_height_closed",
     "canonical_height_truncated",
-    "certify_reduction",
     "charpoly",
     "charpoly_factors",
     "check_reduction",
@@ -136,19 +123,14 @@ __all__ = [
     "jordan_basis",
     "jordan_profile",
     "limit_matrix_B",
-    "linear_form_bound_exponent",
     "log_profile",
-    "max_word_radius",
     "modulus_profile",
     "mp",
     "poly_str",
-    "profile_point",
     "real_str",
     "scalar_heights",
     "spectral_radius",
     "system_report",
-    "tower_constant",
-    "transport_profile",
     "weil_height",
     "weil_height_of_point",
     "__version__",

@@ -14,7 +14,6 @@ never by float rounding.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import ceil, factorial, lcm
 from operator import index as _as_int
 from typing import NamedTuple
@@ -26,17 +25,15 @@ from .matrices import CertifiedReal, IntMatrix
 from .jordan import jordan_basis, jordan_profile
 from .points import PointGm, log_profile, weil_height_of_point
 from .heights import canonical_height_closed
-from .scalars import AlgebraicScalar, scalar_heights  # noqa: F401  (re-exported)
 
 
 class C11(NamedTuple):
     """The combinatorial constant 2^(8n+53) n^(2n) from the linear-forms bound."""
 
     value: int
-    log: object  # mpf of log(value)
 
 
-def baker_c11(n: int, prec=None) -> C11:
+def baker_c11(n: int) -> C11:
     """Exact value of 2^(8n+53) * n^(2n) for n >= 1 logarithm forms.
 
     Examples
@@ -52,96 +49,7 @@ def baker_c11(n: int, prec=None) -> C11:
         raise InputError("the constant is defined for an integer number of logs n >= 1")
     if n < 1:
         raise InputError("the constant is defined for an integer number of logs n >= 1")
-    value = 2 ** (8 * n + 53) * n ** (2 * n)
-    prec = prec or default_precision()
-    with mp.workprec(prec):
-        lg = (8 * n + 53) * mp.log(2) + 2 * n * mp.log(n)
-    return C11(value, lg)
-
-
-@dataclass(frozen=True)
-class LinearFormBound:
-    """|Lambda| >= exp(-U) for a nonzero linear form in logarithms.
-
-    U is reported as a positive magnitude; the bound itself is the
-    NegLogScalar with neg_log = U.
-    """
-
-    U: object  # mpf
-    n: int
-    degree: int
-    log_heights: tuple  # log A_j, mpf
-    log_b_height: object
-    clamped_height_log: object  # log A with A = max(A_1..A_n, e^e)
-    hypotheses: dict
-    note: str
-
-    @property
-    def bound(self) -> NegLogScalar:
-        return NegLogScalar(self.U)
-
-    def to_json(self):
-        return {
-            "U": real_str(self.U, 20),
-            "n": self.n,
-            "degree": self.degree,
-            "hypotheses": dict(self.hypotheses),
-            "note": self.note,
-        }
-
-
-def _as_mpf(x, prec):
-    if isinstance(x, Fraction):
-        return fraction_to_mpf(x, prec)
-    return mp.mpf(x)
-
-
-def linear_form_bound_exponent(degree, heights, b_height, prec=None) -> LinearFormBound:
-    """Exponent U with |Lambda| >= exp(-U) for Lambda = sum b_j log a_j != 0.
-
-    degree: degree of the number field containing the a_j.
-    heights: per-number height bounds A_j, each required to satisfy
-    log A_j >= n (n = number of forms); b_height: bound B >= 1 on the
-    integer coefficients.  U = c11(n) * degree^(n+2) * prod_j log A_j *
-    (log B + log log A), where A = max(A_1, ..., A_n, e^e); the e^e floor
-    keeps log log A >= 1.
-    """
-    prec = prec or default_precision()
-    n = len(heights)
-    if n < 1:
-        raise InputError("at least one height bound is needed")
-    if degree < 1:
-        raise InputError("degree must be a positive integer")
-    with mp.workprec(prec):
-        hs = [_as_mpf(a, prec) for a in heights]
-        b = _as_mpf(b_height, prec)
-        slack = mp.mpf(2) ** (-(prec // 2))
-        checks = {}
-        for j, a in enumerate(hs):
-            if a <= 1:
-                raise InputError(f"height bound A_{j + 1} must exceed 1")
-            checks[f"log_A_{j + 1} >= n"] = bool(mp.log(a) >= n * (1 - slack))
-        checks["B >= 1"] = bool(b >= 1 - slack)
-        for name, ok in checks.items():
-            if not ok:
-                raise InputError(f"hypothesis failed: {name}")
-        if b < 1:
-            b = mp.mpf(1)
-        clamp = mp.e**mp.e
-        a_max = max(hs + [clamp])
-        u = mp.mpf(baker_c11(n, prec).value)
-        u *= mp.mpf(degree) ** (n + 2)
-        for a in hs:
-            u *= mp.log(a)
-        u *= mp.log(b) + mp.log(mp.log(a_max))
-        log_hs = tuple(mp.log(a) for a in hs)
-        log_b = mp.log(b)
-        log_a_max = mp.log(a_max)
-    note = (
-        "U is the positive magnitude of the exponent; the bound reads "
-        "|Lambda| >= exp(-U).  A is floored at e^e so log log A >= 1."
-    )
-    return LinearFormBound(u, n, degree, log_hs, log_b, log_a_max, checks, note)
+    return C11(2 ** (8 * n + 53) * n ** (2 * n))
 
 
 def _cleared_representative(P: PointGm):
@@ -308,7 +216,7 @@ def effective_constants(A: IntMatrix, P: PointGm, prec=None) -> BakerConstants:
         hk = inputs.h_field
 
         a_prime_log = (2 + hk * N) * 12 * (4 + hk * N)
-        e_prime = baker_c11(n_star, prec).value * kdeg ** (n_star + 2)
+        e_prime = baker_c11(n_star).value * kdeg ** (n_star + 2)
         e_prime_log = mp.log(e_prime)
         base_log = (
             mp.log(4 * N * r * kdeg * factorial(N - 1))
@@ -348,54 +256,4 @@ def effective_constants(A: IntMatrix, P: PointGm, prec=None) -> BakerConstants:
             NegLogScalar(neg_log), n_star, a_prime_log, e_prime, e_prime_log,
             d_prime_log, path, inputs, hypotheses, hhat, exceeds, margin, notes,
         )
-    return out
-
-
-@dataclass(frozen=True)
-class TowerConstant:
-    """Single-formula variant of the constant, tame only in double-log space."""
-
-    neg_log_c: NegLogScalar
-    log10_neg_log: object
-    c1: object
-    inputs: BakerInputs
-    hypotheses: dict
-
-    def to_json(self):
-        return {
-            "log10_neg_log_C": real_str(self.log10_neg_log, 20),
-            "C1": real_str(self.c1, 15),
-            "hypotheses": dict(self.hypotheses),
-            "inputs": self.inputs.to_json(),
-        }
-
-
-def tower_constant(A: IntMatrix, P: PointGm, c1=1, prec=None) -> TowerConstant:
-    """Coarser closed form of the height lower bound, one exponential higher.
-
-    -log C = log(2 rho^l l!)
-             + {C1 [K:Q]^2 * 16 N^2 r (4 + N h_K)}^(10 (6 + N h_K))
-               * log{(4 + N h_K) * C(A) * 4 N r [K:Q] (N-1)!}
-
-    with C(A) = Hmax * Hdet as in effective_constants.  The middle factor
-    alone overflows any fixed-exponent float for modest heights, so the
-    result is meaningful on the log10(-log C) scale.
-    """
-    prec = prec or max(default_precision(), 192)
-    with mp.workprec(prec):
-        inputs, prof, path, _h = _baker_inputs(A, P, prec)
-        N, kdeg, r, l = inputs.n, inputs.field_degree, inputs.r, inputs.l
-        hk = inputs.h_field
-        c1 = _as_mpf(c1, prec)
-        if c1 <= 0:
-            raise InputError("the leading constant C1 must be positive")
-
-        x = c1 * kdeg**2 * 16 * N**2 * r * (4 + hk * N)
-        y = 10 * (6 + hk * N)
-        ca_log = inputs.entry_height_log + inputs.det_inv_height_log
-        tail_log = mp.log(4 + hk * N) + ca_log + mp.log(4 * N * r * kdeg * factorial(N - 1))
-        rho_log = mp.log(prof.rho.to_mpf(prec))
-        neg_log = mp.log(2) + l * rho_log + mp.log(factorial(l)) + mp.e ** (y * mp.log(x)) * tail_log
-        hypotheses = {"rho > 1": True, "path": path, "C1": real_str(c1, 15)}
-        out = TowerConstant(NegLogScalar(neg_log), mp.log(neg_log) / mp.log(10), c1, inputs, hypotheses)
     return out

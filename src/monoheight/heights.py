@@ -1,6 +1,5 @@
 """Canonical heights for monomial maps: closed form via the scaled power
-limit, truncated orbit estimators, orbit finiteness classification, and the
-arithmetic degree estimator.
+limit, truncated orbit estimators and orbit finiteness classification.
 
 The closed form is h_hat(P) = sum over places of max(0, components of
 B log||P||_v) with B the limit of A^n/(n^l rho^n); when B has exact quadratic
@@ -388,47 +387,3 @@ def _escape_certificate(A: IntMatrix, prof: LogProfile, place, M: int) -> str:
                     f"height growth witnessed at step {step} (max valuation {m} > {start})"
                 )
     return f"valuation vector at p={place.p} is not fixed by A^{M}"
-
-
-@dataclass
-class ArithDegreeEstimate:
-    values: list
-    estimate: object
-    n: int
-    k: int
-    word_count: int
-
-    def to_json(self):
-        return {
-            "estimate": real_str(self.estimate, 15),
-            "n": self.n,
-            "k": self.k,
-            "word_count": self.word_count,
-            "values": [real_str(v, 15) for v in self.values],
-        }
-
-
-def arithmetic_degree_estimate(
-    F, P: PointGm, n: int, word_budget: int = DEFAULT_WORD_BUDGET, prec=None
-) -> ArithDegreeEstimate:
-    """(1/k) * (sum over length-nu words of max(1, h))^(1/nu), for nu <= n."""
-    prec = prec or default_precision()
-    mats = _as_system(F).matrices
-    k = len(mats)
-    levels = _level_heights(mats, P, n, word_budget)
-    values = []
-    words = 0
-    with mp.workprec(prec + 32):
-        logs = {}
-        for nu, level in levels:
-            words += k**nu
-            s = mpf(0)
-            for h, count in level:
-                hv = mpf(0)
-                for p, c in h.coeffs.items():
-                    if p not in logs:
-                        logs[p] = mp.log(p)
-                    hv += (mpf(c.numerator) / c.denominator) * logs[p]
-                s += max(mpf(1), hv) * count
-            values.append(mp.root(s, nu) / k)
-    return ArithDegreeEstimate(values=values, estimate=values[-1], n=n, k=k, word_count=words)

@@ -22,10 +22,8 @@ from . import kernels
 from .errors import IndistinguishableModuliError, InputError, UnsupportedError
 from .polys import (
     IntPoly,
-    is_squarefree,
     root_bound,
     squarefree_part,
-    sturm_chain,
     sturm_count,
 )
 from .precision import default_precision, fraction_to_mpf, mpf_to_fraction, sqrt_enclosure
@@ -266,26 +264,6 @@ def factor_over_q(p: IntPoly):
         if fp.degree >= 1:
             out.append((fp, int(mult)))
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return out
-
-
-def real_roots(p: IntPoly, precision=Fraction(1, 2**53)):
-    """Disjoint isolating intervals for the real roots of a squarefree polynomial.
-
-    Each returned (lo, hi) has width <= precision; count equals the Sturm count
-    over the whole line.
-    """
-    if not is_squarefree(p):
-        raise InputError("real_roots requires a squarefree polynomial")
-    eps = Fraction(precision)
-    intervals = _isolate_real_roots(p)
-    chain = sturm_chain(p)
-    out = []
-    for lo, hi in intervals:
-        out.append(_bisect_to_width(p, lo, hi, eps))
-    total = sturm_count(p, -root_bound(p), root_bound(p), chain=chain)
-    if total != len(out):
-        raise ArithmeticError("isolated root count disagrees with Sturm count")
     return out
 
 
@@ -915,30 +893,6 @@ def _nullspace(rows, zero, one):
             v[pc] = -rr[r][fc]
         basis.append(v)
     return basis
-
-
-def frac_nullspace(rows):
-    """Basis of the rational kernel (column-vector convention)."""
-    return _nullspace([[Fraction(v) for v in r] for r in rows], Fraction(0), Fraction(1))
-
-
-def int_nullspace(rows):
-    """Kernel basis scaled to primitive integer vectors with positive leading entry."""
-    from math import gcd, lcm
-
-    out = []
-    for v in frac_nullspace(rows):
-        denom = lcm(*(x.denominator for x in v)) if v else 1
-        ints = [int(x * denom) for x in v]
-        g = 0
-        for x in ints:
-            g = gcd(g, abs(x))
-        ints = [x // g for x in ints] if g else ints
-        lead = next((x for x in ints if x != 0), 1)
-        if lead < 0:
-            ints = [-x for x in ints]
-        out.append(ints)
-    return out
 
 
 def frac_solve(rows, rhs):

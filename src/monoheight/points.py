@@ -83,9 +83,6 @@ class LogProfile:
     def support(self):
         return sorted(self.vals, key=lambda pl: pl.p)
 
-    def valuation(self, place: Place, j: int) -> int:
-        return self.vals.get(place, (0,) * self.n)[j]
-
     def arch_loglinear(self, j: int) -> LogLinear:
         """Exact symbolic log|x_j| as an integer combination of prime logs."""
         return LogLinear({pl.p: vec[j] for pl, vec in self.vals.items() if vec[j]})
@@ -133,22 +130,11 @@ def log_profile(P: PointGm) -> LogProfile:
     return LogProfile(n=P.n, vals={pl: tuple(v) for pl, v in vals.items()}, signs=tuple(signs))
 
 
-def profile_point(prof: LogProfile) -> PointGm:
-    """Inverse of log_profile; mainly a test oracle."""
-    coords = []
-    for j in range(prof.n):
-        q = Fraction(prof.signs[j])
-        for pl, vec in prof.vals.items():
-            q *= Fraction(pl.p) ** vec[j]
-        coords.append(q)
-    return PointGm(tuple(coords))
-
-
 def eval_monomial(A: IntMatrix, P: PointGm, bit_budget: int = DEFAULT_COORD_BIT_BUDGET) -> PointGm:
     """Coordinate i becomes prod_j x_j^(a_ij); exact, with a bit-size guard.
 
     Orbits grow doubly exponentially in coordinate size, so anything beyond a
-    few steps should use transport_profile instead; the guard makes that
+    few steps should use LogProfile.transport instead; the guard makes that
     failure mode loud.
     """
     if A.n != P.n:
@@ -171,11 +157,6 @@ def eval_monomial(A: IntMatrix, P: PointGm, bit_budget: int = DEFAULT_COORD_BIT_
                 acc *= P.coords[j] ** e
         coords.append(acc)
     return PointGm(tuple(coords))
-
-
-def transport_profile(M: IntMatrix, prof: LogProfile) -> LogProfile:
-    """Exact valuation-space shadow of eval_monomial."""
-    return prof.transport(M)
 
 
 @dataclass

@@ -76,13 +76,6 @@ class IntPoly:
     def __str__(self):
         return poly_str(self)
 
-    def shift_compose_power(self, k: int) -> "IntPoly":
-        """p(x^k), used for dynamical degrees of word powers."""
-        out = [0] * (self.degree * k + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * k] = c
-        return IntPoly(tuple(out))
-
 
 def poly_str(p: IntPoly) -> str:
     """Human form like "x^2-x-1", highest degree first."""
@@ -127,12 +120,6 @@ def _is_constant(g) -> bool:
     if isinstance(g, sympy.Poly):
         return g.is_ground
     return g.is_number
-
-
-def is_squarefree(p: IntPoly) -> bool:
-    if p.degree == 0:
-        return True
-    return _is_constant(sympy.gcd(p.to_sympy(), p.derivative().to_sympy()))
 
 
 def _frac_poly_rem(a: list, b: list) -> list:

@@ -1,18 +1,15 @@
-"""Exact rational arithmetic over the places of Q: factorizations, valuations, log-scale scalars.
+"""Exact rational arithmetic over the places of Q: factorizations, parsing, log-scale scalars.
 
-Finite-place data is kept as exact integer valuations; only the archimedean
-absolute value ever touches floating point, and then at a caller-controlled
-precision.
+Finite-place data is kept as exact integer valuations.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy
-from mpmath import mp, mpf
+from mpmath import mp
 
 from .errors import InputError
-from .precision import default_precision
 
 Rat = Fraction
 
@@ -61,46 +58,6 @@ def factor_rational(x: Rat) -> dict[int, int]:
     return dict(sorted((p, e) for p, e in out.items() if e != 0))
 
 
-def rational_from_factorization(sign: int, factors: dict[int, int]) -> Rat:
-    """Inverse of factor_rational given the sign; exact round trip."""
-    if sign not in (1, -1):
-        raise InputError("sign must be +1 or -1")
-    x = Fraction(sign)
-    for p, e in factors.items():
-        x *= Fraction(p) ** e
-    return x
-
-
-def valuation(x: Rat, p: int) -> int:
-    """p-adic valuation v_p(x) of a nonzero rational."""
-    if x == 0:
-        raise InputError("valuation of zero is undefined")
-    v = 0
-    n = x.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
-
-
-def log_abs_at_place(x: Rat, v: Place, prec: int | None = None):
-    """log of the normalized absolute value of x at the place v.
-
-    Finite p: returns -v_p(x) * log p.  Archimedean: returns log|x|.
-    """
-    if x == 0:
-        raise InputError("zero has no absolute value logarithm")
-    prec = prec or default_precision()
-    with mp.workprec(prec):
-        if v.is_finite:
-            return -valuation(x, v.p) * mp.log(v.p)
-        return mp.log(abs(mpf(x.numerator)) / mpf(x.denominator))
-
-
 def parse_rational(text: str) -> Rat:
     """Parse "p" or "p/q" (ASCII, no whitespace) into an exact rational."""
     try:
@@ -108,12 +65,6 @@ def parse_rational(text: str) -> Rat:
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"not a rational: {text!r}") from exc
     return value
-
-
-def format_rational(x: Rat) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
 
 
 class NegLogScalar:
@@ -129,12 +80,6 @@ class NegLogScalar:
         if neg_log < 0:
             raise InputError("NegLogScalar requires neg_log >= 0 (value <= 1)")
         self.neg_log = neg_log
-
-    @classmethod
-    def from_value(cls, x: Fraction):
-        if x <= 0 or x > 1:
-            raise InputError("from_value needs 0 < x <= 1")
-        return cls(-mp.log(mpf(x.numerator) / mpf(x.denominator)))
 
     def __mul__(self, other):
         return NegLogScalar(self.neg_log + other.neg_log)

@@ -63,27 +63,6 @@ class AlgebraicScalar:
         hi = log_enclosure(bhi, prec)[1]
         return lo / self.mult_root, hi / self.mult_root
 
-    def h_mult_log(self, prec=None):
-        prec = prec or default_precision()
-        lo, hi = self.h_mult_log_enclosure(prec)
-        from .precision import fraction_to_mpf
-
-        return fraction_to_mpf((lo + hi) / 2, prec)
-
-    def height_inequality_holds(self) -> bool:
-        """H <= (2 H_mult)^degree, exactly (both sides to the degree-th power)."""
-        # compare H^? : (2 H_mult)^deg ; for deg d: (2 H_mult)^d = 2^d * mult_base^(d/mult_root)
-        d = self.degree
-        lhs = Fraction(self.H)
-        if self.mult_root == 1:
-            rhs = (2 * Fraction(self.mult_base)) ** d
-            return lhs <= rhs
-        # mult_root == 2 and d == 2: (2 M^(1/2))^2 = 4 M
-        rhs = 4 * self.mult_base
-        if isinstance(rhs, Quad):
-            return (rhs - Quad(lhs)).sign() >= 0
-        return lhs <= rhs
-
 
 def scalar_heights(x) -> AlgebraicScalar:
     """H and H_mult of a nonzero rational or real quadratic scalar.

@@ -122,19 +122,6 @@ def _level_max_radius(level):
     return best, best_word
 
 
-def max_word_radius(
-    F, n: int, word_budget: int = DEFAULT_WORD_BUDGET, bit_budget: int = DEFAULT_BIT_BUDGET
-):
-    """Max spectral radius over all k^n words of length n, with one maximizer."""
-    system = _as_system(F)
-    if n < 1:
-        raise InputError("n must be >= 1")
-    levels = _WordLevels(system, word_budget, bit_budget)
-    for _ in range(n):
-        level = levels.advance()
-    return _level_max_radius(level)
-
-
 @dataclass
 class GrowthRow:
     n: int
@@ -168,16 +155,15 @@ def _best_row(rows, prec):
 class GrowthTable:
     rows: list
 
-    def lower_bound(self, prec=None):
+    def lower_bound(self):
         """max over rows of rho^(1/n): certified lower bound for delta."""
-        best = _best_row(self.rows, prec or default_precision())
+        best = _best_row(self.rows, default_precision())
         return mpf(1) if best is None else max(mpf(1), best[1])
 
-    def upper_bound(self, prec=None):
+    def upper_bound(self):
         """min over rows of maxdeg^(1/m): Fekete bound from submultiplicativity."""
-        prec = prec or default_precision()
         best = None
-        with mp.workprec(prec):
+        with mp.workprec(default_precision()):
             for row in self.rows:
                 v = mp.root(mpf(row.maxdeg), row.n)
                 if best is None or v < best:
@@ -311,29 +297,13 @@ def _polynomial_in_base(base: IntMatrix, target: IntMatrix):
     return tuple(sol)
 
 
-def certify_reduction(
-    F,
-    n_max: int = 8,
-    word_budget: int = DEFAULT_WORD_BUDGET,
-    bit_budget: int = DEFAULT_BIT_BUDGET,
-) -> StarCertificate:
-    """Reduce the system to one map psi when a recognized structure applies.
+def _structural_certificate(system: SystemF):
+    """Certificate for a recognized family (diagonal, k = 1, polynomial), else None.
 
     All-diagonal families and polynomial families A_i = g_i(A_1) commute
     enough that the single generator of maximal spectral radius realizes the
-    growth (t = 1).  Anything else gets at best an empirical check of the
-    word-growth inequality up to n_max.
+    growth (t = 1).
     """
-    system = _as_system(F)
-    cert = _structural_certificate(system)
-    if cert is not None:
-        return cert
-    table = growth_table(system, n_max=n_max, word_budget=word_budget, bit_budget=bit_budget)
-    return _empirical_certificate(system, table.rows)
-
-
-def _structural_certificate(system: SystemF):
-    """Certificate for a recognized family (diagonal, k = 1, polynomial), else None."""
     mats = system.matrices
     if all(_is_diagonal(M) for M in mats):
         i = _argmax_radius(mats)
@@ -383,11 +353,6 @@ class DynamicalDegree:
     certificate: StarCertificate = None
     table: GrowthTable = None
 
-    def value(self):
-        if self.exact is not None:
-            return self.exact.to_mpf(default_precision())
-        return (self.lo + self.hi) / 2
-
     def to_json(self):
         out = {
             "lower": real_str(self.lo, 20),
@@ -411,8 +376,8 @@ def dynamical_degree(
     cert = _structural_certificate(system)
     table = growth_table(system, n_max=n_max, word_budget=word_budget, bit_budget=bit_budget)
     if cert is None:
-        # the table is built level by level, so its first rows are the table
-        # certify_reduction(system, min(n_max, 8)) would build
+        # the empirical check reads only the first 8 levels; the table is
+        # built level by level, so these rows equal those of an 8-level table
         cert = _empirical_certificate(system, table.rows[:min(n_max, 8)])
     lo = table.lower_bound()
     hi = table.upper_bound()
@@ -427,7 +392,7 @@ def dynamical_degree(
             lo = max(lo, rho_mpf * (1 - mpf(2) ** -96))
             hi = min(hi, rho_mpf * (1 + mpf(2) ** -96))
     if lo > hi:
-        lo, hi = hi, lo
+        raise ArithmeticError(f"dynamical degree bounds cross: lower {lo} > upper {hi}")
     return DynamicalDegree(lo=lo, hi=hi, exact=exact, certificate=cert, table=table)
 
 

@@ -34,6 +34,17 @@ def random_point(rng, n, choices=COORD_CHOICES):
     return PointGm(tuple(rng.choice(choices) for _ in range(n)))
 
 
+def profile_point(prof):
+    """The point whose log_profile is prof: the inverse of log_profile."""
+    coords = []
+    for j in range(prof.n):
+        q = Fraction(prof.signs[j])
+        for pl, vec in prof.vals.items():
+            q *= Fraction(pl.p) ** vec[j]
+        coords.append(q)
+    return PointGm(tuple(coords))
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260815)

@@ -29,7 +29,6 @@ from monoheight import (
     log_profile,
     spectral_radius,
     system_report,
-    transport_profile,
 )
 from monoheight.precision import fraction_to_mpf
 from conftest import COORD_CHOICES, random_matrix, random_point
@@ -76,7 +75,7 @@ def test_criterion_02_valuation_transport_oracle():
         for _ in range(n):
             Q = eval_monomial(A, Q, bit_budget=2**28)
         direct = log_profile(Q)
-        moved = transport_profile(A.pow(n), log_profile(P))
+        moved = log_profile(P).transport(A.pow(n))
         assert direct.vals == moved.vals and direct.signs == moved.signs
     assert time.monotonic() - t0 < 30
 

@@ -18,8 +18,6 @@ from monoheight import (
     UnsupportedError,
     baker_c11,
     effective_constants,
-    linear_form_bound_exponent,
-    tower_constant,
 )
 
 J2 = IntMatrix([[2, 1], [0, 2]])
@@ -38,10 +36,7 @@ def test_c11_values():
     assert baker_c11(1).value == 2**61
     assert baker_c11(2).value == 2**73
     assert baker_c11(3).value == 2**77 * 729
-    c = baker_c11(7, prec=128)
-    assert c.value == 2**109 * 7**14
-    with mp.workprec(128):
-        assert rel_err(c.log, mp.log(c.value)) < 1e-35
+    assert baker_c11(7).value == 2**109 * 7**14
 
 
 def test_c11_rejects_bad_n():
@@ -51,28 +46,6 @@ def test_c11_rejects_bad_n():
         baker_c11(-2)
     with pytest.raises(InputError):
         baker_c11(Fraction(3, 2))
-
-
-def test_linear_form_bound_examples():
-    with mp.workprec(128):
-        e = mp.e
-        b = linear_form_bound_exponent(1, [e**e], e, prec=128)
-        assert rel_err(b.U, 2**62 * e) < 1e-30
-        b = linear_form_bound_exponent(1, [e**e], 1, prec=128)
-        assert rel_err(b.U, 2**61 * e) < 1e-30
-        # two logs below the e^e floor: log log A clamps to 1
-        b = linear_form_bound_exponent(1, [e**2, e**2], e, prec=128)
-        assert rel_err(b.U, 2**73 * 8) < 1e-30
-        assert b.bound.neg_log == b.U
-
-
-def test_linear_form_hypotheses():
-    with pytest.raises(InputError, match="hypothesis failed"):
-        linear_form_bound_exponent(1, [2], 1)  # log 2 < n = 1
-    with pytest.raises(InputError, match="hypothesis failed"):
-        linear_form_bound_exponent(1, [mp.e**mp.e], Fraction(1, 2))
-    with pytest.raises(InputError):
-        linear_form_bound_exponent(0, [mp.e**mp.e], 1)
 
 
 def test_effective_constants_repeated_root():
@@ -162,29 +135,6 @@ def test_effective_constants_monotone_in_height():
     assert all(vals[i] < vals[i + 1] for i in range(len(vals) - 1))
 
 
-def test_tower_constant():
-    t = tower_constant(J2, pt(2, 3), prec=256)
-    with mp.workprec(256):
-        hk = mp.log(3)
-        x = 16 * 4 * (4 + 2 * hk)
-        y = 10 * (6 + 2 * hk)
-        tail = mp.log(4 + 2 * hk) + mp.log(8)
-        neg = 2 * mp.log(2) + mp.e ** (y * mp.log(x)) * tail
-        assert rel_err(t.neg_log_c.neg_log, neg) < 1e-40
-        pinned = mp.mpf("213.58627412786551758")
-        assert abs(t.log10_neg_log - pinned) < 1e-15
-    d = t.to_json()
-    assert set(d) == {"log10_neg_log_C", "C1", "hypotheses", "inputs"}
-
-
-def test_tower_constant_c1_scaling():
-    t1 = tower_constant(J2, pt(2, 3), c1=1)
-    t2 = tower_constant(J2, pt(2, 3), c1=10)
-    assert t2.neg_log_c.neg_log > t1.neg_log_c.neg_log
-    with pytest.raises(InputError):
-        tower_constant(J2, pt(2, 3), c1=0)
-
-
 def test_json_field_names():
     d = effective_constants(J2, pt(2, 3)).to_json()
     for key in ("log10_neg_log_C", "A_prime_log", "E_prime_log", "D_prime_log",
@@ -192,11 +142,3 @@ def test_json_field_names():
         assert key in d
     assert d["path"] == "repeated-root"
     assert d["inputs"]["clearing_factor"] == 1
-
-
-def test_scalar_heights_reexport():
-    from monoheight.baker import AlgebraicScalar, scalar_heights
-    from monoheight import scalars
-
-    assert scalar_heights is scalars.scalar_heights
-    assert AlgebraicScalar is scalars.AlgebraicScalar

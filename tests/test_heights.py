@@ -11,7 +11,6 @@ from monoheight import (
     IntMatrix,
     PointGm,
     Quad,
-    arithmetic_degree_estimate,
     canonical_height_closed,
     canonical_height_truncated,
     classify_orbit,
@@ -143,13 +142,6 @@ def test_classify_pair_finite_bfs():
     v = classify_orbit(F, pt(1, -1))
     assert v.status == "finite"
     assert v.orbit_size <= 8
-
-
-def test_arithmetic_degree_estimate():
-    est = arithmetic_degree_estimate(DIAG23, pt(2, 3), 20)
-    assert abs(est.estimate - 3) <= 0.05
-    est = arithmetic_degree_estimate(DIAG23, pt(2, 1), 20)
-    assert abs(est.estimate - 2) <= 0.05
 
 
 def test_truncated_exact_level_sums_zero_for_torsion():

@@ -33,14 +33,11 @@ from monoheight.matrices import (
     _rank_boxes,
     _sq_modulus_interval,
     det_int,
-    frac_nullspace,
     frac_rank,
     frac_solve,
-    int_nullspace,
     monomial_degree,
     quad_nullspace,
     quad_rank,
-    real_roots,
     word_product,
 )
 from monoheight.polys import root_bound, squarefree_part, sturm_count
@@ -114,11 +111,16 @@ def test_factor_over_q_round_trip(rng):
         assert prod == cp or mul(prod, IntPoly([-1])) == cp
 
 
+def _real_roots(p, eps=Fraction(1, 2**53)):
+    """Isolating intervals of width <= eps, as modulus ranking builds them."""
+    return [_bisect_to_width(p, lo, hi, eps) for lo, hi in _isolate_real_roots(p)]
+
+
 def test_real_roots_match_sympy():
     p = IntPoly([-1, -1, 1])
-    roots = real_roots(p)
+    roots = _real_roots(p)
     sy = sorted(float(r) for r in sympy.Poly([1, -1, -1], sympy.Symbol("x")).real_roots())
-    assert len(roots) == 2
+    assert len(roots) == sturm_count(p, -root_bound(p), root_bound(p)) == 2
     for (lo, hi), expect in zip(roots, sy):
         assert hi - lo <= Fraction(1, 2**53)
         assert abs(float((lo + hi) / 2) - expect) < 1e-9
@@ -128,7 +130,7 @@ def test_real_roots_when_an_endpoint_is_a_root():
     # sympy isolates this modulus resultant (of x^4-3x^3+3x^2-3x+1) with the
     # intervals [0, 1] and [1, 1]: the first one ends on the root of the second
     q = squarefree_part(_modulus_resultant(IntPoly([1, -3, 3, -3, 1])))
-    roots = real_roots(q)
+    roots = _real_roots(q)
     assert len(roots) == sturm_count(q, -root_bound(q), root_bound(q)) == 3
     for lo, hi in roots:
         assert (lo == hi and q(lo) == 0) or (q(lo) != 0 and sturm_count(q, lo, hi) == 1)
@@ -229,18 +231,8 @@ def test_word_product_order():
 def test_frac_linear_algebra():
     rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     assert frac_rank(rows) == 1
-    ns = frac_nullspace(rows)
-    assert len(ns) == 1
-    v = ns[0]
-    assert v[0] * 1 + v[1] * 2 == 0
     sol = frac_solve([[Fraction(2), Fraction(0)], [Fraction(0), Fraction(4)]], [Fraction(6), Fraction(8)])
     assert sol == [Fraction(3), Fraction(2)]
-
-
-def test_int_nullspace_primitive():
-    ns = int_nullspace([[2, 4], [1, 2]])
-    assert len(ns) == 1
-    assert ns[0] in ([2, -1], [-2, 1])
 
 
 def test_quad_linear_algebra():

@@ -12,10 +12,9 @@ from monoheight import (
     PointGm,
     eval_monomial,
     log_profile,
-    profile_point,
-    transport_profile,
     weil_height_of_point,
 )
+from conftest import profile_point
 
 FIB = IntMatrix([[1, 1], [1, 0]])
 
@@ -90,7 +89,7 @@ def test_transport_matches_direct(rng):
         prof = log_profile(P)
         for _ in range(3):
             Q = eval_monomial(A, Q, bit_budget=2**24)
-            prof = transport_profile(A, prof)
+            prof = prof.transport(A)
         assert profile_point(prof).coords == Q.coords
 
 

@@ -5,7 +5,8 @@ from pathlib import Path
 
 from monoheight import IntMatrix
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "monoheight"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "monoheight"
 BROAD = ("Exception", "BaseException")
 ENVIRONMENT = ("environ", "getenv")
 # sympy's root objects: moduli are ranked from certified root discs instead
@@ -111,4 +112,27 @@ def test_only_the_analysis_functions_fill_the_matrix_slots():
     found = [f"{path.name}:{line} {scope} sets {slot}" for path in sorted(SRC.rglob("*.py"))
              for scope, slot, line in _slot_writes(path)
              if scope not in (SLOT_FILLERS[slot], "IntMatrix.__init__")]
+    assert found == []
+
+
+def _loaded_names(path):
+    """Names that the module at path loads, as a bare name or an attribute."""
+    loads = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loads.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            loads.add(node.attr)
+    return loads
+
+
+def test_every_public_definition_has_a_caller():
+    # a public function or class that only unit tests reach is surface to delete
+    users = [p for p in sorted(SRC.rglob("*.py")) if p.name != "__init__.py"]
+    users += sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+    loaded = set().union(*(_loaded_names(p) for p in users))
+    found = [f"{path.name}:{node.lineno} {node.name}" for path in sorted(SRC.rglob("*.py"))
+             for node in ast.parse(path.read_text(), filename=str(path)).body
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+             and not node.name.startswith("_") and node.name not in loaded]
     assert found == []

@@ -12,6 +12,7 @@ import monoheight.systems
 from monoheight import (
     BudgetError,
     CertifiedReal,
+    GrowthTable,
     InputError,
     IntMatrix,
     PointGm,
@@ -19,19 +20,17 @@ from monoheight import (
     SystemF,
     UnsupportedError,
     canonical_height_truncated,
-    certify_reduction,
     check_reduction,
     correction_exponent,
     dynamical_degree,
     growth_table,
     log_profile,
-    max_word_radius,
     spectral_radius,
     system_report,
 )
 from monoheight.matrices import charpoly, trace_det_radius, word_product
 from monoheight.polys import IntPoly
-from monoheight.systems import _compare_surds, _norm_bound, _twice_radius
+from monoheight.systems import _compare_surds, _empirical_certificate, _norm_bound, _twice_radius
 
 FIB = IntMatrix([[1, 1], [1, 0]])
 SHEAR_U = IntMatrix([[1, 1], [0, 1]])
@@ -74,27 +73,29 @@ def test_system_json_round_trip():
 
 
 def test_max_word_radius_single():
-    rho, word = max_word_radius(DIAG23, 4)
-    assert rho.compare(CertifiedReal.from_fraction(Fraction(81))) == 0
-    assert word == (0, 0, 0, 0)
+    # the growth row of level n holds the max radius over its words and a maximiser
+    row = growth_table(DIAG23, n_max=4).rows[3]
+    assert row.rho.compare(CertifiedReal.from_fraction(Fraction(81))) == 0
+    assert row.word == (0, 0, 0, 0)
 
 
 def test_max_word_radius_diagonal_pair():
-    rho, word = max_word_radius([DIAG23, DIAG52], 2)
-    assert rho.compare(CertifiedReal.from_fraction(Fraction(25))) == 0
-    assert word == (1, 1)
+    row = growth_table([DIAG23, DIAG52], n_max=2).rows[1]
+    assert row.rho.compare(CertifiedReal.from_fraction(Fraction(25))) == 0
+    assert row.word == (1, 1)
 
 
 def test_max_word_radius_shear_pair():
-    rho, word = max_word_radius([SHEAR_U, SHEAR_L], 2)
+    row = growth_table([SHEAR_U, SHEAR_L], n_max=2).rows[1]
     # the mixed words hit [[2,1],[1,1]] with radius (3+sqrt5)/2
-    assert rho.descriptor == Quad(Fraction(3, 2), Fraction(1, 2), 5)
-    assert sorted(word) == [0, 1]
+    assert row.rho.descriptor == Quad(Fraction(3, 2), Fraction(1, 2), 5)
+    assert sorted(row.word) == [0, 1]
 
 
 def test_max_word_radius_budget():
+    # a budget below the 2 words of level 1 leaves no row to report
     with pytest.raises(BudgetError):
-        max_word_radius([DIAG23, DIAG52], 20, word_budget=100)
+        growth_table([DIAG23, DIAG52], n_max=20, word_budget=1)
 
 
 def test_growth_table_bounds_sandwich():
@@ -256,13 +257,22 @@ def test_system_report_estimates_match_standalone_calls(mats, n_max):
 
 
 @pytest.mark.parametrize("word_budget", [10**6, 100])
-def test_dynamical_degree_certificate_matches_certify_reduction(word_budget):
+def test_dynamical_degree_certificate_reads_the_first_8_levels(word_budget):
     shears = [SHEAR_U, SHEAR_L]
     d = dynamical_degree(shears, n_max=12, word_budget=word_budget)
     # 2 + 4 + ... + 32 = 62 words fit in a budget of 100, level 6 does not
     assert len(d.table.rows) == (12 if word_budget == 10**6 else 5)
-    expected = certify_reduction(shears, n_max=8, word_budget=word_budget)
+    rows8 = growth_table(shears, n_max=8, word_budget=word_budget).rows
+    assert [r.to_json() for r in d.table.rows[:8]] == [r.to_json() for r in rows8]
+    expected = _empirical_certificate(SystemF(tuple(shears)), rows8)
     assert d.certificate.to_json() == expected.to_json()
+
+
+def test_dynamical_degree_rejects_crossed_bounds(monkeypatch):
+    # a Fekete upper bound below the certified lower bound means a bound is wrong
+    monkeypatch.setattr(GrowthTable, "upper_bound", lambda self: mp.mpf(1))
+    with pytest.raises(ArithmeticError, match="bounds cross"):
+        dynamical_degree([SHEAR_U, SHEAR_L], n_max=6)
 
 
 def test_system_report_walks_each_system_once(monkeypatch):
