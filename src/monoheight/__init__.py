@@ -17,7 +17,7 @@ from .errors import (
     UnsupportedError,
 )
 from .precision import default_precision, mp, real_str
-from .rationals import NegLogScalar, factor_rational, Place
+from .rationals import NegLogScalar, factor_rational
 from .quadratic import Quad
 from .logforms import LogLinear
 from .polys import IntPoly, poly_str
@@ -97,7 +97,6 @@ __all__ = [
     "MonoheightError",
     "NegLogScalar",
     "OrbitVerdict",
-    "Place",
     "PointGm",
     "Quad",
     "StarCertificate",

@@ -183,7 +183,7 @@ def _baker_inputs(A: IntMatrix, P: PointGm, prec) -> tuple:
     dlo, dhi = jb.det_inv_scalar.h_mult_log_enclosure(prec)
     det_log = fraction_to_mpf((dlo + dhi) / 2, prec)
 
-    support = tuple(sorted(pl.p for pl in log_profile(cleared).vals))
+    support = tuple(sorted(log_profile(cleared).vals))
     inputs = BakerInputs(
         A.n, field_degree, h, h_field, prof.r, prof.l, prof.rho,
         entry_log, det_log, support, P, cleared, factor,

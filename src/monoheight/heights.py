@@ -43,8 +43,8 @@ def canonical_height_closed(A: IntMatrix, P: PointGm, prec=None) -> HeightValue:
         return HeightValue.zero()
     # scale the B tolerance by the profile mass so the final width is <= LIMIT_TOL
     mass = 0.0
-    for pl, vec in prof.vals.items():
-        mass += 2.0 * sum(abs(v) for v in vec) * math.log(pl.p)
+    for p, vec in prof.vals.items():
+        mass += 2.0 * sum(abs(v) for v in vec) * math.log(p)
     b = limit_matrix_B(A, prec=prec, _tol=LIMIT_TOL / (4.0 * (mass + 1.0)))
     if b.exact:
         return HeightValue.from_loglinear(_closed_exact(b.entries, prof))
@@ -58,36 +58,36 @@ def _closed_exact(entries, prof: LogProfile) -> LogLinear:
     total = LogLinear({})
     zero = Quad(0)
     candidates = [{} for _ in range(n)]
-    for pl, vec in prof.vals.items():
+    for p, vec in prof.vals.items():
         best = zero
         for i in range(n):
             c = sum((entries[i][j] * vec[j] for j in range(n)), zero)
             if best < -c:
                 best = -c
             if c != zero:
-                candidates[i][pl.p] = c
+                candidates[i][p] = c
         if best != zero:
-            total = total + LogLinear({pl.p: best})
+            total = total + LogLinear({p: best})
     return total + LogLinear(max_with_zero(candidates))
 
 
 def _closed_numeric(b, prof: LogProfile, prec: int) -> HeightValue:
     n = prof.n
     with mp.workprec(prec + 32):
-        logs = {pl: mp.log(pl.p) for pl in prof.vals}
+        logs = {p: mp.log(p) for p in prof.vals}
         err = mpf(0)
         total = mpf(0)
         width = b.width
         # finite places
-        for pl, vec in prof.vals.items():
-            u = [-v * logs[pl] for v in vec]
+        for p, vec in prof.vals.items():
+            u = [-v * logs[p] for v in vec]
             row_err = width * mp.fsum(abs(x) for x in u)
             vals = [mp.fsum(b.entries[i][j] * u[j] for j in range(n)) for i in range(n)]
             m = max(vals + [mpf(0)])
             total += m
             err += row_err
         # archimedean place
-        u = [mp.fsum(vec[j] * logs[pl] for pl, vec in prof.vals.items()) for j in range(n)]
+        u = [mp.fsum(vec[j] * logs[p] for p, vec in prof.vals.items()) for j in range(n)]
         row_err = width * mp.fsum(abs(x) for x in u)
         vals = [mp.fsum(b.entries[i][j] * u[j] for j in range(n)) for i in range(n)]
         total += max(vals + [mpf(0)])
@@ -288,10 +288,10 @@ def _torsion_order_lcm(A: IntMatrix) -> int:
 def _valuations_eventually_fixed(A: IntMatrix, prof: LogProfile):
     """Exact test: every valuation vector sits in ker(A^M - I)."""
     M = _torsion_order_lcm(A)
-    power = A.pow(M)
-    for pl, vec in prof.vals.items():
-        if tuple(power.vec(list(vec))) != tuple(vec):
-            return False, M, pl
+    moved = prof.transport(A.pow(M)).vals
+    for p, vec in prof.vals.items():
+        if moved[p] != vec:
+            return False, M, p
     return True, M, None
 
 
@@ -338,7 +338,7 @@ def classify_orbit(F, P: PointGm, budget: int = 65536) -> OrbitVerdict:
     prof = log_profile(P)
     if len(mats) == 1:
         A = mats[0]
-        ok, M, witness_place = _valuations_eventually_fixed(A, prof)
+        ok, M, witness = _valuations_eventually_fixed(A, prof)
         hhat = None
         try:
             hhat = canonical_height_closed(A, P)
@@ -357,13 +357,13 @@ def classify_orbit(F, P: PointGm, budget: int = 65536) -> OrbitVerdict:
                 status="finite", preperiod=pre, period=per, orbit_size=size,
                 hhat=hhat, zero_height_dim_bound=bound,
             )
-        cert = _escape_certificate(A, prof, witness_place, M)
+        cert = _escape_certificate(A, prof, witness, M)
         return OrbitVerdict(status="infinite", certificate=cert, hhat=hhat,
                             zero_height_dim_bound=bound)
     for i, A in enumerate(mats):
-        ok, M, witness_place = _valuations_eventually_fixed(A, prof)
+        ok, M, witness = _valuations_eventually_fixed(A, prof)
         if not ok:
-            cert = _escape_certificate(A, prof, witness_place, M)
+            cert = _escape_certificate(A, prof, witness, M)
             return OrbitVerdict(status="infinite",
                                 certificate=f"generator {i + 1} alone escapes: {cert}")
     result = _enumerate_orbit(mats, prof, budget)
@@ -373,17 +373,17 @@ def classify_orbit(F, P: PointGm, budget: int = 65536) -> OrbitVerdict:
     return OrbitVerdict(status="finite", preperiod=pre, period=per, orbit_size=size)
 
 
-def _escape_certificate(A: IntMatrix, prof: LogProfile, place, M: int) -> str:
+def _escape_certificate(A: IntMatrix, prof: LogProfile, witness: int, M: int) -> str:
     """Smallest step where some valuation vector visibly outgrows its start."""
     start = max(max(abs(v) for v in vec) for vec in prof.vals.values())
-    vecs = {pl: list(vec) for pl, vec in prof.vals.items()}
+    state = prof
     for step in range(1, 4096):
-        vecs = {pl: A.vec(v) for pl, v in vecs.items()}
-        for pl, v in vecs.items():
+        state = state.transport(A)
+        for p, v in state.vals.items():
             m = max(abs(x) for x in v)
             if m > start:
                 return (
-                    f"valuation vector at p={pl.p} is not fixed by A^{M}; "
+                    f"valuation vector at p={p} is not fixed by A^{M}; "
                     f"height growth witnessed at step {step} (max valuation {m} > {start})"
                 )
-    return f"valuation vector at p={place.p} is not fixed by A^{M}"
+    return f"valuation vector at p={witness} is not fixed by A^{M}"

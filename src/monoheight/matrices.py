@@ -24,6 +24,7 @@ from .polys import (
     IntPoly,
     root_bound,
     squarefree_part,
+    sturm_chain,
     sturm_count,
 )
 from .precision import default_precision, fraction_to_mpf, mpf_to_fraction, sqrt_enclosure
@@ -122,9 +123,6 @@ class IntMatrix:
             raise InputError("negative matrix powers are not integral")
         return IntMatrix(kernels.mat_pow(self._rows, e), _trusted=True)
 
-    def vec(self, v):
-        return kernels.mat_vec(self._rows, list(v))
-
     def max_bit_length(self) -> int:
         return kernels.max_bits(self._rows)
 
@@ -168,16 +166,6 @@ class SystemF:
     @property
     def n(self) -> int:
         return self.matrices[0].n
-
-    @classmethod
-    def from_json(cls, obj) -> "SystemF":
-        try:
-            mats = [IntMatrix.from_json(m) for m in obj["matrices"]]
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed system JSON: {exc}") from exc
-        if "k" in obj and obj["k"] != len(mats):
-            raise InputError("system JSON: k does not match the matrix count")
-        return cls(tuple(mats))
 
     def to_json(self):
         return {"k": self.k, "matrices": [m.to_json() for m in self.matrices]}
@@ -271,19 +259,21 @@ def _isolate_real_roots(p: IntPoly):
     """Isolating intervals whose endpoints are not roots, or degenerate ones at roots."""
     sp = p.to_sympy()
     out = set()
+    chain = None  # p's Sturm chain, built once and only if an endpoint is a root
     for (a, b), _k in sp.intervals():
         lo = Fraction(int(a.p), int(a.q))
         hi = Fraction(int(b.p), int(b.q))
         # an endpoint may be a neighbouring root: shrink towards the root in
         # the open interval (lo, hi), or keep the endpoint root if there is none
         while lo < hi and (p(lo) == 0 or p(hi) == 0):
-            inside = sturm_count(p, lo, hi) - (p(hi) == 0)  # roots in the open (lo, hi)
+            chain = chain or sturm_chain(p)
+            inside = sturm_count(p, lo, hi, chain) - (p(hi) == 0)  # roots in the open (lo, hi)
             mid = (lo + hi) / 2
             if not inside:
                 lo = hi = lo if p(lo) == 0 else hi
             elif p(mid) == 0:
                 lo = hi = mid
-            elif sturm_count(p, lo, mid):
+            elif sturm_count(p, lo, mid, chain):
                 hi = mid
             else:
                 lo = mid

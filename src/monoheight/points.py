@@ -1,22 +1,31 @@
 """Rational points on the split torus and their valuation-space shadows.
 
 A point is a tuple of nonzero rationals.  Everything height-related goes
-through LogProfile: per-prime valuation vectors plus coordinate signs.  The
-archimedean data needs no separate storage since log|x| = sum_p v_p(x) log p
-for nonzero rational x; keeping only integer vectors means monomial maps act
-by exact integer matrix-vector products even when the coordinates themselves
-would be astronomically large.
+through LogProfile: per-prime valuation vectors plus coordinate signs, keyed
+by the prime as a plain int.  The archimedean data needs no separate storage
+since log|x| = sum_p v_p(x) log p for nonzero rational x; keeping only integer
+vectors means monomial maps act by exact integer matrix-vector products even
+when the coordinates themselves would be astronomically large.
+
+The LogProfile constructor checks prime keys, vector lengths and signs and
+drops zero vectors.  log_profile and transport skip those checks: the
+factorization yields primes with nonzero exponents, and a nonsingular integer
+matrix maps nonzero integer vectors to nonzero integer vectors.  So every
+state of one walk keeps the primes of its start, in the same order, which is
+what lets state_key leave the primes out.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+
+import sympy
 
 from . import kernels
 from .errors import BudgetError, InputError
 from .logforms import LogLinear, max_with_zero
 from .matrices import IntMatrix
 from .precision import default_precision, real_str
-from .rationals import Place, factor_rational, parse_rational
+from .rationals import factor_rational, parse_rational
 
 
 DEFAULT_COORD_BIT_BUDGET = 2**20
@@ -58,55 +67,53 @@ class PointGm:
         return [str(c) for c in self.coords]
 
 
-@dataclass(frozen=True)
 class LogProfile:
-    """Valuations v_p(x_j) per prime plus signs; log||x_j||_p = -v_p(x_j) log p."""
+    """Valuations v_p(x_j) per prime plus signs; log||x_j||_p = -v_p(x_j) log p.
 
-    n: int
-    vals: dict = field(default_factory=dict)  # Place -> tuple of n ints
-    signs: tuple = ()
+    vals maps each prime p, a plain int, to the tuple (v_p(x_1), ..., v_p(x_n));
+    zero vectors are dropped.  signs holds sign(x_j) as +-1.
+    """
 
-    def __post_init__(self):
-        clean = {}
-        for place, vec in self.vals.items():
-            if not place.is_finite:
-                raise InputError("profiles keep only finite places explicitly")
-            vec = tuple(int(v) for v in vec)
-            if len(vec) != self.n:
-                raise InputError("valuation vector length mismatch")
-            if any(vec):
-                clean[place] = vec
-        object.__setattr__(self, "vals", clean)
-        if len(self.signs) != self.n or any(s not in (1, -1) for s in self.signs):
-            raise InputError("signs must be a +-1 tuple matching the dimension")
+    __slots__ = ("n", "vals", "signs")
 
-    def support(self):
-        return sorted(self.vals, key=lambda pl: pl.p)
-
-    def arch_loglinear(self, j: int) -> LogLinear:
-        """Exact symbolic log|x_j| as an integer combination of prime logs."""
-        return LogLinear({pl.p: vec[j] for pl, vec in self.vals.items() if vec[j]})
+    def __init__(self, n: int, vals: dict, signs: tuple, _trusted=False):
+        if not _trusted:
+            clean = {}
+            for p, vec in vals.items():
+                if not isinstance(p, int) or not sympy.isprime(p):
+                    raise InputError(f"{p} is not prime")
+                vec = tuple(int(v) for v in vec)
+                if len(vec) != n:
+                    raise InputError("valuation vector length mismatch")
+                if any(vec):
+                    clean[p] = vec
+            vals = clean
+            signs = tuple(signs)
+            if len(signs) != n or any(s not in (1, -1) for s in signs):
+                raise InputError("signs must be a +-1 tuple matching the dimension")
+        self.n = n
+        self.vals = vals
+        self.signs = signs
 
     def product_formula_sum(self, j: int) -> LogLinear:
         """sum_v log||x_j||_v in symbolic form; identically zero."""
-        total = self.arch_loglinear(j)
-        for pl, vec in self.vals.items():
-            total = total + LogLinear({pl.p: -vec[j]})
+        total = LogLinear({p: vec[j] for p, vec in self.vals.items() if vec[j]})
+        for p, vec in self.vals.items():
+            total = total + LogLinear({p: -vec[j]})
         return total
 
     def transport(self, M: IntMatrix) -> "LogProfile":
         if M.n != self.n:
             raise InputError("matrix dimension does not match profile dimension")
-        new_vals = {pl: tuple(M.vec(list(vec))) for pl, vec in self.vals.items()}
+        rows = M.row_lists()
+        vals = {p: tuple(kernels.mat_vec(rows, vec)) for p, vec in self.vals.items()}
         bits = [0 if s == 1 else 1 for s in self.signs]
-        new_bits = kernels.mat_vec(M.row_lists(), bits)
-        new_signs = tuple(1 if b % 2 == 0 else -1 for b in new_bits)
-        return LogProfile(n=self.n, vals=new_vals, signs=new_signs)
+        signs = tuple(1 if b % 2 == 0 else -1 for b in kernels.mat_vec(rows, bits))
+        return LogProfile(self.n, vals, signs, _trusted=True)
 
     def state_key(self):
-        """Hashable exact state for orbit enumeration."""
-        items = tuple(sorted((pl.p, vec) for pl, vec in self.vals.items()))
-        return (items, self.signs)
+        """Hashable exact state for orbit enumeration, among the states of one walk."""
+        return (tuple(self.vals.values()), self.signs)
 
     def is_torsion(self) -> bool:
         return not self.vals
@@ -114,7 +121,7 @@ class LogProfile:
     def to_json(self):
         return {
             "dimension": self.n,
-            "finite": {str(pl.p): list(vec) for pl, vec in sorted(self.vals.items(), key=lambda kv: kv[0].p)},
+            "finite": {str(p): list(vec) for p, vec in sorted(self.vals.items())},
             "signs": list(self.signs),
         }
 
@@ -125,9 +132,9 @@ def log_profile(P: PointGm) -> LogProfile:
     for j, c in enumerate(P.coords):
         signs.append(1 if c > 0 else -1)
         for p, e in factor_rational(c).items():
-            vec = vals.setdefault(Place(p), [0] * P.n)
+            vec = vals.setdefault(p, [0] * P.n)
             vec[j] = e
-    return LogProfile(n=P.n, vals={pl: tuple(v) for pl, v in vals.items()}, signs=tuple(signs))
+    return LogProfile(P.n, {p: tuple(v) for p, v in vals.items()}, tuple(signs), _trusted=True)
 
 
 def eval_monomial(A: IntMatrix, P: PointGm, bit_budget: int = DEFAULT_COORD_BIT_BUDGET) -> PointGm:
@@ -230,11 +237,11 @@ def weil_height(prof: LogProfile) -> HeightValue:
     logs sum_p v_p(x_j) log p, decided on the integer exponents.
     """
     coeffs = {}
-    for pl, vec in prof.vals.items():
+    for p, vec in prof.vals.items():
         c = max(0, -min(vec))
         if c:
-            coeffs[pl.p] = c
-    arch = max_with_zero([{pl.p: vec[j] for pl, vec in prof.vals.items() if vec[j]} for j in range(prof.n)])
+            coeffs[p] = c
+    arch = max_with_zero([{p: vec[j] for p, vec in prof.vals.items() if vec[j]} for j in range(prof.n)])
     for p, c in arch.items():
         coeffs[p] = coeffs.get(p, 0) + c
     return HeightValue.from_loglinear(LogLinear(coeffs))

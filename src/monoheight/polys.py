@@ -96,15 +96,6 @@ def poly_str(p: IntPoly) -> str:
     return "".join(parts) if parts else "0"
 
 
-def mul(p: IntPoly, q: IntPoly) -> IntPoly:
-    out = [0] * (p.degree + q.degree + 1)
-    for i, a in enumerate(p.coeffs):
-        if a:
-            for j, b in enumerate(q.coeffs):
-                out[i + j] += a * b
-    return IntPoly(tuple(out))
-
-
 def squarefree_part(p: IntPoly) -> IntPoly:
     """p divided by gcd(p, p'), primitive with positive leading coefficient."""
     if p.degree == 0:

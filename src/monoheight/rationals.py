@@ -1,9 +1,8 @@
-"""Exact rational arithmetic over the places of Q: factorizations, parsing, log-scale scalars.
+"""Exact rational arithmetic: factorizations, parsing, log-scale scalars.
 
-Finite-place data is kept as exact integer valuations.
+A factorization is kept as exact integer exponents per prime.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy
@@ -12,27 +11,6 @@ from mpmath import mp
 from .errors import InputError
 
 Rat = Fraction
-
-
-@dataclass(frozen=True)
-class Place:
-    """A place of Q: a finite prime p, or the archimedean absolute value (p is None)."""
-
-    p: int | None = None
-
-    def __post_init__(self):
-        if self.p is not None and not sympy.isprime(self.p):
-            raise InputError(f"{self.p} is not prime")
-
-    @property
-    def is_finite(self):
-        return self.p is not None
-
-    def __str__(self):
-        return "oo" if self.p is None else str(self.p)
-
-
-ARCHIMEDEAN = Place(None)
 
 
 def factor_rational(x: Rat) -> dict[int, int]:

@@ -47,10 +47,9 @@ def _norm_bound(M: IntMatrix) -> int:
 class _WordLevels:
     """Prefix-memoized enumeration of word products, level by level."""
 
-    def __init__(self, system: SystemF, word_budget: int, bit_budget: int):
+    def __init__(self, system: SystemF, word_budget: int):
         self.system = system
         self.word_budget = word_budget
-        self.bit_budget = bit_budget
         self.words_used = 0
         self.level = [((), IntMatrix.identity(system.n))]
 
@@ -65,9 +64,9 @@ class _WordLevels:
         for word, M in self.level:
             for i, gen in enumerate(self.system.matrices):
                 prod = M.mul(gen)
-                if prod.max_bit_length() > self.bit_budget:
+                if prod.max_bit_length() > DEFAULT_BIT_BUDGET:
                     raise BudgetError(
-                        f"matrix entries exceeded {self.bit_budget} bits in word enumeration"
+                        f"matrix entries exceeded {DEFAULT_BIT_BUDGET} bits in word enumeration"
                     )
                 nxt.append((word + (i,), prod))
         self.words_used += new_count
@@ -175,15 +174,12 @@ class GrowthTable:
 
 
 def growth_table(
-    F,
-    n_max: int = DEFAULT_N_MAX,
-    word_budget: int = DEFAULT_WORD_BUDGET,
-    bit_budget: int = DEFAULT_BIT_BUDGET,
+    F, n_max: int = DEFAULT_N_MAX, word_budget: int = DEFAULT_WORD_BUDGET
 ) -> GrowthTable:
     system = _as_system(F)
     if n_max < 1:
         raise InputError("n_max must be >= 1")
-    levels = _WordLevels(system, word_budget, bit_budget)
+    levels = _WordLevels(system, word_budget)
     rows = []
     for n in range(1, n_max + 1):
         try:
@@ -366,15 +362,12 @@ class DynamicalDegree:
 
 
 def dynamical_degree(
-    F,
-    n_max: int = DEFAULT_N_MAX,
-    word_budget: int = DEFAULT_WORD_BUDGET,
-    bit_budget: int = DEFAULT_BIT_BUDGET,
+    F, n_max: int = DEFAULT_N_MAX, word_budget: int = DEFAULT_WORD_BUDGET
 ) -> DynamicalDegree:
     """Two-sided enclosure of the dynamical degree; exact on certified systems."""
     system = _as_system(F)
     cert = _structural_certificate(system)
-    table = growth_table(system, n_max=n_max, word_budget=word_budget, bit_budget=bit_budget)
+    table = growth_table(system, n_max=n_max, word_budget=word_budget)
     if cert is None:
         # the empirical check reads only the first 8 levels; the table is
         # built level by level, so these rows equal those of an 8-level table
@@ -536,11 +529,7 @@ class SystemReport:
 
 
 def system_report(
-    F,
-    P: PointGm,
-    n_max: int = DEFAULT_N_MAX,
-    word_budget: int = DEFAULT_WORD_BUDGET,
-    bit_budget: int = DEFAULT_BIT_BUDGET,
+    F, P: PointGm, n_max: int = DEFAULT_N_MAX, word_budget: int = DEFAULT_WORD_BUDGET
 ) -> SystemReport:
     """Aggregate analysis of (system, point); see the field list on SystemReport.
 
@@ -555,7 +544,7 @@ def system_report(
     system = _as_system(F)
     if P.n != system.n:
         raise InputError("point dimension does not match the system")
-    degree = dynamical_degree(system, n_max=n_max, word_budget=word_budget, bit_budget=bit_budget)
+    degree = dynamical_degree(system, n_max=n_max, word_budget=word_budget)
     cert = degree.certificate
     correction = correction_exponent(system, n_max=n_max, degree=degree)
     notes = []

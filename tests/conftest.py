@@ -39,8 +39,8 @@ def profile_point(prof):
     coords = []
     for j in range(prof.n):
         q = Fraction(prof.signs[j])
-        for pl, vec in prof.vals.items():
-            q *= Fraction(pl.p) ** vec[j]
+        for p, vec in prof.vals.items():
+            q *= Fraction(p) ** vec[j]
         coords.append(q)
     return PointGm(tuple(coords))
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import monoheight
-from monoheight import IntMatrix, charpoly, factor_over_q, poly_str
+from monoheight import IntMatrix, SystemF, charpoly, factor_over_q, poly_str
 from monoheight.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
@@ -119,6 +119,29 @@ def test_system_command(files):
     assert rep["dynamical_degree"]["certificate"]["status"] == "certified_diagonal"
     assert rep["orbit"]["status"] == "infinite"
     assert "height_estimates" in rep
+
+
+def test_system_json_round_trip(tmp_path):
+    # a system report's "system" entry reads back as the same system
+    system = SystemF((IntMatrix([[1, 1], [1, 0]]), IntMatrix([[2, 0], [0, 3]])))
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system.to_json()))
+    code, text = invoke(["system", "--system", str(path), "--point", "2,3", "--n-max", "3"])
+    assert code == EXIT_OK
+    echoed = json.loads(text)["report"]["system"]
+    assert echoed == system.to_json()
+    path.write_text(json.dumps(echoed))
+    code, text = invoke(["system", "--system", str(path), "--point", "2,3", "--n-max", "3"])
+    assert code == EXIT_OK
+    assert json.loads(text)["report"]["system"] == echoed
+
+
+def test_system_k_must_match_the_matrix_count(tmp_path):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"k": 5, "matrices": [{"rows": [[1, 1], [1, 0]]}]}))
+    code, text = invoke(["system", "--system", str(path), "--point", "2,3"])
+    assert code == EXIT_INPUT
+    assert "k does not match" in json.loads(text)["error"]["message"]
 
 
 def test_baker_bound_command(files):

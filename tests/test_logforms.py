@@ -13,7 +13,6 @@ from monoheight import (
 from monoheight.heights import truncated_estimates
 from monoheight.logforms import max_with_zero
 from monoheight.points import LogProfile, weil_height
-from monoheight.rationals import Place
 
 SQRT5 = Quad(0, 1, 5)
 
@@ -177,10 +176,10 @@ def test_ladder_reads_prime_logs_from_the_cache(monkeypatch):
 
 def _weil_height_by_candidates(prof):
     """Weil height with one LogLinear per archimedean candidate, compared pairwise."""
-    total = LogLinear({pl.p: max(0, -min(vec)) for pl, vec in prof.vals.items()})
+    total = LogLinear({p: max(0, -min(vec)) for p, vec in prof.vals.items()})
     best = LogLinear({})
     for j in range(prof.n):
-        cand = prof.arch_loglinear(j)
+        cand = LogLinear({p: vec[j] for p, vec in prof.vals.items() if vec[j]})
         if best.compare(cand) < 0:
             best = cand
     return total + best
@@ -192,7 +191,7 @@ def profiles(draw):
     # a scale of 2^12 puts most candidate differences above the bit bound
     scale = draw(st.sampled_from([1, 1, 2**12]))
     primes = draw(st.lists(st.sampled_from(SMALL_PRIMES), unique=True, max_size=4))
-    vals = {Place(p): tuple(scale * draw(st.integers(-60, 60)) for _ in range(n)) for p in primes}
+    vals = {p: tuple(scale * draw(st.integers(-60, 60)) for _ in range(n)) for p in primes}
     return LogProfile(n=n, vals=vals, signs=(1,) * n)
 
 

@@ -5,10 +5,12 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 import pytest
 
+import monoheight.points
 from monoheight import (
     BudgetError,
     InputError,
     IntMatrix,
+    LogProfile,
     PointGm,
     eval_monomial,
     log_profile,
@@ -39,11 +41,47 @@ def test_zero_coordinate_rejected():
 
 def test_log_profile_examples():
     prof = log_profile(pt("-4/9", 10))
-    vals = {pl.p: vec for pl, vec in prof.vals.items()}
-    assert vals == {2: (2, 1), 3: (-2, 0), 5: (0, 1)}
+    assert prof.vals == {2: (2, 1), 3: (-2, 0), 5: (0, 1)}
     assert prof.signs == (-1, 1)
     assert prof.n == 2
-    assert sorted(pl.p for pl in prof.support()) == [2, 3, 5]
+
+
+def test_log_profile_prime_order():
+    # first appearance across coordinates, then ascending within a coordinate
+    assert list(log_profile(pt(10, "3/4", 7)).vals) == [2, 5, 3, 7]
+
+
+def test_profile_constructor_checks():
+    with pytest.raises(InputError, match="not prime"):
+        LogProfile(2, {4: (1, 0)}, (1, 1))
+    with pytest.raises(InputError, match="length"):
+        LogProfile(2, {2: (1, 0, 0)}, (1, 1))
+    with pytest.raises(InputError, match="signs"):
+        LogProfile(2, {2: (1, 0)}, (1, 2))
+    assert LogProfile(2, {2: (0, 0), 3: (1, -1)}, (1, -1)).vals == {3: (1, -1)}
+
+
+def test_log_profile_and_transport_skip_the_checks(monkeypatch):
+    flags = []
+    primality = []
+    init = LogProfile.__init__
+
+    def recording_init(self, n, vals, signs, _trusted=False):
+        flags.append(_trusted)
+        init(self, n, vals, signs, _trusted)
+
+    def recording_isprime(p):
+        primality.append(p)
+        return True
+
+    monkeypatch.setattr(LogProfile, "__init__", recording_init)
+    monkeypatch.setattr(monoheight.points.sympy, "isprime", recording_isprime)
+    prof = log_profile(pt("-4/9", 10, "7/3"))
+    for _ in range(3):
+        prof = prof.transport(IntMatrix([[1, 1, 0], [0, 1, 1], [1, 0, 0]]))
+    assert flags == [True] * 4 and primality == []
+    LogProfile(prof.n, prof.vals, prof.signs)
+    assert flags[-1] is False and primality == list(prof.vals)
 
 
 def test_profile_round_trip():
@@ -130,3 +168,42 @@ def test_product_formula_sum_vanishes():
 def test_point_json():
     P = pt("-4/9", 10)
     assert P.to_json() == ["-4/9", "10"]
+
+
+# small-entry generators include many of finite order, so walks revisit states
+SMALL_ROWS = {n: st.lists(st.lists(st.integers(-1, 1), min_size=n, max_size=n), min_size=n, max_size=n)
+              for n in (1, 2, 3)}
+WALK_COORDS = [Fraction(c) for c in (1, -1, 2, -3, "1/2", "-2/3", 12, "7/4", "-5/6")]
+
+
+def _nonsingular(rows):
+    try:
+        return IntMatrix(rows)
+    except InputError:
+        return None
+
+
+@st.composite
+def walks(draw):
+    n = draw(st.sampled_from([1, 2, 3]))
+    mats = [draw(SMALL_ROWS[n].map(_nonsingular).filter(bool)) for _ in range(2)]
+    return mats, PointGm(tuple(draw(st.sampled_from(WALK_COORDS)) for _ in range(n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(walks())
+def test_transport_images_pass_the_checks_and_keys_split_states_as_before(walk):
+    mats, P = walk
+    level = [log_profile(P)]
+    states = list(level)
+    for _ in range(4):
+        level = [state.transport(M) for state in level for M in mats]
+        states += level
+    for state in states:
+        checked = LogProfile(state.n, state.vals, state.signs)
+        assert list(checked.vals.items()) == list(state.vals.items())
+        assert checked.signs == state.signs
+    # the unsorted key splits the walk's states exactly as the sorted one did
+    old = [(tuple(sorted(s.vals.items())), s.signs) for s in states]
+    new = [s.state_key() for s in states]
+    assert len(set(new)) == len(set(old)) == len(set(zip(new, old)))

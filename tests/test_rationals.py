@@ -1,12 +1,12 @@
-"""Factorizations, places, and the log-space scalar."""
+"""Factorizations, parsing, and the log-space scalar."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from monoheight import InputError, NegLogScalar, Place, factor_rational, mp
-from monoheight.rationals import ARCHIMEDEAN, parse_rational
+from monoheight import InputError, NegLogScalar, factor_rational, mp
+from monoheight.rationals import parse_rational
 
 
 def test_factor_rational_examples():
@@ -28,14 +28,6 @@ def test_factor_round_trip():
         for p, e in f.items():
             back *= Fraction(p) ** e
         assert back == x
-
-
-def test_places():
-    assert Place(2).is_finite
-    assert not ARCHIMEDEAN.is_finite
-    assert Place(2) != Place(3)
-    with pytest.raises(InputError):
-        Place(4)
 
 
 def test_parse_and_format():

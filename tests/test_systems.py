@@ -65,13 +65,6 @@ def test_system_constructor():
         SystemF((DIAG23, IntMatrix([[2]])))
 
 
-def test_system_json_round_trip():
-    s = SystemF((FIB, DIAG23))
-    assert SystemF.from_json(s.to_json()).matrices == s.matrices
-    with pytest.raises(InputError):
-        SystemF.from_json({"matrices": [{"rows": [[1, 1], [1, 0]]}], "k": 5})
-
-
 def test_max_word_radius_single():
     # the growth row of level n holds the max radius over its words and a maximiser
     row = growth_table(DIAG23, n_max=4).rows[3]
@@ -96,6 +89,20 @@ def test_max_word_radius_budget():
     # a budget below the 2 words of level 1 leaves no row to report
     with pytest.raises(BudgetError):
         growth_table([DIAG23, DIAG52], n_max=20, word_budget=1)
+
+
+def test_growth_table_bit_budget_refuses_a_huge_generator():
+    # level 1 already holds entries above DEFAULT_BIT_BUDGET (2^16 bits): no row
+    with pytest.raises(BudgetError, match="bits in word enumeration"):
+        growth_table(IntMatrix([[2**70000, 1], [1, 0]]), n_max=1)
+
+
+def test_growth_table_bit_budget_stops_after_the_last_fitting_level():
+    # 2^40000 I fits at level 1; its square has 80001-bit entries, so the
+    # table stops there with one exact row
+    t = growth_table(IntMatrix([[2**40000, 0], [0, 2**40000]]), n_max=3)
+    assert [row.n for row in t.rows] == [1]
+    assert t.rows[0].rho.compare(CertifiedReal.from_fraction(Fraction(2**40000))) == 0
 
 
 def test_growth_table_bounds_sandwich():
