@@ -66,7 +66,7 @@ from .systems import (
     growth_table,
     system_report,
 )
-from .scalars import AlgebraicScalar, scalar_heights
+from .scalars import h_mult_log_enclosure
 from .baker import (
     BakerConstants,
     BakerInputs,
@@ -77,7 +77,6 @@ from .baker import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraicScalar",
     "BakerConstants",
     "BakerInputs",
     "BudgetError",
@@ -119,6 +118,7 @@ __all__ = [
     "factor_over_q",
     "factor_rational",
     "growth_table",
+    "h_mult_log_enclosure",
     "jordan_basis",
     "jordan_profile",
     "limit_matrix_B",
@@ -127,7 +127,6 @@ __all__ = [
     "mp",
     "poly_str",
     "real_str",
-    "scalar_heights",
     "spectral_radius",
     "system_report",
     "weil_height",

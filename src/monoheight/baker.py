@@ -16,7 +16,6 @@ never by float rounding.
 from dataclasses import dataclass
 from math import ceil, factorial, lcm
 from operator import index as _as_int
-from typing import NamedTuple
 
 from .errors import InputError, UnsupportedError
 from .precision import default_precision, fraction_to_mpf, mp, real_str
@@ -25,22 +24,18 @@ from .matrices import CertifiedReal, IntMatrix
 from .jordan import jordan_basis, jordan_profile
 from .points import PointGm, log_profile, weil_height_of_point
 from .heights import canonical_height_closed
+from .scalars import h_mult_log_enclosure
 
 
-class C11(NamedTuple):
-    """The combinatorial constant 2^(8n+53) n^(2n) from the linear-forms bound."""
-
-    value: int
-
-
-def baker_c11(n: int) -> C11:
-    """Exact value of 2^(8n+53) * n^(2n) for n >= 1 logarithm forms.
+def baker_c11(n: int) -> int:
+    """The combinatorial constant 2^(8n+53) * n^(2n) of the linear-forms bound,
+    exactly, for n >= 1 logarithm forms.
 
     Examples
     ========
-    >>> baker_c11(1).value == 2**61
+    >>> baker_c11(1) == 2**61
     True
-    >>> baker_c11(2).value == 2**73
+    >>> baker_c11(2) == 2**73
     True
     """
     try:
@@ -49,7 +44,7 @@ def baker_c11(n: int) -> C11:
         raise InputError("the constant is defined for an integer number of logs n >= 1")
     if n < 1:
         raise InputError("the constant is defined for an integer number of logs n >= 1")
-    return C11(2 ** (8 * n + 53) * n ** (2 * n))
+    return 2 ** (8 * n + 53) * n ** (2 * n)
 
 
 def _cleared_representative(P: PointGm):
@@ -180,7 +175,7 @@ def _baker_inputs(A: IntMatrix, P: PointGm, prec) -> tuple:
 
     elo, ehi = jb.max_entry_mult_log
     entry_log = fraction_to_mpf((elo + ehi) / 2, prec)
-    dlo, dhi = jb.det_inv_scalar.h_mult_log_enclosure(prec)
+    dlo, dhi = h_mult_log_enclosure(jb.det_J.inverse(), prec)
     det_log = fraction_to_mpf((dlo + dhi) / 2, prec)
 
     support = tuple(sorted(log_profile(cleared).vals))
@@ -216,7 +211,7 @@ def effective_constants(A: IntMatrix, P: PointGm, prec=None) -> BakerConstants:
         hk = inputs.h_field
 
         a_prime_log = (2 + hk * N) * 12 * (4 + hk * N)
-        e_prime = baker_c11(n_star).value * kdeg ** (n_star + 2)
+        e_prime = baker_c11(n_star) * kdeg ** (n_star + 2)
         e_prime_log = mp.log(e_prime)
         base_log = (
             mp.log(4 * N * r * kdeg * factorial(N - 1))

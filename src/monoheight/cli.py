@@ -13,7 +13,6 @@ from datetime import datetime, timezone
 
 from .errors import BudgetError, InputError, MonoheightError, UnsupportedError
 from .precision import default_precision, mp, real_str
-from .polys import poly_str
 from .matrices import IntMatrix
 from .jordan import jordan_basis, jordan_profile, limit_matrix_B
 from .points import PointGm, log_profile, weil_height_of_point
@@ -39,7 +38,7 @@ def _load_json_file(path):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -61,7 +60,7 @@ def load_matrix(path) -> IntMatrix:
 
 def load_system(path) -> SystemF:
     obj = _load_json_file(path)
-    if isinstance(obj, dict) and "matrices" in obj:
+    if isinstance(obj, dict) and isinstance(obj.get("matrices"), list):
         mats = [_matrix_from_obj(m) for m in obj["matrices"]]
         if "k" in obj and obj["k"] != len(mats):
             raise InputError("system JSON: k does not match the matrix count")
@@ -72,7 +71,7 @@ def load_system(path) -> SystemF:
 
 
 def _poly_json(p):
-    return {"coeffs": [str(c) for c in p.coeffs], "str": poly_str(p)}
+    return {"coeffs": [str(c) for c in p.coeffs], "str": str(p)}
 
 
 def _height_json(hv):
@@ -258,7 +257,7 @@ def run(argv=None, out=None) -> int:
         return _emit_error(out, EXIT_BUDGET, "budget", exc)
     except UnsupportedError as exc:
         return _emit_error(out, EXIT_UNSUPPORTED, "unsupported", exc)
-    except (InputError, ValueError, ZeroDivisionError) as exc:
+    except InputError as exc:
         return _emit_error(out, EXIT_INPUT, "input", exc)
 
 

@@ -15,9 +15,9 @@ from mpmath import mp, mpf
 
 from .errors import BudgetError, InputError, UnsupportedError
 from .jordan import LIMIT_TOL, jordan_profile, limit_matrix_B
-from .logforms import LogLinear, max_with_zero
+from .logforms import LogLinear
 from .matrices import IntMatrix, _as_system, charpoly_factors
-from .points import HeightValue, LogProfile, PointGm, log_profile, weil_height
+from .points import HeightValue, LogProfile, PointGm, _place_heights, log_profile, weil_height
 from .polys import cyclotomic_index
 from .precision import default_precision, real_str
 from .quadratic import Quad
@@ -52,23 +52,12 @@ def canonical_height_closed(A: IntMatrix, P: PointGm, prec=None) -> HeightValue:
 
 
 def _closed_exact(entries, prof: LogProfile) -> LogLinear:
-    """With c = B v_p per place: the finite place adds max(0, max_i -c_i) log p,
-    and the archimedean place takes max(0, max_i sum_p c_i log p)."""
+    """The Weil-height formula on c_p = B v_p in place of each valuation vector v_p."""
     n = prof.n
-    total = LogLinear({})
     zero = Quad(0)
-    candidates = [{} for _ in range(n)]
-    for p, vec in prof.vals.items():
-        best = zero
-        for i in range(n):
-            c = sum((entries[i][j] * vec[j] for j in range(n)), zero)
-            if best < -c:
-                best = -c
-            if c != zero:
-                candidates[i][p] = c
-        if best != zero:
-            total = total + LogLinear({p: best})
-    return total + LogLinear(max_with_zero(candidates))
+    images = {p: [sum((entries[i][j] * vec[j] for j in range(n)), zero) for i in range(n)]
+              for p, vec in prof.vals.items()}
+    return LogLinear(_place_heights(images))
 
 
 def _closed_numeric(b, prof: LogProfile, prec: int) -> HeightValue:

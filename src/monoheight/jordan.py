@@ -20,19 +20,11 @@ from mpmath import mp, mpf
 
 from . import kernels
 from .errors import BudgetError, UnsupportedError
-from .matrices import (
-    CertifiedReal,
-    IntMatrix,
-    ModulusProfile,
-    frac_rank,
-    modulus_profile,
-    quad_det,
-    quad_rank,
-)
+from .matrices import CertifiedReal, IntMatrix, ModulusProfile, det_field, modulus_profile, nullspace, rank
 from .polys import IntPoly
 from .precision import default_precision
 from .quadratic import Quad
-from .scalars import AlgebraicScalar, scalar_heights
+from .scalars import h_mult_log_enclosure
 
 # bit size at which the power iteration of _iterated_limit gives up
 _POWER_BIT_BUDGET = 2**22
@@ -86,7 +78,7 @@ def _block_sizes(A: IntMatrix, g: IntPoly, mult: int):
     power = None
     for j in range(1, mult + 1):
         power = base if power is None else kernels.mat_mul(power, base)
-        dims.append(n - frac_rank(power))
+        dims.append(n - rank(power))
     counts = []  # counts[j-1] = number of blocks of size >= j, per root
     for j in range(1, mult + 1):
         diff = dims[j] - dims[j - 1]
@@ -344,7 +336,6 @@ class JordanBasisData:
     T: list  # Jordan form, Quad rows
     det_J: Quad
     field_d: int  # 0 for rational, else the squarefree radicand
-    det_inv_scalar: AlgebraicScalar
     max_entry_mult_log: tuple  # enclosure of max log H_mult over entries
 
 
@@ -418,18 +409,15 @@ def jordan_basis(A: IntMatrix) -> JordanBasisData:
         pos += size
     if kernels.mat_mul(qa, J) != kernels.mat_mul(J, T):
         raise ArithmeticError("A J = J T verification failed")
-    det = quad_det(J)
-    if det == Quad(0):
+    det = det_field(J)
+    if not det:
         raise ArithmeticError("Jordan basis is singular")
-    los, his = zip(*(scalar_heights(v).h_mult_log_enclosure(96)
-                     for row in J for v in row if v != Quad(0)))
-    det_inv = scalar_heights(det.inverse())
+    los, his = zip(*(h_mult_log_enclosure(v, 96) for row in J for v in row if v))
     return JordanBasisData(
         J=J,
         T=T,
         det_J=det,
         field_d=field_d,
-        det_inv_scalar=det_inv,
         max_entry_mult_log=(max(los), max(his)),
     )
 
@@ -443,7 +431,7 @@ def _chains_for_eigenvalue(qa, n, lam: Quad, sizes):
     for _ in range(max_size):
         cur = kernels.mat_mul(cur, shifted)
         powers.append([row[:] for row in cur])
-    kernels_by_level = {j: _quad_nullspace_sorted(powers[j]) for j in range(1, max_size + 1)}
+    kernels_by_level = {j: sorted(nullspace(powers[j]), key=_vec_height_key) for j in range(1, max_size + 1)}
 
     chains = []
     used = []  # vectors already fixed at each level (pushed-down tops and smaller kernels)
@@ -471,12 +459,5 @@ def _chains_for_eigenvalue(qa, n, lam: Quad, sizes):
     return [chain for _, _, chain in chains]
 
 
-def _quad_nullspace_sorted(rows):
-    from .matrices import quad_nullspace
-
-    basis = quad_nullspace(rows)
-    return sorted(basis, key=_vec_height_key)
-
-
 def _independent(vectors):
-    return quad_rank(vectors) == len(vectors)
+    return rank(vectors) == len(vectors)

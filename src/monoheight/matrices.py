@@ -75,13 +75,16 @@ class IntMatrix:
     __slots__ = ("n", "_rows", "_key", "_det", "_factors", "_modulus", "_jordan", "_limit")
 
     def __init__(self, rows, _trusted=False):
-        rows = [list(r) for r in rows]
+        try:
+            rows = [list(r) for r in rows]
+        except TypeError:
+            raise InputError("a matrix must be a list of rows") from None
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise InputError("matrix must be square and nonempty")
         for r in rows:
             for v in r:
-                if not isinstance(v, int):
+                if type(v) is not int:  # bool is an int subclass, not an entry
                     raise InputError("entries must be integers")
         self.n = n
         self._rows = rows
@@ -99,10 +102,10 @@ class IntMatrix:
     def from_json(cls, obj):
         if not isinstance(obj, dict) or "rows" not in obj:
             raise InputError('matrix JSON needs {"n": N, "rows": [[...]]}')
-        rows = obj["rows"]
-        if "n" in obj and len(rows) != obj["n"]:
+        m = cls(obj["rows"])
+        if "n" in obj and m.n != obj["n"]:
             raise InputError("declared dimension does not match rows")
-        return cls(rows)
+        return m
 
     @property
     def rows(self):
@@ -829,56 +832,63 @@ def trace_det_radius(t: int, d: int) -> CertifiedReal:
 
 
 # ---------------------------------------------------------------------------
-# generic exact Gaussian elimination over Fraction or Quad
+# exact Gaussian elimination over Q or Q(sqrt d)
 
 
-def _rref(rows, zero):
-    rows = [list(r) for r in rows]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
+def _rref(rows):
+    """(reduced rows, pivot columns, det factor) by Gauss-Jordan elimination.
+
+    Entries are Fractions or Quads; ints are lifted to Fraction so that every
+    division stays exact.  The det factor is the product of the pivots with
+    the sign of the row swaps: the determinant of a square matrix of full rank.
+    """
+    rows = [[Fraction(v) if type(v) is int else v for v in r] for r in rows]
+    ncols = len(rows[0]) if rows else 0
     pivots = []
+    det = 1
     r = 0
     for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != zero:
-                pivot = i
-                break
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c]
-        rows[r] = [v / inv for v in rows[r]]
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            det = -det
+        lead = rows[r][c]
+        det = det * lead
+        inv = 1 / lead
+        rows[r] = [v * inv for v in rows[r]]
         for i in range(len(rows)):
-            if i != r and rows[i][c] != zero:
+            if i != r and rows[i][c]:
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    return rows, pivots
+    return rows, pivots, det
 
 
-def frac_rref(rows):
-    return _rref([[Fraction(v) for v in r] for r in rows], Fraction(0))
+def rank(rows) -> int:
+    return len(_rref(rows)[1])
 
 
-def frac_rank(rows) -> int:
-    return len(frac_rref(rows)[1])
+def det_field(rows):
+    """Exact determinant of a square matrix over Q or Q(sqrt d)."""
+    _, pivots, det = _rref(rows)
+    return det if len(pivots) == len(rows) else 0
 
 
-def _nullspace(rows, zero, one):
-    """Kernel basis over the field of zero and one (column-vector convention)."""
+def nullspace(rows):
+    """Kernel basis over Q(sqrt d) as Quad column vectors, read off the RREF."""
     if not rows:
         return []
     ncols = len(rows[0])
-    rr, pivots = _rref(rows, zero)
+    rr, pivots, _ = _rref(rows)
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
-        v = [zero] * ncols
-        v[fc] = one
+        v = [Quad(0)] * ncols
+        v[fc] = Quad(1)
         for r, pc in enumerate(pivots):
             v[pc] = -rr[r][fc]
         basis.append(v)
@@ -891,8 +901,8 @@ def frac_solve(rows, rhs):
     Free variables are set to zero; when the system has a unique solution this
     is it.
     """
-    aug = [[Fraction(v) for v in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
-    rr, pivots = _rref(aug, Fraction(0))
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    rr, pivots, _ = _rref(aug)
     ncols = len(rows[0])
     if ncols in pivots:
         return None
@@ -904,40 +914,3 @@ def frac_solve(rows, rhs):
         if sum(Fraction(v) * xi for v, xi in zip(row, x)) != Fraction(b):
             return None
     return x
-
-
-def quad_rref(rows):
-    return _rref(rows, Quad(0))
-
-
-def quad_rank(rows) -> int:
-    return len(quad_rref(rows)[1])
-
-
-def quad_nullspace(rows):
-    return _nullspace(rows, Quad(0), Quad(1))
-
-
-def quad_det(rows):
-    """Exact determinant over a quadratic field by Gaussian elimination."""
-    rows = [list(r) for r in rows]
-    n = len(rows)
-    det = Quad(1)
-    for k in range(n):
-        pivot = None
-        for i in range(k, n):
-            if rows[i][k] != Quad(0):
-                pivot = i
-                break
-        if pivot is None:
-            return Quad(0)
-        if pivot != k:
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            det = det * Quad(-1)
-        det = det * rows[k][k]
-        inv = rows[k][k].inverse()
-        for i in range(k + 1, n):
-            if rows[i][k] != Quad(0):
-                f = rows[i][k] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
-    return det

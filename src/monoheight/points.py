@@ -229,22 +229,29 @@ class HeightValue:
         return out
 
 
-def weil_height(prof: LogProfile) -> HeightValue:
-    """h(P) = sum over places of max(0, max_j log||x_j||_v), exactly.
+def _place_heights(vals: dict) -> dict:
+    """Coefficients {p: c} of sum over places v of max(0, max_j log||x_j||_v).
 
-    Finite place p contributes max(0, -min_j v_p(x_j)) * log p; the
-    archimedean place contributes the exact max of zero and the coordinate
-    logs sum_p v_p(x_j) log p, decided on the integer exponents.
+    vals maps each prime p to the vector u_p with log||x_j||_p = -u_p[j] log p
+    and log|x_j| = sum_p u_p[j] log p: the valuation vectors of a point, or
+    any exact image of them such as B v_p.  Finite place p contributes
+    max(0, -min_j u_p[j]) * log p; the archimedean place the exact max of
+    zero and the coordinate forms.
     """
     coeffs = {}
-    for p, vec in prof.vals.items():
+    for p, vec in vals.items():
         c = max(0, -min(vec))
         if c:
             coeffs[p] = c
-    arch = max_with_zero([{p: vec[j] for p, vec in prof.vals.items() if vec[j]} for j in range(prof.n)])
+    arch = max_with_zero([{p: v for p, v in zip(vals, column) if v} for column in zip(*vals.values())])
     for p, c in arch.items():
         coeffs[p] = coeffs.get(p, 0) + c
-    return HeightValue.from_loglinear(LogLinear(coeffs))
+    return coeffs
+
+
+def weil_height(prof: LogProfile) -> HeightValue:
+    """h(P) = sum over places of max(0, max_j log||x_j||_v), exactly."""
+    return HeightValue.from_loglinear(LogLinear(_place_heights(prof.vals)))
 
 
 def weil_height_of_point(P: PointGm) -> HeightValue:

@@ -74,14 +74,15 @@ class IntPoly:
         return cls(tuple(int(c) for c in reversed(coeffs)))
 
     def __str__(self):
-        return poly_str(self)
+        return poly_str(self.coeffs)
 
 
-def poly_str(p: IntPoly) -> str:
-    """Human form like "x^2-x-1", highest degree first."""
+def poly_str(coeffs) -> str:
+    """Human form like "x^2-x-1" or "2*x-1/2" of ascending int or Fraction
+    coefficients, highest degree first."""
     parts = []
-    for i in range(p.degree, -1, -1):
-        c = p.coeffs[i]
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
         if c == 0:
             continue
         if i == 0:

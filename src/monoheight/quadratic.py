@@ -11,7 +11,7 @@ from .errors import InputError, UnsupportedError
 from .precision import sqrt_enclosure
 
 
-def squarefree_part(n: int) -> tuple[int, int]:
+def _squarefree_split(n: int) -> tuple[int, int]:
     """n = s^2 * d with d squarefree; returns (s, d). Requires n > 0."""
     import sympy
 
@@ -43,7 +43,7 @@ class Quad:
         q = Fraction(q)
         if q <= 0:
             raise InputError("sqrt_of needs a positive rational")
-        s, d = squarefree_part(q.numerator * q.denominator)
+        s, d = _squarefree_split(q.numerator * q.denominator)
         # sqrt(p/r) = sqrt(p*r)/r = s*sqrt(d)/r
         if d == 1:
             return cls(Fraction(s, q.denominator))
@@ -147,6 +147,9 @@ class Quad:
 
     def __hash__(self):
         return hash((self.a, self.b, self.d))
+
+    def __bool__(self):
+        return bool(self.a or self.b)
 
     def __lt__(self, other):
         other = other if isinstance(other, Quad) else Quad(other)

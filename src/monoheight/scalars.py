@@ -1,9 +1,8 @@
-"""Heights of rational and real quadratic scalars.
+"""Multiplicative heights of rational and real quadratic scalars.
 
-H(x) is the max absolute coefficient of the minimal polynomial over Z.  The
-multiplicative Weil height H_mult(x) is the Mahler measure of the minimal
-polynomial to the power 1/degree; for degree <= 2 both are exact, H_mult as a
-rational or the square root of an explicit rational/quadratic value.
+H_mult(x) is the Mahler measure of the minimal polynomial of x over Z to the
+power 1/degree.  For degree <= 2 the measure is exact, a rational or an
+explicit quadratic value, so log H_mult has a rigorous enclosure.
 
 References
 ==========
@@ -12,88 +11,40 @@ p/q this gives H_mult = max(|p|, q), and H_mult(1/x) = H_mult(x) because the
 reversed polynomial has the same measure.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import InputError
-from .polys import IntPoly
-from .precision import default_precision, log_enclosure
+from .precision import log_enclosure
 from .quadratic import Quad
 
 
-def minimal_polynomial(x: Quad) -> IntPoly:
-    """Minimal polynomial over Z, primitive with positive leading coefficient."""
-    if x.is_rational:
-        q = x.rational_value()
-        return IntPoly((-q.numerator, q.denominator))
-    # X^2 - trace X + norm, cleared to integers
-    tr = x.trace()
-    nm = x.norm()
-    den = lcm(tr.denominator, nm.denominator)
-    return IntPoly((nm.numerator * (den // nm.denominator),
-                    -tr.numerator * (den // tr.denominator),
-                    den)).primitive()
-
-
-@dataclass(frozen=True)
-class AlgebraicScalar:
-    """A scalar with its exact height data attached."""
-
-    value: Quad
-    minpoly: IntPoly
-    H: int
-    # H_mult = mult_base ** (1/mult_root); mult_base is Fraction or Quad
-    mult_base: object
-    mult_root: int
-
-    @property
-    def degree(self) -> int:
-        return self.minpoly.degree
-
-    def h_mult_log_enclosure(self, prec=None):
-        """Rigorous enclosure of log H_mult."""
-        prec = prec or default_precision()
-        base = self.mult_base
-        if isinstance(base, Quad):
-            blo, bhi = base.enclosure(prec)
-        else:
-            blo = bhi = Fraction(base)
-        lo = log_enclosure(blo, prec)[0] if blo > 0 else Fraction(0)
-        hi = log_enclosure(bhi, prec)[1]
-        return lo / self.mult_root, hi / self.mult_root
-
-
-def scalar_heights(x) -> AlgebraicScalar:
-    """H and H_mult of a nonzero rational or real quadratic scalar.
+def h_mult_log_enclosure(x, prec: int) -> tuple[Fraction, Fraction]:
+    """Rigorous enclosure of log H_mult(x) for a nonzero rational or Quad x.
 
     Examples
     ========
-    >>> scalar_heights(Fraction(2, 3)).H
-    3
+    >>> h_mult_log_enclosure(Fraction(2, 3), 64) == log_enclosure(Fraction(3), 64)
+    True
     """
     x = x if isinstance(x, Quad) else Quad(Fraction(x))
-    if x == Quad(0):
+    if not x:
         raise InputError("heights of zero are not defined here")
-    mp = minimal_polynomial(x)
-    H = max(abs(c) for c in mp.coeffs)
     if x.is_rational:
-        q = x.rational_value()
-        base = Fraction(max(abs(q.numerator), q.denominator))
-        return AlgebraicScalar(x, mp, H, base, 1)
-    # real quadratic: Mahler measure |c2| * max(1,|x|) * max(1,|conj|)
-    conj = x.conjugate()
-    ax, ac = abs(x), abs(conj)
-    c2 = abs(mp.coeffs[2])
-    c0 = abs(mp.coeffs[0])
-    one = Quad(1)
-    x_big = (ax - one).sign() > 0
-    c_big = (ac - one).sign() > 0
-    if x_big and c_big:
-        measure = Fraction(c0)
-    elif not x_big and not c_big:
-        measure = Fraction(c2)
+        return log_enclosure(Fraction(max(abs(x.a.numerator), x.a.denominator)), prec)
+    # minimal polynomial c2 X^2 + c1 X + c0: X^2 - trace X + norm, cleared and primitive
+    tr, nm = x.trace(), x.norm()
+    den = lcm(tr.denominator, nm.denominator)
+    c0, c1 = int(nm * den), int(-tr * den)
+    g = gcd(c0, c1, den)
+    # Mahler measure c2 * max(1, |x|) * max(1, |conjugate|)
+    big = [v for v in (abs(x), abs(x.conjugate())) if v > 1]
+    if len(big) == 2:
+        measure = Fraction(abs(c0) // g)
+    elif not big:
+        measure = Fraction(den // g)
     else:
-        big = ax if x_big else ac
-        measure = Quad(c2) * big
-    return AlgebraicScalar(x, mp, H, measure, 2)
+        measure = Quad(den // g) * big[0]
+    blo, bhi = measure.enclosure(prec) if isinstance(measure, Quad) else (measure, measure)
+    lo = log_enclosure(blo, prec)[0] if blo > 0 else Fraction(0)
+    return lo / 2, log_enclosure(bhi, prec)[1] / 2

@@ -30,6 +30,7 @@ from .matrices import (
     word_product,
 )
 from .points import PointGm
+from .polys import poly_str
 from .precision import default_precision, real_str
 
 DEFAULT_N_MAX = 12
@@ -224,37 +225,12 @@ class StarCertificate:
             out["t"] = self.t
         if self.base_index is not None:
             out["base_index"] = self.base_index + 1
-            out["polynomials"] = [_frac_poly_str(c) for c in self.polynomials]
+            out["polynomials"] = [poly_str(c) for c in self.polynomials]
         if self.n_checked is not None:
             out["n_checked"] = self.n_checked
         if self.notes:
             out["notes"] = list(self.notes)
         return out
-
-
-def _frac_poly_str(coeffs) -> str:
-    terms = []
-    for e in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[e]
-        if not c:
-            continue
-        if e == 0:
-            term = str(c)
-        else:
-            xs = "x" if e == 1 else f"x^{e}"
-            if c == 1:
-                term = xs
-            elif c == -1:
-                term = f"-{xs}"
-            else:
-                term = f"{c}*{xs}"
-        terms.append(term)
-    if not terms:
-        return "0"
-    out = terms[0]
-    for t in terms[1:]:
-        out += ("+" + t) if not t.startswith("-") else t
-    return out
 
 
 def _is_diagonal(M: IntMatrix) -> bool:

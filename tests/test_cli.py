@@ -71,9 +71,9 @@ def test_analyze_binomial_companion(tmp_path, rows):
     assert code == EXIT_OK
     rep = json.loads(text)["report"]
     cp = charpoly(IntMatrix(rows))
-    assert rep["charpoly"]["str"] == poly_str(cp)
+    assert rep["charpoly"]["str"] == poly_str(cp.coeffs)
     assert [(f["poly"]["str"], f["multiplicity"]) for f in rep["factors"]] == [
-        (poly_str(g), e) for g, e in factor_over_q(cp)
+        (poly_str(g.coeffs), e) for g, e in factor_over_q(cp)
     ]
 
 
@@ -185,6 +185,37 @@ def test_exit_input_errors(files):
     assert code == EXIT_INPUT
     code, _ = invoke(["canonical-height", "--point", "2,3"])  # missing --matrix
     assert code == EXIT_INPUT
+
+
+@pytest.mark.parametrize("command, option, content", [
+    ("analyze", "--matrix", b"[1, 2]"),
+    ("analyze", "--matrix", b'{"rows": 5}'),
+    ("analyze", "--matrix", b'{"n": 2, "rows": 5}'),
+    ("analyze", "--matrix", b"[[true, 1], [1, false]]"),
+    ("analyze", "--matrix", b"[[1.0, 1], [1, 0]]"),
+    ("analyze", "--matrix", b"\xff\xfe[[1,1],[1,0]]"),
+    ("system", "--system", b'{"matrices": 5}'),
+    ("system", "--system", b'{"matrices": [[1, 2]]}'),
+    ("system", "--system", b"[5]"),
+], ids=["flat-list", "rows-not-a-list", "rows-not-a-list-with-n", "boolean-entries", "float-entry",
+        "not-utf8", "matrices-not-a-list", "flat-matrix-in-system", "number-in-system"])
+def test_malformed_json_is_an_input_error(tmp_path, command, option, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code, text = invoke([command, option, str(path), "--point", "2,3"])
+    assert code == EXIT_INPUT
+    assert json.loads(text)["error"]["type"] == "input"
+
+
+@pytest.mark.parametrize("error", [ArithmeticError, ZeroDivisionError, ValueError])
+def test_internal_errors_are_not_reported_as_input(files, monkeypatch, error):
+    # a failed self-check or an internal misuse surfaces; only InputError means bad input
+    def fail(args):
+        raise error("internal")
+
+    monkeypatch.setitem(monoheight.cli._COMMANDS, "analyze", (fail, ("matrix",)))
+    with pytest.raises(error):
+        invoke(["analyze", "--matrix", files["fib"]])
 
 
 def test_there_is_no_tolerance_flag(files):

@@ -31,7 +31,8 @@ from monoheight import (
     spectral_radius,
 )
 from monoheight import kernels
-from monoheight.matrices import quad_rank
+from monoheight.matrices import rank
+from monoheight.scalars import h_mult_log_enclosure
 from conftest import random_matrix
 
 FIB = IntMatrix([[1, 1], [1, 0]])
@@ -116,7 +117,7 @@ def test_limit_matrix_rank_equals_r():
     for A in (FIB, SHEAR, DIAG23, JORDAN2, PARITY):
         b = limit_matrix_B(A)
         p = jordan_profile(A)
-        assert quad_rank(b.entries) == p.r
+        assert rank(b.entries) == p.r
 
 
 def test_limit_matrix_nonzero():
@@ -180,7 +181,10 @@ def test_jordan_basis_heights_attached():
     jb = jordan_basis(FIB)
     lo, hi = jb.max_entry_mult_log
     assert lo <= hi
-    assert jb.det_inv_scalar.mult_root in (1, 2)
+    # H_mult(1/det J) = H_mult(det J), and it is at least 1
+    dlo, dhi = h_mult_log_enclosure(jb.det_J.inverse(), 96)
+    assert (dlo, dhi) == h_mult_log_enclosure(jb.det_J, 96)
+    assert 0 <= dlo <= dhi
 
 
 def _stepping_limit(A, jp, tol, prec):

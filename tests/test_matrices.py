@@ -32,12 +32,12 @@ from monoheight.matrices import (
     _modulus_resultant,
     _rank_boxes,
     _sq_modulus_interval,
+    det_field,
     det_int,
-    frac_rank,
     frac_solve,
     monomial_degree,
-    quad_nullspace,
-    quad_rank,
+    nullspace,
+    rank,
     word_product,
 )
 from monoheight.polys import root_bound, squarefree_part, sturm_count
@@ -94,7 +94,7 @@ def test_charpoly_against_leibniz_oracle(rng):
 
 
 def test_charpoly_fib():
-    assert poly_str(charpoly(FIB)) == "x^2-x-1"
+    assert poly_str(charpoly(FIB).coeffs) == "x^2-x-1"
 
 
 def test_factor_over_q_round_trip(rng):
@@ -226,7 +226,8 @@ def test_word_product_order():
 
 def test_frac_linear_algebra():
     rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    assert frac_rank(rows) == 1
+    assert rank(rows) == 1
+    assert rank([[1, 2], [2, 4]]) == 1
     sol = frac_solve([[Fraction(2), Fraction(0)], [Fraction(0), Fraction(4)]], [Fraction(6), Fraction(8)])
     assert sol == [Fraction(3), Fraction(2)]
 
@@ -234,11 +235,34 @@ def test_frac_linear_algebra():
 def test_quad_linear_algebra():
     s5 = Quad(0, 1, 5)
     rows = [[s5, Quad(5)], [Quad(1), s5]]  # rank 1: second row = first / sqrt5
-    assert quad_rank(rows) == 1
-    ns = quad_nullspace(rows)
+    assert rank(rows) == 1
+    ns = nullspace(rows)
     assert len(ns) == 1
     a, b = ns[0]
     assert a * s5 + b * Quad(5) == Quad(0)
+
+
+
+def test_field_det_matches_bareiss_on_integers(rng):
+    # singular matrices included: small entries make them common
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        assert det_field(rows) == det_int(rows)
+
+
+def test_field_det_matches_sympy_over_sqrt5(rng):
+    s5 = sympy.sqrt(5)
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        pairs = [[(Fraction(rng.randint(-3, 3), rng.randint(1, 2)), rng.randint(-2, 2)) for _ in range(n)]
+                 for _ in range(n)]
+        rows = [[Quad(a, b, 5) for a, b in row] for row in pairs]
+        M = sympy.Matrix([[sympy.Rational(a.numerator, a.denominator) + b * s5 for a, b in row] for row in pairs])
+        expected = sympy.expand(M.det(method="berkowitz"))  # division-free: a polynomial in sqrt5
+        b = expected.coeff(s5)
+        a = sympy.expand(expected - b * s5)
+        assert det_field(rows) == Quad(Fraction(str(a)), Fraction(str(b)), 5)
 
 
 def test_modulus_profile_groups_conjugates():

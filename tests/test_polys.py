@@ -27,11 +27,23 @@ def test_construction_and_eval():
 
 
 def test_poly_str():
-    assert poly_str(X2_X_1) == "x^2-x-1"
-    assert poly_str(IntPoly([2])) == "2"
-    assert poly_str(IntPoly([0, 1])) == "x"
-    assert poly_str(IntPoly([1, 0, 2])) == "2*x^2+1"
-    assert poly_str(IntPoly([-3, 2])) == "2*x-3"
+    assert poly_str(X2_X_1.coeffs) == "x^2-x-1"
+    assert poly_str(IntPoly([2]).coeffs) == "2"
+    assert poly_str(IntPoly([0, 1]).coeffs) == "x"
+    assert poly_str(IntPoly([1, 0, 2]).coeffs) == "2*x^2+1"
+    assert poly_str(IntPoly([-3, 2]).coeffs) == "2*x-3"
+
+
+def test_poly_str_fraction_coefficients():
+    # the strings system reports print for polynomial-family certificates
+    F = Fraction
+    assert poly_str((F(-1, 2), F(2))) == "2*x-1/2"
+    assert poly_str((F(3, 2), F(0), F(-1))) == "-x^2+3/2"
+    assert poly_str((F(0), F(-3, 2))) == "-3/2*x"
+    assert poly_str((F(1), F(1, 3), F(0), F(-7, 4))) == "-7/4*x^3+1/3*x+1"
+    assert poly_str((F(-1), F(-1), F(1))) == "x^2-x-1"
+    assert poly_str((F(5),)) == "5"
+    assert poly_str((F(0), F(0))) == "0"
 
 
 def test_derivative_content_primitive():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from monoheight import InputError, Quad, UnsupportedError
-from monoheight.quadratic import squarefree_part
+from monoheight.quadratic import _squarefree_split
 
 PHI = Quad(Fraction(1, 2), Fraction(1, 2), 5)
 SQRT5 = Quad(0, 1, 5)
@@ -14,10 +14,10 @@ SQRT5 = Quad(0, 1, 5)
 
 def test_squarefree_part():
     # n = s^2 * d, returned as (s, d)
-    assert squarefree_part(12) == (2, 3)
-    assert squarefree_part(9) == (3, 1)
-    assert squarefree_part(50) == (5, 2)
-    assert squarefree_part(7) == (1, 7)
+    assert _squarefree_split(12) == (2, 3)
+    assert _squarefree_split(9) == (3, 1)
+    assert _squarefree_split(50) == (5, 2)
+    assert _squarefree_split(7) == (1, 7)
 
 
 def test_sqrt_of():

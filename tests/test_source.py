@@ -143,3 +143,14 @@ def test_every_public_definition_has_a_caller():
              and not node.name.startswith("_") and node.name not in names
              and not {(base, node.name) for base in (path.stem, "lib", "monoheight")} & attributes]
     assert found == []
+
+
+def test_no_public_name_is_defined_in_two_modules():
+    # one routine per job: a second public definition of a name is a second implementation
+    modules = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and not node.name.startswith("_"):
+                modules.setdefault(node.name, []).append(path.stem)
+    assert {name: stems for name, stems in modules.items() if len(stems) > 1} == {}
