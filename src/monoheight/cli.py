@@ -62,7 +62,8 @@ def load_system(path) -> SystemF:
     obj = _load_json_file(path)
     if isinstance(obj, dict) and isinstance(obj.get("matrices"), list):
         mats = [_matrix_from_obj(m) for m in obj["matrices"]]
-        if "k" in obj and obj["k"] != len(mats):
+        k = obj.get("k", len(mats))
+        if type(k) is not int or k != len(mats):
             raise InputError("system JSON: k does not match the matrix count")
         return SystemF(tuple(mats))
     if isinstance(obj, list):

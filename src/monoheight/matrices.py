@@ -103,7 +103,8 @@ class IntMatrix:
         if not isinstance(obj, dict) or "rows" not in obj:
             raise InputError('matrix JSON needs {"n": N, "rows": [[...]]}')
         m = cls(obj["rows"])
-        if "n" in obj and m.n != obj["n"]:
+        n = obj.get("n", m.n)
+        if type(n) is not int or n != m.n:
             raise InputError("declared dimension does not match rows")
         return m
 

@@ -194,11 +194,14 @@ def test_exit_input_errors(files):
     ("analyze", "--matrix", b"[[true, 1], [1, false]]"),
     ("analyze", "--matrix", b"[[1.0, 1], [1, 0]]"),
     ("analyze", "--matrix", b"\xff\xfe[[1,1],[1,0]]"),
+    ("analyze", "--matrix", b'{"n": true, "rows": [[3]]}'),
     ("system", "--system", b'{"matrices": 5}'),
     ("system", "--system", b'{"matrices": [[1, 2]]}'),
     ("system", "--system", b"[5]"),
+    ("system", "--system", b'{"k": true, "matrices": [[[2, 1], [1, 1]]]}'),
 ], ids=["flat-list", "rows-not-a-list", "rows-not-a-list-with-n", "boolean-entries", "float-entry",
-        "not-utf8", "matrices-not-a-list", "flat-matrix-in-system", "number-in-system"])
+        "not-utf8", "boolean-n", "matrices-not-a-list", "flat-matrix-in-system", "number-in-system",
+        "boolean-k"])
 def test_malformed_json_is_an_input_error(tmp_path, command, option, content):
     path = tmp_path / "input.json"
     path.write_bytes(content)
