@@ -13,6 +13,7 @@ from math import lcm
 
 from mpmath import mp, mpf
 
+from . import kernels
 from .errors import BudgetError, InputError, UnsupportedError
 from .jordan import LIMIT_TOL, jordan_profile, limit_matrix_B
 from .logforms import LogLinear
@@ -47,15 +48,16 @@ def canonical_height_closed(A: IntMatrix, P: PointGm, prec=None) -> HeightValue:
         mass += 2.0 * sum(abs(v) for v in vec) * math.log(p)
     b = limit_matrix_B(A, prec=prec, _tol=LIMIT_TOL / (4.0 * (mass + 1.0)))
     if b.exact:
-        return HeightValue.from_loglinear(_closed_exact(b.entries, prof))
+        return HeightValue.from_loglinear(_closed_exact(b.split, prof))
     return _closed_numeric(b, prof, prec)
 
 
-def _closed_exact(entries, prof: LogProfile) -> LogLinear:
-    """The Weil-height formula on c_p = B v_p in place of each valuation vector v_p."""
-    n = prof.n
-    zero = Quad(0)
-    images = {p: [sum((entries[i][j] * vec[j] for j in range(n)), zero) for i in range(n)]
+def _closed_exact(split, prof: LogProfile) -> LogLinear:
+    """The Weil-height formula on c_p = B v_p in place of each valuation vector v_p,
+    with B = (U + sqrt(d) V) / den taken on its integer parts."""
+    U, V, den, d = split
+    images = {p: [Quad(Fraction(x, den), Fraction(y, den), d)
+                  for x, y in zip(kernels.mat_vec(U, vec), kernels.mat_vec(V, vec))]
               for p, vec in prof.vals.items()}
     return LogLinear(_place_heights(images))
 

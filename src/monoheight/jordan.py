@@ -155,17 +155,26 @@ class LimitMatrixB:
     l: int
     rho: CertifiedReal
     notes: tuple = ()
+    split: tuple = None  # (U, V, den, d) with exact entries (U + sqrt(d) V) / den
 
 
-def _qmat(rows_int):
-    return [[Quad(v) for v in row] for row in rows_int]
+def _integer_split(rows):
+    """(U, V, den, d) with Quad rows = (U + sqrt(d) V) / den: integer rows U and
+    V, den > 0 the lcm of every denominator, d the radicand (0 when rational)."""
+    ds = {v.d for row in rows for v in row} - {0}
+    if len(ds) > 1:
+        raise UnsupportedError("mixing distinct quadratic fields")
+    den = lcm(*(f.denominator for row in rows for v in row for f in (v.a, v.b)))
+    U = [[v.a.numerator * (den // v.a.denominator) for v in row] for row in rows]
+    V = [[v.b.numerator * (den // v.b.denominator) for v in row] for row in rows]
+    return U, V, den, (ds.pop() if ds else 0)
 
 
-def _qmat_sub_scalar(a, lam: Quad):
-    out = [row[:] for row in a]
-    for i in range(len(out)):
-        out[i][i] = out[i][i] - lam
-    return out
+def _lin(*terms):
+    """The sum of s X over (s, X) terms: integer scalars s, integer rows X."""
+    scalars = [s for s, _ in terms]
+    return [[sum(s * x for s, x in zip(scalars, xs)) for xs in zip(*rows)]
+            for rows in zip(*(X for _, X in terms))]
 
 
 def _divide_linear(coeffs, lam: Quad):
@@ -212,9 +221,10 @@ def limit_matrix_B(A: IntMatrix, prec=None, *, _tol=LIMIT_TOL) -> LimitMatrixB:
         "matrix has nonreal eigenvalues below the spectral radius; the limit only needs the dominant ones real",
     ]
     if all(fd.poly.degree <= 2 for fd in dominant):
+        entries = _exact_limit(A, prof, jp, dominant)
         b = LimitMatrixB(
-            n=A.n, exact=True, entries=_exact_limit(A, prof, jp, dominant), width=mp.mpf(0),
-            m=m, l=l, rho=jp.rho, notes=tuple(notes),
+            n=A.n, exact=True, entries=entries, width=mp.mpf(0),
+            m=m, l=l, rho=jp.rho, notes=tuple(notes), split=_integer_split(entries),
         )
         _check_exact_limit(A, b)
         A._limit = b
@@ -264,21 +274,36 @@ def _exact_limit(A: IntMatrix, prof, jp, dominant):
 
 def _check_exact_limit(A: IntMatrix, b: LimitMatrixB):
     """B != 0, B A^m = rho^m B, and B^2 = B when l = 0 (a sum of spectral
-    projectors) or B^2 = 0 when l >= 1 (then 2l >= l + 1), all exactly."""
-    B = b.entries
-    if all(v == 0 for row in B for v in row):
+    projectors) or B^2 = 0 when l >= 1 (then 2l >= l + 1), all exactly.
+
+    With B = (U + sqrt(d) V) / den and rho^m = (alpha + beta sqrt(d)) / gamma,
+    each identity splits into its rational and its sqrt(d) part, both on
+    integer matrices.
+    """
+    U, V, den, d = b.split
+    if not any(map(any, U)) and not any(map(any, V)):
         raise ArithmeticError("limit matrix vanished identically")
-    rho_m = b.rho.descriptor ** b.m
-    if kernels.mat_mul(B, A.pow(b.m).row_lists()) != [[v * rho_m for v in row] for row in B]:
+    ((alpha,),), ((beta,),), gamma, d_rho = _integer_split([[b.rho.descriptor ** b.m]])
+    Am = A.pow(b.m).row_lists()
+    if (d and d_rho and d != d_rho) \
+            or _lin((gamma, kernels.mat_mul(U, Am))) != _lin((alpha, U), (d * beta, V)) \
+            or _lin((gamma, kernels.mat_mul(V, Am))) != _lin((beta, U), (alpha, V)):
         raise ArithmeticError("B A^m = rho^m B identity failed in exact arithmetic")
-    square = kernels.mat_mul(B, B)
-    if (square != B) if b.l == 0 else any(v != 0 for row in square for v in row):
+    square_u = _lin((1, kernels.mat_mul(U, U)), (d, kernels.mat_mul(V, V)))
+    square_v = _lin((1, kernels.mat_mul(U, V)), (1, kernels.mat_mul(V, U)))
+    scale = den if b.l == 0 else 0
+    if square_u != _lin((scale, U)) or square_v != _lin((scale, V)):
         raise ArithmeticError("B^2 = B (l = 0) or B^2 = 0 (l >= 1) failed in exact arithmetic")
 
 
 def _iterated_limit(A: IntMatrix, jp, stop: Fraction, prec: int):
     """Power iteration for dominant eigenvalues of degree > 2 (real), until
-    iterates move by less than stop and the geometric tail estimate is below it."""
+    iterates move by less than stop and the geometric tail estimate is below it.
+
+    A power is formed only at the steps that read it: the tail estimate
+    depends on the step alone, and the bit budget cannot be reached while
+    nval * bits(||A||_inf) stays within it, as ||A^nval||_inf <= ||A||_inf^nval.
+    """
     l, m = jp.l, jp.m
     n = A.n
     rho_mpf = jp.rho.to_mpf(prec + 32)
@@ -292,14 +317,22 @@ def _iterated_limit(A: IntMatrix, jp, stop: Fraction, prec: int):
         for pf in jp.factors
     )
     stop_mpf = mpf(stop.numerator) / mpf(stop.denominator)
+    norm_bits = max(sum(map(abs, row)) for row in A.row_lists()).bit_length()
+    step = A.pow(m)
+    formed = {}  # exponent -> power, the latest two steps
+
+    def power(e):
+        if e not in formed:
+            formed[e] = formed[e - m].mul(step) if e - m in formed else A.pow(e)
+            formed.pop(e - 2 * m, None)
+        return formed[e]
+
     with mp.workprec(prec + 64):
 
-        def scaled(power, nval):
-            denom = mpf(nval) ** l * rho_mpf**nval
-            return [[mpf(v) / denom for v in row] for row in power.row_lists()]
+        def scaled(e):
+            denom = mpf(e) ** l * rho_mpf**e
+            return [[mpf(v) / denom for v in row] for row in power(e).row_lists()]
 
-        step = A.pow(m)
-        power = step
         nval = m
         prev = None  # scaled power of the step before, when that step built it
         for _ in range(4000):
@@ -307,20 +340,19 @@ def _iterated_limit(A: IntMatrix, jp, stop: Fraction, prec: int):
             geo = (ratio**nval * mpf(nval) ** (2 * n)) if ratio is not None else mpf(0)
             cur = None
             if geo < stop_mpf:
-                cur = scaled(power, nval)
                 if prev is None and nval > m:
-                    prev = scaled(last, nval - m)
+                    prev = scaled(nval - m)
+                cur = scaled(nval)
                 if prev is not None:
                     diff = max(abs(cur[i][j] - prev[i][j]) for i in range(n) for j in range(n))
                     poly_ok = (not poly_decay) or diff * nval < stop_mpf
                     if diff < stop_mpf and poly_ok:
                         return cur, diff + geo
-            prev, last = cur, power
-            power = power.mul(step)
+            prev = cur
             nval += m
-            if power.max_bit_length() > _POWER_BIT_BUDGET:
+            if nval * norm_bits > _POWER_BIT_BUDGET and power(nval).max_bit_length() > _POWER_BIT_BUDGET:
                 break
-        partial = prev if prev is not None else scaled(last, nval - m)
+        partial = prev if prev is not None else scaled(nval - m)
         raise BudgetError("power iteration for the limit matrix did not converge", partial=partial)
 
 
@@ -379,7 +411,6 @@ def jordan_basis(A: IntMatrix) -> JordanBasisData:
     field_d = ds.pop() if ds else 0
 
     n = A.n
-    qa = _qmat(A.row_lists())
     columns = []
     t_blocks = []  # (lam, size) in column order
     # linear factors ordered by their root, so diag(2,3) yields the identity;
@@ -392,7 +423,7 @@ def jordan_basis(A: IntMatrix) -> JordanBasisData:
     # jordan_profile keeps the order of the modulus profile's factors
     for pf, fd in sorted(zip(jp.factors, jp.modulus.factors), key=lambda pair: _factor_key(pair[0])):
         for lam in fd.roots:
-            chains = _chains_for_eigenvalue(qa, n, lam, pf.block_sizes)
+            chains = _chains_for_eigenvalue(A.row_lists(), lam, pf.block_sizes)
             for chain in chains:
                 chain = _normalize_chain(chain)
                 for vec in chain:
@@ -407,7 +438,7 @@ def jordan_basis(A: IntMatrix) -> JordanBasisData:
             if k + 1 < size:
                 T[pos + k][pos + k + 1] = Quad(1)
         pos += size
-    if kernels.mat_mul(qa, J) != kernels.mat_mul(J, T):
+    if kernels.mat_mul(A.row_lists(), J) != kernels.mat_mul(J, T):
         raise ArithmeticError("A J = J T verification failed")
     det = det_field(J)
     if not det:
@@ -422,23 +453,53 @@ def jordan_basis(A: IntMatrix) -> JordanBasisData:
     )
 
 
-def _chains_for_eigenvalue(qa, n, lam: Quad, sizes):
-    """Jordan chains for one eigenvalue, sizes descending; exact kernel ascent."""
-    shifted = _qmat_sub_scalar(qa, lam)
+def _shifted_powers(rows, lam: Quad, k: int):
+    """[(U_j, V_j, r^j, d) for j = 0..k] with (A - lam I)^j = (U_j + sqrt(d) V_j) / r^j.
+
+    With lam = (p + q sqrt(d)) / r, r (A - lam I) = (r A - p I) - q sqrt(d) I,
+    so each power costs two integer matrix products.
+    """
+    ((p,),), ((q,),), r, d = _integer_split([[lam]])
+    n = len(rows)
+    shifted = [[r * v - (p if i == j else 0) for j, v in enumerate(row)] for i, row in enumerate(rows)]
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    V = [[0] * n for _ in range(n)]
+    powers = [(U, V, 1, d)]
+    for j in range(1, k + 1):
+        U, V = (_lin((1, kernels.mat_mul(U, shifted)), (-d * q, V)),
+                _lin((1, kernels.mat_mul(V, shifted)), (-q, U)))
+        powers.append((U, V, r**j, d))
+    return powers
+
+
+def _apply_power(power, vec):
+    """(A - lam I)^j vec, exactly, for a power from _shifted_powers and a Quad vector."""
+    U, V, scale, d = power
+    (a,), (b,), den, _ = _integer_split([vec])
+    ua, ub, va, vb = (kernels.mat_vec(M, x) for M in (U, V) for x in (a, b))
+    return [Quad(Fraction(x + d * y, den * scale), Fraction(z + w, den * scale), d)
+            for x, y, z, w in zip(ua, vb, ub, va)]
+
+
+def _chains_for_eigenvalue(rows, lam: Quad, sizes):
+    """Jordan chains for one eigenvalue, sizes descending; exact kernel ascent.
+
+    Kernels are read off the integer matrices r^j (A - lam I)^j, whose RREF is
+    that of (A - lam I)^j; chain vectors are images under the true powers.
+    """
     max_size = sizes[0]
-    powers = [None]
-    cur = [[Quad(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for _ in range(max_size):
-        cur = kernels.mat_mul(cur, shifted)
-        powers.append([row[:] for row in cur])
-    kernels_by_level = {j: sorted(nullspace(powers[j]), key=_vec_height_key) for j in range(1, max_size + 1)}
+    powers = _shifted_powers(rows, lam, max_size)
+    kernels_by_level = {
+        j: sorted(nullspace([[Quad(u, v, d) for u, v in zip(ru, rv)] for ru, rv in zip(U, V)]),
+                  key=_vec_height_key)
+        for j, (U, V, _, d) in enumerate(powers) if j
+    }
 
     chains = []
-    used = []  # vectors already fixed at each level (pushed-down tops and smaller kernels)
     for s in sorted(set(sizes), reverse=True):
         count = sum(1 for x in sizes if x == s)
         lower = kernels_by_level.get(s - 1, []) if s > 1 else []
-        pushed = [kernels.mat_vec(powers[t - s], top) for t, top, _ in chains if t > s]
+        pushed = [_apply_power(powers[t - s], top) for t, top, _ in chains if t > s]
         span = [v[:] for v in lower] + [v[:] for v in pushed]
         tops = []
         for cand in kernels_by_level[s]:
@@ -452,7 +513,7 @@ def _chains_for_eigenvalue(qa, n, lam: Quad, sizes):
         for top in tops:
             chain = []
             for k in range(s - 1, -1, -1):
-                vec = kernels.mat_vec(powers[k], top) if k else top
+                vec = _apply_power(powers[k], top) if k else top
                 chain.append(vec)
             chains.append((s, top, chain))
     chains.sort(key=lambda c: (-c[0], _vec_height_key(c[1])))

@@ -14,9 +14,13 @@ with Sturm counts.  Nothing is ever ranked from floating point alone.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 import sympy
 from mpmath import mp
+from sympy.polys.densebasic import dmp_strip
+from sympy.polys.domains import ZZ
+from sympy.polys.euclidtools import dmp_resultant
 
 from . import kernels
 from .errors import IndistinguishableModuliError, InputError, UnsupportedError
@@ -286,22 +290,38 @@ def _isolate_real_roots(p: IntPoly):
 
 
 def _bisect_to_width(p: IntPoly, lo: Fraction, hi: Fraction, eps: Fraction):
-    """Shrink an isolating interval of p to width <= eps by exact sign bisection."""
+    """Shrink an isolating interval of p to width <= eps by exact sign bisection.
+
+    The endpoints are kept as integers X over one denominator D, which each
+    halving doubles; the sign of p(X / D) is that of the homogenised integer
+    sum of c_i X^i D^(deg - i), so no step normalises a Fraction.
+    """
     if lo == hi:
         return lo, hi
-    flo = p(lo)
-    if flo == 0:
+    if p(lo) == 0:
         return lo, lo
-    while hi - lo > eps:
-        mid = (lo + hi) / 2
-        fmid = p(mid)
-        if fmid == 0:
-            return mid, mid
-        if (flo > 0) != (fmid > 0):
-            hi = mid
+    den = lcm(lo.denominator, hi.denominator)
+    x_lo, x_hi = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+
+    def sign_at(x):
+        acc, scale = 0, 1
+        for c in reversed(p.coeffs):
+            acc = acc * x + c * scale
+            scale *= den
+        return (acc > 0) - (acc < 0)
+
+    s_lo = sign_at(x_lo)
+    while (x_hi - x_lo) * eps.denominator > eps.numerator * den:
+        mid = x_lo + x_hi
+        x_lo, x_hi, den = 2 * x_lo, 2 * x_hi, 2 * den
+        s_mid = sign_at(mid)
+        if s_mid == 0:
+            return Fraction(mid, den), Fraction(mid, den)
+        if s_lo != s_mid:
+            x_hi = mid
         else:
-            lo, flo = mid, fmid
-    return lo, hi
+            x_lo, s_lo = mid, s_mid
+    return Fraction(x_lo, den), Fraction(x_hi, den)
 
 
 class CertifiedReal:
@@ -617,13 +637,16 @@ def _factor_data_deg2(g: IntPoly, mult: int) -> FactorData:
 
 
 def _modulus_resultant(g: IntPoly) -> IntPoly:
-    """q(y) = Res_x(g(x), x^deg * g(y/x)); squared root moduli of g are real roots of q."""
-    x, y = sympy.symbols("x y")
-    d = g.degree
-    gx = sum(c * x**i for i, c in enumerate(g.coeffs))
-    hy = sum(c * y**i * x ** (d - i) for i, c in enumerate(g.coeffs))
-    q = sympy.resultant(gx, hy, x)
-    return IntPoly.from_sympy(sympy.Poly(q, y)).primitive()
+    """q(y) = Res_x(g(x), x^deg * g(y/x)); squared root moduli of g are real roots of q.
+
+    Both arguments are dense lists over ZZ in x (descending) of lists in y:
+    g's coefficients are constants, and x^deg * g(y/x) has c_i y^i as its
+    coefficient of x^(deg - i).
+    """
+    gx = dmp_strip([[ZZ(c)] if c else [] for c in reversed(g.coeffs)], 1)
+    hy = dmp_strip([[ZZ(c)] + [ZZ(0)] * i if c else [] for i, c in enumerate(g.coeffs)], 1)
+    q = dmp_resultant(gx, hy, 1, ZZ)
+    return IntPoly(tuple(int(c) for c in reversed(q))).primitive()
 
 
 def _sq_modulus_interval(box):
@@ -836,8 +859,9 @@ def trace_det_radius(t: int, d: int) -> CertifiedReal:
 # exact Gaussian elimination over Q or Q(sqrt d)
 
 
-def _rref(rows):
-    """(reduced rows, pivot columns, det factor) by Gauss-Jordan elimination.
+def _echelon(rows):
+    """(echelon rows with unit pivots, pivot columns, det factor) by forward
+    elimination.
 
     Entries are Fractions or Quads; ints are lifted to Fraction so that every
     division stays exact.  The det factor is the product of the pivots with
@@ -859,8 +883,8 @@ def _rref(rows):
         det = det * lead
         inv = 1 / lead
         rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
+        for i in range(r + 1, len(rows)):
+            if rows[i][c]:
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
@@ -870,13 +894,25 @@ def _rref(rows):
     return rows, pivots, det
 
 
+def _rref(rows):
+    """(reduced rows, pivot columns): the echelon form reduced above each pivot."""
+    rows, pivots, _ = _echelon(rows)
+    for r in range(len(pivots) - 1, 0, -1):
+        c = pivots[r]
+        for i in range(r):
+            if rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+    return rows, pivots
+
+
 def rank(rows) -> int:
-    return len(_rref(rows)[1])
+    return len(_echelon(rows)[1])
 
 
 def det_field(rows):
     """Exact determinant of a square matrix over Q or Q(sqrt d)."""
-    _, pivots, det = _rref(rows)
+    _, pivots, det = _echelon(rows)
     return det if len(pivots) == len(rows) else 0
 
 
@@ -885,7 +921,7 @@ def nullspace(rows):
     if not rows:
         return []
     ncols = len(rows[0])
-    rr, pivots, _ = _rref(rows)
+    rr, pivots = _rref(rows)
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
         v = [Quad(0)] * ncols
@@ -903,7 +939,7 @@ def frac_solve(rows, rhs):
     is it.
     """
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    rr, pivots, _ = _rref(aug)
+    rr, pivots = _rref(aug)
     ncols = len(rows[0])
     if ncols in pivots:
         return None

@@ -31,6 +31,7 @@ from monoheight import (
     spectral_radius,
 )
 from monoheight import kernels
+from monoheight.jordan import _apply_power, _shifted_powers
 from monoheight.matrices import rank
 from monoheight.scalars import h_mult_log_enclosure
 from conftest import random_matrix
@@ -177,6 +178,56 @@ def test_jordan_basis_conjugation_identity(rng):
         assert jb.det_J != Quad(0)
 
 
+def _quadratic_jordan_item(rng):
+    """A repeated real quadratic pair of eigenvalues, in a Jordan chain when
+    coupled, next to small rational ones, conjugated by a unimodular matrix
+    (the construction of the spectral benchmark's Jordan items)."""
+    reps = rng.choice((1, 2))
+    size = 2 * reps + rng.randint(0, 2)
+    c = [[rng.choice((1, 2, 3)), 1], [1, 0]]
+    j = [[0] * size for _ in range(size)]
+    for r in range(reps):
+        for a in range(2):
+            j[2 * r + a][2 * r:2 * r + 2] = c[a]
+            if r and rng.random() < 0.7:
+                j[2 * r - 2 + a][2 * r + a] = 1
+    for i in range(2 * reps, size):
+        j[i][i] = rng.choice((1, -1, 2))
+    u = [[int(i == k) for k in range(size)] for i in range(size)]
+    for _ in range(2 * size):
+        i, k = rng.sample(range(size), 2)
+        f = rng.choice((-1, 1, 2))
+        u[i] = [a + f * b for a, b in zip(u[i], u[k])]
+    return _conjugated(u, j)
+
+
+def test_shifted_powers_match_quad_powers(rng):
+    # the integer split r^j (A - lam I)^j = U_j + sqrt(d) V_j against the
+    # Quad powers it replaced, and its action on vectors against mat_vec
+    seen_quadratic = 0
+    for _ in range(12):
+        A = _quadratic_jordan_item(rng)
+        rows = A.row_lists()
+        for fd in jordan_profile(A).modulus.factors:
+            for lam in fd.roots:
+                seen_quadratic += not lam.is_rational
+                shifted = [[Quad(v) - (lam if i == j else 0) for j, v in enumerate(row)]
+                           for i, row in enumerate(rows)]
+                power = [[Quad(int(i == j)) for j in range(A.n)] for i in range(A.n)]
+                vec = [Quad(Fraction(rng.randint(-5, 5), rng.randint(1, 3)), rng.randint(-2, 2), lam.d or 2)
+                       for _ in range(A.n)]
+                if lam.is_rational:
+                    vec = [Quad(v.a) for v in vec]
+                for j, split in enumerate(_shifted_powers(rows, lam, 3)):
+                    U, V, scale, d = split
+                    assert [[Quad(Fraction(u, scale), Fraction(v, scale), d) for u, v in zip(ru, rv)]
+                            for ru, rv in zip(U, V)] == power
+                    assert _apply_power(split, vec) == kernels.mat_vec(power, vec)
+                    power = kernels.mat_mul(power, shifted)
+        jordan_basis(A)  # checks A J = J T on chains built from the split powers
+    assert seen_quadratic >= 20
+
+
 def test_jordan_basis_heights_attached():
     jb = jordan_basis(FIB)
     lo, hi = jb.max_entry_mult_log
@@ -188,8 +239,9 @@ def test_jordan_basis_heights_attached():
 
 
 def _stepping_limit(A, jp, tol, prec):
-    """The power iteration of _iterated_limit as it scaled every step to mpf,
-    kept as the reference; returns (entries, width, stop n)."""
+    """The power iteration of _iterated_limit as it formed and scaled the power
+    at every step, kept as the reference; returns (entries, width, stop n,
+    first n whose tail estimate is below tol)."""
     l, m = jp.l, jp.m
     n = A.n
     rho_mpf = jp.rho.to_mpf(prec + 32)
@@ -208,16 +260,19 @@ def _stepping_limit(A, jp, tol, prec):
         power = step
         nval = m
         prev = None
+        first = None
         for _ in range(4000):
             scalemat = [[mpf(v) for v in row] for row in power.row_lists()]
             denom = mpf(nval) ** l * rho_mpf**nval
             cur = [[v / denom for v in row] for row in scalemat]
+            geo = (ratio**nval * mpf(nval) ** (2 * n)) if ratio is not None else mpf(0)
+            if first is None and geo < tol_mpf:
+                first = nval
             if prev is not None:
                 diff = max(abs(cur[i][j] - prev[i][j]) for i in range(n) for j in range(n))
-                geo = (ratio**nval * mpf(nval) ** (2 * n)) if ratio is not None else mpf(0)
                 poly_ok = (not poly_decay) or diff * nval < tol_mpf
                 if diff < tol_mpf and geo < tol_mpf and poly_ok:
-                    return cur, diff + geo, nval
+                    return cur, diff + geo, nval, first
             prev = cur
             power = power.mul(step)
             nval += m
@@ -237,7 +292,8 @@ LIMIT_COMPANIONS = [
 
 
 def _counting_muls(monkeypatch):
-    """Count IntMatrix.mul calls: the power iteration makes one per step."""
+    """Count IntMatrix.mul calls: the power iteration makes one per step that
+    reads or checks the power, after the first such step."""
     calls = []
     mul = IntMatrix.mul
 
@@ -256,11 +312,34 @@ def test_iterated_limit_matches_the_stepping_reference(rows, monkeypatch):
     muls = _counting_muls(monkeypatch)
     for tol in ("1e-8", "1e-12", "1e-16"):
         for prec in (64, 128, 256):
-            entries, width, stop = _stepping_limit(A, jp, Fraction(tol), prec)
+            entries, width, stop, first = _stepping_limit(A, jp, Fraction(tol), prec)
             muls.clear()
             got = monoheight.jordan._iterated_limit(A, jp, Fraction(tol), prec)
             assert got == (entries, width)
-            assert jp.m * (len(muls) + 1) == stop
+            # powers are formed from the first step whose tail estimate passes:
+            # A^(first - m) by A.pow, then one product per step up to stop
+            assert len(muls) == (stop - first) // jp.m + (first > jp.m)
+            assert len(muls) < stop // jp.m - 1
+
+
+@pytest.mark.parametrize("rows", LIMIT_COMPANIONS)
+def test_iterated_limit_checks_bits_past_the_norm_bound(rows, monkeypatch):
+    # a budget that nval * bits(||A||_inf) crosses long before the entries of
+    # A^nval reach it: from the crossing on every power is formed and checked
+    A = IntMatrix(rows)
+    jp = jordan_profile(A)
+    tol = Fraction("1e-12")
+    stop, first = _stepping_limit(A, jp, tol, 128)[2:]
+    norm_bits = max(sum(map(abs, row)) for row in rows).bit_length()
+    budget = A.pow(stop).max_bit_length() + 2
+    monkeypatch.setattr(monoheight.jordan, "_POWER_BIT_BUDGET", budget)
+    crossing = (budget // norm_bits + 1 + jp.m - 1) // jp.m * jp.m  # first n = 0 (mod m) past the bound
+    assert crossing < first - jp.m
+    entries, width, stop_here, _ = _stepping_limit(A, jp, tol, 128)
+    assert stop_here == stop
+    muls = _counting_muls(monkeypatch)
+    assert monoheight.jordan._iterated_limit(A, jp, tol, 128) == (entries, width)
+    assert len(muls) == (stop - crossing) // jp.m
 
 
 @pytest.mark.parametrize("rows", LIMIT_COMPANIONS)
@@ -377,7 +456,10 @@ def _plus_unit_at_1_1(B):
     ([[1, 1], [0, 1]], _plus_unit_at_1_1, "B^2"),
     ([[1, 1], [0, 1]], lambda B: [list(col) for col in zip(*B)], "B A^m"),
     ([[2, 0], [0, 3]], lambda B: [[0 * v for v in row] for row in B], "vanished"),
-], ids=["fib_2B", "shear_not_nilpotent", "shear_transposed", "diag_zero"])
+    # the other eigenvalue's projector: B^2 = B still holds, and only the
+    # sqrt(5) cross terms of B A = rho B fail
+    ([[1, 1], [1, 0]], lambda B: [[v.conjugate() for v in row] for row in B], "B A^m"),
+], ids=["fib_2B", "shear_not_nilpotent", "shear_transposed", "diag_zero", "fib_conjugate"])
 def test_corrupted_limit_raises(rows, corrupt, message, monkeypatch):
     exact = monoheight.jordan._exact_limit
     monkeypatch.setattr(monoheight.jordan, "_exact_limit", lambda *args: corrupt(exact(*args)))

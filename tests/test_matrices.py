@@ -135,6 +135,69 @@ def test_real_roots_when_an_endpoint_is_a_root():
     assert abs(float(jordan_profile(A).rho.to_mpf(64)) - 2.15372137554177) < 1e-12
 
 
+def _sympy_modulus_resultant(g):
+    """Res_x(g(x), x^deg * g(y/x)) built as sympy expressions: the route the
+    dense-list resultant replaced, kept as its oracle."""
+    x, y = sympy.symbols("x y")
+    d = g.degree
+    gx = sum(c * x**i for i, c in enumerate(g.coeffs))
+    hy = sum(c * y**i * x ** (d - i) for i, c in enumerate(g.coeffs))
+    return IntPoly.from_sympy(sympy.Poly(sympy.resultant(gx, hy, x), y)).primitive()
+
+
+def test_modulus_resultant_matches_the_sympy_expression_route(rng):
+    for t in range(40):
+        deg = rng.randint(3, 8)
+        coeffs = [rng.randint(-6, 6) for _ in range(deg)] + [1 if t % 2 else rng.choice((-3, -2, 2, 5))]
+        coeffs[0] = coeffs[0] or 1  # g(0) != 0, as for an eigenvalue factor
+        g = IntPoly(coeffs)
+        assert _modulus_resultant(g) == _sympy_modulus_resultant(g)
+
+
+def _fraction_bisection(p, lo, hi, eps):
+    """Sign bisection on Fraction endpoints: the route the integer bisection
+    replaced, kept as its oracle."""
+    if lo == hi:
+        return lo, hi
+    flo = p(lo)
+    if flo == 0:
+        return lo, lo
+    while hi - lo > eps:
+        mid = (lo + hi) / 2
+        fmid = p(mid)
+        if fmid == 0:
+            return mid, mid
+        if (flo > 0) != (fmid > 0):
+            hi = mid
+        else:
+            lo, flo = mid, fmid
+    return lo, hi
+
+
+@pytest.mark.parametrize("coeffs, lo, hi", [
+    ([-1, -1, 1], Fraction(1), Fraction(2)),  # x^2 - x - 1 on [1, 2]
+    ([-1, -1, 1], Fraction(-7, 10), Fraction(-1, 3)),  # its negative root, mixed denominators
+    ([-2, 0, 0, 1], Fraction(5, 4), Fraction(4, 3)),  # x^3 - 2
+    ([-1, 4], Fraction(0), Fraction(1)),  # 4x - 1: the second midpoint is the root
+    ([1, -2], Fraction(0), Fraction(1)),  # 1 - 2x: the first midpoint is the root
+    ([-1, -1, 1], Fraction(-1, 2), Fraction(-1, 2)),  # a degenerate interval
+])
+def test_integer_bisection_matches_the_fraction_bisection(coeffs, lo, hi):
+    p = IntPoly(coeffs)
+    for eps in (Fraction(1, 2**10), Fraction(1, 2**40), Fraction(3, 7 * 2**20)):
+        got = _bisect_to_width(p, lo, hi, eps)
+        assert got == _fraction_bisection(p, lo, hi, eps)
+        assert all(type(v) is Fraction for v in got)
+
+
+def test_integer_bisection_matches_on_isolating_intervals(rng):
+    for _ in range(20):
+        p = squarefree_part(IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(3, 6))] + [1]))
+        for lo, hi in _isolate_real_roots(p):
+            assert _bisect_to_width(p, lo, hi, Fraction(1, 2**40)) == \
+                _fraction_bisection(p, lo, hi, Fraction(1, 2**40))
+
+
 @pytest.mark.parametrize("rows, cube", [
     ([[0, 0, -2], [1, 0, 0], [0, 1, 0]], 2),  # x^3 + 2
     ([[0, 0, 3], [1, 0, 0], [0, 1, 0]], 3),  # x^3 - 3

@@ -11,6 +11,8 @@ BROAD = ("Exception", "BaseException")
 ENVIRONMENT = ("environ", "getenv")
 # sympy's root objects: moduli are ranked from certified root discs instead
 ROOT_OBJECTS = ("CRootOf", "rootof", "all_roots", "eval_rational")
+# sympy's expression routes to a resultant: symbols to build the polynomials, resultant on them
+SYMPY_EXPRESSION_ROUTES = ("symbols", "resultant")
 # IntMatrix analysis slot -> the one function that fills it
 SLOT_FILLERS = {"_factors": "charpoly_factors", "_modulus": "modulus_profile",
                 "_jordan": "jordan_profile", "_limit": "limit_matrix_B"}
@@ -64,6 +66,24 @@ def _root_object_references(path):
 def test_no_sympy_root_objects():
     found = [f"{path.name}:{line}" for path in sorted(SRC.rglob("*.py"))
              for line in _root_object_references(path)]
+    assert found == []
+
+
+def _sympy_expression_calls(path):
+    """Line numbers that load one of SYMPY_EXPRESSION_ROUTES from the sympy module."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute) and node.attr in SYMPY_EXPRESSION_ROUTES \
+                and isinstance(node.value, ast.Name) and node.value.id == "sympy":
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sympy") \
+                and any(alias.name in SYMPY_EXPRESSION_ROUTES for alias in node.names):
+            yield node.lineno
+
+
+def test_no_sympy_expression_resultants():
+    # modulus ranking builds its resultant on dense integer lists
+    found = [f"{path.name}:{line}" for path in sorted(SRC.rglob("*.py"))
+             for line in _sympy_expression_calls(path)]
     assert found == []
 
 
