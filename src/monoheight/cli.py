@@ -75,13 +75,6 @@ def _poly_json(p):
     return {"coeffs": [str(c) for c in p.coeffs], "str": str(p)}
 
 
-def _height_json(hv):
-    out = {"decimal": hv.str15()}
-    if hv.exact:
-        out["symbolic"] = hv.symbolic_str()
-    return out
-
-
 def _cmd_analyze(args):
     A = load_matrix(args.matrix)
     prof = jordan_profile(A)
@@ -123,7 +116,7 @@ def _cmd_height(args):
     return {
         "point": P.to_json(),
         "profile": log_profile(P).to_json(),
-        "height": _height_json(hv),
+        "height": hv.to_json(),
     }
 
 
@@ -134,7 +127,7 @@ def _cmd_canonical_height(args):
     report = {
         "matrix": A.to_json(),
         "point": P.to_json(),
-        "canonical_height": _height_json(hv),
+        "canonical_height": hv.to_json(),
     }
     if args.truncation_order:
         est = canonical_height_truncated(

@@ -21,7 +21,6 @@ from .matrices import IntMatrix, _as_system, charpoly_factors
 from .points import HeightValue, LogProfile, PointGm, _place_heights, log_profile, weil_height
 from .polys import cyclotomic_index
 from .precision import default_precision, real_str
-from .quadratic import Quad
 
 DEFAULT_WORD_BUDGET = 10**6
 
@@ -48,18 +47,13 @@ def canonical_height_closed(A: IntMatrix, P: PointGm, prec=None) -> HeightValue:
         mass += 2.0 * sum(abs(v) for v in vec) * math.log(p)
     b = limit_matrix_B(A, prec=prec, _tol=LIMIT_TOL / (4.0 * (mass + 1.0)))
     if b.exact:
-        return HeightValue.from_loglinear(_closed_exact(b.split, prof))
+        return HeightValue.from_loglinear(_closed_exact(b.entries, prof))
     return _closed_numeric(b, prof, prec)
 
 
-def _closed_exact(split, prof: LogProfile) -> LogLinear:
-    """The Weil-height formula on c_p = B v_p in place of each valuation vector v_p,
-    with B = (U + sqrt(d) V) / den taken on its integer parts."""
-    U, V, den, d = split
-    images = {p: [Quad(Fraction(x, den), Fraction(y, den), d)
-                  for x, y in zip(kernels.mat_vec(U, vec), kernels.mat_vec(V, vec))]
-              for p, vec in prof.vals.items()}
-    return LogLinear(_place_heights(images))
+def _closed_exact(B, prof: LogProfile) -> LogLinear:
+    """The Weil-height formula on c_p = B v_p in place of each valuation vector v_p."""
+    return LogLinear(_place_heights({p: kernels.mat_vec(B, vec) for p, vec in prof.vals.items()}))
 
 
 def _closed_numeric(b, prof: LogProfile, prec: int) -> HeightValue:

@@ -14,7 +14,7 @@ eigenvalues are real.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
 from mpmath import mp, mpf
 
@@ -155,26 +155,6 @@ class LimitMatrixB:
     l: int
     rho: CertifiedReal
     notes: tuple = ()
-    split: tuple = None  # (U, V, den, d) with exact entries (U + sqrt(d) V) / den
-
-
-def _integer_split(rows):
-    """(U, V, den, d) with Quad rows = (U + sqrt(d) V) / den: integer rows U and
-    V, den > 0 the lcm of every denominator, d the radicand (0 when rational)."""
-    ds = {v.d for row in rows for v in row} - {0}
-    if len(ds) > 1:
-        raise UnsupportedError("mixing distinct quadratic fields")
-    den = lcm(*(f.denominator for row in rows for v in row for f in (v.a, v.b)))
-    U = [[v.a.numerator * (den // v.a.denominator) for v in row] for row in rows]
-    V = [[v.b.numerator * (den // v.b.denominator) for v in row] for row in rows]
-    return U, V, den, (ds.pop() if ds else 0)
-
-
-def _lin(*terms):
-    """The sum of s X over (s, X) terms: integer scalars s, integer rows X."""
-    scalars = [s for s, _ in terms]
-    return [[sum(s * x for s, x in zip(scalars, xs)) for xs in zip(*rows)]
-            for rows in zip(*(X for _, X in terms))]
 
 
 def _divide_linear(coeffs, lam: Quad):
@@ -224,7 +204,7 @@ def limit_matrix_B(A: IntMatrix, prec=None, *, _tol=LIMIT_TOL) -> LimitMatrixB:
         entries = _exact_limit(A, prof, jp, dominant)
         b = LimitMatrixB(
             n=A.n, exact=True, entries=entries, width=mp.mpf(0),
-            m=m, l=l, rho=jp.rho, notes=tuple(notes), split=_integer_split(entries),
+            m=m, l=l, rho=jp.rho, notes=tuple(notes),
         )
         _check_exact_limit(A, b)
         A._limit = b
@@ -242,8 +222,8 @@ def _exact_limit(A: IntMatrix, prof, jp, dominant):
     With charpoly = (x - lam)^mult h and q_lam = (x - lam)^l h, A^n on the
     generalised eigenspace of lam leads with C(n, l) lam^(n-l) (A - lam)^l P_lam,
     and (A - lam)^l P_lam = q_lam(A) / h(lam) because (A - lam)^(l+1) vanishes
-    there.  The sum is one polynomial over Q(sqrt d); written as
-    (u + sqrt(d) v) / den with integer u and v, it takes two integer Horners.
+    there.  The sum is one polynomial over Q(sqrt d), evaluated at A as a
+    combination of the integer powers of A.
     """
     l = jp.l
     total = [Quad(0)] * A.n
@@ -262,37 +242,36 @@ def _exact_limit(A: IntMatrix, prof, jp, dominant):
             c = (h_lam * lam**l * factorial(l)).inverse()
             for k, v in enumerate(q):
                 total[k] = total[k] + c * v
-    d = max(v.d for v in total)
-    den = lcm(*(f.denominator for v in total for f in (v.a, v.b)))
-    u_at_A = _poly_at_matrix([int(v.a * den) for v in total], A)
-    v_at_A = _poly_at_matrix([int(v.b * den) for v in total], A)
-    return [
-        [Quad(Fraction(x, den), Fraction(y, den), d) for x, y in zip(ru, rv)]
-        for ru, rv in zip(u_at_A, v_at_A)
-    ]
+    rows = A.row_lists()
+    power = [[int(i == j) for j in range(A.n)] for i in range(A.n)]
+    B = [[Quad(0)] * A.n for _ in range(A.n)]
+    for k, t in enumerate(total):
+        if k:
+            power = kernels.mat_mul(power, rows)
+        if t:
+            B = [[x + t * y for x, y in zip(rb, rp)] for rb, rp in zip(B, power)]
+    return B
 
 
 def _check_exact_limit(A: IntMatrix, b: LimitMatrixB):
     """B != 0, B A^m = rho^m B, and B^2 = B when l = 0 (a sum of spectral
     projectors) or B^2 = 0 when l >= 1 (then 2l >= l + 1), all exactly.
 
-    With B = (U + sqrt(d) V) / den and rho^m = (alpha + beta sqrt(d)) / gamma,
-    each identity splits into its rational and its sqrt(d) part, both on
-    integer matrices.
+    Entries outside the field of rho fail the check rather than leave it as
+    an UnsupportedError.
     """
-    U, V, den, d = b.split
-    if not any(map(any, U)) and not any(map(any, V)):
+    B = b.entries
+    if not any(map(any, B)):
         raise ArithmeticError("limit matrix vanished identically")
-    ((alpha,),), ((beta,),), gamma, d_rho = _integer_split([[b.rho.descriptor ** b.m]])
-    Am = A.pow(b.m).row_lists()
-    if (d and d_rho and d != d_rho) \
-            or _lin((gamma, kernels.mat_mul(U, Am))) != _lin((alpha, U), (d * beta, V)) \
-            or _lin((gamma, kernels.mat_mul(V, Am))) != _lin((beta, U), (alpha, V)):
+    rho_m = b.rho.descriptor ** b.m
+    try:
+        moved = kernels.mat_mul(B, A.pow(b.m).row_lists()) == [[rho_m * v for v in row] for row in B]
+        square = kernels.mat_mul(B, B)
+    except UnsupportedError as exc:
+        raise ArithmeticError("B A^m = rho^m B identity failed: entries in another quadratic field") from exc
+    if not moved:
         raise ArithmeticError("B A^m = rho^m B identity failed in exact arithmetic")
-    square_u = _lin((1, kernels.mat_mul(U, U)), (d, kernels.mat_mul(V, V)))
-    square_v = _lin((1, kernels.mat_mul(U, V)), (1, kernels.mat_mul(V, U)))
-    scale = den if b.l == 0 else 0
-    if square_u != _lin((scale, U)) or square_v != _lin((scale, V)):
+    if square != (B if b.l == 0 else [[0] * b.n] * b.n):
         raise ArithmeticError("B^2 = B (l = 0) or B^2 = 0 (l >= 1) failed in exact arithmetic")
 
 
@@ -375,8 +354,9 @@ def _vec_height_key(v):
     """Sorting key preferring small entries, then lexicographic order."""
     mags = []
     for q in v:
-        mags.append(max(abs(q.a.numerator), q.a.denominator, abs(q.b.numerator), q.b.denominator))
-    return (max(mags), [(str(q)) for q in v])
+        a, b = q.a, q.b
+        mags.append(max(abs(a.numerator), a.denominator, abs(b.numerator), b.denominator))
+    return (max(mags), [str(q) for q in v])
 
 
 def _normalize_chain(chain):
@@ -453,53 +433,19 @@ def jordan_basis(A: IntMatrix) -> JordanBasisData:
     )
 
 
-def _shifted_powers(rows, lam: Quad, k: int):
-    """[(U_j, V_j, r^j, d) for j = 0..k] with (A - lam I)^j = (U_j + sqrt(d) V_j) / r^j.
-
-    With lam = (p + q sqrt(d)) / r, r (A - lam I) = (r A - p I) - q sqrt(d) I,
-    so each power costs two integer matrix products.
-    """
-    ((p,),), ((q,),), r, d = _integer_split([[lam]])
-    n = len(rows)
-    shifted = [[r * v - (p if i == j else 0) for j, v in enumerate(row)] for i, row in enumerate(rows)]
-    U = [[int(i == j) for j in range(n)] for i in range(n)]
-    V = [[0] * n for _ in range(n)]
-    powers = [(U, V, 1, d)]
-    for j in range(1, k + 1):
-        U, V = (_lin((1, kernels.mat_mul(U, shifted)), (-d * q, V)),
-                _lin((1, kernels.mat_mul(V, shifted)), (-q, U)))
-        powers.append((U, V, r**j, d))
-    return powers
-
-
-def _apply_power(power, vec):
-    """(A - lam I)^j vec, exactly, for a power from _shifted_powers and a Quad vector."""
-    U, V, scale, d = power
-    (a,), (b,), den, _ = _integer_split([vec])
-    ua, ub, va, vb = (kernels.mat_vec(M, x) for M in (U, V) for x in (a, b))
-    return [Quad(Fraction(x + d * y, den * scale), Fraction(z + w, den * scale), d)
-            for x, y, z, w in zip(ua, vb, ub, va)]
-
-
 def _chains_for_eigenvalue(rows, lam: Quad, sizes):
-    """Jordan chains for one eigenvalue, sizes descending; exact kernel ascent.
-
-    Kernels are read off the integer matrices r^j (A - lam I)^j, whose RREF is
-    that of (A - lam I)^j; chain vectors are images under the true powers.
-    """
-    max_size = sizes[0]
-    powers = _shifted_powers(rows, lam, max_size)
-    kernels_by_level = {
-        j: sorted(nullspace([[Quad(u, v, d) for u, v in zip(ru, rv)] for ru, rv in zip(U, V)]),
-                  key=_vec_height_key)
-        for j, (U, V, _, d) in enumerate(powers) if j
-    }
+    """Jordan chains for one eigenvalue, sizes descending; exact kernel ascent
+    on the powers (A - lam I)^j, j = 1..sizes[0], as Quad rows."""
+    powers = {1: [[v - lam if i == j else Quad(v) for j, v in enumerate(row)] for i, row in enumerate(rows)]}
+    for j in range(2, sizes[0] + 1):
+        powers[j] = kernels.mat_mul(powers[j - 1], powers[1])
+    kernels_by_level = {j: sorted(nullspace(power), key=_vec_height_key) for j, power in powers.items()}
 
     chains = []
     for s in sorted(set(sizes), reverse=True):
         count = sum(1 for x in sizes if x == s)
         lower = kernels_by_level.get(s - 1, []) if s > 1 else []
-        pushed = [_apply_power(powers[t - s], top) for t, top, _ in chains if t > s]
+        pushed = [kernels.mat_vec(powers[t - s], top) for t, top, _ in chains if t > s]
         span = [v[:] for v in lower] + [v[:] for v in pushed]
         tops = []
         for cand in kernels_by_level[s]:
@@ -511,10 +457,7 @@ def _chains_for_eigenvalue(rows, lam: Quad, sizes):
         if len(tops) != count:
             raise ArithmeticError("kernel ascent failed to find enough chain tops")
         for top in tops:
-            chain = []
-            for k in range(s - 1, -1, -1):
-                vec = _apply_power(powers[k], top) if k else top
-                chain.append(vec)
+            chain = [kernels.mat_vec(powers[k], top) for k in range(s - 1, 0, -1)] + [top]
             chains.append((s, top, chain))
     chains.sort(key=lambda c: (-c[0], _vec_height_key(c[1])))
     return [chain for _, _, chain in chains]

@@ -2,7 +2,7 @@
 
 Coefficients are rational or real quadratic.  A rational one is stored as
 an int, or a Fraction when it has a denominator; a Quad only when it has a
-surd, so a Quad with b == 0 becomes its rational part.  Logarithms of distinct
+surd, so a rational Quad becomes its rational part.  Logarithms of distinct
 primes are linearly independent over the algebraic numbers (Baker), so such a
 combination is zero exactly when every coefficient is zero; that makes
 equality decidable and sign evaluation terminating.
@@ -32,9 +32,9 @@ _EXACT_BITS = 1 << 16
 def _coefficient(c):
     """c as stored: a Quad only when it has a surd, else an int or a Fraction."""
     if isinstance(c, Quad):
-        if c.b:
+        if not c.is_rational:
             return c
-        c = c.a
+        c = c.rational_value()
     if type(c) is not int:
         c = Fraction(c)
         c = c.numerator if c.denominator == 1 else c
@@ -137,7 +137,7 @@ class LogLinear:
         clean = {}
         for p, c in (coeffs or {}).items():
             c = _coefficient(c)
-            if c:  # a stored Quad has b != 0, so it is never zero
+            if c:  # a stored Quad has a surd, so it is never zero
                 clean[int(p)] = c
         self.coeffs = dict(sorted(clean.items()))
 

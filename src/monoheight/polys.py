@@ -179,16 +179,21 @@ def root_bound(p: IntPoly) -> Fraction:
 def cyclotomic_index(p: IntPoly) -> int | None:
     """m with p = m-th cyclotomic polynomial, or None.
 
-    Only irreducible monic p are meaningful inputs; the search range covers all
-    m with totient(m) = deg p.
+    Only irreducible monic p are meaningful inputs: for them m is the least
+    k with x^k = 1 (mod p), found from the integer remainders x^k mod p.  The
+    search range covers all m with totient(m) = deg p.
     """
     d = p.degree
-    if p.lc != 1:
+    # p | x^k - 1 needs p monic with constant term +-1
+    if p.lc != 1 or d == 0 or abs(p.coeffs[0]) != 1:
         return None
+    low = p.coeffs[:-1]
+    one = [1] + [0] * (d - 1)
+    rem = one
     # totient(m) = d forces m <= 2 * d^2 + 2 comfortably at desk degrees
     for m in range(1, 2 * d * d + 7):
-        if sympy.totient(m) == d:
-            cyc = IntPoly.from_sympy(sympy.cyclotomic_poly(m, _X))
-            if cyc == p:
-                return m
+        top = rem[-1]  # x * rem, with its x^d term reduced by x^d = -low
+        rem = [a - top * c for a, c in zip([0] + rem[:-1], low)]
+        if rem == one:
+            return m
     return None

@@ -31,7 +31,8 @@ def h_mult_log_enclosure(x, prec: int) -> tuple[Fraction, Fraction]:
     if not x:
         raise InputError("heights of zero are not defined here")
     if x.is_rational:
-        return log_enclosure(Fraction(max(abs(x.a.numerator), x.a.denominator)), prec)
+        q = x.rational_value()
+        return log_enclosure(Fraction(max(abs(q.numerator), q.denominator)), prec)
     # minimal polynomial c2 X^2 + c1 X + c0: X^2 - trace X + norm, cleared and primitive
     tr, nm = x.trace(), x.norm()
     den = lcm(tr.denominator, nm.denominator)

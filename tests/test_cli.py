@@ -111,6 +111,20 @@ def test_canonical_height_command(files):
     assert len(rep["truncated"]["values"]) == 8
 
 
+def test_canonical_height_command_prints_the_enclosure_of_a_numeric_height(tmp_path):
+    # the companion of x^3 - x - 1 has an iterated limit, so its height is an
+    # enclosure; canonical-height prints it as classify does
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps([[0, 0, 1], [1, 0, 1], [0, 1, 0]]))
+    _, text = invoke(["canonical-height", "--matrix", str(path), "--point", "2,3,5"])
+    height = json.loads(text)["report"]["canonical_height"]
+    _, text = invoke(["classify", "--matrix", str(path), "--point", "2,3,5"])
+    assert height == json.loads(text)["report"]["orbit"]["canonical_height"]
+    lo, hi = (float(v) for v in height["enclosure"])
+    assert lo <= float(height["decimal"]) <= hi
+    assert "symbolic" not in height
+
+
 def test_system_command(files):
     code, text = invoke(["system", "--system", files["pair"], "--point", "2,3"])
     assert code == EXIT_OK

@@ -31,7 +31,6 @@ from monoheight import (
     spectral_radius,
 )
 from monoheight import kernels
-from monoheight.jordan import _apply_power, _shifted_powers
 from monoheight.matrices import rank
 from monoheight.scalars import h_mult_log_enclosure
 from conftest import random_matrix
@@ -201,30 +200,19 @@ def _quadratic_jordan_item(rng):
     return _conjugated(u, j)
 
 
-def test_shifted_powers_match_quad_powers(rng):
-    # the integer split r^j (A - lam I)^j = U_j + sqrt(d) V_j against the
-    # Quad powers it replaced, and its action on vectors against mat_vec
+def test_quadratic_jordan_items_satisfy_AJ_equals_JT(rng):
+    # chains built from the Quad powers (A - lam I)^j, checked against A
+    # itself rather than through the library's own self-check
     seen_quadratic = 0
     for _ in range(12):
         A = _quadratic_jordan_item(rng)
-        rows = A.row_lists()
-        for fd in jordan_profile(A).modulus.factors:
-            for lam in fd.roots:
-                seen_quadratic += not lam.is_rational
-                shifted = [[Quad(v) - (lam if i == j else 0) for j, v in enumerate(row)]
-                           for i, row in enumerate(rows)]
-                power = [[Quad(int(i == j)) for j in range(A.n)] for i in range(A.n)]
-                vec = [Quad(Fraction(rng.randint(-5, 5), rng.randint(1, 3)), rng.randint(-2, 2), lam.d or 2)
-                       for _ in range(A.n)]
-                if lam.is_rational:
-                    vec = [Quad(v.a) for v in vec]
-                for j, split in enumerate(_shifted_powers(rows, lam, 3)):
-                    U, V, scale, d = split
-                    assert [[Quad(Fraction(u, scale), Fraction(v, scale), d) for u, v in zip(ru, rv)]
-                            for ru, rv in zip(U, V)] == power
-                    assert _apply_power(split, vec) == kernels.mat_vec(power, vec)
-                    power = kernels.mat_mul(power, shifted)
-        jordan_basis(A)  # checks A J = J T on chains built from the split powers
+        jb = jordan_basis(A)
+        seen_quadratic += sum(not lam.is_rational for fd in jordan_profile(A).modulus.factors
+                              for lam in fd.roots)
+        assert kernels.mat_mul(A.row_lists(), jb.J) == kernels.mat_mul(jb.J, jb.T)
+        assert all(v == 0 for i, row in enumerate(jb.T) for j, v in enumerate(row)
+                   if j not in (i, i + 1))
+        assert jb.det_J != 0
     assert seen_quadratic >= 20
 
 
@@ -459,7 +447,10 @@ def _plus_unit_at_1_1(B):
     # the other eigenvalue's projector: B^2 = B still holds, and only the
     # sqrt(5) cross terms of B A = rho B fail
     ([[1, 1], [1, 0]], lambda B: [[v.conjugate() for v in row] for row in B], "B A^m"),
-], ids=["fib_2B", "shear_not_nilpotent", "shear_transposed", "diag_zero", "fib_conjugate"])
+    # the same parts over sqrt(2): entries outside the field of rho fail the
+    # check as an ArithmeticError, not as an UnsupportedError
+    ([[1, 1], [1, 0]], lambda B: [[Quad(v.a, v.b, 2) for v in row] for row in B], "B A^m"),
+], ids=["fib_2B", "shear_not_nilpotent", "shear_transposed", "diag_zero", "fib_conjugate", "fib_sqrt2"])
 def test_corrupted_limit_raises(rows, corrupt, message, monkeypatch):
     exact = monoheight.jordan._exact_limit
     monkeypatch.setattr(monoheight.jordan, "_exact_limit", lambda *args: corrupt(exact(*args)))

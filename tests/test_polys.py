@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from monoheight import InputError, IntPoly, poly_str
 from monoheight.polys import (
@@ -84,3 +85,26 @@ def test_cyclotomic_index():
     assert cyclotomic_index(IntPoly([1, -1, 1])) == 6
     assert cyclotomic_index(X2_X_1) is None
     assert cyclotomic_index(IntPoly([-2, 1])) is None  # x - 2
+
+
+def _cyclotomic_index_by_sympy(p):
+    """The m with p = the m-th cyclotomic polynomial, by comparing p with
+    every cyclotomic polynomial of its degree in the search range."""
+    x = sympy.Symbol("x")
+    for m in range(1, 2 * p.degree**2 + 7):
+        if sympy.totient(m) == p.degree and IntPoly.from_sympy(sympy.cyclotomic_poly(m, x)) == p:
+            return m
+    return None
+
+
+def test_cyclotomic_index_matches_sympy(rng):
+    # every cyclotomic polynomial up to Phi_60, and the irreducible factors
+    # of random small polynomials, monic or not
+    x = sympy.Symbol("x")
+    polys = [IntPoly.from_sympy(sympy.cyclotomic_poly(m, x)) for m in range(1, 61)]
+    for _ in range(150):
+        coeffs = [rng.randint(-2, 2) for _ in range(rng.randint(1, 6))] + [rng.choice((1, 1, 2))]
+        polys += [IntPoly.from_sympy(f) for f, _ in IntPoly(coeffs).to_sympy().factor_list()[1]]
+    assert sum(cyclotomic_index(p) is not None for p in polys) > 80
+    for p in polys:
+        assert cyclotomic_index(p) == _cyclotomic_index_by_sympy(p), str(p)

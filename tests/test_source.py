@@ -11,6 +11,8 @@ BROAD = ("Exception", "BaseException")
 ENVIRONMENT = ("environ", "getenv")
 # sympy's root objects: moduli are ranked from certified root discs instead
 ROOT_OBJECTS = ("CRootOf", "rootof", "all_roots", "eval_rational")
+# sympy's cyclotomic tables: a root-of-unity order is read off integer remainders x^k mod g
+CYCLOTOMIC_TABLES = ("totient", "cyclotomic_poly")
 # sympy's expression routes to a resultant: symbols to build the polynomials, resultant on them
 SYMPY_EXPRESSION_ROUTES = ("symbols", "resultant")
 # IntMatrix analysis slot -> the one function that fills it
@@ -53,19 +55,25 @@ def test_no_environment_reads():
     assert found == []
 
 
-def _root_object_references(path):
-    """Line numbers naming one of ROOT_OBJECTS, as a name, an attribute or an import."""
+def _references(path, targets):
+    """Line numbers naming one of targets, as a name, an attribute or an import."""
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         names = {getattr(node, "id", None), getattr(node, "attr", None)}
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             names = {part for alias in node.names for part in alias.name.split(".")}
-        if names & set(ROOT_OBJECTS):
+        if names & set(targets):
             yield node.lineno
 
 
 def test_no_sympy_root_objects():
     found = [f"{path.name}:{line}" for path in sorted(SRC.rglob("*.py"))
-             for line in _root_object_references(path)]
+             for line in _references(path, ROOT_OBJECTS)]
+    assert found == []
+
+
+def test_no_sympy_cyclotomic_tables():
+    found = [f"{path.name}:{line}" for path in sorted(SRC.rglob("*.py"))
+             for line in _references(path, CYCLOTOMIC_TABLES)]
     assert found == []
 
 
