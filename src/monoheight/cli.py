@@ -7,6 +7,7 @@ apart from the timestamp field.
 """
 
 import argparse
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -17,11 +18,12 @@ from .matrices import IntMatrix
 from .jordan import jordan_basis, jordan_profile, limit_matrix_B
 from .points import PointGm, log_profile, weil_height_of_point
 from .heights import (
+    DEFAULT_WORD_BUDGET,
     canonical_height_closed,
     canonical_height_truncated,
     classify_orbit,
 )
-from .systems import SystemF, system_report
+from .systems import DEFAULT_N_MAX, SystemF, system_report
 from .baker import effective_constants
 
 EXIT_OK = 0
@@ -171,7 +173,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one argument parser; it does not depend on the arguments."""
     parser = argparse.ArgumentParser(
         prog="monoheight",
         description="Heights and dynamical degrees of monomial maps on the torus.",
@@ -180,9 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--matrix", metavar="FILE", help="JSON file with one integer matrix")
     parser.add_argument("--system", metavar="FILE", help="JSON file with a list of matrices")
     parser.add_argument("--point", metavar="LIST", help="comma-separated rational coordinates")
-    parser.add_argument("--n-max", type=int, default=12, dest="n_max")
+    parser.add_argument("--n-max", type=int, default=DEFAULT_N_MAX, dest="n_max")
     parser.add_argument("--precision", type=int, default=None, metavar="BITS")
-    parser.add_argument("--word-budget", type=int, default=10**6, dest="word_budget")
+    parser.add_argument("--word-budget", type=int, default=DEFAULT_WORD_BUDGET, dest="word_budget")
     parser.add_argument("--truncation-order", type=int, default=0, dest="truncation_order")
     parser.add_argument("--format", choices=("json", "text"), default="json")
     return parser

@@ -1,22 +1,17 @@
-"""Exception hierarchy; each class carries the CLI exit code it maps to."""
+"""Exception hierarchy; `cli.run` maps InputError, UnsupportedError and
+BudgetError to exit codes 2, 3 and 4."""
 
 
 class MonoheightError(Exception):
     """Base class for all package errors."""
 
-    exit_code = 1
-
 
 class InputError(MonoheightError):
     """Malformed or out-of-domain input (zero coordinate, singular matrix, ...)."""
 
-    exit_code = 2
-
 
 class UnsupportedError(MonoheightError):
     """Input is valid but outside the exact-arithmetic scope of the package."""
-
-    exit_code = 3
 
 
 class IndistinguishableModuliError(UnsupportedError):
@@ -32,8 +27,6 @@ class IndistinguishableModuliError(UnsupportedError):
 
 class BudgetError(MonoheightError):
     """A word, bit-size, or iteration budget was exhausted."""
-
-    exit_code = 4
 
     def __init__(self, message, partial=None):
         super().__init__(message)

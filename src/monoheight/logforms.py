@@ -184,10 +184,6 @@ class LogLinear:
     def compare(self, other) -> int:
         return (self - other).sign()
 
-    def max_with_zero(self):
-        """max(self, 0) decided exactly."""
-        return self if self.sign() > 0 else LogLinear()
-
     def __str__(self):
         if self.is_zero:
             return "0"

@@ -223,24 +223,16 @@ def charpoly(A: IntMatrix) -> IntPoly:
 
 
 def monomial_degree(A: IntMatrix) -> int:
-    """Algebraic degree of the induced self-map of projective N-space.
+    """Algebraic degree of the induced self-map of projective N-space:
+    max(0, max_i sum_j a_ij) + sum_j max(0, -min_i a_ij).
 
-    Exponent vectors of the N+1 homogenized coordinate monomials are shifted to
-    clear negative entries, checked for a common total degree, and reduced by
-    their monomial gcd.
+    Homogenized, coordinate 0 has exponent vector 0 and coordinate i has -s_i
+    on x_0 (s_i the row sum) and a_ij on x_j.  Every vector sums to 0 and the
+    zero vector is among them, so shifting each variable by the negative of its
+    least exponent gives every vector the degree above, with monomial gcd 1.
     """
-    n = A.n
     rows = A.rows
-    exps = [[0] * (n + 1)]
-    for i in range(n):
-        exps.append([-sum(rows[i])] + list(rows[i]))
-    shifts = [max(0, -min(e[v] for e in exps)) for v in range(n + 1)]
-    shifted = [[e[v] + shifts[v] for v in range(n + 1)] for e in exps]
-    degrees = {sum(e) for e in shifted}
-    if len(degrees) != 1:
-        raise ArithmeticError("homogenization produced unequal degrees")
-    gcd_exp = [min(e[v] for e in shifted) for v in range(n + 1)]
-    return degrees.pop() - sum(gcd_exp)
+    return max(0, *map(sum, rows)) + sum(max(0, -min(col)) for col in zip(*rows))
 
 
 def factor_over_q(p: IntPoly):

@@ -10,6 +10,8 @@ from fractions import Fraction
 from math import gcd
 
 import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.sqfreetools import dup_sqf_part
 
 from .errors import InputError
 
@@ -101,11 +103,8 @@ def squarefree_part(p: IntPoly) -> IntPoly:
     """p divided by gcd(p, p'), primitive with positive leading coefficient."""
     if p.degree == 0:
         return IntPoly((1,))
-    g = sympy.gcd(p.to_sympy(), p.derivative().to_sympy())
-    q, rem = sympy.div(p.to_sympy(), g, _X)
-    if not rem.is_zero:
-        raise InputError("squarefree decomposition failed")
-    return IntPoly.from_sympy(sympy.Poly(q, _X) * sympy.Integer(1)).primitive()
+    q = dup_sqf_part([ZZ(c) for c in reversed(p.coeffs)], ZZ)
+    return IntPoly(tuple(int(c) for c in reversed(q))).primitive()
 
 
 def _is_constant(g) -> bool:

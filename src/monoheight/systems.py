@@ -11,6 +11,7 @@ generator a polynomial in the first) reduce exactly to a single map psi.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 from mpmath import mp, mpf
 
@@ -45,34 +46,28 @@ def _norm_bound(M: IntMatrix) -> int:
     return min(r, c)
 
 
-class _WordLevels:
-    """Prefix-memoized enumeration of word products, level by level."""
-
-    def __init__(self, system: SystemF, word_budget: int):
-        self.system = system
-        self.word_budget = word_budget
-        self.words_used = 0
-        self.level = [((), IntMatrix.identity(system.n))]
-
-    def advance(self):
-        k = self.system.k
-        new_count = len(self.level) * k
-        if self.words_used + new_count > self.word_budget:
-            raise BudgetError(
-                f"word budget {self.word_budget} exceeded at {self.words_used + new_count} words"
-            )
+def _word_levels(system: SystemF, word_budget: int):
+    """Levels 1, 2, ... of (word, product) pairs in lexicographic word order,
+    each product extending its prefix's; raises BudgetError before a level
+    that would pass word_budget words in all, or on an entry above
+    DEFAULT_BIT_BUDGET bits."""
+    level = [((), IntMatrix.identity(system.n))]
+    words_used = 0
+    while True:
+        words_used += len(level) * system.k
+        if words_used > word_budget:
+            raise BudgetError(f"word budget {word_budget} exceeded at {words_used} words")
         nxt = []
-        for word, M in self.level:
-            for i, gen in enumerate(self.system.matrices):
+        for word, M in level:
+            for i, gen in enumerate(system.matrices):
                 prod = M.mul(gen)
                 if prod.max_bit_length() > DEFAULT_BIT_BUDGET:
                     raise BudgetError(
                         f"matrix entries exceeded {DEFAULT_BIT_BUDGET} bits in word enumeration"
                     )
                 nxt.append((word + (i,), prod))
-        self.words_used += new_count
-        self.level = nxt
-        return nxt
+        level = nxt
+        yield level
 
 
 def _compare_surds(x, y) -> int:
@@ -170,9 +165,6 @@ class GrowthTable:
                     best = v
         return best
 
-    def to_json(self):
-        return [row.to_json() for row in self.rows]
-
 
 def growth_table(
     F, n_max: int = DEFAULT_N_MAX, word_budget: int = DEFAULT_WORD_BUDGET
@@ -180,22 +172,17 @@ def growth_table(
     system = _as_system(F)
     if n_max < 1:
         raise InputError("n_max must be >= 1")
-    levels = _WordLevels(system, word_budget)
+    levels = _word_levels(system, word_budget)
     rows = []
     for n in range(1, n_max + 1):
         try:
-            level = levels.advance()
+            level = next(levels)
         except BudgetError:
             if rows:
                 break
             raise
         rho, word = _level_max_radius(level)
-        maxdeg = None
-        deg_word = None
-        for w, M in level:
-            d = monomial_degree(M)
-            if maxdeg is None or d > maxdeg:
-                maxdeg, deg_word = d, w
+        deg_word, maxdeg = max(((w, monomial_degree(M)) for w, M in level), key=itemgetter(1))
         rows.append(GrowthRow(n=n, rho=rho, word=word, maxdeg=maxdeg, deg_word=deg_word))
     return GrowthTable(rows=rows)
 
@@ -270,19 +257,16 @@ def _polynomial_in_base(base: IntMatrix, target: IntMatrix):
 
 
 def _structural_certificate(system: SystemF):
-    """Certificate for a recognized family (diagonal, k = 1, polynomial), else None.
+    """Certificate for a recognized family (diagonal or polynomial), else None.
 
     All-diagonal families and polynomial families A_i = g_i(A_1) commute
     enough that the single generator of maximal spectral radius realizes the
-    growth (t = 1).
+    growth (t = 1).  A single map is the polynomial family with no g_i.
     """
     mats = system.matrices
     if all(_is_diagonal(M) for M in mats):
         i = _argmax_radius(mats)
         return StarCertificate(status="certified_diagonal", psi_word=(i,), psi=mats[i], t=1)
-    if system.k == 1:
-        return StarCertificate(status="certified_polynomial_family", psi_word=(0,), psi=mats[0],
-                               t=1, base_index=0, polynomials=())
     polys = []
     for M in mats[1:]:
         coeffs = _polynomial_in_base(mats[0], M)

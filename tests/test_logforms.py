@@ -69,9 +69,9 @@ def test_enclosure_and_evaluate():
 
 
 def test_max_with_zero():
-    assert LogLinear({2: -1}).max_with_zero() == LogLinear({})
-    assert LogLinear({2: 1}).max_with_zero() == LogLinear({2: 1})
-    assert LogLinear({}).max_with_zero() == LogLinear({})
+    assert max_with_zero([{2: -1}]) == {}
+    assert max_with_zero([{2: 1}]) == {2: 1}
+    assert max_with_zero([{}]) == {}
 
 
 def test_str():

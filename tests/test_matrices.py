@@ -267,7 +267,6 @@ def test_refine_to_width_zero():
 
 
 def test_monomial_degree():
-    # max row abs sum: the degree of the induced monomial map
     assert monomial_degree(FIB) == 2
     assert monomial_degree(IntMatrix([[2, 1], [0, 2]])) == 3
     # (x^2, y^-3) on the projective plane clears denominators to degree 5
@@ -279,6 +278,31 @@ def test_degree_submultiplicative(rng):
         n = rng.randint(2, 3)
         A, B = random_matrix(rng, n), random_matrix(rng, n)
         assert monomial_degree(A.mul(B)) <= monomial_degree(A) * monomial_degree(B)
+
+
+def _homogenized_degree(A):
+    """The former route to monomial_degree: homogenize the N+1 coordinate
+    monomials, shift away negative exponents, check one common degree and
+    divide out the monomial gcd."""
+    n = A.n
+    exps = [[0] * (n + 1)] + [[-sum(row)] + list(row) for row in A.rows]
+    shifts = [max(0, -min(e[v] for e in exps)) for v in range(n + 1)]
+    shifted = [[e[v] + shifts[v] for v in range(n + 1)] for e in exps]
+    degrees = {sum(e) for e in shifted}
+    assert len(degrees) == 1
+    return degrees.pop() - sum(min(e[v] for e in shifted) for v in range(n + 1))
+
+
+def test_monomial_degree_matches_the_homogenization(rng):
+    mats = [random_matrix(rng, n, -9, 9) for n in range(1, 7) for _ in range(150)]
+    # entries of 2^16 bits, the word enumeration's bit budget
+    mats.append(IntMatrix([[-(2**65535), 1], [3, 2**65535 - 1]]))
+    # the sample has negative row sums, all row sums negative, and negative columns
+    assert any(min(map(sum, A.rows)) < 0 for A in mats)
+    assert any(max(map(sum, A.rows)) < 0 for A in mats)
+    assert any(max(col) < 0 for A in mats for col in zip(*A.rows))
+    for A in mats:
+        assert monomial_degree(A) == _homogenized_degree(A), A
 
 
 def test_word_product_order():
@@ -440,7 +464,9 @@ def _sympy_route(g):
     top = len(intervals) - 1
 
     def box(root, eps):
-        approx = root.eval_rational(dx=sympy.Rational(eps), dy=sympy.Rational(eps))
+        scale, root = root.as_coeff_Mul()  # sympy may scale the root: 2*CRootOf(...)
+        d = sympy.Rational(eps) / abs(scale)
+        approx = scale * root.eval_rational(dx=d, dy=d)
         re, im = (Fraction(int(v.p), int(v.q)) for v in (sympy.re(approx), sympy.im(approx)))
         return re - eps, re + eps, im - eps, im + eps
 

@@ -30,7 +30,13 @@ from monoheight import (
 )
 from monoheight.matrices import charpoly, trace_det_radius, word_product
 from monoheight.polys import IntPoly
-from monoheight.systems import _compare_surds, _empirical_certificate, _norm_bound, _twice_radius
+from monoheight.systems import (
+    _compare_surds,
+    _empirical_certificate,
+    _norm_bound,
+    _twice_radius,
+    _word_levels,
+)
 
 FIB = IntMatrix([[1, 1], [1, 0]])
 SHEAR_U = IntMatrix([[1, 1], [0, 1]])
@@ -105,6 +111,23 @@ def test_growth_table_bit_budget_stops_after_the_last_fitting_level():
     assert t.rows[0].rho.compare(CertifiedReal.from_fraction(Fraction(2**40000))) == 0
 
 
+def test_word_levels_raise_each_budget_at_its_level():
+    shears = SystemF((SHEAR_U, SHEAR_L))
+    levels = _word_levels(shears, 100)
+    for n in range(1, 6):
+        level = next(levels)
+        assert [w for w, _ in level] == list(product(range(2), repeat=n))
+        assert all(M == word_product([shears.matrices[i] for i in w]) for w, M in level)
+    # 2 + 4 + ... + 32 = 62 words fit in a budget of 100; level 6 would make 126
+    with pytest.raises(BudgetError, match=r"^word budget 100 exceeded at 126 words$"):
+        next(levels)
+    # 2^40000 I fits at level 1; its square has 80001-bit entries
+    levels = _word_levels(SystemF((IntMatrix([[2**40000, 0], [0, 2**40000]]),)), 10**6)
+    assert [w for w, _ in next(levels)] == [(0,)]
+    with pytest.raises(BudgetError, match=r"^matrix entries exceeded 65536 bits in word enumeration$"):
+        next(levels)
+
+
 def test_growth_table_bounds_sandwich():
     t = growth_table([SHEAR_U, SHEAR_L], n_max=8)
     assert [row.n for row in t.rows] == list(range(1, 9))
@@ -144,6 +167,16 @@ def test_dynamical_degree_single_fib():
         phi = (1 + mp.sqrt(5)) / 2
         # the enclosure must contain the true value
         assert d.lo < phi < d.hi
+
+
+@pytest.mark.parametrize("rows", [[[1, 1], [1, 0]], [[1, 1, 0], [0, 1, 1], [1, 0, 0]]],
+                         ids=["fib", "cubic"])
+def test_single_map_is_a_polynomial_family(rows):
+    # one generator is the polynomial family with no polynomials
+    assert dynamical_degree(IntMatrix(rows), n_max=6).certificate.to_json() == {
+        "status": "certified_polynomial_family", "psi_word": [1], "t": 1,
+        "base_index": 1, "polynomials": [],
+    }
 
 
 def test_dynamical_degree_commuting_shears():
