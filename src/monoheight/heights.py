@@ -151,16 +151,6 @@ def _level_states(mats, P: PointGm):
         yield [(weil_height(state).symbolic, count) for state, count in level.values()]
 
 
-def _level_heights(mats, P: PointGm, n: int, word_budget: int):
-    """Check n and the k^n word budget; return a lazy iterator of (nu, level), nu = 1..n."""
-    k = len(mats)
-    if n < 1:
-        raise InputError("n must be >= 1")
-    if k**n > word_budget:
-        raise BudgetError(f"k^n = {k}^{n} exceeds the word budget {word_budget}")
-    return zip(range(1, n + 1), _level_states(mats, P))
-
-
 def truncated_estimates(
     F, P: PointGm, n: int, l_override=None, delta=None, word_budget: int = DEFAULT_WORD_BUDGET, prec=None
 ) -> dict:
@@ -169,14 +159,17 @@ def truncated_estimates(
     prec = prec or default_precision()
     mats = _as_system(F).matrices
     k = len(mats)
-    levels = _level_heights(mats, P, n, word_budget)
+    if n < 1:
+        raise InputError("n must be >= 1")
+    if k**n > word_budget:
+        raise BudgetError(f"k^n = {k}^{n} exceeds the word budget {word_budget}")
     delta_mpf, delta_str, l = _delta_and_l(mats, delta, l_override)
     values = {"summed": [], "averaged": []}
     level_sums = []
     words = 0
     with mp.workprec(prec + 32):
         logs = {}
-        for nu, level in levels:
+        for nu, level in zip(range(1, n + 1), _level_states(mats, P)):
             words += k**nu
             coeffs = {}
             for h, count in level:
@@ -321,41 +314,28 @@ def classify_orbit(F, P: PointGm, budget: int = 65536) -> OrbitVerdict:
     """
     mats = _as_system(F).matrices
     prof = log_profile(P)
-    if len(mats) == 1:
-        A = mats[0]
-        ok, M, witness = _valuations_eventually_fixed(A, prof)
-        hhat = None
-        try:
-            hhat = canonical_height_closed(A, P)
-        except (UnsupportedError, BudgetError):
-            pass
-        bound = None
-        if hhat is not None and hhat.exact and hhat.is_zero():
-            bound = A.n - jordan_profile(A).rbar
-        if ok:
-            result = _enumerate_orbit(mats, prof, budget)
-            if result is None:
-                return OrbitVerdict(status="unknown", budget=budget, hhat=hhat,
-                                    zero_height_dim_bound=bound)
-            pre, per, size = result
-            return OrbitVerdict(
-                status="finite", preperiod=pre, period=per, orbit_size=size,
-                hhat=hhat, zero_height_dim_bound=bound,
-            )
-        cert = _escape_certificate(A, prof, witness, M)
-        return OrbitVerdict(status="infinite", certificate=cert, hhat=hhat,
-                            zero_height_dim_bound=bound)
     for i, A in enumerate(mats):
         ok, M, witness = _valuations_eventually_fixed(A, prof)
         if not ok:
-            cert = _escape_certificate(A, prof, witness, M)
-            return OrbitVerdict(status="infinite",
-                                certificate=f"generator {i + 1} alone escapes: {cert}")
+            break
+    single = {}
+    if len(mats) == 1:
+        try:
+            hhat = canonical_height_closed(A, P)
+        except (UnsupportedError, BudgetError):
+            hhat = None
+        zero = hhat is not None and hhat.exact and hhat.is_zero()
+        single = {"hhat": hhat, "zero_height_dim_bound": A.n - jordan_profile(A).rbar if zero else None}
+    if not ok:
+        cert = _escape_certificate(A, prof, witness, M)
+        if len(mats) > 1:
+            cert = f"generator {i + 1} alone escapes: {cert}"
+        return OrbitVerdict(status="infinite", certificate=cert, **single)
     result = _enumerate_orbit(mats, prof, budget)
     if result is None:
-        return OrbitVerdict(status="unknown", budget=budget)
+        return OrbitVerdict(status="unknown", budget=budget, **single)
     pre, per, size = result
-    return OrbitVerdict(status="finite", preperiod=pre, period=per, orbit_size=size)
+    return OrbitVerdict(status="finite", preperiod=pre, period=per, orbit_size=size, **single)
 
 
 def _escape_certificate(A: IntMatrix, prof: LogProfile, witness: int, M: int) -> str:

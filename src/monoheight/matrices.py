@@ -8,8 +8,10 @@ q(y) = Res_x(g(x), x^deg(g) * g(y/x)), whose largest real root is rho(g)^2.
 Each root of g is enclosed in its own certified disc (mpmath's approximate
 roots with Weierstrass corrections, checked in exact rational arithmetic), and
 the disc places the root's |z|^2 in one isolating interval of q; Sturm counts
-decide which roots are real.  Cross-factor ties are decided by polynomial gcds
-with Sturm counts.  Nothing is ever ranked from floating point alone.
+decide which roots are real.  CertifiedReal.compare ranks the results in one
+fixed order of five steps, with one tie test: a common root of the defining
+polynomials, whose isolating intervals overlap, found by a gcd and a Sturm
+count.  Nothing is ever ranked from floating point alone.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +22,7 @@ import sympy
 from mpmath import mp
 from sympy.polys.densebasic import dmp_strip
 from sympy.polys.domains import ZZ
-from sympy.polys.euclidtools import dmp_resultant
+from sympy.polys.euclidtools import dmp_resultant, dup_gcd
 
 from . import kernels
 from .errors import IndistinguishableModuliError, InputError, UnsupportedError
@@ -324,6 +326,18 @@ class CertifiedReal:
     [lo, hi], enabling exact refinement and equality decisions.
     sq: CertifiedReal for the square of the value (used when the value itself
     is a square root of an algebraic number of higher degree).
+
+    Every value but a square root is a root of a defining polynomial isolated
+    by [lo, hi]: its poly, or else the descriptor's minimal polynomial.  The
+    descriptor intervals of from_quad and refine exclude the conjugate, since
+    their half-width is at most |b| 2^-prec and the conjugate lies 2 |b| sqrt(d)
+    away.
+
+    compare decides in five steps: disjoint intervals; the exact sign of the
+    difference of two descriptors in one field (or one rational), before any
+    refinement; the squares, when one value is a square root and both are
+    >= 0 with known squares; a common root of the defining polynomials in the
+    overlap, which makes them equal; else refinement until they separate.
     """
 
     __slots__ = ("lo", "hi", "descriptor", "poly", "sq")
@@ -343,8 +357,8 @@ class CertifiedReal:
         return cls(q, q, descriptor=Quad(q))
 
     @classmethod
-    def from_quad(cls, value: Quad, prec=None):
-        lo, hi = value.enclosure(prec or default_precision())
+    def from_quad(cls, value: Quad):
+        lo, hi = value.enclosure(default_precision())
         return cls(lo, hi, descriptor=value)
 
     @classmethod
@@ -355,12 +369,11 @@ class CertifiedReal:
         return cls(lo, hi, poly=poly)
 
     @classmethod
-    def sqrt_of(cls, sq: "CertifiedReal", prec=None):
+    def sqrt_of(cls, sq: "CertifiedReal"):
         """Positive square root of a certified nonnegative value."""
-        prec = prec or default_precision()
         if sq.descriptor is not None and sq.descriptor.is_rational:
-            root = Quad.sqrt_of(sq.descriptor.rational_value())
-            return cls.from_quad(root, prec)
+            return cls.from_quad(Quad.sqrt_of(sq.descriptor.rational_value()))
+        prec = default_precision()
         lo, _ = sqrt_enclosure(max(sq.lo, Fraction(0)), prec)
         _, hi = sqrt_enclosure(sq.hi, prec)
         return cls(lo, hi, sq=sq)
@@ -415,55 +428,46 @@ class CertifiedReal:
             "cannot refine a bare interval", [(self.lo, self.hi)]
         )
 
+    def _square(self):
+        """The value's square as a CertifiedReal, or None when it is not known."""
+        if self.sq is not None:
+            return self.sq
+        if self.descriptor is not None:
+            return CertifiedReal.from_quad(self.descriptor * self.descriptor)
+        return None
+
+    def _defining_poly(self):
+        if self.poly is not None:
+            return self.poly
+        return self.descriptor.minimal_poly() if self.descriptor is not None else None
+
     def compare(self, other: "CertifiedReal") -> int:
-        """Exact three-way comparison; raises only if refinement is impossible."""
+        """Exact three-way comparison in the five steps of the class docstring;
+        raises only if refinement is impossible."""
         if self.hi < other.lo:
             return -1
         if other.hi < self.lo:
             return 1
-        if self.descriptor is not None and other.descriptor is not None:
-            return _compare_quads(self.descriptor, other.descriptor)
-        if self.descriptor is not None and other.poly is not None:
-            if _quad_is_poly_root(self.descriptor, other):
-                return 0
-            return _separate(self, other)
-        if other.descriptor is not None and self.poly is not None:
-            if _quad_is_poly_root(other.descriptor, self):
-                return 0
-            return _separate(self, other)
-        if self.poly is not None and other.poly is not None:
-            if _share_root(self, other):
-                return 0
-            return _separate(self, other)
-        if self.sq is not None and other.sq is not None and self.lo >= 0 and other.lo >= 0:
-            return self.sq.compare(other.sq)
-        if self.sq is not None and other.descriptor is not None and self.lo >= 0 and other.lo >= 0:
-            sq_other = other.descriptor * other.descriptor
-            return self.sq.compare(CertifiedReal.from_quad(sq_other))
-        if other.sq is not None and self.descriptor is not None and self.lo >= 0 and other.lo >= 0:
-            sq_self = self.descriptor * self.descriptor
-            return CertifiedReal.from_quad(sq_self).compare(other.sq)
+        a, b = self.descriptor, other.descriptor
+        if a is not None and b is not None and (a.is_rational or b.is_rational or a.d == b.d):
+            return (a - b).sign()
+        if (self.sq is not None or other.sq is not None) and self.lo >= 0 and other.lo >= 0:
+            sq_self, sq_other = self._square(), other._square()
+            if sq_self is not None and sq_other is not None:
+                return sq_self.compare(sq_other)
+        p, q = self._defining_poly(), other._defining_poly()
+        if p is not None and q is not None and _share_root(p, q, max(self.lo, other.lo), min(self.hi, other.hi)):
+            return 0
         return _separate(self, other)
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise InputError("negative powers not supported")
-        if self.descriptor is not None:
-            return CertifiedReal.from_quad(self.descriptor**k)
-        if self.lo < 0:
-            raise UnsupportedError("interval powers only for nonnegative values")
-        return CertifiedReal(
-            self.lo**k, self.hi**k, sq=(self.sq**k if self.sq is not None else None)
-        )
 
     def exact_str(self):
         return str(self.descriptor) if self.descriptor is not None else None
 
-    def to_json(self, digits=25):
+    def to_json(self):
         from .precision import real_str
 
-        out = {"enclosure": [real_str(fraction_to_mpf(self.lo, 96), digits),
-                             real_str(fraction_to_mpf(self.hi, 96), digits)]}
+        out = {"enclosure": [real_str(fraction_to_mpf(self.lo, 96), 25),
+                             real_str(fraction_to_mpf(self.hi, 96), 25)]}
         if self.descriptor is not None:
             out["exact"] = str(self.descriptor)
         return out
@@ -474,47 +478,13 @@ class CertifiedReal:
         return f"CertifiedReal([{self.lo}, {self.hi}])"
 
 
-def _compare_quads(a: Quad, b: Quad) -> int:
-    if a.is_rational or b.is_rational or a.d == b.d:
-        return (a - b).sign()
-    if a == b:
-        return 0
-    # distinct real quadratic fields: values are equal only if both rational,
-    # already excluded; separate numerically (terminates, values differ)
-    prec = 128
-    while True:
-        alo, ahi = a.enclosure(prec)
-        blo, bhi = b.enclosure(prec)
-        if ahi < blo:
-            return -1
-        if bhi < alo:
-            return 1
-        prec *= 2
-
-
-def _quad_is_poly_root(value: Quad, target: CertifiedReal) -> bool:
-    ev = target.poly(value)
-    if ev != Quad(0):
+def _share_root(p: IntPoly, q: IntPoly, lo: Fraction, hi: Fraction) -> bool:
+    """Whether the squarefree p and q have a common root in [lo, hi]."""
+    g = dup_gcd([ZZ(c) for c in reversed(p.coeffs)], [ZZ(c) for c in reversed(q.coeffs)], ZZ)
+    if len(g) < 2:  # a constant gcd has no roots
         return False
-    # the value must be the unique root isolated by [target.lo, target.hi]
-    above = (value - Quad(target.lo)).sign() >= 0
-    below = (value - Quad(target.hi)).sign() <= 0
-    return above and below
-
-
-def _share_root(a: CertifiedReal, b: CertifiedReal) -> bool:
-    from .polys import _is_constant
-
-    g = sympy.gcd(a.poly.to_sympy(), b.poly.to_sympy())
-    if _is_constant(g):
-        return False
-    g = IntPoly.from_sympy(g).primitive()
-    lo = max(a.lo, b.lo)
-    hi = min(a.hi, b.hi)
-    if lo > hi:
-        return False
-    gsf = squarefree_part(g)
-    return sturm_count(gsf, lo, hi) >= 1 or gsf(lo) == 0
+    g = IntPoly(tuple(int(c) for c in reversed(g)))
+    return g(lo) == 0 or sturm_count(g, lo, hi) >= 1
 
 
 def _separate(a: CertifiedReal, b: CertifiedReal) -> int:

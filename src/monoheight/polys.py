@@ -107,12 +107,6 @@ def squarefree_part(p: IntPoly) -> IntPoly:
     return IntPoly(tuple(int(c) for c in reversed(q))).primitive()
 
 
-def _is_constant(g) -> bool:
-    if isinstance(g, sympy.Poly):
-        return g.is_ground
-    return g.is_number
-
-
 def _frac_poly_rem(a: list, b: list) -> list:
     """Remainder of a by b over Fraction; lists ascending, b nonzero."""
     a = a[:]
@@ -133,16 +127,13 @@ def _frac_poly_rem(a: list, b: list) -> list:
 def sturm_chain(p: IntPoly):
     """Sturm sequence of p over Fraction (requires squarefree input)."""
     chain = [[Fraction(c) for c in p.coeffs]]
-    if p.degree == 0:
-        return chain
-    chain.append([Fraction(c) for c in p.derivative().coeffs])
-    while len(chain[-1]) > 1 or chain[-1][0] != 0:
+    if p.degree:
+        chain.append([Fraction(c) for c in p.derivative().coeffs])
+    while len(chain[-1]) > 1:
         r = _frac_poly_rem(chain[-2], chain[-1])
-        if len(r) == 1 and r[0] == 0:
+        if not any(r):
             break
         chain.append([-c for c in r])
-        if len(chain[-1]) == 1:
-            break
     return chain
 
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InputError, UnsupportedError
+from .polys import IntPoly
 from .precision import sqrt_enclosure
 
 
@@ -154,6 +155,14 @@ class Quad:
 
     def trace(self) -> Fraction:
         return Fraction(2 * self._p, self._r)
+
+    def minimal_poly(self) -> IntPoly:
+        """Primitive integer minimal polynomial over Q: r x - p for a rational,
+        else r^2 x^2 - 2 p r x + (p^2 - q^2 d) over its content."""
+        p, q, r = self._p, self._q, self._r
+        if q == 0:
+            return IntPoly((-p, r))
+        return IntPoly((p * p - q * q * self.d, -2 * p * r, r * r)).primitive()
 
     @property
     def is_rational(self):

@@ -12,7 +12,6 @@ reversed polynomial has the same measure.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
 
 from .errors import InputError
 from .precision import log_enclosure
@@ -33,19 +32,16 @@ def h_mult_log_enclosure(x, prec: int) -> tuple[Fraction, Fraction]:
     if x.is_rational:
         q = x.rational_value()
         return log_enclosure(Fraction(max(abs(q.numerator), q.denominator)), prec)
-    # minimal polynomial c2 X^2 + c1 X + c0: X^2 - trace X + norm, cleared and primitive
-    tr, nm = x.trace(), x.norm()
-    den = lcm(tr.denominator, nm.denominator)
-    c0, c1 = int(nm * den), int(-tr * den)
-    g = gcd(c0, c1, den)
-    # Mahler measure c2 * max(1, |x|) * max(1, |conjugate|)
+    # Mahler measure c2 * max(1, |x|) * max(1, |conjugate|) of the minimal
+    # polynomial c2 X^2 + c1 X + c0
+    c0, _, c2 = x.minimal_poly().coeffs
     big = [v for v in (abs(x), abs(x.conjugate())) if v > 1]
     if len(big) == 2:
-        measure = Fraction(abs(c0) // g)
+        measure = Fraction(abs(c0))
     elif not big:
-        measure = Fraction(den // g)
+        measure = Fraction(c2)
     else:
-        measure = Quad(den // g) * big[0]
+        measure = Quad(c2) * big[0]
     blo, bhi = measure.enclosure(prec) if isinstance(measure, Quad) else (measure, measure)
     lo = log_enclosure(blo, prec)[0] if blo > 0 else Fraction(0)
     return lo / 2, log_enclosure(bhi, prec)[1] / 2

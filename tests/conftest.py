@@ -9,8 +9,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from monoheight import InputError, IntMatrix, PointGm
+
+# Fixed draws and no example database: every run draws the same examples, and
+# no failing draw stored by an earlier run is replayed.
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 COORD_CHOICES = [
     Fraction(1), Fraction(-1),

@@ -1,6 +1,7 @@
 """Exact matrix invariants: determinants, characteristic polynomials,
 certified spectral radii, rational kernels."""
 
+import sys
 from fractions import Fraction
 from itertools import permutations
 
@@ -226,8 +227,8 @@ def test_spectral_radius_of_power(rng):
         if r1.descriptor is not None and r2.descriptor is not None:
             assert r2.descriptor == r1.descriptor * r1.descriptor
         else:
-            sq = r1**2  # bare intervals cannot be refined further, so just require overlap
-            assert not (r2.hi < sq.lo or sq.hi < r2.lo)
+            # the square of r1's enclosure must meet r2's; radii are >= 0
+            assert not (r2.hi < r1.lo**2 or r1.hi**2 < r2.lo)
 
 
 def test_certified_real_compare():
@@ -235,7 +236,95 @@ def test_certified_real_compare():
     b = CertifiedReal.from_quad(Quad.sqrt_of(Fraction(2)))
     assert a.compare(b) == 1  # 1.5 > sqrt2
     assert b.compare(b) == 0
-    assert (b**2).descriptor == Quad(2)
+
+
+SQRT2 = Quad.sqrt_of(Fraction(2))
+
+
+def _root(coeffs, lo=1, hi=2):
+    return CertifiedReal.from_poly_root(IntPoly(coeffs), lo, hi)
+
+
+# (make a, make b, a.compare(b)) for each pair of representations; each side is
+# made afresh for each direction, since a comparison may refine in place
+COMPARE_PAIRS = [
+    pytest.param(lambda: CertifiedReal(1, 2, descriptor=SQRT2),
+                 lambda: CertifiedReal(1, 2, descriptor=Quad.sqrt_of(Fraction(3))), -1,
+                 id="sqrt2-sqrt3-wide-descriptors"),
+    pytest.param(lambda: _root((-2, 0, 0, 1)), lambda: _root((10, -2, 0, -5, 1)), 0,
+                 id="cbrt2-via-(x^3-2)(x-5)"),
+    pytest.param(lambda: _root((-2, 0, 0, 1)), lambda: _root((-3, 0, 0, 1)), -1,
+                 id="cbrt2-cbrt3"),
+    pytest.param(lambda: CertifiedReal.from_quad(SQRT2), lambda: _root((-4, 0, 0, 0, 1)), 0,
+                 id="sqrt2-root-of-x^4-4"),
+    pytest.param(lambda: CertifiedReal.from_quad(SQRT2), lambda: _root((-2, 0, 0, 1)), 1,
+                 id="sqrt2-cbrt2"),
+    pytest.param(lambda: CertifiedReal.sqrt_of(_root((-2, 0, 0, 1))),
+                 lambda: CertifiedReal.sqrt_of(_root((-2, 0, 0, 1))), 0,
+                 id="sqrt-sqrt-same-square"),
+    pytest.param(lambda: CertifiedReal.sqrt_of(_root((12, -3, -4, 1), 3, 5)),
+                 lambda: CertifiedReal.from_fraction(2), 0,
+                 id="sqrt-of-root-4-of-(x-4)(x^2-3)-against-2"),
+    pytest.param(lambda: CertifiedReal.sqrt_of(CertifiedReal.from_quad(SQRT2)),
+                 lambda: CertifiedReal.from_quad(SQRT2), -1,
+                 id="2^(1/4)-sqrt2"),
+    pytest.param(lambda: CertifiedReal(1, 2, descriptor=SQRT2),
+                 lambda: CertifiedReal.from_quad(SQRT2), 0,
+                 id="one-field-tie"),
+]
+
+
+@pytest.mark.parametrize("make_a, make_b, expected", COMPARE_PAIRS)
+def test_compare_representation_pairs(make_a, make_b, expected):
+    assert make_a().compare(make_b()) == expected
+    assert make_b().compare(make_a()) == -expected
+
+
+def test_compare_decides_one_field_before_any_refinement():
+    # printed radii keep their bytes only if an exact sign leaves the intervals alone
+    a, b = CertifiedReal(1, 2, descriptor=SQRT2), CertifiedReal.from_quad(SQRT2 + Fraction(1, 10**40))
+    assert a.compare(b) == -1
+    assert (a.lo, a.hi) == (1, 2)
+
+
+def _equal_but_unseen():
+    # 2^(1/4) as a square root against the root of x^4 - 2: no tie test applies
+    return CertifiedReal.sqrt_of(_root((-2, 0, 1))), _root((-2, 0, 0, 0, 1))
+
+
+def test_compare_raises_on_an_equality_no_tie_test_sees():
+    a, b = _equal_but_unseen()
+    with pytest.raises(IndistinguishableModuliError, match="did not separate"):
+        a.compare(b)
+
+
+def test_every_statement_of_compare_runs():
+    from monoheight.matrices import _separate, _share_root
+
+    codes = {f.__code__ for f in (CertifiedReal.compare, _share_root, _separate)}
+    statements = {(c, line) for c in codes for _, _, line in c.co_lines()
+                  if line is not None and line != c.co_firstlineno}
+    seen = set()
+
+    def tracer(frame, event, arg):
+        if frame.f_code not in codes:
+            return None
+        if event == "line":
+            seen.add((frame.f_code, frame.f_lineno))
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        for make_a, make_b, _ in (case.values for case in COMPARE_PAIRS):
+            make_a().compare(make_b())
+            make_b().compare(make_a())
+        with pytest.raises(IndistinguishableModuliError):
+            a, b = _equal_but_unseen()
+            a.compare(b)
+    finally:
+        sys.settrace(previous)
+    assert sorted((c.co_name, line) for c, line in statements - seen) == []
 
 
 def test_square_root_refinement_raises_rather_than_fall_short(monkeypatch):

@@ -71,6 +71,15 @@ def test_sturm_counts():
     assert sturm_count(IntPoly([1, 0, 1]), Fraction(-10), Fraction(10)) == 0
 
 
+def test_sturm_count_on_a_linear_polynomial():
+    # the derivative is a constant, so the chain ends after two entries
+    p = IntPoly([-2, 1])  # x - 2
+    assert sturm_chain(p) == [[-2, 1], [1]]
+    assert sturm_count(p, Fraction(0), Fraction(3)) == 1
+    assert sturm_count(p, Fraction(0), Fraction(2)) == 1  # (a, b] holds b
+    assert sturm_count(p, Fraction(2), Fraction(3)) == 0
+
+
 def test_root_bound():
     b = root_bound(X2_X_1)
     assert b >= Fraction(1618, 1000)

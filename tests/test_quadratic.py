@@ -1,7 +1,7 @@
 """Exact arithmetic in real quadratic fields."""
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -219,6 +219,25 @@ def test_quad_matches_the_two_fraction_reference(a, b, c, e, d, k):
     assert str(x) == str(rx) and str(x * y) == str(rx * ry)
     assert x.enclosure(64) == rx.enclosure(64)
     assert x.to_mpf(64) == rx.to_mpf(64) and x.to_mpf(200) == rx.to_mpf(200)
+
+
+def _trace_norm_minimal_poly(x):
+    """X^2 - trace X + norm cleared over its denominators and made primitive."""
+    tr, nm = x.trace(), x.norm()
+    den = lcm(tr.denominator, nm.denominator)
+    c0, c1 = int(nm * den), int(-tr * den)
+    g = gcd(c0, c1, den)
+    return c0 // g, c1 // g, den // g
+
+
+@given(parts, parts, radicands)
+def test_minimal_poly_matches_the_trace_norm_formula(a, b, d):
+    x = Quad(a, b, d)
+    if x.is_rational:
+        assert x.minimal_poly().coeffs == (-a.numerator, a.denominator)
+    else:
+        assert x.minimal_poly().coeffs == _trace_norm_minimal_poly(x)
+    assert x.minimal_poly()(x) == 0
 
 
 @given(parts, parts.filter(bool), parts, parts.filter(bool))
