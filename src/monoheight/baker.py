@@ -155,7 +155,7 @@ def _baker_inputs(A: IntMatrix, P: PointGm, prec) -> tuple:
         raise UnsupportedError("rho <= 1: the height lower bound needs a dominant modulus above 1")
     jb = jordan_basis(A)
 
-    facs = prof.factors
+    facs = prof.modulus.factors
     irreducible = len(facs) == 1 and facs[0].multiplicity == 1 and facs[0].poly.degree == A.n
     if prof.l >= 1:
         path = "repeated-root"

@@ -83,8 +83,8 @@ def _cmd_analyze(args):
     report = {
         "matrix": A.to_json(),
         "charpoly": _poly_json(prof.modulus.charpoly),
-        "factors": [{"poly": _poly_json(pf.poly), "multiplicity": pf.multiplicity}
-                    for pf in prof.factors],
+        "factors": [{"poly": _poly_json(fd.poly), "multiplicity": fd.multiplicity}
+                    for fd in prof.modulus.factors],
         "rho": prof.rho.to_json(),
         "l": prof.l,
         "r": prof.r,

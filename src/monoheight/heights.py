@@ -151,6 +151,18 @@ def _level_states(mats, P: PointGm):
         yield [(weil_height(state).symbolic, count) for state, count in level.values()]
 
 
+def _walk_words(k: int, n: int, word_budget: int) -> int:
+    """Words in a walk over levels 1..n, sum of k^nu; raises BudgetError as
+    soon as the count passes word_budget."""
+    words, level = 0, 1
+    for _ in range(n):
+        level *= k
+        words += level
+        if words > word_budget:
+            raise BudgetError(f"word budget {word_budget} exceeded at {words} words")
+    return words
+
+
 def truncated_estimates(
     F, P: PointGm, n: int, l_override=None, delta=None, word_budget: int = DEFAULT_WORD_BUDGET, prec=None
 ) -> dict:
@@ -161,16 +173,13 @@ def truncated_estimates(
     k = len(mats)
     if n < 1:
         raise InputError("n must be >= 1")
-    if k**n > word_budget:
-        raise BudgetError(f"k^n = {k}^{n} exceeds the word budget {word_budget}")
+    words = _walk_words(k, n, word_budget)
     delta_mpf, delta_str, l = _delta_and_l(mats, delta, l_override)
     values = {"summed": [], "averaged": []}
     level_sums = []
-    words = 0
     with mp.workprec(prec + 32):
         logs = {}
         for nu, level in zip(range(1, n + 1), _level_states(mats, P)):
-            words += k**nu
             coeffs = {}
             for h, count in level:
                 for p, c in h.coeffs.items():

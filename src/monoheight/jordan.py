@@ -20,7 +20,7 @@ from mpmath import mp, mpf
 
 from . import kernels
 from .errors import BudgetError, UnsupportedError
-from .matrices import CertifiedReal, IntMatrix, ModulusProfile, det_field, modulus_profile, nullspace, rank
+from .matrices import CertifiedReal, IntMatrix, ModulusProfile, det, modulus_profile, nullspace, rank
 from .polys import IntPoly
 from .precision import default_precision
 from .quadratic import Quad
@@ -34,22 +34,15 @@ LIMIT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class ProfileFactor:
-    """Block data for one irreducible factor of the characteristic polynomial."""
-
-    poly: IntPoly
-    multiplicity: int
-    block_sizes: tuple  # sizes of the Jordan blocks of any single root, descending
-    has_max_modulus_root: bool
-    roots_at_max: int
-
-
-@dataclass(frozen=True)
 class JordanProfile:
-    """rho(A), correction exponent l, maximal-subspace counts r and rbar, parity m."""
+    """rho(A), correction exponent l, maximal-subspace counts r and rbar, parity m.
+
+    block_sizes[i] holds the Jordan block sizes of any single root of
+    modulus.factors[i], descending.
+    """
 
     rho: CertifiedReal
-    factors: tuple
+    block_sizes: tuple
     l: int
     r: int
     rbar: int
@@ -95,7 +88,7 @@ def _block_sizes(A: IntMatrix, g: IntPoly, mult: int):
 
 
 def jordan_profile(A: IntMatrix) -> JordanProfile:
-    """Exact Jordan invariants; see ProfileFactor for per-factor content.
+    """Exact Jordan invariants; see JordanProfile.
 
     Examples
     ========
@@ -106,34 +99,20 @@ def jordan_profile(A: IntMatrix) -> JordanProfile:
     if A._jordan is not None:
         return A._jordan
     prof = modulus_profile(A)
-    factors = []
-    for fd in prof.factors:
-        sizes = _block_sizes(A, fd.poly, fd.multiplicity)
-        factors.append(
-            ProfileFactor(
-                poly=fd.poly,
-                multiplicity=fd.multiplicity,
-                block_sizes=sizes,
-                has_max_modulus_root=fd.is_max,
-                roots_at_max=fd.roots_at_max if fd.is_max else 0,
-            )
-        )
-    n_check = sum(pf.poly.degree * sum(pf.block_sizes) for pf in factors)
-    if n_check != A.n:
+    block_sizes = tuple(_block_sizes(A, fd.poly, fd.multiplicity) for fd in prof.factors)
+    if sum(fd.degree * sum(sizes) for fd, sizes in zip(prof.factors, block_sizes)) != A.n:
         raise ArithmeticError("block dimensions do not sum to N")
-    l = max(max(pf.block_sizes) for pf in factors if pf.has_max_modulus_root) - 1
+    at_max = [(fd, sizes) for fd, sizes in zip(prof.factors, block_sizes) if fd.is_max]
+    l = max(sizes[0] for _, sizes in at_max) - 1
     r = 0
     rbar = 0
-    for pf in factors:
-        if not pf.has_max_modulus_root:
-            continue
-        top_blocks = sum(1 for s in pf.block_sizes if s == l + 1)
-        if top_blocks:
-            r += top_blocks * pf.roots_at_max
-            rbar += top_blocks * pf.poly.degree
+    for fd, sizes in at_max:
+        top_blocks = sizes.count(l + 1)
+        r += top_blocks * fd.roots_at_max
+        rbar += top_blocks * fd.degree
     A._jordan = JordanProfile(
         rho=prof.rho,
-        factors=tuple(factors),
+        block_sizes=block_sizes,
         l=l,
         r=r,
         rbar=rbar,
@@ -190,8 +169,7 @@ def limit_matrix_B(A: IntMatrix, prec=None, *, _tol=LIMIT_TOL) -> LimitMatrixB:
     dominant = []
     for idx in prof.max_indices:
         fd = prof.factors[idx]
-        pf = jp.factors[idx]  # jordan_profile keeps the order of prof.factors
-        if (l + 1) not in pf.block_sizes:
+        if (l + 1) not in jp.block_sizes[idx]:
             continue  # max-modulus but smaller blocks: vanishes in the limit
         real_at_max = len(fd.max_real_signs)
         if real_at_max != fd.roots_at_max:
@@ -292,8 +270,7 @@ def _iterated_limit(A: IntMatrix, jp, stop: Fraction, prec: int):
         jp.rho.refine(Fraction(1, 2**96))
         ratio = mp.sqrt(mpf(second.numerator) / mpf(second.denominator)) / rho_mpf
     poly_decay = any(
-        pf.has_max_modulus_root and any(s < l + 1 for s in pf.block_sizes)
-        for pf in jp.factors
+        fd.is_max and sizes[-1] < l + 1 for fd, sizes in zip(jp.modulus.factors, jp.block_sizes)
     )
     stop_mpf = mpf(stop.numerator) / mpf(stop.denominator)
     norm_bits = max(sum(map(abs, row)) for row in A.row_lists()).bit_length()
@@ -395,15 +372,15 @@ def jordan_basis(A: IntMatrix) -> JordanBasisData:
     t_blocks = []  # (lam, size) in column order
     # linear factors ordered by their root, so diag(2,3) yields the identity;
     # higher-degree factors keep the canonical (degree, coefficients) order
-    def _factor_key(pf):
-        if pf.poly.degree == 1:
-            return (1, Fraction(-pf.poly.coeffs[0], pf.poly.coeffs[1]), ())
-        return (pf.poly.degree, Fraction(0), pf.poly.coeffs)
+    def _factor_key(i):
+        g = jp.modulus.factors[i].poly
+        if g.degree == 1:
+            return (1, Fraction(-g.coeffs[0], g.coeffs[1]), ())
+        return (g.degree, Fraction(0), g.coeffs)
 
-    # jordan_profile keeps the order of the modulus profile's factors
-    for pf, fd in sorted(zip(jp.factors, jp.modulus.factors), key=lambda pair: _factor_key(pair[0])):
-        for lam in fd.roots:
-            chains = _chains_for_eigenvalue(A.row_lists(), lam, pf.block_sizes)
+    for i in sorted(range(len(jp.block_sizes)), key=_factor_key):
+        for lam in jp.modulus.factors[i].roots:
+            chains = _chains_for_eigenvalue(A.row_lists(), lam, jp.block_sizes[i])
             for chain in chains:
                 chain = _normalize_chain(chain)
                 for vec in chain:
@@ -420,14 +397,14 @@ def jordan_basis(A: IntMatrix) -> JordanBasisData:
         pos += size
     if kernels.mat_mul(A.row_lists(), J) != kernels.mat_mul(J, T):
         raise ArithmeticError("A J = J T verification failed")
-    det = det_field(J)
-    if not det:
+    det_J = det(J)
+    if not det_J:
         raise ArithmeticError("Jordan basis is singular")
     los, his = zip(*(h_mult_log_enclosure(v, 96) for row in J for v in row if v))
     return JordanBasisData(
         J=J,
         T=T,
-        det_J=det,
+        det_J=det_J,
         field_d=field_d,
         max_entry_mult_log=(max(los), max(his)),
     )

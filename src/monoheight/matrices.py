@@ -1,6 +1,7 @@
-"""Exact integer-matrix algebra: determinants, characteristic polynomials,
-certified spectral radii, factorization over Q, monomial-map degrees, and
-the checked container for a finite system of matrices.
+"""Exact integer-matrix algebra: one fraction-free (Bareiss) elimination for
+rank, determinant, kernel and solve over Z, Q or Q(sqrt d), characteristic
+polynomials, certified spectral radii, factorization over Q, monomial-map
+degrees, and the checked container for a finite system of matrices.
 
 Eigenvalue moduli are ranked exactly.  For an irreducible factor g the squared
 root moduli are among the real roots of the composed resultant
@@ -45,29 +46,6 @@ _RADIUS_REL_WIDTH = Fraction(1, 2**80)
 # discs; each failed try doubles it
 _DISC_PREC = 64
 _DISC_PREC_CAP = 2**12
-
-
-def det_int(rows) -> int:
-    """Exact determinant by fraction-free Bareiss elimination."""
-    n = len(rows)
-    m = [list(map(int, r)) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 class IntMatrix:
@@ -120,7 +98,7 @@ class IntMatrix:
 
     def det(self) -> int:
         if self._det is None:
-            self._det = det_int(self._rows)
+            self._det = det(self._rows)
         return self._det
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
@@ -818,79 +796,81 @@ def trace_det_radius(t: int, d: int) -> CertifiedReal:
 
 
 # ---------------------------------------------------------------------------
-# exact Gaussian elimination over Q or Q(sqrt d)
+# one fraction-free elimination over Z, Q and Q(sqrt d)
 
 
 def _echelon(rows):
-    """(echelon rows with unit pivots, pivot columns, det factor) by forward
-    elimination.
+    """(echelon rows, pivot columns, determinant) by Bareiss elimination.
 
-    Entries are Fractions or Quads; ints are lifted to Fraction so that every
-    division stays exact.  The det factor is the product of the pivots with
-    the sign of the row swaps: the determinant of a square matrix of full rank.
+    Below each pivot `lead` an entry a becomes (a * lead - f * b) / prev, with
+    f the entry under the pivot, b the pivot row's entry and prev the pivot
+    before.  By Sylvester's identity every entry is then a minor of the input
+    and the division is exact, so integer rows stay integers (floor division)
+    and Fraction or Quad rows stay in their field (ints among them are lifted
+    to Fraction).  The last pivot of a square matrix of full rank is its
+    determinant up to the sign of the row swaps; the determinant is 0 for any
+    other matrix.
     """
-    rows = [[Fraction(v) if type(v) is int else v for v in r] for r in rows]
-    ncols = len(rows[0]) if rows else 0
+    integral = all(type(v) is int for r in rows for v in r)
+    rows = [list(r) if integral else [Fraction(v) if type(v) is int else v for v in r] for r in rows]
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
     pivots = []
-    det = 1
-    r = 0
+    sign = prev = 1
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        r = len(pivots)
+        if r == nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot is None:
             continue
         if pivot != r:
             rows[r], rows[pivot] = rows[pivot], rows[r]
-            det = -det
-        lead = rows[r][c]
-        det = det * lead
-        inv = 1 / lead
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(r + 1, len(rows)):
-            if rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            sign = -sign
+        top = rows[r]
+        lead = top[c]
+        inv = None if integral or prev == 1 else 1 / prev
+        for i in range(r + 1, nrows):
+            row, f = rows[i], rows[i][c]
+            tail = [row[j] * lead - f * top[j] for j in range(c + 1, ncols)]
+            if prev != 1:
+                tail = [v // prev for v in tail] if integral else [v * inv for v in tail]
+            rows[i] = [0] * (c + 1) + tail
+        prev = lead
         pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots, det
+    return rows, pivots, sign * prev if len(pivots) == nrows == ncols else 0
 
 
-def _rref(rows):
-    """(reduced rows, pivot columns): the echelon form reduced above each pivot."""
-    rows, pivots, _ = _echelon(rows)
-    for r in range(len(pivots) - 1, 0, -1):
-        c = pivots[r]
-        for i in range(r):
-            if rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-    return rows, pivots
+def _back_substitute(rows, pivots, x):
+    """x, in place, with each pivot coordinate solved from its echelon row so
+    that every row r has sum_j rows[r][j] x[j] = 0; the other coordinates are
+    kept.  The pivot coordinates must hold a zero of the wanted field."""
+    for r in range(len(pivots) - 1, -1, -1):
+        c, row = pivots[r], rows[r]
+        x[c] = -sum((row[j] * x[j] for j in range(c + 1, len(x))), x[c]) / row[c]
+    return x
 
 
 def rank(rows) -> int:
     return len(_echelon(rows)[1])
 
 
-def det_field(rows):
-    """Exact determinant of a square matrix over Q or Q(sqrt d)."""
-    _, pivots, det = _echelon(rows)
-    return det if len(pivots) == len(rows) else 0
+def det(rows):
+    """Exact determinant of a square matrix over Z, Q or Q(sqrt d)."""
+    return _echelon(rows)[2]
 
 
 def nullspace(rows):
-    """Kernel basis over Q(sqrt d) as Quad column vectors, read off the RREF."""
+    """Kernel basis over Q(sqrt d) as Quad column vectors: one per free column,
+    1 there and 0 at the other free columns."""
     if not rows:
         return []
     ncols = len(rows[0])
-    rr, pivots = _rref(rows)
+    echelon, pivots, _ = _echelon(rows)
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
         v = [Quad(0)] * ncols
         v[fc] = Quad(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rr[r][fc]
-        basis.append(v)
+        basis.append(_back_substitute(echelon, pivots, v))
     return basis
 
 
@@ -900,16 +880,13 @@ def frac_solve(rows, rhs):
     Free variables are set to zero; when the system has a unique solution this
     is it.
     """
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    rr, pivots = _rref(aug)
     ncols = len(rows[0])
+    echelon, pivots, _ = _echelon([list(r) + [b] for r, b in zip(rows, rhs)])
     if ncols in pivots:
         return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = rr[r][ncols]
-    # verify (guards against free-variable interplay)
+    # the right-hand side is a column whose coordinate is fixed at -1
+    x = _back_substitute(echelon, pivots, [Fraction(0)] * ncols + [Fraction(-1)])[:ncols]
     for row, b in zip(rows, rhs):
         if sum(Fraction(v) * xi for v, xi in zip(row, x)) != Fraction(b):
-            return None
+            raise ArithmeticError("back-substitution does not solve the system")
     return x

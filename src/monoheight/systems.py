@@ -125,15 +125,6 @@ class GrowthRow:
     maxdeg: int
     deg_word: tuple
 
-    def to_json(self):
-        return {
-            "n": self.n,
-            "rho": self.rho.to_json(),
-            "word": [i + 1 for i in self.word],
-            "max_degree": self.maxdeg,
-            "degree_word": [i + 1 for i in self.deg_word],
-        }
-
 
 def _best_row(rows, prec):
     """(row, rho^(1/n)) for the first row maximizing rho^(1/n); None without rows."""
@@ -242,18 +233,10 @@ def _polynomial_in_base(base: IntMatrix, target: IntMatrix):
     powers = [IntMatrix.identity(n)]
     for _ in range(n - 1):
         powers.append(powers[-1].mul(base))
-    cols = len(powers)
-    rows = []
-    rhs = []
-    tgt = target.row_lists()
-    for i in range(n):
-        for j in range(n):
-            rows.append([Fraction(powers[m].row_lists()[i][j]) for m in range(cols)])
-            rhs.append(Fraction(tgt[i][j]))
-    sol = frac_solve(rows, rhs)
-    if sol is None:
-        return None
-    return tuple(sol)
+    # one integer equation per entry (i, j): sum_m c_m base^m[i][j] = target[i][j]
+    rows = [[p.rows[i][j] for p in powers] for i in range(n) for j in range(n)]
+    sol = frac_solve(rows, [v for row in target.rows for v in row])
+    return None if sol is None else tuple(sol)
 
 
 def _structural_certificate(system: SystemF):
@@ -393,12 +376,14 @@ def correction_exponent(F, n_max: int = DEFAULT_N_MAX, degree: DynamicalDegree =
 def _height_estimates(system: SystemF, P: PointGm, n_max: int, degree: DynamicalDegree, l: int,
                       word_budget: int = DEFAULT_WORD_BUDGET) -> dict:
     """Both truncated height estimates at the deepest level n <= n_max with
-    k^n <= 4096 words (at least level 1)."""
-    n_feasible = n_max
-    while system.k**n_feasible > 4096 and n_feasible > 1:
-        n_feasible -= 1
+    k^n <= 4096 words (at least level 1); raises BudgetError when that walk,
+    of k + k^2 + ... + k^n words, passes word_budget."""
+    # k^n <= 4096 at every depth for one map
+    n = n_max if system.k == 1 else 1
+    while n < n_max and system.k ** (n + 1) <= 4096:
+        n += 1
     delta = degree.exact if degree.exact is not None else degree.hi
-    return truncated_estimates(system, P, n_feasible, l_override=l, delta=delta,
+    return truncated_estimates(system, P, n, l_override=l, delta=delta,
                                word_budget=word_budget)
 
 
@@ -531,8 +516,8 @@ def system_report(
     )
     if psi is not None:
         jp = jordan_profile(psi)
-        irreducible = (len(jp.factors) == 1 and jp.factors[0].multiplicity == 1
-                       and jp.factors[0].poly.degree == system.n)
+        facs = jp.modulus.factors
+        irreducible = len(facs) == 1 and facs[0].multiplicity == 1 and facs[0].poly.degree == system.n
         delta_gt_k = float(degree.lo) > system.k or (
             degree.exact is not None
             and degree.exact.compare(CertifiedReal.from_fraction(Fraction(system.k))) > 0

@@ -135,6 +135,25 @@ def test_system_command(files):
     assert "height_estimates" in rep
 
 
+def test_over_budget_truncated_walk_exits_4(files, tmp_path):
+    # one map: 10^7 levels are 10^7 words, far over a budget of 100
+    code, _ = invoke(["canonical-height", "--matrix", files["fib"], "--point", "2,3",
+                      "--truncation-order", "10000000", "--word-budget", "100"])
+    assert code == EXIT_BUDGET
+    # a system whose first level already passes the budget
+    code, _ = invoke(["system", "--system", files["pair"], "--point", "2,3", "--word-budget", "1"])
+    assert code == EXIT_BUDGET
+    # a huge --n-max walks to level 12 (4096 words a level for k = 2), 8190 words in all
+    path = tmp_path / "shears.json"
+    path.write_text(json.dumps({"matrices": [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]}))
+    argv = ["system", "--system", str(path), "--point", "2,3", "--n-max", "10000000", "--word-budget"]
+    code, _ = invoke(argv + ["8189"])
+    assert code == EXIT_BUDGET
+    code, text = invoke(argv + ["8190"])
+    assert code == EXIT_OK
+    assert json.loads(text)["report"]["height_estimates"]["summed"]["n"] == 12
+
+
 def test_system_json_round_trip(tmp_path):
     # a system report's "system" entry reads back as the same system
     system = SystemF((IntMatrix([[1, 1], [1, 0]]), IntMatrix([[2, 0], [0, 3]])))

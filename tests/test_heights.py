@@ -116,6 +116,17 @@ def test_truncated_word_budget():
         canonical_height_truncated(F, pt(2, 3), 20, word_budget=100)
 
 
+def test_truncated_word_budget_counts_every_level():
+    # the budget bounds the reported word_count, k + k^2 + ... + k^n, also for one map
+    with pytest.raises(BudgetError, match=r"^word budget 100 exceeded at 101 words$"):
+        canonical_height_truncated(FIB, pt(2, 3), 2000, word_budget=100)
+    assert canonical_height_truncated(FIB, pt(2, 3), 100, word_budget=100).word_count == 100
+    F = [DIAG23, FIB]
+    assert canonical_height_truncated(F, pt(2, 3), 6, delta=Fraction(3), word_budget=126).word_count == 126
+    with pytest.raises(BudgetError, match=r"^word budget 125 exceeded at 126 words$"):
+        canonical_height_truncated(F, pt(2, 3), 6, word_budget=125)
+
+
 def test_classify_fib_infinite():
     v = classify_orbit(FIB, pt(2, 3))
     assert v.status == "infinite"

@@ -239,8 +239,8 @@ def _stepping_limit(A, jp, tol, prec):
         jp.rho.refine(Fraction(1, 2**96))
         ratio = mp.sqrt(mpf(second.numerator) / mpf(second.denominator)) / rho_mpf
     poly_decay = any(
-        pf.has_max_modulus_root and any(s < l + 1 for s in pf.block_sizes)
-        for pf in jp.factors
+        fd.is_max and any(s < l + 1 for s in sizes)
+        for fd, sizes in zip(jp.modulus.factors, jp.block_sizes)
     )
     tol_mpf = mpf(tol.numerator) / mpf(tol.denominator)
     with mp.workprec(prec + 64):

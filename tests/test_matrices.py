@@ -28,13 +28,13 @@ from monoheight import (
 from monoheight.jordan import jordan_profile
 from monoheight.matrices import (
     _bisect_to_width,
+    _echelon,
     _factor_data_high_degree,
     _isolate_real_roots,
     _modulus_resultant,
     _rank_boxes,
     _sq_modulus_interval,
-    det_field,
-    det_int,
+    det,
     frac_solve,
     monomial_degree,
     nullspace,
@@ -54,6 +54,17 @@ def _sign(perm):
             if perm[i] > perm[j]:
                 s = -s
     return s
+
+
+def _leibniz_det(rows):
+    """Independent determinant oracle: the sum over permutations."""
+    total = 0
+    for perm in permutations(range(len(rows))):
+        term = _sign(perm)
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + term
+    return total
 
 
 def _leibniz_charpoly(rows):
@@ -82,8 +93,8 @@ def test_construction_errors():
 def test_det_examples():
     assert IntMatrix([[2, 1], [0, 2]]).det() == 4
     assert FIB.det() == -1
-    assert det_int([[1, 1], [1, 1]]) == 0
-    assert det_int([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == 30
+    assert det([[1, 1], [1, 1]]) == 0
+    assert det([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == 30
 
 
 def test_charpoly_against_leibniz_oracle(rng):
@@ -419,12 +430,12 @@ def test_quad_linear_algebra():
 
 
 
-def test_field_det_matches_bareiss_on_integers(rng):
+def test_det_matches_leibniz_on_integers(rng):
     # singular matrices included: small entries make them common
     for _ in range(60):
         n = rng.randint(1, 5)
         rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        assert det_field(rows) == det_int(rows)
+        assert det(rows) == _leibniz_det(rows)
 
 
 def test_field_det_matches_sympy_over_sqrt5(rng):
@@ -438,7 +449,87 @@ def test_field_det_matches_sympy_over_sqrt5(rng):
         expected = sympy.expand(M.det(method="berkowitz"))  # division-free: a polynomial in sqrt5
         b = expected.coeff(s5)
         a = sympy.expand(expected - b * s5)
-        assert det_field(rows) == Quad(Fraction(str(a)), Fraction(str(b)), 5)
+        assert det(rows) == Quad(Fraction(str(a)), Fraction(str(b)), 5)
+
+
+def _low_rank_rows(rng, entry, zero):
+    """A random m x n matrix, 1 <= m, n <= 5, of rank at most k as a product
+    (m x k)(k x n), k = min(m, n) half the time, with some columns zeroed so
+    that elimination skips pivot columns; entry() draws one entry and zero is
+    the zero of its type."""
+    m, n = rng.randint(1, 5), rng.randint(1, 5)
+    k = min(m, n) if rng.random() < 0.5 else rng.randint(0, min(m, n))
+    left = [[entry() for _ in range(k)] for _ in range(m)]
+    right = [[entry() for _ in range(n)] for _ in range(k)]
+    dropped = set(rng.sample(range(n), rng.randint(0, n // 2)))
+    return [[zero if j in dropped else sum((left[i][t] * right[t][j] for t in range(k)), zero)
+             for j in range(n)] for i in range(m)]
+
+
+def _rational(v):
+    v = Fraction(v.rational_value() if isinstance(v, Quad) else v)
+    return sympy.Rational(v.numerator, v.denominator)
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+def test_elimination_matches_sympy_and_leibniz(rng, kind):
+    if kind == "int":
+        entry, zero = (lambda: rng.randint(-3, 3)), 0
+    else:
+        entry, zero = (lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3))), Fraction(0)
+    for _ in range(150):
+        rows = _low_rank_rows(rng, entry, zero)
+        ncols = len(rows[0])
+        M = sympy.Matrix([[_rational(v) for v in row] for row in rows])
+        assert _echelon(rows)[1] == list(M.rref()[1])
+        assert rank(rows) == M.rank()
+        # sympy's basis has the same normalisation: 1 at its free column, 0 at the others
+        assert [[_rational(q) for q in v] for v in nullspace(rows)] == [list(v) for v in M.nullspace()]
+        if len(rows) == ncols:
+            assert det(rows) == _leibniz_det(rows)
+        # half the right-hand sides are consistent: the image of a random vector
+        x0 = [entry() for _ in range(ncols)]
+        rhs = [sum((v * x for v, x in zip(row, x0)), zero) if rng.random() < 0.5 else entry() for row in rows]
+        x = frac_solve(rows, rhs)
+        if M.row_join(sympy.Matrix([_rational(b) for b in rhs])).rank() > M.rank():
+            assert x is None
+        else:
+            assert [sum(v * xi for v, xi in zip(row, x)) for row in rows] == rhs
+
+
+def test_elimination_over_sqrt5(rng):
+    def entry():
+        return Quad(Fraction(rng.randint(-3, 3), rng.randint(1, 2)), rng.randint(-2, 2), 5)
+
+    def transpose(rows):
+        return [list(col) for col in zip(*rows)]
+
+    for _ in range(60):
+        rows = _low_rank_rows(rng, entry, Quad(0))
+        for a in (rows, transpose(rows)):
+            ns = nullspace(a)
+            assert rank(a) + len(ns) == len(a[0])
+            for v in ns:
+                assert all(x == 0 for x in kernels.mat_vec(a, v))
+            # the basis is independent: it is the identity on the free columns
+            free = [c for c in range(len(a[0])) if c not in _echelon(a)[1]]
+            assert [[v[c] for c in free] for v in ns] == [[int(i == j) for j in free] for i in free]
+        assert rank(rows) == rank(transpose(rows))
+        if len(rows) == len(rows[0]):
+            assert det(rows) == _leibniz_det(rows)
+
+
+def test_integer_rows_eliminate_on_integers(rng, monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was constructed")
+
+    monkeypatch.setattr(monoheight.matrices, "Fraction", no_fraction)
+    for _ in range(60):
+        rows = _low_rank_rows(rng, lambda: rng.randint(-9, 9), 0)
+        echelon, pivots, d = _echelon(rows)
+        assert all(type(v) is int for row in echelon for v in row)
+        assert type(d) is int and type(rank(rows)) is int
+    assert IntMatrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]]).det() == 18
 
 
 def test_modulus_profile_groups_conjugates():

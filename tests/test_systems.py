@@ -296,6 +296,17 @@ def test_system_report_estimates_match_standalone_calls(mats, n_max):
         assert alone.to_json() == est.to_json()
 
 
+def test_system_report_depth_stops_at_4096_words_a_level():
+    # a huge n_max walks to level 12 (2^12 = 4096 words), whose walk of
+    # 2 + 4 + ... + 2^12 = 8190 words must fit the budget
+    shears = [SHEAR_U, SHEAR_L]
+    capped = system_report(shears, pt(2, 3), n_max=12, word_budget=8190)
+    assert capped.trunc_summed.n == 12 and capped.trunc_summed.word_count == 8190
+    assert system_report(shears, pt(2, 3), n_max=10**7, word_budget=8190).to_json() == capped.to_json()
+    with pytest.raises(BudgetError, match=r"^word budget 5000 exceeded at 8190 words$"):
+        system_report(shears, pt(2, 3), n_max=10**7, word_budget=5000)
+
+
 @pytest.mark.parametrize("word_budget", [10**6, 100])
 def test_dynamical_degree_certificate_reads_the_first_8_levels(word_budget):
     shears = [SHEAR_U, SHEAR_L]
@@ -303,7 +314,10 @@ def test_dynamical_degree_certificate_reads_the_first_8_levels(word_budget):
     # 2 + 4 + ... + 32 = 62 words fit in a budget of 100, level 6 does not
     assert len(d.table.rows) == (12 if word_budget == 10**6 else 5)
     rows8 = growth_table(shears, n_max=8, word_budget=word_budget).rows
-    assert [r.to_json() for r in d.table.rows[:8]] == [r.to_json() for r in rows8]
+    def fields(row):
+        return row.n, row.rho.to_json(), row.word, row.maxdeg, row.deg_word
+
+    assert [fields(r) for r in d.table.rows[:8]] == [fields(r) for r in rows8]
     expected = _empirical_certificate(SystemF(tuple(shears)), rows8)
     assert d.certificate.to_json() == expected.to_json()
 
