@@ -17,7 +17,7 @@ from .errors import (
     UnsupportedError,
 )
 from .precision import default_precision, mp, real_str
-from .rationals import NegLogScalar, factor_rational
+from .rationals import factor_rational
 from .quadratic import Quad
 from .logforms import LogLinear
 from .polys import IntPoly, poly_str
@@ -94,7 +94,6 @@ __all__ = [
     "LogLinear",
     "LogProfile",
     "MonoheightError",
-    "NegLogScalar",
     "OrbitVerdict",
     "PointGm",
     "Quad",

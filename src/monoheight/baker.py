@@ -4,7 +4,7 @@ The route is classical: a Baker-type lower bound for linear forms in
 logarithms of algebraic numbers is threaded through the Jordan data of the
 map, producing an explicit constant C > 0 with hhat(P) >= C whenever the
 orbit of P is infinite.  C is far below float range, so every constant here
-is carried as -log C (see NegLogScalar) and reported on the log10(-log C)
+is carried as -log C, an mpf >= log 2, and reported on the log10(-log C)
 scale, where values are comparable.
 
 All height inputs are exact: naive heights are integer combinations of logs
@@ -19,7 +19,6 @@ from operator import index as _as_int
 
 from .errors import InputError, UnsupportedError
 from .precision import default_precision, fraction_to_mpf, mp, real_str
-from .rationals import NegLogScalar
 from .matrices import CertifiedReal, IntMatrix
 from .jordan import jordan_basis, jordan_profile
 from .points import PointGm, log_profile, weil_height_of_point
@@ -116,7 +115,7 @@ class BakerConstants:
     (they already overflow floats as plain numbers for modest heights).
     """
 
-    neg_log_c: NegLogScalar
+    neg_log_c: object  # mpf
     n_star: int
     a_prime_log: object  # mpf
     e_prime: int  # exact
@@ -130,9 +129,13 @@ class BakerConstants:
     margin_neg_log: object  # mpf; -log C - (-log hhat), > 0 when hhat > C
     notes: tuple
 
+    def log10_neg_log_c(self):
+        """log10(-log C); the scale on which these constants are comparable."""
+        return mp.log(self.neg_log_c) / mp.log(10)
+
     def to_json(self):
         return {
-            "log10_neg_log_C": real_str(self.neg_log_c.log10_neg_log(), 20),
+            "log10_neg_log_C": real_str(self.log10_neg_log_c(), 20),
             "A_prime_log": real_str(self.a_prime_log, 20),
             "E_prime_log": real_str(self.e_prime_log, 20),
             "D_prime_log": real_str(self.d_prime_log, 20),
@@ -155,11 +158,9 @@ def _baker_inputs(A: IntMatrix, P: PointGm, prec) -> tuple:
         raise UnsupportedError("rho <= 1: the height lower bound needs a dominant modulus above 1")
     jb = jordan_basis(A)
 
-    facs = prof.modulus.factors
-    irreducible = len(facs) == 1 and facs[0].multiplicity == 1 and facs[0].poly.degree == A.n
     if prof.l >= 1:
         path = "repeated-root"
-    elif irreducible:
+    elif prof.modulus.irreducible:
         path = "irreducible"
     else:
         raise UnsupportedError(
@@ -248,7 +249,7 @@ def effective_constants(A: IntMatrix, P: PointGm, prec=None) -> BakerConstants:
             "clearing denominators can change the naive height and both points are listed",
         )
         out = BakerConstants(
-            NegLogScalar(neg_log), n_star, a_prime_log, e_prime, e_prime_log,
+            neg_log, n_star, a_prime_log, e_prime, e_prime_log,
             d_prime_log, path, inputs, hypotheses, hhat, exceeds, margin, notes,
         )
     return out

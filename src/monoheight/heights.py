@@ -40,14 +40,14 @@ def canonical_height_closed(A: IntMatrix, P: PointGm, prec=None) -> HeightValue:
     prof = log_profile(P)
     if prof.is_torsion():
         limit_matrix_B(A, prec=prec)  # validate support, then exact 0
-        return HeightValue.zero()
+        return HeightValue(LogLinear({}))
     # scale the B tolerance by the profile mass so the final width is <= LIMIT_TOL
     mass = 0.0
     for p, vec in prof.vals.items():
         mass += 2.0 * sum(abs(v) for v in vec) * math.log(p)
     b = limit_matrix_B(A, prec=prec, _tol=LIMIT_TOL / (4.0 * (mass + 1.0)))
     if b.exact:
-        return HeightValue.from_loglinear(_closed_exact(b.entries, prof))
+        return HeightValue(_closed_exact(b.entries, prof))
     return _closed_numeric(b, prof, prec)
 
 
@@ -78,7 +78,7 @@ def _closed_numeric(b, prof: LogProfile, prec: int) -> HeightValue:
         total += max(vals + [mpf(0)])
         err += row_err
         err += abs(total) * mpf(2) ** (16 - prec) + mpf(2) ** (16 - prec)
-        return HeightValue.from_interval(total - err, total + err)
+        return HeightValue(lo=total - err, hi=total + err)
 
 
 @dataclass

@@ -50,23 +50,11 @@ class JordanProfile:
     modulus: ModulusProfile  # detailed per-root modulus data, for internal reuse
 
 
-def _poly_at_matrix(coeffs, A: IntMatrix):
-    """p(A) as integer rows, by Horner on the ascending integer coefficients of p."""
-    n = A.n
-    acc = [[0] * n for _ in range(n)]
-    for c in reversed(coeffs):
-        if any(map(any, acc)):  # 0 * A = 0: skip zero leading coefficients
-            acc = kernels.mat_mul(acc, A.row_lists())
-        for i in range(n):
-            acc[i][i] += c
-    return acc
-
-
 def _block_sizes(A: IntMatrix, g: IntPoly, mult: int):
     """Jordan block sizes (per root of g), from kernel dimensions of g(A)^j."""
     n = A.n
     deg = g.degree
-    base = _poly_at_matrix(g.coeffs, A)
+    base = kernels.mat_poly(g.coeffs, A.row_lists())
     dims = [0]
     power = None
     for j in range(1, mult + 1):
@@ -220,15 +208,7 @@ def _exact_limit(A: IntMatrix, prof, jp, dominant):
             c = (h_lam * lam**l * factorial(l)).inverse()
             for k, v in enumerate(q):
                 total[k] = total[k] + c * v
-    rows = A.row_lists()
-    power = [[int(i == j) for j in range(A.n)] for i in range(A.n)]
-    B = [[Quad(0)] * A.n for _ in range(A.n)]
-    for k, t in enumerate(total):
-        if k:
-            power = kernels.mat_mul(power, rows)
-        if t:
-            B = [[x + t * y for x, y in zip(rb, rp)] for rb, rp in zip(B, power)]
-    return B
+    return kernels.mat_poly(total, A.row_lists())
 
 
 def _check_exact_limit(A: IntMatrix, b: LimitMatrixB):

@@ -1,4 +1,4 @@
-"""Exact matrix products on lists of rows.
+"""Exact matrix products and matrix polynomials on lists of rows.
 
 Entries may be ints, Fractions or Quads (which mix with ints); outputs are
 fresh lists.
@@ -31,6 +31,22 @@ def mat_pow(a, e):
         e >>= 1
         if e:
             base = mat_mul(base, base)
+    return out
+
+
+def mat_poly(coeffs, a):
+    """Exact sum of coeffs[k] * a^k for ascending coefficients (ints, Fractions
+    or Quads): each power of a is formed once, up to the last nonzero
+    coefficient, and zero coefficients add nothing."""
+    n = len(a)
+    out = [[0] * n for _ in range(n)]
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    top = max((k for k, c in enumerate(coeffs) if c), default=-1)
+    for k, c in enumerate(coeffs[:top + 1]):
+        if k:
+            power = mat_mul(power, a)
+        if c:
+            out = [[x + c * y for x, y in zip(ro, rp)] for ro, rp in zip(out, power)]
     return out
 
 

@@ -490,7 +490,6 @@ class FactorData:
     rho: CertifiedReal
     rho_sq: CertifiedReal
     roots_at_max: int
-    neg_real_at_max: bool
     all_roots_real: bool
     roots: list = field(default_factory=list)  # Quad values, +sqrt first; real degree <= 2 only
     real_roots_at_max: list = field(default_factory=list)  # Quad values, degree <= 2 only
@@ -516,63 +515,46 @@ class ModulusProfile:
     @property
     def parity(self) -> int:
         """2 when a maximum-modulus eigenvalue is negative real, else 1."""
-        return 2 if any(self.factors[i].neg_real_at_max for i in self.max_indices) else 1
+        return 2 if any(-1 in self.factors[i].max_real_signs for i in self.max_indices) else 1
+
+    @property
+    def irreducible(self) -> bool:
+        """The characteristic polynomial is irreducible over Q (one simple factor, of degree N)."""
+        return len(self.factors) == 1 and self.factors[0].multiplicity == 1
 
 
-def _factor_data_deg1(g: IntPoly, mult: int) -> FactorData:
-    lam = Fraction(-g.coeffs[0], g.coeffs[1])
-    rho = CertifiedReal.from_quad(Quad(abs(lam)))
-    return FactorData(
-        poly=g,
-        multiplicity=mult,
-        rho=rho,
-        rho_sq=CertifiedReal.from_quad(Quad(lam * lam)),
-        roots_at_max=1,
-        neg_real_at_max=lam < 0,
-        all_roots_real=True,
-        roots=[Quad(lam)],
-        real_roots_at_max=[Quad(lam)],
-        max_real_signs=[1 if lam > 0 else -1],
-    )
-
-
-def _factor_data_deg2(g: IntPoly, mult: int) -> FactorData:
-    c0, c1, c2 = (Fraction(c) for c in g.coeffs)
-    disc = c1 * c1 - 4 * c0 * c2
-    if disc < 0:
-        # complex pair; |root|^2 is the root product c0/c2 > 0
-        sq = c0 / c2
-        rho = CertifiedReal.from_quad(Quad.sqrt_of(sq))
-        return FactorData(
-            poly=g, multiplicity=mult, rho=rho,
-            rho_sq=CertifiedReal.from_quad(Quad(sq)),
-            roots_at_max=2, neg_real_at_max=False,
-            all_roots_real=False,
-        )
-    root_disc = Quad.sqrt_of(disc)
-    r1 = (Quad(-c1) + root_disc) / Quad(2 * c2)
-    r2 = (Quad(-c1) - root_disc) / Quad(2 * c2)
-    a1, a2 = abs(r1), abs(r2)
-    cmp = (a1 - a2).sign()
-    if cmp == 0:
-        rho_val = a1
-        at_max = [r1, r2]
-        second = None
+def _factor_data_low_degree(g: IntPoly, mult: int) -> FactorData:
+    """Factor data of a linear or quadratic factor, read off its exact roots."""
+    c = [Fraction(x) for x in g.coeffs]
+    if g.degree == 1:
+        roots = [Quad(-c[0] / c[1])]
     else:
-        rho_val, small = (a1, a2) if cmp > 0 else (a2, a1)
-        at_max = [r1 if cmp > 0 else r2]
-        second = (small * small).enclosure(default_precision())[1]
+        disc = c[1] * c[1] - 4 * c[0] * c[2]
+        if disc < 0:
+            # complex pair; |root|^2 is the root product c0/c2 > 0
+            sq = c[0] / c[2]
+            return FactorData(
+                poly=g, multiplicity=mult,
+                rho=CertifiedReal.from_quad(Quad.sqrt_of(sq)),
+                rho_sq=CertifiedReal.from_quad(Quad(sq)),
+                roots_at_max=2, all_roots_real=False,
+            )
+        root_disc = Quad.sqrt_of(disc)
+        roots = [(Quad(-c[1]) + s * root_disc) / Quad(2 * c[2]) for s in (1, -1)]
+    mods = [abs(r) for r in roots]
+    rho_val = max(mods)
+    at_max = [r for r, a in zip(roots, mods) if a == rho_val]
+    smaller = [a * a for a in mods if a != rho_val]
     return FactorData(
         poly=g, multiplicity=mult,
         rho=CertifiedReal.from_quad(rho_val),
         rho_sq=CertifiedReal.from_quad(rho_val * rho_val),
         roots_at_max=len(at_max),
-        neg_real_at_max=any(r.sign() < 0 for r in at_max),
         all_roots_real=True,
-        roots=[r1, r2],
+        roots=roots,
         real_roots_at_max=at_max,
         max_real_signs=[r.sign() for r in at_max],
-        second_sq_hi=second,
+        second_sq_hi=max(sq.enclosure(default_precision())[1] for sq in smaller) if smaller else None,
     )
 
 
@@ -707,7 +689,6 @@ def _factor_data_high_degree(g: IntPoly, mult: int) -> FactorData:
     return FactorData(
         poly=g, multiplicity=mult, rho=rho, rho_sq=rho_sq,
         roots_at_max=assignment.count(top_idx),
-        neg_real_at_max=-1 in signs,
         all_roots_real=n_real == g.degree,
         max_real_signs=signs,
         second_sq_hi=max(seconds) if seconds else None,
@@ -734,12 +715,8 @@ def modulus_profile(A: IntMatrix) -> ModulusProfile:
     cp, factors = charpoly_factors(A)
     data = []
     for g, mult in factors:
-        if g.degree == 1:
-            data.append(_factor_data_deg1(g, mult))
-        elif g.degree == 2:
-            data.append(_factor_data_deg2(g, mult))
-        else:
-            data.append(_factor_data_high_degree(g, mult))
+        build = _factor_data_low_degree if g.degree <= 2 else _factor_data_high_degree
+        data.append(build(g, mult))
     # exact ranking of per-factor maxima
     best = [0]
     for i in range(1, len(data)):

@@ -180,18 +180,6 @@ class HeightValue:
     lo: object = None
     hi: object = None
 
-    @classmethod
-    def from_loglinear(cls, ll: LogLinear) -> "HeightValue":
-        return cls(symbolic=ll)
-
-    @classmethod
-    def from_interval(cls, lo, hi) -> "HeightValue":
-        return cls(symbolic=None, lo=lo, hi=hi)
-
-    @classmethod
-    def zero(cls) -> "HeightValue":
-        return cls(symbolic=LogLinear({}))
-
     @property
     def exact(self) -> bool:
         return self.symbolic is not None
@@ -251,7 +239,7 @@ def _place_heights(vals: dict) -> dict:
 
 def weil_height(prof: LogProfile) -> HeightValue:
     """h(P) = sum over places of max(0, max_j log||x_j||_v), exactly."""
-    return HeightValue.from_loglinear(LogLinear(_place_heights(prof.vals)))
+    return HeightValue(LogLinear(_place_heights(prof.vals)))
 
 
 def weil_height_of_point(P: PointGm) -> HeightValue:

@@ -1,4 +1,4 @@
-"""Exact rational arithmetic: factorizations, parsing, log-scale scalars.
+"""Exact rational arithmetic: factorizations and parsing.
 
 A factorization is kept as exact integer exponents per prime.
 """
@@ -6,7 +6,6 @@ A factorization is kept as exact integer exponents per prime.
 from fractions import Fraction
 
 import sympy
-from mpmath import mp
 
 from .errors import InputError
 
@@ -43,42 +42,3 @@ def parse_rational(text: str) -> Rat:
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"not a rational: {text!r}") from exc
     return value
-
-
-class NegLogScalar:
-    """A positive real x <= 1 stored as -log x, for magnitudes far below float range.
-
-    Products add neg_logs; order is reversed: x < y iff neg_log(x) > neg_log(y).
-    """
-
-    __slots__ = ("neg_log",)
-
-    def __init__(self, neg_log):
-        neg_log = mp.mpf(neg_log)
-        if neg_log < 0:
-            raise InputError("NegLogScalar requires neg_log >= 0 (value <= 1)")
-        self.neg_log = neg_log
-
-    def __mul__(self, other):
-        return NegLogScalar(self.neg_log + other.neg_log)
-
-    def __lt__(self, other):
-        return self.neg_log > other.neg_log
-
-    def __le__(self, other):
-        return self.neg_log >= other.neg_log
-
-    def __eq__(self, other):
-        return isinstance(other, NegLogScalar) and self.neg_log == other.neg_log
-
-    def __hash__(self):
-        return hash(("neglog", str(self.neg_log)))
-
-    def log10_neg_log(self):
-        """log10 of -log x; the scale on which these constants are comparable."""
-        if self.neg_log == 0:
-            return mp.mpf("-inf")
-        return mp.log(self.neg_log) / mp.log(10)
-
-    def __repr__(self):
-        return f"NegLogScalar(neg_log={mp.nstr(self.neg_log, 10)})"

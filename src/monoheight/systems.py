@@ -11,12 +11,19 @@ generator a polynomial in the first) reduce exactly to a single map psi.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 from operator import itemgetter
 
 from mpmath import mp, mpf
 
 from .errors import BudgetError, InputError, MonoheightError
-from .heights import DEFAULT_WORD_BUDGET, canonical_height_closed, classify_orbit, truncated_estimates
+from .heights import (
+    DEFAULT_WORD_BUDGET,
+    _walk_words,
+    canonical_height_closed,
+    classify_orbit,
+    truncated_estimates,
+)
 from .jordan import jordan_profile
 from .matrices import (
     CertifiedReal,
@@ -52,11 +59,8 @@ def _word_levels(system: SystemF, word_budget: int):
     that would pass word_budget words in all, or on an entry above
     DEFAULT_BIT_BUDGET bits."""
     level = [((), IntMatrix.identity(system.n))]
-    words_used = 0
-    while True:
-        words_used += len(level) * system.k
-        if words_used > word_budget:
-            raise BudgetError(f"word budget {word_budget} exceeded at {words_used} words")
+    for n in count(1):
+        _walk_words(system.k, n, word_budget)
         nxt = []
         for word, M in level:
             for i, gen in enumerate(system.matrices):
@@ -90,25 +94,32 @@ def _level_max_radius(level):
     """(CertifiedReal, word) for the max spectral radius over one level: the
     first word of largest radius in order of decreasing norm bound.
 
-    2x2 words are ranked by exact integer tests on trace and determinant, and
-    only the winner's radius is certified.  Otherwise the cheap norm bound
-    prunes words that cannot beat the current certified lower bound, so the
-    exact machinery runs on few words per level.
+    2x2 words are ranked in one pass by exact integer tests on trace and
+    determinant; a tie in radius goes to the strictly larger norm bound, read
+    only on ties, and only the winner's radius is certified.  Otherwise the
+    cheap norm bound prunes words that cannot beat the current certified
+    lower bound, so the exact machinery runs on few words per level.
     """
-    ranked = sorted(level, key=lambda wm: -_norm_bound(wm[1]))
-    if ranked[0][1].n == 2:
-        best_key = best = None
-        for word, M in ranked:
+    if level[0][1].n == 2:
+        best = best_key = best_bound = None
+        for word, M in level:
             (a, b), (c, e) = M.row_lists()
             t, d = a + e, a * e - b * c
             key = _twice_radius(t, d)
-            if best_key is None or _compare_surds(key, best_key) > 0:
-                best_key, best = key, (t, d, word)
-        t, d, word = best
+            cmp = 1 if best is None else _compare_surds(key, best_key)
+            if cmp == 0:
+                if best_bound is None:
+                    best_bound = _norm_bound(best[3])
+                bound = _norm_bound(M)
+                if bound > best_bound:
+                    best, best_bound = (t, d, word, M), bound
+            elif cmp > 0:
+                best, best_key, best_bound = (t, d, word, M), key, None
+        t, d, word, _ = best
         return trace_det_radius(t, d), word
     best = None
     best_word = None
-    for word, M in ranked:
+    for word, M in sorted(level, key=lambda wm: -_norm_bound(wm[1])):
         if best is not None and Fraction(_norm_bound(M)) <= best.lo:
             break
         rho = spectral_radius(M)
@@ -516,8 +527,7 @@ def system_report(
     )
     if psi is not None:
         jp = jordan_profile(psi)
-        facs = jp.modulus.factors
-        irreducible = len(facs) == 1 and facs[0].multiplicity == 1 and facs[0].poly.degree == system.n
+        irreducible = jp.modulus.irreducible
         delta_gt_k = float(degree.lo) > system.k or (
             degree.exact is not None
             and degree.exact.compare(CertifiedReal.from_fraction(Fraction(system.k))) > 0

@@ -222,7 +222,7 @@ def test_criterion_11_height_exceeds_effective_bound():
 def test_criterion_12_bound_monotone_in_point_height():
     t0 = time.monotonic()
     vals = [
-        effective_constants(J2, pt(2**m, 3), prec=192).neg_log_c.neg_log
+        effective_constants(J2, pt(2**m, 3), prec=192).neg_log_c
         for m in range(1, 11)
     ]
     assert all(vals[i] < vals[i + 1] for i in range(len(vals) - 1))

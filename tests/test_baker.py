@@ -67,9 +67,9 @@ def test_effective_constants_repeated_root():
         assert rel_err(c.a_prime_log, a_log) < 1e-40
         assert rel_err(c.d_prime_log, d_log) < 1e-40
         assert rel_err(c.e_prime_log, mp.log(c.e_prime)) < 1e-40
-        assert rel_err(c.neg_log_c.neg_log, neg) < 1e-40
+        assert rel_err(c.neg_log_c, neg) < 1e-40
         pinned = mp.mpf("63.655037040202346379")
-        assert abs(c.neg_log_c.log10_neg_log() - pinned) < 1e-15
+        assert abs(c.log10_neg_log_c() - pinned) < 1e-15
     assert c.height_exceeds_bound
     assert c.margin_neg_log > 1e10
     assert c.hypotheses["canonical_height_positive"]
@@ -96,7 +96,7 @@ def test_effective_constants_irreducible():
             + mp.log(5) / 2
         )
         neg = mp.log(2) + mp.mpf(c.e_prime) * a_log**9 * (d_log + mp.log(a_log))
-        assert rel_err(c.neg_log_c.neg_log, neg) < 1e-25
+        assert rel_err(c.neg_log_c, neg) < 1e-25
     assert c.height_exceeds_bound
 
 
@@ -131,7 +131,7 @@ def test_effective_constants_monotone_in_height():
     vals = []
     for m in range(1, 11):
         c = effective_constants(J2, pt(2**m, 3), prec=192)
-        vals.append(c.neg_log_c.log10_neg_log())
+        vals.append(c.log10_neg_log_c())
     assert all(vals[i] < vals[i + 1] for i in range(len(vals) - 1))
 
 

@@ -30,6 +30,7 @@ from monoheight.matrices import (
     _bisect_to_width,
     _echelon,
     _factor_data_high_degree,
+    _factor_data_low_degree,
     _isolate_real_roots,
     _modulus_resultant,
     _rank_boxes,
@@ -42,6 +43,7 @@ from monoheight.matrices import (
     word_product,
 )
 from monoheight.polys import root_bound, squarefree_part, sturm_count
+from monoheight.precision import default_precision
 from conftest import random_matrix
 
 FIB = IntMatrix([[1, 1], [1, 0]])
@@ -613,6 +615,67 @@ def test_mat_pow_identity_and_fibonacci():
     assert kernels.mat_pow(a, 10) == [[89, 55], [55, 34]]
 
 
+def _horner_at_matrix(coeffs, rows):
+    """p(A) by Horner on ascending integer coefficients: the routine jordan
+    used for g(A) before mat_poly, kept as an oracle."""
+    n = len(rows)
+    acc = [[0] * n for _ in range(n)]
+    for c in reversed(coeffs):
+        if any(map(any, acc)):  # 0 * A = 0: skip zero leading coefficients
+            acc = kernels.mat_mul(acc, rows)
+        for i in range(n):
+            acc[i][i] += c
+    return acc
+
+
+def _random_coeffs(rng, make):
+    """Ascending coefficients with zeros inside and, often, at the top."""
+    coeffs = [make() if rng.random() < 0.6 else 0 for _ in range(rng.randint(0, 6))]
+    return coeffs + [0] * rng.randint(0, 2)
+
+
+def test_mat_poly_matches_horner(rng):
+    for n in (1, 2, 3, 5):
+        for _ in range(12):
+            rows = _random_rows(rng, n, 8)
+            coeffs = _random_coeffs(rng, lambda: rng.randint(-50, 50))
+            got = kernels.mat_poly(coeffs, rows)
+            assert got == _horner_at_matrix(coeffs, rows), (coeffs, rows)
+            assert all(type(v) is int for row in got for v in row)
+    fib = [[1, 1], [1, 0]]
+    assert kernels.mat_poly([], fib) == kernels.mat_poly([0, 0, 0], fib) == [[0, 0], [0, 0]]
+    assert kernels.mat_poly([3, 0, 0], fib) == [[3, 0], [0, 3]]
+    assert kernels.mat_poly([0, 0, 1, 0], fib) == [[2, 1], [1, 1]]
+
+
+def test_mat_poly_matches_entrywise_quad_evaluation(rng):
+    for n in (1, 2, 3):
+        rows = _random_rows(rng, n, 6)
+        powers = [kernels.mat_pow(rows, k) for k in range(9)]
+        for _ in range(8):
+            coeffs = _random_coeffs(rng, lambda: _random_sqrt5(rng, 8))
+            expected = [[sum((c * powers[k][i][j] for k, c in enumerate(coeffs)), Quad(0))
+                         for j in range(n)] for i in range(n)]
+            got = kernels.mat_poly(coeffs, rows)
+            assert got == expected, (coeffs, rows)
+            if any(isinstance(c, Quad) for c in coeffs):
+                assert all(isinstance(v, Quad) for row in got for v in row)
+
+
+def test_mat_poly_forms_each_power_once(monkeypatch):
+    products = []
+    real = kernels.mat_mul
+
+    def counting(a, b):
+        products.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(kernels, "mat_mul", counting)
+    # x^3 + 2x with zero coefficients inside and at the top: powers A .. A^3 only
+    kernels.mat_poly([0, 2, 0, 1, 0, 0], [[1, 1], [1, 0]])
+    assert len(products) == 3
+
+
 def test_max_bits():
     assert kernels.max_bits([[1, 2], [3, 2**100]]) == 101
 
@@ -781,8 +844,126 @@ def _profile_fields(prof):
 
     return (real(prof.rho), prof.max_indices, prof.second_sq_hi, [
         (fd.poly, fd.multiplicity, real(fd.rho), real(fd.rho_sq), fd.roots_at_max,
-         fd.neg_real_at_max, fd.all_roots_real, fd.real_roots_at_max, fd.max_real_signs,
+         fd.all_roots_real, fd.real_roots_at_max, fd.max_real_signs,
          fd.second_sq_hi, fd.is_max) for fd in prof.factors])
+
+
+def _old_record(**fields):
+    out = dict(roots=[], real_roots_at_max=[], max_real_signs=[], second_sq_hi=None, is_max=False)
+    out.update(fields)
+    return out
+
+
+def _old_factor_data_deg1(g, mult):
+    """The linear-factor builder the low-degree builder replaced, kept as an oracle."""
+    lam = Fraction(-g.coeffs[0], g.coeffs[1])
+    rho = CertifiedReal.from_quad(Quad(abs(lam)))
+    return _old_record(
+        poly=g,
+        multiplicity=mult,
+        rho=rho,
+        rho_sq=CertifiedReal.from_quad(Quad(lam * lam)),
+        roots_at_max=1,
+        neg_real_at_max=lam < 0,
+        all_roots_real=True,
+        roots=[Quad(lam)],
+        real_roots_at_max=[Quad(lam)],
+        max_real_signs=[1 if lam > 0 else -1],
+    )
+
+
+def _old_factor_data_deg2(g, mult):
+    """The quadratic-factor builder the low-degree builder replaced, kept as an oracle."""
+    c0, c1, c2 = (Fraction(c) for c in g.coeffs)
+    disc = c1 * c1 - 4 * c0 * c2
+    if disc < 0:
+        sq = c0 / c2
+        rho = CertifiedReal.from_quad(Quad.sqrt_of(sq))
+        return _old_record(
+            poly=g, multiplicity=mult, rho=rho,
+            rho_sq=CertifiedReal.from_quad(Quad(sq)),
+            roots_at_max=2, neg_real_at_max=False,
+            all_roots_real=False,
+        )
+    root_disc = Quad.sqrt_of(disc)
+    r1 = (Quad(-c1) + root_disc) / Quad(2 * c2)
+    r2 = (Quad(-c1) - root_disc) / Quad(2 * c2)
+    a1, a2 = abs(r1), abs(r2)
+    cmp = (a1 - a2).sign()
+    if cmp == 0:
+        rho_val = a1
+        at_max = [r1, r2]
+        second = None
+    else:
+        rho_val, small = (a1, a2) if cmp > 0 else (a2, a1)
+        at_max = [r1 if cmp > 0 else r2]
+        second = (small * small).enclosure(default_precision())[1]
+    return _old_record(
+        poly=g, multiplicity=mult,
+        rho=CertifiedReal.from_quad(rho_val),
+        rho_sq=CertifiedReal.from_quad(rho_val * rho_val),
+        roots_at_max=len(at_max),
+        neg_real_at_max=any(r.sign() < 0 for r in at_max),
+        all_roots_real=True,
+        roots=[r1, r2],
+        real_roots_at_max=at_max,
+        max_real_signs=[r.sign() for r in at_max],
+        second_sq_hi=second,
+    )
+
+
+def _factor_record(fields):
+    """Comparable form of the FactorData fields, with exact representations."""
+    def real(x):
+        return x.lo, x.hi, x.exact_str(), repr(x.descriptor)
+
+    return (fields["poly"], fields["multiplicity"], real(fields["rho"]), real(fields["rho_sq"]),
+            fields["roots_at_max"], fields["neg_real_at_max"], fields["all_roots_real"],
+            [repr(r) for r in fields["roots"]], [repr(r) for r in fields["real_roots_at_max"]],
+            fields["max_real_signs"], fields["second_sq_hi"], fields["is_max"])
+
+
+def test_low_degree_builder_matches_the_per_degree_builders(rng):
+    seen = {"linear": 0, "pm_pair": 0, "c1_pos": 0, "c1_neg": 0, "non_monic": 0, "complex": 0}
+    polys = []
+    while len(polys) < 60:
+        polys.append(IntPoly([rng.choice([-1, 1]) * rng.randint(1, 40), rng.choice([-1, 1]) * rng.randint(1, 9)]))
+    while len(polys) < 260:
+        c0 = rng.choice([-1, 1]) * rng.randint(1, 30)
+        c1 = rng.choice([0, 0, rng.randint(-12, 12)])
+        c2 = rng.choice([1, 1, -1, rng.randint(-6, 6) or 2])
+        if c1 * c1 != 4 * c0 * c2:  # a double root is never an irreducible factor
+            polys.append(IntPoly([c0, c1, c2]))
+    for g in polys:
+        mult = rng.randint(1, 3)
+        fd = _factor_data_low_degree(g, mult)
+        got = {name: getattr(fd, name) for name in fd.__dataclass_fields__}
+        got["neg_real_at_max"] = -1 in fd.max_real_signs
+        old = (_old_factor_data_deg1 if g.degree == 1 else _old_factor_data_deg2)(g, mult)
+        assert _factor_record(got) == _factor_record(old), g
+        if g.degree == 1:
+            seen["linear"] += 1
+            continue
+        c0, c1, c2 = g.coeffs
+        seen["complex"] += c1 * c1 < 4 * c0 * c2
+        seen["pm_pair"] += c1 == 0 and c0 * c2 < 0
+        seen["c1_pos"] += c1 > 0
+        seen["c1_neg"] += c1 < 0
+        seen["non_monic"] += abs(c2) > 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_irreducible_matches_the_three_part_predicate(rng):
+    mats = [random_matrix(rng, n) for n in range(1, 6) for _ in range(8)]
+    mats += [IntMatrix([[c * (i == j) for j in range(n)] for i in range(n)]) for n, c in ((2, 2), (3, -1), (4, 3))]
+    mats += [IntMatrix([[2, 1, 0], [0, 2, 0], [0, 0, 3]]), IntMatrix([[0, 1, 0], [0, 0, 1], [1, 1, 0]])]
+    verdicts = []
+    for A in mats:
+        facs = modulus_profile(A).factors
+        old = len(facs) == 1 and facs[0].multiplicity == 1 and facs[0].poly.degree == A.n
+        assert modulus_profile(A).irreducible == old, A
+        verdicts.append(old)
+    assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
 
 
 @pytest.mark.parametrize("poly", [IntPoly([-1, -1, 0, 0, 0, 1]), LEHMER])

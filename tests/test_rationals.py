@@ -1,11 +1,11 @@
-"""Factorizations, parsing, and the log-space scalar."""
+"""Factorizations and parsing."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from monoheight import InputError, NegLogScalar, factor_rational, mp
+from monoheight import InputError, factor_rational
 from monoheight.rationals import parse_rational
 
 
@@ -50,17 +50,3 @@ def test_product_formula_random(num, den):
     for p, e in factor_rational(x).items():
         total[p] = total.get(p, 0) + e
     assert all(c == 0 for c in total.values())
-
-
-def test_neg_log_scalar_order_and_product():
-    a = NegLogScalar(mp.mpf(10))
-    b = NegLogScalar(mp.mpf(1000))
-    assert b < a  # smaller value = larger neg_log
-    assert (a * b).neg_log == mp.mpf(1010)
-    with pytest.raises(InputError):
-        NegLogScalar(-1)
-
-
-def test_neg_log_scalar_log10():
-    s = NegLogScalar(mp.mpf(10) ** 63)
-    assert abs(s.log10_neg_log() - 63) < 1e-12

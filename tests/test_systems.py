@@ -33,10 +33,13 @@ from monoheight.polys import IntPoly
 from monoheight.systems import (
     _compare_surds,
     _empirical_certificate,
+    _level_max_radius,
     _norm_bound,
     _twice_radius,
     _word_levels,
 )
+
+from conftest import random_matrix
 
 FIB = IntMatrix([[1, 1], [1, 0]])
 SHEAR_U = IntMatrix([[1, 1], [0, 1]])
@@ -403,6 +406,42 @@ def test_trace_det_ranking_matches_spectral_radius(rng):
         assert sign == radii[i].compare(radii[j]) == -_compare_surds(keys[j], keys[i]), (mats[i], mats[j])
         signs[sign] += 1
     assert min(signs.values()) > 100
+
+
+def _sorted_level_max_radius(level):
+    """The sort-based 2x2 ranking the one-pass walk replaced, kept as an oracle:
+    the first word of largest radius in order of decreasing norm bound."""
+    best_key = best = None
+    for word, M in sorted(level, key=lambda wm: -_norm_bound(wm[1])):
+        t, d = _trace_det(M)
+        key = _twice_radius(t, d)
+        if best_key is None or _compare_surds(key, best_key) > 0:
+            best_key, best = key, (t, d, word)
+    t, d, word = best
+    return trace_det_radius(t, d), word
+
+
+def test_one_pass_ranking_matches_the_sorted_ranking(rng):
+    tied = {"norm_bounds_differ": 0, "norm_bounds_equal": 0}
+    for _ in range(80):
+        a, b = (random_matrix(rng, 2) for _ in range(2))
+        neg_a = IntMatrix([[-v for v in row] for row in a.row_lists()])
+        conj_a = SHEAR_U.mul(a).mul(IntMatrix([[1, -1], [0, 1]]))
+        # AB and BA, and A and its conjugate, tie in radius; A and -A tie in
+        # radius and norm bound
+        levels = _word_levels(SystemF((a, b, neg_a, conj_a)), 10**6)
+        for _ in range(rng.randint(1, 3)):
+            level = next(levels)
+        level = rng.sample(level, len(level))  # any enumeration order
+        rho, word = _level_max_radius(level)
+        expected_rho, expected_word = _sorted_level_max_radius(level)
+        assert word == expected_word, (a, b, level)
+        assert (rho.to_json(), rho.exact_str()) == (expected_rho.to_json(), expected_rho.exact_str())
+        keys = {w: _twice_radius(*_trace_det(M)) for w, M in level}
+        bounds = [_norm_bound(M) for w, M in level if _compare_surds(keys[w], keys[word]) == 0]
+        tied["norm_bounds_differ"] += len(set(bounds)) > 1
+        tied["norm_bounds_equal"] += bounds.count(max(bounds)) > 1
+    assert min(tied.values()) >= 20, tied
 
 
 def test_system_report_certifies_no_level_word(monkeypatch):
