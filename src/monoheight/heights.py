@@ -171,6 +171,8 @@ def truncated_estimates(
     prec = prec or default_precision()
     mats = _as_system(F).matrices
     k = len(mats)
+    if type(n) is not int:  # bool is an int subclass, not a depth
+        raise InputError("n must be an integer")
     if n < 1:
         raise InputError("n must be >= 1")
     words = _walk_words(k, n, word_budget)
@@ -283,33 +285,29 @@ def _valuations_eventually_fixed(A: IntMatrix, prof: LogProfile):
 
 
 def _enumerate_orbit(mats, prof: LogProfile, budget: int):
-    """(preperiod, period) for k=1; closure size for k>1; None if budget hit."""
-    if len(mats) == 1:
-        seen = {prof.state_key(): 0}
-        state = prof
-        for step in range(1, budget + 1):
-            state = state.transport(mats[0])
-            key = state.state_key()
-            if key in seen:
-                first = seen[key]
-                return first, step - first, step
-            seen[key] = step
-        return None
-    seen = {prof.state_key()}
-    frontier = [prof]
-    while frontier:
-        if len(seen) > budget:
-            return None
+    """(preperiod, period, orbit size) by a breadth-first walk in which seen maps
+    each state to its first level; None once more than budget states are seen.
+    One map's frontier holds one state, so its first repeat closes the cycle.
+    A system has no single period: its closure size is reported as the
+    period, with preperiod 0."""
+    seen = {prof.state_key(): 0}
+    frontier, step = [prof], 0
+    while len(seen) <= budget:
+        step += 1
         nxt = []
         for state in frontier:
             for M in mats:
                 image = state.transport(M)
                 key = image.state_key()
                 if key not in seen:
-                    seen.add(key)
+                    seen[key] = step
                     nxt.append(image)
+                elif len(mats) == 1:
+                    return seen[key], step - seen[key], step
+        if not nxt:
+            return 0, len(seen), len(seen)
         frontier = nxt
-    return 0, len(seen), len(seen)
+    return None
 
 
 def classify_orbit(F, P: PointGm, budget: int = 65536) -> OrbitVerdict:
@@ -321,6 +319,8 @@ def classify_orbit(F, P: PointGm, budget: int = 65536) -> OrbitVerdict:
     always move in a finite space.  Systems fall back to per-generator escape
     tests plus breadth-first closure within the budget.
     """
+    if type(budget) is not int:  # bool is an int subclass, not a budget
+        raise InputError("budget must be an integer")
     mats = _as_system(F).matrices
     prof = log_profile(P)
     for i, A in enumerate(mats):

@@ -54,7 +54,7 @@ def _block_sizes(A: IntMatrix, g: IntPoly, mult: int):
     """Jordan block sizes (per root of g), from kernel dimensions of g(A)^j."""
     n = A.n
     deg = g.degree
-    base = kernels.mat_poly(g.coeffs, A.row_lists())
+    base = kernels.mat_poly(g.coeffs, A.rows)
     dims = [0]
     power = None
     for j in range(1, mult + 1):
@@ -90,7 +90,7 @@ def jordan_profile(A: IntMatrix) -> JordanProfile:
     block_sizes = tuple(_block_sizes(A, fd.poly, fd.multiplicity) for fd in prof.factors)
     if sum(fd.degree * sum(sizes) for fd, sizes in zip(prof.factors, block_sizes)) != A.n:
         raise ArithmeticError("block dimensions do not sum to N")
-    at_max = [(fd, sizes) for fd, sizes in zip(prof.factors, block_sizes) if fd.is_max]
+    at_max = [(prof.factors[i], block_sizes[i]) for i in prof.max_indices]
     l = max(sizes[0] for _, sizes in at_max) - 1
     r = 0
     rbar = 0
@@ -208,7 +208,7 @@ def _exact_limit(A: IntMatrix, prof, jp, dominant):
             c = (h_lam * lam**l * factorial(l)).inverse()
             for k, v in enumerate(q):
                 total[k] = total[k] + c * v
-    return kernels.mat_poly(total, A.row_lists())
+    return kernels.mat_poly(total, A.rows)
 
 
 def _check_exact_limit(A: IntMatrix, b: LimitMatrixB):
@@ -223,7 +223,7 @@ def _check_exact_limit(A: IntMatrix, b: LimitMatrixB):
         raise ArithmeticError("limit matrix vanished identically")
     rho_m = b.rho.descriptor ** b.m
     try:
-        moved = kernels.mat_mul(B, A.pow(b.m).row_lists()) == [[rho_m * v for v in row] for row in B]
+        moved = kernels.mat_mul(B, A.pow(b.m).rows) == [[rho_m * v for v in row] for row in B]
         square = kernels.mat_mul(B, B)
     except UnsupportedError as exc:
         raise ArithmeticError("B A^m = rho^m B identity failed: entries in another quadratic field") from exc
@@ -247,13 +247,10 @@ def _iterated_limit(A: IntMatrix, jp, stop: Fraction, prec: int):
     second = jp.modulus.second_sq_hi
     ratio = None
     if second is not None:
-        jp.rho.refine(Fraction(1, 2**96))
         ratio = mp.sqrt(mpf(second.numerator) / mpf(second.denominator)) / rho_mpf
-    poly_decay = any(
-        fd.is_max and sizes[-1] < l + 1 for fd, sizes in zip(jp.modulus.factors, jp.block_sizes)
-    )
+    poly_decay = any(jp.block_sizes[i][-1] < l + 1 for i in jp.modulus.max_indices)
     stop_mpf = mpf(stop.numerator) / mpf(stop.denominator)
-    norm_bits = max(sum(map(abs, row)) for row in A.row_lists()).bit_length()
+    norm_bits = max(sum(map(abs, row)) for row in A.rows).bit_length()
     step = A.pow(m)
     formed = {}  # exponent -> power, the latest two steps
 
@@ -267,7 +264,7 @@ def _iterated_limit(A: IntMatrix, jp, stop: Fraction, prec: int):
 
         def scaled(e):
             denom = mpf(e) ** l * rho_mpf**e
-            return [[mpf(v) / denom for v in row] for row in power(e).row_lists()]
+            return [[mpf(v) / denom for v in row] for row in power(e).rows]
 
         nval = m
         prev = None  # scaled power of the step before, when that step built it
@@ -360,7 +357,7 @@ def jordan_basis(A: IntMatrix) -> JordanBasisData:
 
     for i in sorted(range(len(jp.block_sizes)), key=_factor_key):
         for lam in jp.modulus.factors[i].roots:
-            chains = _chains_for_eigenvalue(A.row_lists(), lam, jp.block_sizes[i])
+            chains = _chains_for_eigenvalue(A.rows, lam, jp.block_sizes[i])
             for chain in chains:
                 chain = _normalize_chain(chain)
                 for vec in chain:
@@ -375,7 +372,7 @@ def jordan_basis(A: IntMatrix) -> JordanBasisData:
             if k + 1 < size:
                 T[pos + k][pos + k + 1] = Quad(1)
         pos += size
-    if kernels.mat_mul(A.row_lists(), J) != kernels.mat_mul(J, T):
+    if kernels.mat_mul(A.rows, J) != kernels.mat_mul(J, T):
         raise ArithmeticError("A J = J T verification failed")
     det_J = det(J)
     if not det_J:
@@ -408,7 +405,7 @@ def _chains_for_eigenvalue(rows, lam: Quad, sizes):
         for cand in kernels_by_level[s]:
             if len(tops) == count:
                 break
-            if _independent(span + [cand]):
+            if rank(span + [cand]) == len(span) + 1:
                 span.append(cand)
                 tops.append(cand)
         if len(tops) != count:
@@ -418,7 +415,3 @@ def _chains_for_eigenvalue(rows, lam: Quad, sizes):
             chains.append((s, top, chain))
     chains.sort(key=lambda c: (-c[0], _vec_height_key(c[1])))
     return [chain for _, _, chain in chains]
-
-
-def _independent(vectors):
-    return rank(vectors) == len(vectors)

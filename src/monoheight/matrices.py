@@ -51,16 +51,16 @@ _DISC_PREC_CAP = 2**12
 class IntMatrix:
     """Square integer matrix with nonzero determinant (exponent matrix of a monomial map).
 
-    The matrix is immutable, so it keeps its own analysis: charpoly_factors,
-    modulus_profile, jordan_profile and the exact limit_matrix_B each fill one
-    slot on first use.
+    The matrix is immutable, its rows one tuple of int tuples read through
+    rows, so it keeps its own analysis: charpoly_factors, modulus_profile,
+    jordan_profile and the exact limit_matrix_B each fill one slot on first use.
     """
 
-    __slots__ = ("n", "_rows", "_key", "_det", "_factors", "_modulus", "_jordan", "_limit")
+    __slots__ = ("n", "_rows", "_det", "_factors", "_modulus", "_jordan", "_limit")
 
     def __init__(self, rows, _trusted=False):
         try:
-            rows = [list(r) for r in rows]
+            rows = tuple(tuple(r) for r in rows)
         except TypeError:
             raise InputError("a matrix must be a list of rows") from None
         n = len(rows)
@@ -72,7 +72,6 @@ class IntMatrix:
                     raise InputError("entries must be integers")
         self.n = n
         self._rows = rows
-        self._key = tuple(tuple(r) for r in rows)
         self._det = None
         self._factors = self._modulus = self._jordan = self._limit = None
         if not _trusted and self.det() == 0:
@@ -94,7 +93,7 @@ class IntMatrix:
 
     @property
     def rows(self):
-        return self._key
+        return self._rows
 
     def det(self) -> int:
         if self._det is None:
@@ -114,21 +113,17 @@ class IntMatrix:
     def max_bit_length(self) -> int:
         return kernels.max_bits(self._rows)
 
-    def row_lists(self):
-        """Internal row storage; callers must not mutate."""
-        return self._rows
-
     def to_json(self):
         return {"n": self.n, "rows": [list(r) for r in self._rows]}
 
     def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self._key == other._key
+        return isinstance(other, IntMatrix) and self._rows == other._rows
 
     def __hash__(self):
-        return hash(self._key)
+        return hash(self._rows)
 
     def __repr__(self):
-        return f"IntMatrix({self._rows!r})"
+        return f"IntMatrix({[list(r) for r in self._rows]!r})"
 
 
 @dataclass(frozen=True)
@@ -186,7 +181,7 @@ def charpoly(A: IntMatrix) -> IntPoly:
     divisibility and the terminal Cayley-Hamilton identity are asserted.
     """
     n = A.n
-    rows = A.row_lists()
+    rows = A.rows
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     coeffs = [1]  # leading coefficient of x^n
     for k in range(1, n + 1):
@@ -481,7 +476,7 @@ def _separate(a: CertifiedReal, b: CertifiedReal) -> int:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class FactorData:
     """Modulus data for one irreducible factor of a characteristic polynomial."""
 
@@ -495,7 +490,6 @@ class FactorData:
     real_roots_at_max: list = field(default_factory=list)  # Quad values, degree <= 2 only
     max_real_signs: list = field(default_factory=list)  # one +-1 per real root at max modulus
     second_sq_hi: Fraction | None = None
-    is_max: bool = False
 
     @property
     def degree(self):
@@ -725,8 +719,6 @@ def modulus_profile(A: IntMatrix) -> ModulusProfile:
             best = [i]
         elif c == 0:
             best.append(i)
-    for i in best:
-        data[i].is_max = True
     rho = _within_radius_width(data[best[0]].rho)
 
     seconds = []

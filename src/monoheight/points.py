@@ -105,7 +105,7 @@ class LogProfile:
     def transport(self, M: IntMatrix) -> "LogProfile":
         if M.n != self.n:
             raise InputError("matrix dimension does not match profile dimension")
-        rows = M.row_lists()
+        rows = M.rows
         vals = {p: tuple(kernels.mat_vec(rows, vec)) for p, vec in self.vals.items()}
         bits = [0 if s == 1 else 1 for s in self.signs]
         signs = tuple(1 if b % 2 == 0 else -1 for b in kernels.mat_vec(rows, bits))
@@ -147,7 +147,7 @@ def eval_monomial(A: IntMatrix, P: PointGm, bit_budget: int = DEFAULT_COORD_BIT_
     if A.n != P.n:
         raise InputError("matrix dimension does not match point dimension")
     sizes = [c.numerator.bit_length() + c.denominator.bit_length() for c in P.coords]
-    rows = A.row_lists()
+    rows = A.rows
     for i in range(A.n):
         est = sum(abs(rows[i][j]) * sizes[j] for j in range(A.n))
         if est > bit_budget:

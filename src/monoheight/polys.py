@@ -1,8 +1,9 @@
 """Integer polynomials: exact evaluation, squarefree parts, Sturm counts, formatting.
 
 Coefficients are stored ascending (constant term first), matching the printed
-form.  Heavy factorization work is delegated to sympy; the Sturm machinery here
-is the exact interval tool used by certified-real comparisons.
+form.  Squarefree parts and Sturm remainders come from sympy's dense routines
+(dup_sqf_part over ZZ, dup_rem over QQ); the Sturm counts here are the exact
+interval tool used by certified-real comparisons.
 """
 
 from dataclasses import dataclass
@@ -10,7 +11,9 @@ from fractions import Fraction
 from math import gcd
 
 import sympy
-from sympy.polys.domains import ZZ
+from sympy.polys.densearith import dup_neg, dup_rem
+from sympy.polys.densetools import dup_diff
+from sympy.polys.domains import QQ, ZZ
 from sympy.polys.sqfreetools import dup_sqf_part
 
 from .errors import InputError
@@ -107,34 +110,18 @@ def squarefree_part(p: IntPoly) -> IntPoly:
     return IntPoly(tuple(int(c) for c in reversed(q))).primitive()
 
 
-def _frac_poly_rem(a: list, b: list) -> list:
-    """Remainder of a by b over Fraction; lists ascending, b nonzero."""
-    a = a[:]
-    while len(a) >= len(b) and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        f = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] -= f * c
-        a.pop()
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def sturm_chain(p: IntPoly):
-    """Sturm sequence of p over Fraction (requires squarefree input)."""
-    chain = [[Fraction(c) for c in p.coeffs]]
+    """Sturm sequence of p as ascending Fraction lists (requires squarefree
+    input); each remainder is sympy's dense dup_rem over QQ."""
+    chain = [[QQ(c) for c in reversed(p.coeffs)]]
     if p.degree:
-        chain.append([Fraction(c) for c in p.derivative().coeffs])
+        chain.append(dup_diff(chain[0], 1, QQ))
     while len(chain[-1]) > 1:
-        r = _frac_poly_rem(chain[-2], chain[-1])
-        if not any(r):
+        r = dup_rem(chain[-2], chain[-1], QQ)
+        if not r:
             break
-        chain.append([-c for c in r])
-    return chain
+        chain.append(dup_neg(r, QQ))
+    return [[Fraction(int(c.numerator), int(c.denominator)) for c in reversed(g)] for g in chain]
 
 
 def _eval_list(coeffs, x: Fraction) -> Fraction:

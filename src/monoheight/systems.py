@@ -11,6 +11,7 @@ generator a polynomial in the first) reduce exactly to a single map psi.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import count
 from operator import itemgetter
 
@@ -47,7 +48,7 @@ DEFAULT_BIT_BUDGET = 2**16
 
 def _norm_bound(M: IntMatrix) -> int:
     """Cheap upper bound for rho: min of the max absolute row/column sums."""
-    rows = M.row_lists()
+    rows = M.rows
     r = max(sum(abs(v) for v in row) for row in rows)
     c = max(sum(abs(rows[i][j]) for i in range(M.n)) for j in range(M.n))
     return min(r, c)
@@ -103,7 +104,7 @@ def _level_max_radius(level):
     if level[0][1].n == 2:
         best = best_key = best_bound = None
         for word, M in level:
-            (a, b), (c, e) = M.row_lists()
+            (a, b), (c, e) = M.rows
             t, d = a + e, a * e - b * c
             key = _twice_radius(t, d)
             cmp = 1 if best is None else _compare_surds(key, best_key)
@@ -139,13 +140,9 @@ class GrowthRow:
 
 def _best_row(rows, prec):
     """(row, rho^(1/n)) for the first row maximizing rho^(1/n); None without rows."""
-    best = None
     with mp.workprec(prec):
-        for row in rows:
-            v = mp.root(row.rho.to_mpf(prec), row.n)
-            if best is None or v > best[1]:
-                best = (row, v)
-    return best
+        return max(((row, mp.root(row.rho.to_mpf(prec), row.n)) for row in rows),
+                   key=itemgetter(1), default=None)
 
 
 @dataclass
@@ -159,19 +156,16 @@ class GrowthTable:
 
     def upper_bound(self):
         """min over rows of maxdeg^(1/m): Fekete bound from submultiplicativity."""
-        best = None
         with mp.workprec(default_precision()):
-            for row in self.rows:
-                v = mp.root(mpf(row.maxdeg), row.n)
-                if best is None or v < best:
-                    best = v
-        return best
+            return min((mp.root(mpf(row.maxdeg), row.n) for row in self.rows), default=None)
 
 
 def growth_table(
     F, n_max: int = DEFAULT_N_MAX, word_budget: int = DEFAULT_WORD_BUDGET
 ) -> GrowthTable:
     system = _as_system(F)
+    if type(n_max) is not int:  # bool is an int subclass, not a depth
+        raise InputError("n_max must be an integer")
     if n_max < 1:
         raise InputError("n_max must be >= 1")
     levels = _word_levels(system, word_budget)
@@ -223,19 +217,14 @@ class StarCertificate:
 
 
 def _is_diagonal(M: IntMatrix) -> bool:
-    rows = M.row_lists()
+    rows = M.rows
     return all(rows[i][j] == 0 for i in range(M.n) for j in range(M.n) if i != j)
 
 
 def _argmax_radius(mats):
     """Index of the first matrix of largest spectral radius."""
-    best = None
-    best_i = None
-    for i, M in enumerate(mats):
-        rho = spectral_radius(M)
-        if best is None or best.compare(rho) < 0:
-            best, best_i = rho, i
-    return best_i
+    radii = [spectral_radius(M) for M in mats]
+    return max(range(len(mats)), key=cmp_to_key(lambda i, j: radii[i].compare(radii[j])))
 
 
 def _polynomial_in_base(base: IntMatrix, target: IntMatrix):

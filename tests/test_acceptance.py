@@ -162,7 +162,7 @@ def test_criterion_06_diagonal_system_dynamical_degree():
 def test_criterion_07_polynomial_family_certificate():
     t0 = time.monotonic()
     A2 = IntMatrix([[a + b for a, b in zip(r1, r2)]
-                    for r1, r2 in zip(FIB.mul(FIB).row_lists(), FIB.row_lists())])
+                    for r1, r2 in zip(FIB.mul(FIB).rows, FIB.rows)])
     d = dynamical_degree([FIB, A2], n_max=6)
     cert = d.certificate
     assert cert.status == "certified_polynomial_family"

@@ -8,6 +8,7 @@ import pytest
 
 from monoheight import (
     BudgetError,
+    InputError,
     IntMatrix,
     PointGm,
     Quad,
@@ -17,6 +18,10 @@ from monoheight import (
     eval_monomial,
     spectral_radius,
 )
+from monoheight.heights import _enumerate_orbit
+from monoheight.points import log_profile
+
+from conftest import random_matrix, random_point
 
 FIB = IntMatrix([[1, 1], [1, 0]])
 SHEAR = IntMatrix([[1, 1], [0, 1]])
@@ -153,6 +158,79 @@ def test_classify_pair_finite_bfs():
     v = classify_orbit(F, pt(1, -1))
     assert v.status == "finite"
     assert v.orbit_size <= 8
+
+
+def _two_loop_orbit(mats, prof, budget):
+    """The orbit walk as it was, one loop for a single map and a breadth-first
+    loop for a system; kept as the reference for the merged walk."""
+    if len(mats) == 1:
+        seen = {prof.state_key(): 0}
+        state = prof
+        for step in range(1, budget + 1):
+            state = state.transport(mats[0])
+            key = state.state_key()
+            if key in seen:
+                first = seen[key]
+                return first, step - first, step
+            seen[key] = step
+        return None
+    seen = {prof.state_key()}
+    frontier = [prof]
+    while frontier:
+        if len(seen) > budget:
+            return None
+        nxt = []
+        for state in frontier:
+            for M in mats:
+                image = state.transport(M)
+                key = image.state_key()
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append(image)
+        frontier = nxt
+    return 0, len(seen), len(seen)
+
+
+# elements of two finite groups, the signed permutations (order 8) and the
+# dihedral group of order 12, so every orbit of their systems is finite
+FINITE_GROUPS = [[IntMatrix(r) for r in group] for group in (
+    ([[0, 1], [1, 0]], [[-1, 0], [0, 1]], [[0, -1], [1, 0]], [[-1, 0], [0, -1]]),
+    ([[1, -1], [1, 0]], [[0, 1], [1, 0]], [[0, -1], [1, -1]], [[-1, 0], [0, -1]]),
+)]
+
+
+def test_orbit_walk_matches_the_two_loop_walk(rng):
+    preperiodic = 0
+    for k in (1, 2, 3):
+        for trial in range(60):
+            if trial % 3:
+                group = rng.choice(FINITE_GROUPS)
+                mats = [rng.choice(group) for _ in range(k)]
+                P = random_point(rng, 2)
+            else:  # any generators move the signs of a torsion point in a finite space
+                mats = [random_matrix(rng, 2, -2, 2) for _ in range(k)]
+                P = random_point(rng, 2, [Fraction(1), Fraction(-1)])
+            prof = log_profile(P)
+            full = _two_loop_orbit(mats, prof, 64)
+            pre, per, size = full
+            preperiodic += k == 1 and pre > 0
+            assert _enumerate_orbit(mats, prof, pre + per) == full
+            assert _enumerate_orbit(mats, prof, pre + per - 1) is None
+            for budget in range(size + 2):
+                assert _enumerate_orbit(mats, prof, budget) == _two_loop_orbit(mats, prof, budget)
+    assert preperiodic >= 3
+
+
+def test_orbit_budget_must_be_an_integer():
+    for budget in (2.5, 8.0, True):
+        with pytest.raises(InputError, match="budget must be an integer"):
+            classify_orbit(FIB, pt(1, -1), budget=budget)
+
+
+def test_truncation_depth_must_be_an_integer():
+    for n in (2.5, 3.0, True):
+        with pytest.raises(InputError, match="n must be an integer"):
+            canonical_height_truncated(FIB, pt(2, 3), n)
 
 
 def test_truncated_exact_level_sums_zero_for_torsion():

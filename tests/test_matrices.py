@@ -2,6 +2,7 @@
 certified spectral radii, rational kernels."""
 
 import sys
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import permutations
 
@@ -92,6 +93,34 @@ def test_construction_errors():
         IntMatrix([[Fraction(1, 2), 0], [0, 1]])
 
 
+def test_rows_are_the_one_read_only_storage(rng):
+    A = IntMatrix([[2, 1], [1, 1]])
+    assert A.rows == ((2, 1), (1, 1))
+    with pytest.raises(TypeError):
+        A.rows[0][0] = 1
+    with pytest.raises(TypeError):
+        A.rows[0] = (1, 1)
+    assert repr(A) == "IntMatrix([[2, 1], [1, 1]])"
+    mats = [random_matrix(rng, n) for n in (1, 2, 3, 4) for _ in range(10)]
+    mats += [m.mul(m) for m in mats[:10]] + [IntMatrix([list(r) for r in m.rows]) for m in mats[:10]]
+    for A in mats:
+        assert type(A.rows) is tuple and all(type(r) is tuple for r in A.rows)
+        assert all(type(v) is int for r in A.rows for v in r)
+        assert IntMatrix(A.rows) == A and hash(IntMatrix(A.rows)) == hash(A)
+        key = tuple(tuple(r) for r in A.rows)
+        for B in mats:
+            assert (A == B) == (key == tuple(tuple(r) for r in B.rows))
+        assert hash(A) == hash(key)
+
+
+def test_factor_data_is_frozen():
+    fd = modulus_profile(FIB).factors[0]
+    with pytest.raises(FrozenInstanceError):
+        fd.rho = fd.rho_sq
+    with pytest.raises(FrozenInstanceError):
+        fd.roots_at_max = 2
+
+
 def test_det_examples():
     assert IntMatrix([[2, 1], [0, 2]]).det() == 4
     assert FIB.det() == -1
@@ -104,7 +133,7 @@ def test_charpoly_against_leibniz_oracle(rng):
         n = rng.randint(2, 4)
         A = random_matrix(rng, n, -5, 5)
         cp = charpoly(A)
-        assert list(cp.coeffs) == [int(c) for c in _leibniz_charpoly(A.row_lists())]
+        assert list(cp.coeffs) == [int(c) for c in _leibniz_charpoly(A.rows)]
 
 
 def test_charpoly_fib():
@@ -845,11 +874,11 @@ def _profile_fields(prof):
     return (real(prof.rho), prof.max_indices, prof.second_sq_hi, [
         (fd.poly, fd.multiplicity, real(fd.rho), real(fd.rho_sq), fd.roots_at_max,
          fd.all_roots_real, fd.real_roots_at_max, fd.max_real_signs,
-         fd.second_sq_hi, fd.is_max) for fd in prof.factors])
+         fd.second_sq_hi) for fd in prof.factors])
 
 
 def _old_record(**fields):
-    out = dict(roots=[], real_roots_at_max=[], max_real_signs=[], second_sq_hi=None, is_max=False)
+    out = dict(roots=[], real_roots_at_max=[], max_real_signs=[], second_sq_hi=None)
     out.update(fields)
     return out
 
@@ -920,7 +949,7 @@ def _factor_record(fields):
     return (fields["poly"], fields["multiplicity"], real(fields["rho"]), real(fields["rho_sq"]),
             fields["roots_at_max"], fields["neg_real_at_max"], fields["all_roots_real"],
             [repr(r) for r in fields["roots"]], [repr(r) for r in fields["real_roots_at_max"]],
-            fields["max_real_signs"], fields["second_sq_hi"], fields["is_max"])
+            fields["max_real_signs"], fields["second_sq_hi"])
 
 
 def test_low_degree_builder_matches_the_per_degree_builders(rng):

@@ -80,6 +80,49 @@ def test_sturm_count_on_a_linear_polynomial():
     assert sturm_count(p, Fraction(2), Fraction(3)) == 0
 
 
+def _fraction_sturm_chain(p):
+    """The Sturm chain as it was built by hand over Fraction, kept as the
+    reference for the chain from sympy's dense remainders."""
+    def rem(a, b):
+        a = a[:]
+        while len(a) >= len(b) and any(a):
+            if a[-1] == 0:
+                a.pop()
+                continue
+            f = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] -= f * c
+            a.pop()
+        while len(a) > 1 and a[-1] == 0:
+            a.pop()
+        return a
+
+    chain = [[Fraction(c) for c in p.coeffs]]
+    if p.degree:
+        chain.append([Fraction(c) for c in p.derivative().coeffs])
+    while len(chain[-1]) > 1:
+        r = rem(chain[-2], chain[-1])
+        if not any(r):
+            break
+        chain.append([-c for c in r])
+    return chain
+
+
+def test_sturm_chain_matches_the_fraction_chain(rng):
+    polys = [IntPoly([-2, 1]), IntPoly([3, -5]), IntPoly([7]), IntPoly([-1, 0, 0, -4]),
+             IntPoly([1, -3, 0, 6]), IntPoly([-5, 2, 9, 0, -7])]
+    while len(polys) < 200:
+        deg = rng.randint(1, 12)
+        coeffs = [rng.randint(-9, 9) for _ in range(deg)] + [rng.choice([-1, 1]) * rng.randint(1, 9)]
+        polys.append(squarefree_part(IntPoly(coeffs)) if rng.random() < 0.5 else IntPoly(coeffs))
+    assert sum(p.lc < 0 for p in polys) >= 20 and sum(abs(p.lc) > 1 for p in polys) >= 20
+    for p in polys:
+        got, old = sturm_chain(p), _fraction_sturm_chain(p)
+        assert got == old, p
+        assert all(type(c) is Fraction for g in got for c in g)
+
+
 def test_root_bound():
     b = root_bound(X2_X_1)
     assert b >= Fraction(1618, 1000)

@@ -182,3 +182,19 @@ def test_no_public_name_is_defined_in_two_modules():
                     and not node.name.startswith("_"):
                 modules.setdefault(node.name, []).append(path.stem)
     assert {name: stems for name, stems in modules.items() if len(stems) > 1} == {}
+
+
+def test_every_private_helper_has_a_caller():
+    # a private module-level function that nothing in the library loads is
+    # left over from a deletion: delete it with its last caller
+    names, attributes = set(), set()
+    for path in sorted(SRC.rglob("*.py")):
+        n, a = _loads(path)
+        names |= n
+        attributes |= {attr for _, attr in a}
+    found = [f"{path.name}:{node.lineno} {node.name}" for path in sorted(SRC.rglob("*.py"))
+             for node in ast.parse(path.read_text(), filename=str(path)).body
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and node.name.startswith("_") and not node.name.startswith("__")
+             and node.name not in names | attributes]
+    assert found == []

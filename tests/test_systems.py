@@ -30,7 +30,11 @@ from monoheight import (
 )
 from monoheight.matrices import charpoly, trace_det_radius, word_product
 from monoheight.polys import IntPoly
+from monoheight.precision import default_precision
 from monoheight.systems import (
+    GrowthRow,
+    _argmax_radius,
+    _best_row,
     _compare_surds,
     _empirical_certificate,
     _level_max_radius,
@@ -154,6 +158,74 @@ def test_n_max_below_one_rejected(call, n_max):
         call([SHEAR_U, SHEAR_L], n_max)
 
 
+@pytest.mark.parametrize("n_max", [2.5, 3.0, True])
+def test_n_max_must_be_an_integer(n_max):
+    for call in (growth_table, system_report):
+        with pytest.raises(InputError, match="n_max must be an integer"):
+            call([SHEAR_U, SHEAR_L], *([pt(2, 3)] if call is system_report else []), n_max=n_max)
+
+
+def _loop_best_row(rows, prec):
+    """_best_row as a loop, kept as the reference: the first row maximizing rho^(1/n)."""
+    best = None
+    with mp.workprec(prec):
+        for row in rows:
+            v = mp.root(row.rho.to_mpf(prec), row.n)
+            if best is None or v > best[1]:
+                best = (row, v)
+    return best
+
+
+def _loop_upper_bound(rows):
+    """GrowthTable.upper_bound as a loop, kept as the reference: min of maxdeg^(1/m)."""
+    best = None
+    with mp.workprec(default_precision()):
+        for row in rows:
+            v = mp.root(mp.mpf(row.maxdeg), row.n)
+            if best is None or v < best:
+                best = v
+    return best
+
+
+def _loop_argmax_radius(mats):
+    """_argmax_radius as a loop, kept as the reference: the first matrix of largest radius."""
+    best = best_i = None
+    for i, M in enumerate(mats):
+        rho = spectral_radius(M)
+        if best is None or best.compare(rho) < 0:
+            best, best_i = rho, i
+    return best_i
+
+
+def _rows_of(values):
+    """Growth rows (n, rho, maxdeg) with distinct words, so the chosen row is identifiable."""
+    return [GrowthRow(n=n, rho=CertifiedReal.from_fraction(Fraction(rho)), word=(i,), maxdeg=deg, deg_word=(i,))
+            for i, (n, rho, deg) in enumerate(values)]
+
+
+def test_builtin_rankers_match_their_loops():
+    A, B = IntMatrix([[2, 1], [1, 1]]), IntMatrix([[1, 1], [0, 1]])
+    AB, BA = A.mul(B), B.mul(A)
+    diag32 = IntMatrix([[3, 0], [0, 2]])
+    assert spectral_radius(AB).compare(spectral_radius(BA)) == 0
+    mat_cases = [[DIAG23, diag32], [diag32, DIAG23], [AB, BA], [BA, AB], [B, AB, BA],
+                 [A, B], [B, A], [B, B, A, AB], [FIB]]
+    assert [_argmax_radius(m) for m in mat_cases] == [_loop_argmax_radius(m) for m in mat_cases]
+    assert [_argmax_radius(m) for m in mat_cases[:5]] == [0, 0, 0, 0, 1]
+    # ties: 3 = 9^(1/2) = 27^(1/3) in rho^(1/n), and 3 = 9^(1/2) in maxdeg^(1/m)
+    row_cases = [[(1, 3, 3), (2, 9, 9)], [(2, 9, 9), (1, 3, 3)], [(1, 2, 5), (3, 27, 27), (2, 9, 9)],
+                 [(1, 2, 4), (2, 5, 3)], [(2, 5, 3), (1, 2, 4)], [(1, 7, 7)], []]
+    for values in row_cases:
+        rows = _rows_of(values)
+        got, old = _best_row(rows, default_precision()), _loop_best_row(rows, default_precision())
+        assert (got is None) == (old is None)
+        if got is not None:
+            assert got[0] is old[0] and got[1] == old[1]
+        assert GrowthTable(rows).upper_bound() == _loop_upper_bound(rows)
+    assert _best_row(_rows_of(row_cases[2]), default_precision())[0].word == (1,)
+    assert GrowthTable([]).upper_bound() is None
+
+
 def test_dynamical_degree_diagonal_pair():
     d = dynamical_degree([DIAG23, DIAG52], n_max=6)
     assert d.certificate.status == "certified_diagonal"
@@ -193,7 +265,7 @@ def test_polynomial_family_recovery():
     # A2 = A^2 + A; the recovered coefficients are its reduction mod charpoly
     A2 = FIB.mul(FIB)
     A2 = IntMatrix([[a + b for a, b in zip(r1, r2)]
-                    for r1, r2 in zip(A2.row_lists(), FIB.row_lists())])
+                    for r1, r2 in zip(A2.rows, FIB.rows)])
     d = dynamical_degree([FIB, A2], n_max=6)
     cert = d.certificate
     assert cert.status == "certified_polynomial_family"
@@ -377,7 +449,7 @@ def test_system_report_surfaces_internal_failures(monkeypatch):
 
 
 def _trace_det(M):
-    (a, b), (c, e) = M.row_lists()
+    (a, b), (c, e) = M.rows
     return a + e, a * e - b * c
 
 
@@ -390,7 +462,7 @@ def _ranking_matrices(rng):
         except InputError:  # determinant zero
             continue
     # transposes share trace and determinant: exact ties
-    return mats + [IntMatrix([list(col) for col in zip(*M.row_lists())]) for M in mats[::7]]
+    return mats + [IntMatrix([list(col) for col in zip(*M.rows)]) for M in mats[::7]]
 
 
 def test_trace_det_ranking_matches_spectral_radius(rng):
@@ -425,7 +497,7 @@ def test_one_pass_ranking_matches_the_sorted_ranking(rng):
     tied = {"norm_bounds_differ": 0, "norm_bounds_equal": 0}
     for _ in range(80):
         a, b = (random_matrix(rng, 2) for _ in range(2))
-        neg_a = IntMatrix([[-v for v in row] for row in a.row_lists()])
+        neg_a = IntMatrix([[-v for v in row] for row in a.rows])
         conj_a = SHEAR_U.mul(a).mul(IntMatrix([[1, -1], [0, 1]]))
         # AB and BA, and A and its conjugate, tie in radius; A and -A tie in
         # radius and norm bound
