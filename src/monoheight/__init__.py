@@ -51,8 +51,8 @@ from .heights import (
     OrbitVerdict,
     TruncatedEstimate,
     canonical_height_closed,
-    canonical_height_truncated,
     classify_orbit,
+    truncated_estimates,
 )
 from .systems import (
     DynamicalDegree,
@@ -104,7 +104,6 @@ __all__ = [
     "UnsupportedError",
     "baker_c11",
     "canonical_height_closed",
-    "canonical_height_truncated",
     "charpoly",
     "charpoly_factors",
     "check_reduction",
@@ -128,6 +127,7 @@ __all__ = [
     "real_str",
     "spectral_radius",
     "system_report",
+    "truncated_estimates",
     "weil_height",
     "weil_height_of_point",
     "__version__",

@@ -21,7 +21,7 @@ from .errors import InputError, UnsupportedError
 from .precision import default_precision, fraction_to_mpf, mp, real_str
 from .matrices import CertifiedReal, IntMatrix
 from .jordan import jordan_basis, jordan_profile
-from .points import PointGm, log_profile, weil_height_of_point
+from .points import PointGm, log_profile, weil_height
 from .heights import canonical_height_closed
 from .scalars import h_mult_log_enclosure
 
@@ -54,7 +54,10 @@ def _cleared_representative(P: PointGm):
     return PointGm(tuple(c * m for c in P.coords)), m
 
 
-def _ceil_shifted_height(const: int, mult, h, cap=1 << 14) -> int:
+CEIL_PREC_CAP = 1 << 14  # largest working precision, in bits, of _ceil_shifted_height
+
+
+def _ceil_shifted_height(const: int, mult, h) -> int:
     """Smallest integer >= const + mult * h, decided from exact enclosures.
 
     h is a HeightValue; const + mult*h can only be an integer when h = 0
@@ -64,7 +67,7 @@ def _ceil_shifted_height(const: int, mult, h, cap=1 << 14) -> int:
     if h.exact and h.symbolic.is_zero:
         return const
     prec = 128
-    while prec <= cap:
+    while prec <= CEIL_PREC_CAP:
         lo, hi = h.enclosure(prec)
         cl = int(ceil(const + mult * lo))
         ch = int(ceil(const + mult * hi))
@@ -84,7 +87,6 @@ class BakerInputs:
     h_field: object  # mpf of [K:Q] * h
     r: int
     l: int
-    rho: object  # CertifiedReal
     entry_height_log: object  # mpf, max over Jordan entries of log H_mult
     det_inv_height_log: object  # mpf, log H_mult(1/det J)
     support_primes: tuple  # T_0: primes dividing a cleared coordinate
@@ -170,7 +172,8 @@ def _baker_inputs(A: IntMatrix, P: PointGm, prec) -> tuple:
 
     field_degree = 2 if jb.field_d else 1
     cleared, factor = _cleared_representative(P)
-    h = weil_height_of_point(cleared)
+    cleared_prof = log_profile(cleared)
+    h = weil_height(cleared_prof)
     hlo, hhi = h.enclosure(prec + 32)
     h_field = field_degree * fraction_to_mpf((hlo + hhi) / 2, prec)
 
@@ -179,12 +182,12 @@ def _baker_inputs(A: IntMatrix, P: PointGm, prec) -> tuple:
     dlo, dhi = h_mult_log_enclosure(jb.det_J.inverse(), prec)
     det_log = fraction_to_mpf((dlo + dhi) / 2, prec)
 
-    support = tuple(sorted(log_profile(cleared).vals))
+    support = tuple(sorted(cleared_prof.vals))
     inputs = BakerInputs(
-        A.n, field_degree, h, h_field, prof.r, prof.l, prof.rho,
+        A.n, field_degree, h, h_field, prof.r, prof.l,
         entry_log, det_log, support, P, cleared, factor,
     )
-    return inputs, prof, path, h
+    return inputs, prof, path
 
 
 def effective_constants(A: IntMatrix, P: PointGm, prec=None) -> BakerConstants:
@@ -204,11 +207,11 @@ def effective_constants(A: IntMatrix, P: PointGm, prec=None) -> BakerConstants:
     """
     prec = prec or max(default_precision(), 192)
     with mp.workprec(prec):
-        inputs, prof, path, h = _baker_inputs(A, P, prec)
+        inputs, prof, path = _baker_inputs(A, P, prec)
         N, kdeg = inputs.n, inputs.field_degree
         r, l = inputs.r, inputs.l
 
-        n_star = _ceil_shifted_height(4, N * kdeg, h)
+        n_star = _ceil_shifted_height(4, N * kdeg, inputs.h_point)
         hk = inputs.h_field
 
         a_prime_log = (2 + hk * N) * 12 * (4 + hk * N)

@@ -20,8 +20,8 @@ from .points import PointGm, log_profile, weil_height_of_point
 from .heights import (
     DEFAULT_WORD_BUDGET,
     canonical_height_closed,
-    canonical_height_truncated,
     classify_orbit,
+    truncated_estimates,
 )
 from .systems import DEFAULT_N_MAX, SystemF, system_report
 from .baker import effective_constants
@@ -132,9 +132,9 @@ def _cmd_canonical_height(args):
         "canonical_height": hv.to_json(),
     }
     if args.truncation_order:
-        est = canonical_height_truncated(
+        est = truncated_estimates(
             A, P, args.truncation_order, word_budget=args.word_budget, prec=args.precision
-        )
+        )["summed"]
         report["truncated"] = est.to_json()
     return report
 
@@ -187,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n-max", type=int, default=DEFAULT_N_MAX, dest="n_max")
     parser.add_argument("--precision", type=int, default=None, metavar="BITS")
     parser.add_argument("--word-budget", type=int, default=DEFAULT_WORD_BUDGET, dest="word_budget")
-    parser.add_argument("--truncation-order", type=int, default=0, dest="truncation_order")
+    parser.add_argument("--truncation-order", type=int, default=0, dest="truncation_order",
+                        help="depth of the truncated word-sum estimate; 0 (the default) leaves it out")
     parser.add_argument("--format", choices=("json", "text"), default="json")
     return parser
 
@@ -201,6 +202,8 @@ def _validate(args):
         raise InputError("classify requires --matrix or --system")
     if args.n_max < 1 or args.word_budget < 1:
         raise InputError("budgets must be positive")
+    if args.truncation_order < 0:
+        raise InputError("--truncation-order must be >= 0")
     if args.precision is not None and not 16 <= args.precision <= 1 << 16:
         raise InputError("precision must be between 16 and 65536 bits")
     return handler

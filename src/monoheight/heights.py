@@ -47,36 +47,25 @@ def canonical_height_closed(A: IntMatrix, P: PointGm, prec=None) -> HeightValue:
         mass += 2.0 * sum(abs(v) for v in vec) * math.log(p)
     b = limit_matrix_B(A, prec=prec, _tol=LIMIT_TOL / (4.0 * (mass + 1.0)))
     if b.exact:
-        return HeightValue(_closed_exact(b.entries, prof))
+        # the Weil-height formula on c_p = B v_p in place of each valuation vector v_p
+        c = {p: kernels.mat_vec(b.entries, vec) for p, vec in prof.vals.items()}
+        return HeightValue(LogLinear(_place_heights(c)))
     return _closed_numeric(b, prof, prec)
-
-
-def _closed_exact(B, prof: LogProfile) -> LogLinear:
-    """The Weil-height formula on c_p = B v_p in place of each valuation vector v_p."""
-    return LogLinear(_place_heights({p: kernels.mat_vec(B, vec) for p, vec in prof.vals.items()}))
 
 
 def _closed_numeric(b, prof: LogProfile, prec: int) -> HeightValue:
     n = prof.n
     with mp.workprec(prec + 32):
         logs = {p: mp.log(p) for p in prof.vals}
+        # u_v for the finite places, then the archimedean place
+        places = [[-v * logs[p] for v in vec] for p, vec in prof.vals.items()]
+        places.append([mp.fsum(vec[j] * logs[p] for p, vec in prof.vals.items()) for j in range(n)])
         err = mpf(0)
         total = mpf(0)
-        width = b.width
-        # finite places
-        for p, vec in prof.vals.items():
-            u = [-v * logs[p] for v in vec]
-            row_err = width * mp.fsum(abs(x) for x in u)
+        for u in places:
             vals = [mp.fsum(b.entries[i][j] * u[j] for j in range(n)) for i in range(n)]
-            m = max(vals + [mpf(0)])
-            total += m
-            err += row_err
-        # archimedean place
-        u = [mp.fsum(vec[j] * logs[p] for p, vec in prof.vals.items()) for j in range(n)]
-        row_err = width * mp.fsum(abs(x) for x in u)
-        vals = [mp.fsum(b.entries[i][j] * u[j] for j in range(n)) for i in range(n)]
-        total += max(vals + [mpf(0)])
-        err += row_err
+            total += max(vals + [mpf(0)])
+            err += b.width * mp.fsum(abs(x) for x in u)
         err += abs(total) * mpf(2) ** (16 - prec) + mpf(2) ** (16 - prec)
         return HeightValue(lo=total - err, hi=total + err)
 
@@ -166,8 +155,9 @@ def _walk_words(k: int, n: int, word_budget: int) -> int:
 def truncated_estimates(
     F, P: PointGm, n: int, l_override=None, delta=None, word_budget: int = DEFAULT_WORD_BUDGET, prec=None
 ) -> dict:
-    """Both variants of canonical_height_truncated, keyed by variant name,
-    from one walk over the word levels."""
+    """Word sums of Weil heights, exactly, from one walk over the word levels, keyed
+    by variant: "summed" divides by n^l delta^n, "averaged" also by k^n (the
+    per-word average rather than the level sum)."""
     prec = prec or default_precision()
     mats = _as_system(F).matrices
     k = len(mats)
@@ -211,27 +201,6 @@ def truncated_estimates(
         )
         for variant, vals in values.items()
     }
-
-
-def canonical_height_truncated(
-    F,
-    P: PointGm,
-    n: int,
-    variant: str = "summed",
-    l_override=None,
-    delta=None,
-    word_budget: int = DEFAULT_WORD_BUDGET,
-    prec=None,
-) -> TruncatedEstimate:
-    """Word sums of Weil heights, exactly, divided by the variant's normalizer.
-
-    variant "summed" normalizes by n^l delta^n; "averaged" additionally by k^n
-    (the per-word average rather than the level sum).
-    """
-    if variant not in ("summed", "averaged"):
-        raise InputError("variant must be 'summed' or 'averaged'")
-    return truncated_estimates(F, P, n, l_override=l_override, delta=delta,
-                               word_budget=word_budget, prec=prec)[variant]
 
 
 @dataclass

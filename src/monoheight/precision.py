@@ -26,10 +26,6 @@ def mpf_to_fraction(x) -> Fraction:
     Reads the mantissa directly; re-wrapping with mp.mpf would round to the
     ambient precision and silently discard bits.
     """
-    if isinstance(x, int):
-        return Fraction(x)
-    if not hasattr(x, "_mpf_"):
-        x = mp.mpf(x)
     sign, man, exp, _ = x._mpf_
     if man == 0:
         return Fraction(0)

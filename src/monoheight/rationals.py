@@ -9,10 +9,8 @@ import sympy
 
 from .errors import InputError
 
-Rat = Fraction
 
-
-def factor_rational(x: Rat) -> dict[int, int]:
+def factor_rational(x: Fraction) -> dict[int, int]:
     """Signed prime factorization of a nonzero rational, sign discarded.
 
     Returns {p: e_p} with x = sign(x) * prod p^e_p exactly and every e_p nonzero.
@@ -35,7 +33,7 @@ def factor_rational(x: Rat) -> dict[int, int]:
     return dict(sorted((p, e) for p, e in out.items() if e != 0))
 
 
-def parse_rational(text: str) -> Rat:
+def parse_rational(text: str) -> Fraction:
     """Parse "p" or "p/q" (ASCII, no whitespace) into an exact rational."""
     try:
         value = Fraction(text.strip())

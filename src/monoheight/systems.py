@@ -395,9 +395,6 @@ class ReductionReport:
     def all_pass(self) -> bool:
         return all(p for _, p, _ in self.items)
 
-    def to_json(self):
-        return [{"check": n, "pass": p, "detail": d} for n, p, d in self.items]
-
 
 def check_reduction(F, P: PointGm, n_max: int = DEFAULT_N_MAX) -> ReductionReport:
     """Verify the reduction facts on a certified system: degree match,
@@ -415,9 +412,8 @@ def check_reduction(F, P: PointGm, n_max: int = DEFAULT_N_MAX) -> ReductionRepor
     psi = cert.psi
     prec = default_precision()
     items = []
-    rho_psi = spectral_radius(psi)
     with mp.workprec(prec):
-        psi_val = mp.root(rho_psi.to_mpf(prec), cert.t)
+        psi_val = mp.root(degree.exact.to_mpf(prec), cert.t)
         ok_a = degree.lo <= psi_val * (1 + mpf(2) ** -64) and psi_val <= degree.hi * (1 + mpf(2) ** -64)
     items.append(("degree equals reduced-map degree",
                   bool(ok_a), f"delta in [{real_str(degree.lo, 15)}, {real_str(degree.hi, 15)}], "
@@ -511,16 +507,11 @@ def system_report(
         height_zero = trunc_s.is_exact_zero()
     bound = None
     equivalence = None
-    with_delta_gt1 = float(degree.lo) > 1 + 1e-15 or (
-        degree.exact is not None and degree.exact.compare(CertifiedReal.from_fraction(Fraction(1))) > 0
-    )
     if psi is not None:
+        # a certified psi fixes delta = rho(psi) exactly
         jp = jordan_profile(psi)
         irreducible = jp.modulus.irreducible
-        delta_gt_k = float(degree.lo) > system.k or (
-            degree.exact is not None
-            and degree.exact.compare(CertifiedReal.from_fraction(Fraction(system.k))) > 0
-        )
+        delta_gt_k = degree.exact.compare(CertifiedReal.from_fraction(Fraction(system.k))) > 0
         if irreducible and delta_gt_k:
             equivalence = "applies"
             if height_zero and verdict.status == "infinite":
@@ -536,7 +527,7 @@ def system_report(
                              "zero height does not imply a finite orbit")
             if not delta_gt_k:
                 notes.append("delta <= k; the finiteness equivalence does not apply")
-        if height_zero and with_delta_gt1:
+        if height_zero and degree.exact.compare(CertifiedReal.from_fraction(Fraction(1))) > 0:
             bound = system.n - jp.rbar
             notes.append(
                 "zero canonical height: the orbit lies in finitely many translates of "

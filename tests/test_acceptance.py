@@ -19,7 +19,6 @@ from monoheight import (
     Quad,
     baker_c11,
     canonical_height_closed,
-    canonical_height_truncated,
     check_reduction,
     classify_orbit,
     dynamical_degree,
@@ -29,6 +28,7 @@ from monoheight import (
     log_profile,
     spectral_radius,
     system_report,
+    truncated_estimates,
 )
 from monoheight.precision import fraction_to_mpf
 from conftest import COORD_CHOICES, random_matrix, random_point
@@ -95,11 +95,11 @@ def test_criterion_03_closed_form_canonical_heights():
         assert abs(hval(h_fib) - want) < 1e-20
 
     # truncated estimators at n = 40 against exact orbit-formula predictions
-    est = canonical_height_truncated(DIAG23, pt(2, 3), 40)
+    est = truncated_estimates(DIAG23, pt(2, 3), 40)["summed"]
     assert abs(est.estimate - mp.log(3)) < 1e-9
-    est = canonical_height_truncated(FIB, pt(2, 3), 40)
+    est = truncated_estimates(FIB, pt(2, 3), 40)["summed"]
     assert abs(est.estimate - hval(h_fib)) < 1e-9
-    est = canonical_height_truncated(SHEAR, pt(2, 3), 40)
+    est = truncated_estimates(SHEAR, pt(2, 3), 40)["summed"]
     # values are log3 + log2/nu; the tail-window max sits at nu = 31
     assert abs(est.estimate - (mp.log(3) + mp.log(2) / 31)) < 1e-9
     assert time.monotonic() - t0 < 5
@@ -140,7 +140,7 @@ def test_criterion_05_preperiodic_vanishing():
         for mask in range(2**n):
             coords = tuple(Fraction(1 if mask & (1 << j) else -1) for j in range(n))
             P = PointGm(coords)
-            est = canonical_height_truncated(F, P, 4, delta=2, l_override=0)
+            est = truncated_estimates(F, P, 4, delta=2, l_override=0)["summed"]
             assert est.is_exact_zero()
             v = classify_orbit(F, P)
             assert v.status == "finite"

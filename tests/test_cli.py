@@ -111,6 +111,17 @@ def test_canonical_height_command(files):
     assert len(rep["truncated"]["values"]) == 8
 
 
+def test_truncation_order_is_validated_as_a_flag(files):
+    argv = ["canonical-height", "--matrix", files["fib"], "--point", "2,3", "--truncation-order"]
+    code, text = invoke(argv + ["-3"])
+    assert code == EXIT_INPUT
+    assert json.loads(text)["error"]["message"] == "--truncation-order must be >= 0"
+    # 0 means no truncated block
+    code, text = invoke(argv + ["0"])
+    assert code == EXIT_OK
+    assert "truncated" not in json.loads(text)["report"]
+
+
 def test_canonical_height_command_prints_the_enclosure_of_a_numeric_height(tmp_path):
     # the companion of x^3 - x - 1 has an iterated limit, so its height is an
     # enclosure; canonical-height prints it as classify does

@@ -13,12 +13,13 @@ from monoheight import (
     PointGm,
     Quad,
     canonical_height_closed,
-    canonical_height_truncated,
     classify_orbit,
     eval_monomial,
+    limit_matrix_B,
     spectral_radius,
+    truncated_estimates,
 )
-from monoheight.heights import _enumerate_orbit
+from monoheight.heights import _closed_numeric, _enumerate_orbit
 from monoheight.points import log_profile
 
 from conftest import random_matrix, random_point
@@ -76,8 +77,52 @@ def test_sign_invariance():
     assert a.symbolic.coeffs == b.symbolic.coeffs
 
 
+CUBIC = IntMatrix([[0, 0, 1], [1, 0, 1], [0, 1, 0]])  # companion of x^3 - x - 1
+
+
+def _two_block_closed_numeric(b, prof, prec):
+    """The numeric closed form as it was, one block for the finite places and
+    one for the archimedean place; kept as the reference for the place loop."""
+    n = prof.n
+    with mp.workprec(prec + 32):
+        logs = {p: mp.log(p) for p in prof.vals}
+        err = mp.mpf(0)
+        total = mp.mpf(0)
+        for p, vec in prof.vals.items():
+            u = [-v * logs[p] for v in vec]
+            row_err = b.width * mp.fsum(abs(x) for x in u)
+            vals = [mp.fsum(b.entries[i][j] * u[j] for j in range(n)) for i in range(n)]
+            total += max(vals + [mp.mpf(0)])
+            err += row_err
+        u = [mp.fsum(vec[j] * logs[p] for p, vec in prof.vals.items()) for j in range(n)]
+        row_err = b.width * mp.fsum(abs(x) for x in u)
+        vals = [mp.fsum(b.entries[i][j] * u[j] for j in range(n)) for i in range(n)]
+        total += max(vals + [mp.mpf(0)])
+        err += row_err
+        err += abs(total) * mp.mpf(2) ** (16 - prec) + mp.mpf(2) ** (16 - prec)
+        return total - err, total + err
+
+
+def test_closed_numeric_matches_the_two_block_form(rng):
+    # six primes with exponents up to 3 give enough places that a changed
+    # summation order shows in the last bits
+    def coord():
+        q = Fraction(rng.choice((-1, 1)))
+        for p in (2, 3, 5, 7, 11, 13):
+            q *= Fraction(p) ** rng.randint(-3, 3)
+        return q
+
+    for prec in (64, 128, 200):
+        b = limit_matrix_B(CUBIC, prec=prec)
+        assert not b.exact
+        for _ in range(25):
+            prof = log_profile(PointGm(tuple(coord() for _ in range(3))))
+            h = _closed_numeric(b, prof, prec)
+            assert (h.lo, h.hi) == _two_block_closed_numeric(b, prof, prec)
+
+
 def test_truncated_diag_constant():
-    est = canonical_height_truncated(DIAG23, pt(2, 3), 12)
+    est = truncated_estimates(DIAG23, pt(2, 3), 12)["summed"]
     log3 = mp.log(3)
     assert est.n == 12 and est.k == 1 and est.tail_window == 3
     for v in est.values:
@@ -87,7 +132,7 @@ def test_truncated_diag_constant():
 
 def test_truncated_shear_tail_window():
     # values are log3 + log2/nu; the window max over nu in [31, 40] sits at 31
-    est = canonical_height_truncated(SHEAR, pt(2, 3), 40)
+    est = truncated_estimates(SHEAR, pt(2, 3), 40)["summed"]
     assert est.l == 1 and est.tail_window == 10
     log2, log3 = mp.log(2), mp.log(3)
     for i, v in enumerate(est.values, start=1):
@@ -96,7 +141,7 @@ def test_truncated_shear_tail_window():
 
 
 def test_truncated_fib_matches_fibonacci_numbers():
-    est = canonical_height_truncated(FIB, pt(2, 3), 30)
+    est = truncated_estimates(FIB, pt(2, 3), 30)["summed"]
     fibs = [0, 1]
     while len(fibs) < 40:
         fibs.append(fibs[-1] + fibs[-2])
@@ -109,8 +154,8 @@ def test_truncated_fib_matches_fibonacci_numbers():
 
 
 def test_truncated_averaged_variant():
-    s = canonical_height_truncated(DIAG23, pt(2, 3), 8, variant="summed")
-    a = canonical_height_truncated(DIAG23, pt(2, 3), 8, variant="averaged")
+    s = truncated_estimates(DIAG23, pt(2, 3), 8)["summed"]
+    a = truncated_estimates(DIAG23, pt(2, 3), 8)["averaged"]
     # one matrix: k^n = 1, the variants coincide
     assert [str(x) for x in s.values] == [str(x) for x in a.values]
 
@@ -118,18 +163,18 @@ def test_truncated_averaged_variant():
 def test_truncated_word_budget():
     F = [DIAG23, FIB]
     with pytest.raises(BudgetError):
-        canonical_height_truncated(F, pt(2, 3), 20, word_budget=100)
+        truncated_estimates(F, pt(2, 3), 20, word_budget=100)["summed"]
 
 
 def test_truncated_word_budget_counts_every_level():
     # the budget bounds the reported word_count, k + k^2 + ... + k^n, also for one map
     with pytest.raises(BudgetError, match=r"^word budget 100 exceeded at 101 words$"):
-        canonical_height_truncated(FIB, pt(2, 3), 2000, word_budget=100)
-    assert canonical_height_truncated(FIB, pt(2, 3), 100, word_budget=100).word_count == 100
+        truncated_estimates(FIB, pt(2, 3), 2000, word_budget=100)["summed"]
+    assert truncated_estimates(FIB, pt(2, 3), 100, word_budget=100)["summed"].word_count == 100
     F = [DIAG23, FIB]
-    assert canonical_height_truncated(F, pt(2, 3), 6, delta=Fraction(3), word_budget=126).word_count == 126
+    assert truncated_estimates(F, pt(2, 3), 6, delta=Fraction(3), word_budget=126)["summed"].word_count == 126
     with pytest.raises(BudgetError, match=r"^word budget 125 exceeded at 126 words$"):
-        canonical_height_truncated(F, pt(2, 3), 6, word_budget=125)
+        truncated_estimates(F, pt(2, 3), 6, word_budget=125)["summed"]
 
 
 def test_classify_fib_infinite():
@@ -158,6 +203,18 @@ def test_classify_pair_finite_bfs():
     v = classify_orbit(F, pt(1, -1))
     assert v.status == "finite"
     assert v.orbit_size <= 8
+
+
+def test_classify_system_over_budget_is_unknown():
+    F = [IntMatrix([[0, 1], [1, 0]]), IntMatrix([[-1, 0], [0, 1]])]
+    assert classify_orbit(F, pt(2, 3), budget=3).to_json() == {"status": "unknown", "budget": 3}
+
+
+def test_escape_certificate_without_a_visible_step():
+    # no step the witness search tries (below 4096) outgrows the start valuation 5000 at p=2
+    v = classify_orbit(SHEAR, PointGm((Fraction(2**5000), Fraction(3))))
+    assert v.status == "infinite"
+    assert v.certificate == "valuation vector at p=3 is not fixed by A^1"
 
 
 def _two_loop_orbit(mats, prof, budget):
@@ -230,11 +287,11 @@ def test_orbit_budget_must_be_an_integer():
 def test_truncation_depth_must_be_an_integer():
     for n in (2.5, 3.0, True):
         with pytest.raises(InputError, match="n must be an integer"):
-            canonical_height_truncated(FIB, pt(2, 3), n)
+            truncated_estimates(FIB, pt(2, 3), n)["summed"]
 
 
 def test_truncated_exact_level_sums_zero_for_torsion():
-    est = canonical_height_truncated(FIB, pt(1, -1), 10)
+    est = truncated_estimates(FIB, pt(1, -1), 10)["summed"]
     assert est.is_exact_zero()
     assert all(abs(v) == 0 for v in est.values)
 
@@ -243,7 +300,7 @@ def test_height_json_shapes():
     h = canonical_height_closed(FIB, pt(2, 3))
     d = h.to_json()
     assert set(d) == {"decimal", "symbolic"}
-    est = canonical_height_truncated(FIB, pt(2, 3), 6)
+    est = truncated_estimates(FIB, pt(2, 3), 6)["summed"]
     d = est.to_json()
     assert d["variant"] == "summed" and len(d["values"]) == 6
 
@@ -258,7 +315,7 @@ def test_dimension_mismatch():
 def test_closed_matches_truncated_limit():
     for A, P in [(FIB, pt(2, 3)), (DIAG23, pt(6, "1/5")), (SHEAR, pt(2, 3))]:
         h = canonical_height_closed(A, P)
-        est = canonical_height_truncated(A, P, 60)
+        est = truncated_estimates(A, P, 60)["summed"]
         assert abs(float(h) - est.values[-1]) < (
             1e-9 if jordan_l(A) == 0 else math.log(2) / 50
         )

@@ -198,3 +198,27 @@ def test_every_private_helper_has_a_caller():
              and node.name.startswith("_") and not node.name.startswith("__")
              and node.name not in names | attributes]
     assert found == []
+
+
+def _float_calls(path):
+    """(qualified name of the enclosing def, line) of each call of the float builtin."""
+    calls = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            calls.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return calls
+
+
+def test_no_float_conversions():
+    # decisions are exact: a float rounding of a certified value decides nothing;
+    # HeightValue.__float__ is the one place a caller asks for a float
+    found = [f"{path.name}:{line} {scope}" for path in sorted(SRC.rglob("*.py"))
+             for scope, line in _float_calls(path) if scope != "HeightValue.__float__"]
+    assert found == []

@@ -19,7 +19,6 @@ from monoheight import (
     Quad,
     SystemF,
     UnsupportedError,
-    canonical_height_truncated,
     check_reduction,
     correction_exponent,
     dynamical_degree,
@@ -27,6 +26,7 @@ from monoheight import (
     log_profile,
     spectral_radius,
     system_report,
+    truncated_estimates,
 )
 from monoheight.matrices import charpoly, trace_det_radius, word_product
 from monoheight.polys import IntPoly
@@ -356,6 +356,27 @@ def test_system_report_dimension_check():
         system_report(FIB, pt(2, 3, 5))
 
 
+def _float_predicates(degree, k):
+    """(delta > 1, delta > k) as decided before the exact tests: a float test
+    on the lower bound, then the exact comparison; kept as the reference."""
+    def gt(v):
+        return degree.exact is not None and degree.exact.compare(CertifiedReal.from_fraction(Fraction(v))) > 0
+    return float(degree.lo) > 1 + 1e-15 or gt(1), float(degree.lo) > k or gt(k)
+
+
+@pytest.mark.parametrize("rows, point, gt1, gtk, bound", [
+    ([[[2, 0], [0, 1]], [[1, 0], [0, 2]]], (2, 3), True, False, None),  # delta = k = 2
+    ([[[1, 1], [0, 1]], [[1, 2], [0, 1]]], (1, -1), False, False, None),  # delta = 1, zero height
+    ([[[2, 0], [0, 3]], [[5, 0], [0, 2]]], (1, 1), True, True, 1),  # delta = 5, zero height
+], ids=["delta-equals-k", "delta-equals-1", "delta-above-1"])
+def test_reduction_predicates_match_their_float_forms(rows, point, gt1, gtk, bound):
+    rep = system_report([IntMatrix(r) for r in rows], pt(*point), n_max=6)
+    assert _float_predicates(rep.degree, len(rows)) == (gt1, gtk)
+    assert ("delta <= k; the finiteness equivalence does not apply" in rep.notes) == (not gtk)
+    assert rep.zero_height_dim_bound == bound
+    assert any("dimension >= 1" in n for n in rep.notes) == (bound is not None)
+
+
 @pytest.mark.parametrize("mats, n_max", [
     ([SHEAR_U, SHEAR_L], 6),
     (FREE3, 4),
@@ -366,8 +387,8 @@ def test_system_report_estimates_match_standalone_calls(mats, n_max):
     delta = rep.degree.exact if rep.degree.exact is not None else rep.degree.hi
     assert (rep.trunc_summed.variant, rep.trunc_averaged.variant) == ("summed", "averaged")
     for est in (rep.trunc_summed, rep.trunc_averaged):
-        alone = canonical_height_truncated(mats, pt(2, 3), est.n, variant=est.variant,
-                                           l_override=rep.correction.l, delta=delta)
+        alone = truncated_estimates(mats, pt(2, 3), est.n,
+                                    l_override=rep.correction.l, delta=delta)[est.variant]
         assert alone.to_json() == est.to_json()
 
 
