@@ -20,7 +20,7 @@ from mpmath import mp, mpf
 
 from . import kernels
 from .errors import BudgetError, UnsupportedError
-from .matrices import CertifiedReal, IntMatrix, ModulusProfile, det, modulus_profile, nullspace, rank
+from .matrices import CertifiedReal, IntMatrix, ModulusProfile, _analysis, det, modulus_profile, nullspace, rank
 from .polys import IntPoly
 from .precision import default_precision
 from .quadratic import Quad
@@ -82,10 +82,11 @@ def jordan_profile(A: IntMatrix) -> JordanProfile:
     ========
     diag(2,3) has l=0, r=1, rbar=1; the Fibonacci companion matrix has r=1 but
     rbar=2 because the Galois conjugate eigenspace is counted in rbar.
-    Computed once per matrix object.
+    Computed once per distinct rows.
     """
-    if A._jordan is not None:
-        return A._jordan
+    record = _analysis(A)
+    if record.jordan_profile is not None:
+        return record.jordan_profile
     prof = modulus_profile(A)
     block_sizes = tuple(_block_sizes(A, fd.poly, fd.multiplicity) for fd in prof.factors)
     if sum(fd.degree * sum(sizes) for fd, sizes in zip(prof.factors, block_sizes)) != A.n:
@@ -98,7 +99,7 @@ def jordan_profile(A: IntMatrix) -> JordanProfile:
         top_blocks = sizes.count(l + 1)
         r += top_blocks * fd.roots_at_max
         rbar += top_blocks * fd.degree
-    A._jordan = JordanProfile(
+    record.jordan_profile = JordanProfile(
         rho=prof.rho,
         block_sizes=block_sizes,
         l=l,
@@ -107,10 +108,10 @@ def jordan_profile(A: IntMatrix) -> JordanProfile:
         m=prof.parity,
         modulus=prof,
     )
-    return A._jordan
+    return record.jordan_profile
 
 
-@dataclass
+@dataclass(frozen=True)
 class LimitMatrixB:
     """B = lim_{n = 0 mod m} A^n / (n^l rho^n) with certification data."""
 
@@ -144,12 +145,13 @@ def limit_matrix_B(A: IntMatrix, prec=None, *, _tol=LIMIT_TOL) -> LimitMatrixB:
     tail estimate falls below it; that stopping rule is a heuristic, not a
     proven error bound, so such entries and their width are not certified.
     Dominant complex eigenvalues are rejected.  The exact limit, which
-    depends on neither the tolerance nor prec, is computed once per matrix
-    object.  The private _tol lets canonical_height_closed tighten the
+    depends on neither the tolerance nor prec, is computed once per distinct
+    rows.  The private _tol lets canonical_height_closed tighten the
     tolerance for its point.
     """
-    if A._limit is not None:
-        return A._limit
+    record = _analysis(A)
+    if record.limit_matrix_B is not None:
+        return record.limit_matrix_B
     prec = prec or default_precision()
     jp = jordan_profile(A)
     prof = jp.modulus
@@ -173,7 +175,7 @@ def limit_matrix_B(A: IntMatrix, prec=None, *, _tol=LIMIT_TOL) -> LimitMatrixB:
             m=m, l=l, rho=jp.rho, notes=tuple(notes),
         )
         _check_exact_limit(A, b)
-        A._limit = b
+        record.limit_matrix_B = b
         return b
     entries, width = _iterated_limit(A, jp, Fraction(str(_tol)), prec)
     return LimitMatrixB(
@@ -293,7 +295,7 @@ def _iterated_limit(A: IntMatrix, jp, stop: Fraction, prec: int):
 # exact Jordan basis
 
 
-@dataclass
+@dataclass(frozen=True)
 class JordanBasisData:
     """Columns of J in (factor, root, block, position) order, with height data."""
 
@@ -331,8 +333,11 @@ def jordan_basis(A: IntMatrix) -> JordanBasisData:
 
     Chains are built by kernel ascent of (A - lambda I)^k with smallest-height
     integral representatives, so the height data entering effective constants
-    is reproducible.
+    is reproducible.  Computed once per distinct rows.
     """
+    record = _analysis(A)
+    if record.jordan_basis is not None:
+        return record.jordan_basis
     jp = jordan_profile(A)
     for fd in jp.modulus.factors:
         if fd.degree > 2:
@@ -378,13 +383,14 @@ def jordan_basis(A: IntMatrix) -> JordanBasisData:
     if not det_J:
         raise ArithmeticError("Jordan basis is singular")
     los, his = zip(*(h_mult_log_enclosure(v, 96) for row in J for v in row if v))
-    return JordanBasisData(
+    record.jordan_basis = JordanBasisData(
         J=J,
         T=T,
         det_J=det_J,
         field_d=field_d,
         max_entry_mult_log=(max(los), max(his)),
     )
+    return record.jordan_basis
 
 
 def _chains_for_eigenvalue(rows, lam: Quad, sizes):

@@ -15,6 +15,7 @@ polynomials, whose isolating intervals overlap, found by a gcd and a Sturm
 count.  Nothing is ever ranked from floating point alone.
 """
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -52,11 +53,11 @@ class IntMatrix:
     """Square integer matrix with nonzero determinant (exponent matrix of a monomial map).
 
     The matrix is immutable, its rows one tuple of int tuples read through
-    rows, so it keeps its own analysis: charpoly_factors, modulus_profile,
-    jordan_profile and the exact limit_matrix_B each fill one slot on first use.
+    rows.  Its analysis is kept by rows, not on the object: every matrix with
+    the same rows shares one record of the analysis table (see _analysis).
     """
 
-    __slots__ = ("n", "_rows", "_det", "_factors", "_modulus", "_jordan", "_limit")
+    __slots__ = ("n", "_rows", "_det")
 
     def __init__(self, rows, _trusted=False):
         try:
@@ -73,7 +74,6 @@ class IntMatrix:
         self.n = n
         self._rows = rows
         self._det = None
-        self._factors = self._modulus = self._jordan = self._limit = None
         if not _trusted and self.det() == 0:
             raise InputError("determinant is zero")
 
@@ -311,6 +311,11 @@ class CertifiedReal:
     refinement; the squares, when one value is a square root and both are
     >= 0 with known squares; a common root of the defining polynomials in the
     overlap, which makes them equal; else refinement until they separate.
+
+    Only refine narrows an enclosure in place, and only the code that builds
+    a value calls it; compare and to_mpf refine copies.  So a value shared
+    through the analysis table prints the same enclosure whatever its other
+    readers asked of it.
     """
 
     __slots__ = ("lo", "hi", "descriptor", "poly", "sq")
@@ -359,11 +364,17 @@ class CertifiedReal:
         return (self.lo + self.hi) / 2
 
     def to_mpf(self, prec=None):
+        """The value rounded to prec bits, from a refined copy: the enclosure
+        of this value stays as it is."""
         prec = prec or default_precision()
         if self.descriptor is not None:
             return self.descriptor.to_mpf(prec)
-        self.refine(Fraction(1, 2 ** (prec + 8)) * max(Fraction(1), abs(self.mid())))
-        return fraction_to_mpf(self.mid(), prec)
+        value = self._copy().refine(Fraction(1, 2 ** (prec + 8)) * max(Fraction(1), abs(self.mid())))
+        return fraction_to_mpf(value.mid(), prec)
+
+    def _copy(self):
+        """The same value, with an enclosure that refines independently of this one."""
+        return CertifiedReal(self.lo, self.hi, self.descriptor, self.poly, self.sq and self.sq._copy())
 
     def refine(self, eps):
         """Tighten the enclosure to width <= eps (in place); exact at every step."""
@@ -461,6 +472,8 @@ def _share_root(p: IntPoly, q: IntPoly, lo: Fraction, hi: Fraction) -> bool:
 
 
 def _separate(a: CertifiedReal, b: CertifiedReal) -> int:
+    """The sign of a - b, from refined copies of two overlapping values."""
+    a, b = a._copy(), b._copy()
     eps = min(a.width, b.width, Fraction(1)) or Fraction(1, 2)
     for _ in range(80):
         eps /= 2**8
@@ -496,7 +509,7 @@ class FactorData:
         return self.poly.degree
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModulusProfile:
     """Exactly ranked eigenvalue moduli of an integer matrix."""
 
@@ -689,23 +702,60 @@ def _factor_data_high_degree(g: IntPoly, mult: int) -> FactorData:
     )
 
 
+# ---------------------------------------------------------------------------
+# one analysis per distinct matrix
+
+# records the analysis table keeps; past it, the least recently used goes
+_ANALYSIS_BOUND = 64
+
+_ANALYSES = OrderedDict()  # IntMatrix.rows -> _Analysis, least recently used first
+
+
+@dataclass(slots=True)
+class _Analysis:
+    """The analysis of one matrix's rows.  Each field is filled on first use
+    by the function of the same name, and read back by every later call on a
+    matrix with the same rows."""
+
+    charpoly_factors: tuple = None
+    modulus_profile: ModulusProfile = None
+    jordan_profile: object = None  # jordan.JordanProfile
+    limit_matrix_B: object = None  # jordan.LimitMatrixB, exact limits only
+    jordan_basis: object = None  # jordan.JordanBasisData
+
+
+def _analysis(A: IntMatrix) -> _Analysis:
+    """The record of A's rows, made empty on the first analysis call; the
+    table keeps the _ANALYSIS_BOUND most recently used records."""
+    record = _ANALYSES.get(A.rows)
+    if record is None:
+        record = _ANALYSES[A.rows] = _Analysis()
+        if len(_ANALYSES) > _ANALYSIS_BOUND:
+            _ANALYSES.popitem(last=False)
+    else:
+        _ANALYSES.move_to_end(A.rows)
+    return record
+
+
 def charpoly_factors(A: IntMatrix):
-    """(charpoly(A), factor_over_q(charpoly(A))); computed once per matrix object.
+    """(charpoly(A), factor_over_q(charpoly(A))); computed once per distinct rows.
 
     The first stage of a matrix's analysis: it factors and ranks nothing, so
     callers that need only the factors never meet a modulus-ranking error.
     """
-    if A._factors is None:
+    record = _analysis(A)
+    if record.charpoly_factors is None:
         cp = charpoly(A)
-        A._factors = (cp, factor_over_q(cp))
-    return A._factors
+        record.charpoly_factors = (cp, factor_over_q(cp))
+    return record.charpoly_factors
 
 
 def modulus_profile(A: IntMatrix) -> ModulusProfile:
     """Rank all root moduli of the factored characteristic polynomial exactly;
-    computed once per matrix object."""
-    if A._modulus is not None:
-        return A._modulus
+    computed once per distinct rows."""
+    record = _analysis(A)
+    if record.modulus_profile is not None:
+        return record.modulus_profile
     cp, factors = charpoly_factors(A)
     data = []
     for g, mult in factors:
@@ -727,14 +777,14 @@ def modulus_profile(A: IntMatrix) -> ModulusProfile:
             seconds.append(fd.rho_sq.hi)
         if fd.second_sq_hi is not None:
             seconds.append(fd.second_sq_hi)
-    A._modulus = ModulusProfile(
+    record.modulus_profile = ModulusProfile(
         charpoly=cp,
         factors=data,
         rho=rho,
         max_indices=best,
         second_sq_hi=max(seconds) if seconds else None,
     )
-    return A._modulus
+    return record.modulus_profile
 
 
 def _within_radius_width(rho: CertifiedReal) -> CertifiedReal:

@@ -15,7 +15,7 @@ state of one walk keeps the primes of its start, in the same order, which is
 what lets state_key leave the primes out.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import sympy
@@ -34,6 +34,8 @@ DEFAULT_COORD_BIT_BUDGET = 2**20
 @dataclass(frozen=True)
 class PointGm:
     coords: tuple
+    # the LogProfile of coords, made by the first log_profile(P) call
+    _profile: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.coords:
@@ -127,6 +129,10 @@ class LogProfile:
 
 
 def log_profile(P: PointGm) -> LogProfile:
+    """The valuation profile of P, factored on the first call and kept on P;
+    every later call returns the same object, which callers only read."""
+    if P._profile is not None:
+        return P._profile
     vals = {}
     signs = []
     for j, c in enumerate(P.coords):
@@ -134,7 +140,9 @@ def log_profile(P: PointGm) -> LogProfile:
         for p, e in factor_rational(c).items():
             vec = vals.setdefault(p, [0] * P.n)
             vec[j] = e
-    return LogProfile(P.n, {p: tuple(v) for p, v in vals.items()}, tuple(signs), _trusted=True)
+    prof = LogProfile(P.n, {p: tuple(v) for p, v in vals.items()}, tuple(signs), _trusted=True)
+    object.__setattr__(P, "_profile", prof)
+    return prof
 
 
 def eval_monomial(A: IntMatrix, P: PointGm, bit_budget: int = DEFAULT_COORD_BIT_BUDGET) -> PointGm:

@@ -1,6 +1,8 @@
-"""One analysis per matrix: an IntMatrix computes its factored characteristic
-polynomial, its modulus profile, its Jordan profile and its exact limit matrix
-once, and sharing that analysis between callers changes no output."""
+"""One analysis per distinct matrix: the analysis table of matrices.py keeps
+one record per rows, so every IntMatrix with those rows shares its factored
+characteristic polynomial, modulus profile, Jordan profile, exact limit
+matrix and Jordan basis; sharing changes no output, and the table keeps the
+most recently used records up to its bound."""
 
 import io
 import json
@@ -18,8 +20,12 @@ from monoheight import (
     PointGm,
     canonical_height_closed,
     classify_orbit,
+    charpoly_factors,
     effective_constants,
+    jordan_basis,
+    limit_matrix_B,
     system_report,
+    weil_height_of_point,
 )
 from monoheight.cli import EXIT_OK, run
 
@@ -27,6 +33,9 @@ FIB = [[1, 1], [1, 0]]
 JORDAN2 = [[2, 1], [0, 2]]
 PARITY = [[-2, 0], [0, 1]]
 CUBIC = [[0, 0, 1], [1, 0, 1], [0, 1, 0]]  # companion of x^3 - x - 1
+# companion of (x - 2)(x - 1)(x^3 - 3x^2 + x - 1): refined in place past its
+# certified width, rho would print another 25th digit
+DIGIT25 = [[0, 0, 0, 0, 2], [1, 0, 0, 0, -5], [0, 1, 0, 0, 10], [0, 0, 1, 0, -12], [0, 0, 0, 1, 6]]
 
 
 def _point(*coords):
@@ -34,32 +43,32 @@ def _point(*coords):
 
 
 def _points(n):
-    return [_point(*(2, 3, 5)[:n]), _point(*(Fraction(-4, 9), 10, 7)[:n])]
+    return [_point(*(2, 3, 5, 7, 11)[:n]), _point(*(Fraction(-4, 9), 10, 7, Fraction(1, 3), 13)[:n])]
 
 
 @pytest.fixture
 def analyses(monkeypatch):
-    """Per matrix object, how often the computation behind each slot ran:
-    charpoly inside charpoly_factors (which modulus_profile reads), the block
-    sizes of each factor inside jordan_profile, and the exact limit inside
-    limit_matrix_B."""
-    counts = {"modulus": Counter(), "jordan": Counter(), "limit": Counter()}
-    alive = []  # counted matrices stay alive, so their ids stay distinct
+    """Per matrix rows, how often the computation behind each record field
+    ran: charpoly inside charpoly_factors (which modulus_profile reads), the
+    block sizes of each factor inside jordan_profile, the exact limit inside
+    limit_matrix_B, and the kernel ascent of each eigenvalue inside
+    jordan_basis."""
+    counts = {"modulus": Counter(), "jordan": Counter(), "limit": Counter(), "basis": Counter()}
 
     def count(module, name, slot, key, caller=None):
         fn = getattr(module, name)
 
-        def counted(A, *args, **kwargs):
+        def counted(*args, **kwargs):
             if caller is None or sys._getframe(1).f_code.co_name == caller:
-                alive.append(A)
-                counts[slot][key(A, args)] += 1
-            return fn(A, *args, **kwargs)
+                counts[slot][key(*args)] += 1
+            return fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
 
-    count(monoheight.matrices, "charpoly", "modulus", lambda A, args: id(A), caller="charpoly_factors")
-    count(monoheight.jordan, "_block_sizes", "jordan", lambda A, args: (id(A), args[0].coeffs))
-    count(monoheight.jordan, "_exact_limit", "limit", lambda A, args: id(A))
+    count(monoheight.matrices, "charpoly", "modulus", lambda A: A.rows, caller="charpoly_factors")
+    count(monoheight.jordan, "_block_sizes", "jordan", lambda A, g, mult: (A.rows, g.coeffs))
+    count(monoheight.jordan, "_exact_limit", "limit", lambda A, *rest: A.rows)
+    count(monoheight.jordan, "_chains_for_eigenvalue", "basis", lambda rows, lam, sizes: (rows, str(lam)))
     return counts
 
 
@@ -67,6 +76,7 @@ def _point_batch_steps(matrix, P):
     """The library calls of one point_batch job, in its order; each call
     takes the matrix that matrix() returns."""
     return (
+        lambda: weil_height_of_point(P),
         lambda: canonical_height_closed(matrix(), P, prec=128),
         lambda: classify_orbit(matrix(), P),
         lambda: effective_constants(matrix(), P, prec=192),
@@ -85,14 +95,17 @@ def _run_steps(steps):
 
 @pytest.mark.parametrize("rows, exact", [(JORDAN2, True), (CUBIC, False)])
 def test_point_batch_sequence_analyses_each_matrix_once(analyses, rows, exact):
-    A = IntMatrix(rows)
-    for P in _points(A.n):
-        _run_steps(_point_batch_steps(lambda: A, P))
-    assert analyses["modulus"] == {id(A): 1}
+    # a new IntMatrix per call, as a caller that rebuilds the rows for every job
+    for P in _points(len(rows)):
+        _run_steps(_point_batch_steps(lambda: IntMatrix(rows), P))
+    key = IntMatrix(rows).rows
+    assert analyses["modulus"] == {key: 1}
     assert set(analyses["jordan"].values()) == {1}
-    assert {key[0] for key in analyses["jordan"]} == {id(A)}
+    assert {k[0] for k in analyses["jordan"]} == {key}
     # an iterated limit depends on tol and prec, so only the exact one is kept
-    assert analyses["limit"] == ({id(A): 1} if exact else {})
+    assert analyses["limit"] == ({key: 1} if exact else {})
+    # Baker's Jordan basis: once per eigenvalue; a cubic has none to build
+    assert set(analyses["basis"].values()) == ({1} if exact else set())
 
 
 @pytest.mark.parametrize("rows", [FIB, JORDAN2])
@@ -110,21 +123,89 @@ def test_system_report_analyses_psi_once(analyses):
     report = system_report(generators, _point(2, 3))
     psi = report.degree.certificate.psi
     assert psi is generators[1]
-    assert analyses["modulus"][id(psi)] == 1
+    assert analyses["modulus"][psi.rows] == 1
     assert set(analyses["modulus"].values()) == {1}  # no other matrix twice, either
-    assert {key: v for key, v in analyses["jordan"].items() if key[0] == id(psi)} == {
-        (id(psi), (-2, 1)): 1, (id(psi), (-5, 1)): 1,
+    assert {key: v for key, v in analyses["jordan"].items() if key[0] == psi.rows} == {
+        (psi.rows, (-2, 1)): 1, (psi.rows, (-5, 1)): 1,
     }
-    assert analyses["limit"] == {id(psi): 1}
+    assert analyses["limit"] == {psi.rows: 1}
+
+
+def test_equal_rows_share_one_analysis(analyses):
+    first, second = IntMatrix(FIB), IntMatrix([list(r) for r in FIB])
+    assert first is not second
+    assert limit_matrix_B(first) is limit_matrix_B(second)
+    assert charpoly_factors(second) is charpoly_factors(first)
+    assert analyses["modulus"] == {first.rows: 1}
+    assert analyses["limit"] == {first.rows: 1}
+
+
+@pytest.mark.parametrize("rows", [FIB, JORDAN2, [[2, 0], [0, 3]]])
+def test_jordan_basis_is_built_once_per_rows(analyses, rows):
+    first = jordan_basis(IntMatrix(rows))
+    assert jordan_basis(IntMatrix(rows)) is first
+    assert analyses["basis"] and set(analyses["basis"].values()) == {1}
+    assert {key[0] for key in analyses["basis"]} == {IntMatrix(rows).rows}
+
+
+def test_the_table_evicts_the_least_recently_used_record(analyses):
+    bound = monoheight.matrices._ANALYSIS_BOUND
+    table = monoheight.matrices._ANALYSES
+    mats = [IntMatrix([[k, 0], [0, 1]]) for k in range(2, bound + 3)]
+    for A in mats[:bound]:
+        charpoly_factors(A)
+    assert len(table) == bound
+    charpoly_factors(mats[0])  # used again: now the most recent
+    charpoly_factors(mats[bound])  # one past the bound evicts mats[1], the least recent
+    assert len(table) == bound
+    assert mats[1].rows not in table and mats[0].rows in table and mats[bound].rows in table
+    assert list(table)[-2:] == [mats[0].rows, mats[bound].rows]
+    charpoly_factors(mats[0])  # still there: not analysed again
+    charpoly_factors(mats[1])  # evicted: analysed again, evicting mats[2]
+    assert analyses["modulus"][mats[0].rows] == 1
+    assert analyses["modulus"][mats[1].rows] == 2
+    assert mats[2].rows not in table and len(table) == bound
+
+
+def _analyze_output(tmp_path, rows, *flags):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(rows))
+    out = io.StringIO()
+    code = run(["analyze", "--matrix", str(path), *flags], out=out)
+    doc = json.loads(out.getvalue())
+    doc.pop("timestamp", None)
+    return code, json.dumps(doc)
 
 
 @pytest.mark.parametrize("rows", [FIB, JORDAN2, PARITY, CUBIC])
 def test_shared_analysis_changes_no_output(rows):
-    # rho is an enclosure refined in place; sharing it between callers must
-    # not leak one caller's refinement into another's output
+    # rho is an enclosure refined in place; a record shared between callers
+    # must not leak one caller's refinement into another's output
     n = len(rows)
-    shared = IntMatrix(rows)
-    canonical_height_closed(shared, _point(*(3, 5, 7)[:n]), prec=512)
+    table = monoheight.matrices._ANALYSES
     for P in _points(n):
+        table.clear()  # the reference side is really cold
         fresh = _run_steps(_point_batch_steps(lambda: IntMatrix(rows), P))
-        assert _run_steps(_point_batch_steps(lambda: shared, P)) == fresh
+        canonical_height_closed(IntMatrix(rows), _point(*(3, 5, 7, 11, 13)[:n]), prec=512)
+        assert IntMatrix(rows).rows in table
+        assert _run_steps(_point_batch_steps(lambda: IntMatrix(rows), P)) == fresh
+
+
+@pytest.mark.parametrize("rows", [FIB, JORDAN2, PARITY, CUBIC, DIGIT25])
+def test_outputs_do_not_depend_on_what_the_table_saw_before(tmp_path, rows):
+    n = len(rows)
+    table = monoheight.matrices._ANALYSES
+    cold = []
+    for P in _points(n):
+        table.clear()
+        cold.append(_run_steps(_point_batch_steps(lambda: IntMatrix(rows), P)))
+    table.clear()
+    cold_analyze = _analyze_output(tmp_path, rows, "--precision", "256")
+
+    table.clear()
+    canonical_height_closed(IntMatrix(rows), _point(*(3, 5, 7, 11, 13)[:n]), prec=512)
+    assert _analyze_output(tmp_path, rows, "--precision", "256") == cold_analyze
+    warm = [_run_steps(_point_batch_steps(lambda: IntMatrix(rows), P)) for P in _points(n)]
+    assert warm == cold
+    assert _analyze_output(tmp_path, rows, "--precision", "256") == cold_analyze
+    assert len(table) == 1  # every call above read the one record of these rows

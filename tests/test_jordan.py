@@ -19,6 +19,7 @@ import sympy
 from mpmath import mp, mpf
 
 import monoheight.jordan
+import monoheight.matrices
 
 from monoheight import (
     BudgetError,
@@ -454,7 +455,7 @@ def _plus_unit_at_1_1(B):
 def test_corrupted_limit_raises(rows, corrupt, message, monkeypatch):
     exact = monoheight.jordan._exact_limit
     monkeypatch.setattr(monoheight.jordan, "_exact_limit", lambda *args: corrupt(exact(*args)))
-    A = IntMatrix(rows)  # a fresh matrix: its limit slot is empty
+    A = IntMatrix(rows)  # the analysis table starts empty in every test
     with pytest.raises(ArithmeticError, match=re.escape(message)):
         limit_matrix_B(A)
-    assert A._limit is None
+    assert monoheight.matrices._ANALYSES[A.rows].limit_matrix_B is None

@@ -288,7 +288,7 @@ def _root(coeffs, lo=1, hi=2):
 
 
 # (make a, make b, a.compare(b)) for each pair of representations; each side is
-# made afresh for each direction, since a comparison may refine in place
+# made afresh for each direction
 COMPARE_PAIRS = [
     pytest.param(lambda: CertifiedReal(1, 2, descriptor=SQRT2),
                  lambda: CertifiedReal(1, 2, descriptor=Quad.sqrt_of(Fraction(3))), -1,
@@ -320,6 +320,18 @@ COMPARE_PAIRS = [
 def test_compare_representation_pairs(make_a, make_b, expected):
     assert make_a().compare(make_b()) == expected
     assert make_b().compare(make_a()) == -expected
+
+
+def test_to_mpf_and_compare_leave_the_enclosure_as_it_is():
+    # a radius read through the analysis table is shared by all its readers,
+    # so reading it must not narrow the enclosure it prints
+    rho = spectral_radius(IntMatrix([[0, 0, 1], [1, 0, 1], [0, 1, 0]]))
+    assert rho.descriptor is None and rho.sq is not None and rho.sq.poly is not None
+    state = lambda: (rho.lo, rho.hi, rho.sq.lo, rho.sq.hi)  # noqa: E731
+    before = state()
+    rho.to_mpf(1024)
+    assert rho.compare(CertifiedReal.from_fraction(rho.mid())) != 0  # overlaps: decided by refinement
+    assert state() == before
 
 
 def test_compare_decides_one_field_before_any_refinement():

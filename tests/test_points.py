@@ -11,7 +11,11 @@ from monoheight import (
     InputError,
     IntMatrix,
     LogProfile,
+    MonoheightError,
     PointGm,
+    canonical_height_closed,
+    classify_orbit,
+    effective_constants,
     eval_monomial,
     log_profile,
     weil_height_of_point,
@@ -82,6 +86,42 @@ def test_log_profile_and_transport_skip_the_checks(monkeypatch):
     assert flags == [True] * 4 and primality == []
     LogProfile(prof.n, prof.vals, prof.signs)
     assert flags[-1] is False and primality == list(prof.vals)
+
+
+@pytest.mark.parametrize("rows, coords, calls", [
+    ([[1, 1], [1, 0]], (2, 3), 2),  # integral: Baker's cleared representative is the point itself
+    ([[1, 1], [1, 0]], ("-4/9", 10), 4),  # plus the two coordinates of the cleared representative
+    ([[2, 1], [0, 2]], ("3/2", "-5/7"), 4),
+    ([[0, 0, 1], [1, 0, 1], [0, 1, 0]], ("-4/9", 10, 7), 3),  # no Jordan basis: Baker clears nothing
+])
+def test_a_point_is_factored_once(monkeypatch, rows, coords, calls):
+    factored = []
+    real = monoheight.points.factor_rational
+    monkeypatch.setattr(monoheight.points, "factor_rational", lambda x: factored.append(x) or real(x))
+    A, P = IntMatrix(rows), pt(*coords)
+    # the four library calls of one point_batch job
+    for step in (lambda: weil_height_of_point(P), lambda: canonical_height_closed(A, P, prec=128),
+                 lambda: classify_orbit(A, P), lambda: effective_constants(A, P, prec=192)):
+        try:
+            step()
+        except MonoheightError:
+            pass
+    assert len(factored) == calls
+    assert log_profile(P) is log_profile(P)
+    assert len(factored) == calls
+    # the kept profile is still the point's own: the callers only read it
+    kept, fresh = log_profile(P), log_profile(pt(*coords))
+    assert (kept.vals, kept.signs) == (fresh.vals, fresh.signs)
+
+
+def test_the_kept_profile_leaves_the_point_unchanged():
+    P, Q = pt("-4/9", 10), pt("-4/9", 10)
+    log_profile(P)
+    assert P == Q and hash(P) == hash(Q)
+    assert repr(P) == repr(Q) == "PointGm(coords=(Fraction(-4, 9), Fraction(10, 1)))"
+    assert P.to_json() == Q.to_json()
+    with pytest.raises(TypeError):
+        PointGm((Fraction(2),), log_profile(Q))  # not a constructor argument
 
 
 def test_profile_round_trip():

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 from monoheight import IntMatrix
+from monoheight.matrices import _Analysis
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "monoheight"
@@ -15,9 +16,15 @@ ROOT_OBJECTS = ("CRootOf", "rootof", "all_roots", "eval_rational")
 CYCLOTOMIC_TABLES = ("totient", "cyclotomic_poly")
 # sympy's expression routes to a resultant: symbols to build the polynomials, resultant on them
 SYMPY_EXPRESSION_ROUTES = ("symbols", "resultant")
-# IntMatrix analysis slot -> the one function that fills it
-SLOT_FILLERS = {"_factors": "charpoly_factors", "_modulus": "modulus_profile",
-                "_jordan": "jordan_profile", "_limit": "limit_matrix_B"}
+# fields of a matrix's analysis record; each is filled by the function of its name
+RECORD_FIELDS = ("charpoly_factors", "modulus_profile", "jordan_profile", "limit_matrix_B", "jordan_basis")
+# calls that make an empty container, which at module level is a table waiting to fill
+EMPTY_CONTAINERS = ("dict", "OrderedDict", "defaultdict", "WeakKeyDictionary", "WeakValueDictionary", "set", "list")
+# LogProfile attributes that only its constructor writes, and the dict methods that change vals
+PROFILE_ATTRIBUTES = ("vals", "signs")
+MUTATING_METHODS = ("pop", "popitem", "update", "clear", "setdefault", "__setitem__", "__delitem__")
+# calls that read or write a table by key
+KEYED_METHODS = ("get", "setdefault", "pop", "move_to_end", "__getitem__", "__setitem__", "__contains__")
 
 
 def _broad_handlers(path):
@@ -112,34 +119,131 @@ def test_no_tolerance_parameters():
     assert found == []
 
 
-def _slot_writes(path):
-    """(qualified name of the enclosing def, slot, line) of each assignment,
-    deletion or setattr of an IntMatrix analysis slot."""
-    writes = []
+def _scoped_nodes(path):
+    """(qualified name of the enclosing def, node) for every node of the module at path."""
+    found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
-        if isinstance(node, ast.Attribute) and node.attr in SLOT_FILLERS \
-                and not isinstance(node.ctx, ast.Load):
-            writes.append((scope, node.attr, node.lineno))
-        elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) \
-                in ("setattr", "__setattr__"):
-            writes.extend((scope, a.value, node.lineno) for a in node.args
-                          if isinstance(a, ast.Constant) and a.value in SLOT_FILLERS)
+        found.append((scope, node))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return found
+
+
+def _call_name(node):
+    return getattr(node.func, "id", getattr(node.func, "attr", None))
+
+
+def _record_writes(path):
+    """(scope, field, line) of each assignment, deletion or setattr of an
+    analysis record field, and of each _Analysis(...) built with arguments."""
+    writes = []
+    for scope, node in _scoped_nodes(path):
+        if isinstance(node, ast.Attribute) and node.attr in RECORD_FIELDS and not isinstance(node.ctx, ast.Load):
+            writes.append((scope, node.attr, node.lineno))
+        elif isinstance(node, ast.Call) and _call_name(node) in ("setattr", "__setattr__"):
+            writes.extend((scope, a.value, node.lineno) for a in node.args
+                          if isinstance(a, ast.Constant) and a.value in RECORD_FIELDS)
+        elif isinstance(node, ast.Call) and _call_name(node) == "_Analysis" and (node.args or node.keywords):
+            writes.append((scope, "_Analysis(...)", node.lineno))
     return writes
 
 
+def _is_rows(node):
+    return isinstance(node, ast.Attribute) and node.attr in ("rows", "_rows")
+
+
+def _row_tables(path):
+    """(scope, line) of each table access keyed on matrix rows (a subscript, a
+    keyed method call or an `in` test on X.rows), of each module-level empty
+    container, and of each cached function taking an IntMatrix."""
+    found = []
+    for scope, node in _scoped_nodes(path):
+        if isinstance(node, ast.Subscript) and _is_rows(node.slice):
+            found.append((scope, node.lineno))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in KEYED_METHODS and node.args and _is_rows(node.args[0]):
+            found.append((scope, node.lineno))
+        elif isinstance(node, ast.Compare) and _is_rows(node.left) \
+                and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops):
+            found.append((scope, node.lineno))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and any("cache" in ast.unparse(d) for d in node.decorator_list) \
+                and any(a.annotation is not None and "IntMatrix" in ast.unparse(a.annotation)
+                        for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs):
+            found.append((scope, node.lineno))
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        value = getattr(node, "value", None)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and (
+                isinstance(value, ast.Dict) and not value.keys
+                or isinstance(value, (ast.List, ast.Set)) and not value.elts
+                or isinstance(value, ast.Call) and _call_name(value) in EMPTY_CONTAINERS and not value.args):
+            found.append(("<module>", node.lineno))
+    return found
+
+
 def test_only_the_analysis_functions_fill_the_matrix_slots():
-    # the memo lives on the matrix and nowhere else: no ad-hoc caches
-    assert set(SLOT_FILLERS) <= set(IntMatrix.__slots__)
-    found = [f"{path.name}:{line} {scope} sets {slot}" for path in sorted(SRC.rglob("*.py"))
-             for scope, slot, line in _slot_writes(path)
-             if scope not in (SLOT_FILLERS[slot], "IntMatrix.__init__")]
+    # the analysis lives in the one table of matrices.py, keyed on the rows:
+    # nothing on the matrix object, no second table, and each field of a
+    # record written only by its filler
+    assert set(IntMatrix.__slots__) == {"n", "_rows", "_det"}
+    assert set(_Analysis.__slots__) == set(RECORD_FIELDS)
+    found = [f"{path.name}:{line} {scope} sets {name}" for path in sorted(SRC.rglob("*.py"))
+             for scope, name, line in _record_writes(path) if scope != name]
+    assert found == []
+    tables = [f"{path.name} {scope}" for path in sorted(SRC.rglob("*.py"))
+              for scope, _ in _row_tables(path)]
+    assert tables.count("matrices.py <module>") == 1  # _ANALYSES
+    assert set(tables) == {"matrices.py <module>", "matrices.py _analysis"}
+
+
+def _profile_writes(path):
+    """(scope, line) of each write to a LogProfile attribute and each change to
+    a vals dict: an assignment, deletion or setattr of .vals or .signs,
+    an assignment into X.vals[...] or a mutating method called on X.vals."""
+    found = []
+    for scope, node in _scoped_nodes(path):
+        if isinstance(node, ast.Attribute) and node.attr in PROFILE_ATTRIBUTES and not isinstance(node.ctx, ast.Load):
+            found.append((scope, node.lineno))
+        elif isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load) \
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "vals":
+            found.append((scope, node.lineno))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in MUTATING_METHODS \
+                and isinstance(node.func.value, ast.Attribute) and node.func.value.attr == "vals":
+            found.append((scope, node.lineno))
+        elif isinstance(node, ast.Call) and _call_name(node) in ("setattr", "__setattr__"):
+            found.extend((scope, node.lineno) for a in node.args
+                         if isinstance(a, ast.Constant) and a.value in PROFILE_ATTRIBUTES)
+    return found
+
+
+def test_log_profiles_are_only_read():
+    # log_profile keeps one profile per point and hands the same object to
+    # every caller, so no caller may change it: only its constructor sets
+    # vals and signs
+    found = [f"{path.name}:{line} {scope}" for path in sorted(SRC.rglob("*.py"))
+             for scope, line in _profile_writes(path) if scope != "LogProfile.__init__"]
+    assert found == []
+
+
+def _refine_calls(path):
+    """(scope, line) of each call of a method named refine."""
+    return [(scope, node.lineno) for scope, node in _scoped_nodes(path)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "refine"]
+
+
+def test_only_the_builders_refine_in_place():
+    # a CertifiedReal in the analysis table is shared by every reader: it is
+    # narrowed in place only while it is built (_within_radius_width, and
+    # refine on its own square), and compare and to_mpf refine copies
+    allowed = {"_within_radius_width", "CertifiedReal.refine", "CertifiedReal.to_mpf", "_separate"}
+    found = [f"{path.name}:{line} {scope}" for path in sorted(SRC.rglob("*.py"))
+             for scope, line in _refine_calls(path) if scope not in allowed]
     assert found == []
 
 
@@ -202,18 +306,8 @@ def test_every_private_helper_has_a_caller():
 
 def _float_calls(path):
     """(qualified name of the enclosing def, line) of each call of the float builtin."""
-    calls = []
-
-    def visit(node, scope):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            scope = f"{scope}.{node.name}" if scope else node.name
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
-            calls.append((scope, node.lineno))
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    visit(ast.parse(path.read_text(), filename=str(path)), None)
-    return calls
+    return [(scope, node.lineno) for scope, node in _scoped_nodes(path)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float"]
 
 
 def test_no_float_conversions():
