@@ -6,22 +6,22 @@ degrees, and the checked container for a finite system of matrices.
 Eigenvalue moduli are ranked exactly.  For an irreducible factor g the squared
 root moduli are among the real roots of the composed resultant
 q(y) = Res_x(g(x), x^deg(g) * g(y/x)), whose largest real root is rho(g)^2.
-Each root of g is enclosed in its own certified disc (mpmath's approximate
-roots with Weierstrass corrections, checked in exact rational arithmetic), and
-the disc places the root's |z|^2 in one isolating interval of q; Sturm counts
-decide which roots are real.  CertifiedReal.compare ranks the results in one
-fixed order of five steps, with one tie test: a common root of the defining
-polynomials, whose isolating intervals overlap, found by a gcd and a Sturm
-count.  Nothing is ever ranked from floating point alone.
+Each root of g is enclosed in its own certified disc (approximate roots from
+an Aberth-Ehrlich iteration on Gaussian integers, with Weierstrass corrections
+checked in exact integer arithmetic), and the disc places the root's |z|^2 in
+one isolating interval of q; Sturm counts decide which roots are real.
+CertifiedReal.compare ranks the results in one fixed order of five steps, with
+one tie test: a common root of the defining polynomials, whose isolating
+intervals overlap, found by a gcd and a Sturm count.  Nothing is ever ranked
+from floating point alone.
 """
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 import sympy
-from mpmath import mp
 from sympy.polys.densebasic import dmp_strip
 from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dmp_resultant, dup_gcd
@@ -35,7 +35,7 @@ from .polys import (
     sturm_chain,
     sturm_count,
 )
-from .precision import default_precision, fraction_to_mpf, mpf_to_fraction, sqrt_enclosure
+from .precision import default_precision, fraction_to_mpf, sqrt_enclosure
 from .quadratic import Quad
 
 FACTOR_DEGREE_BOUND = 16
@@ -43,8 +43,9 @@ FACTOR_DEGREE_BOUND = 16
 # relative enclosure width contract for spectral radii
 _RADIUS_REL_WIDTH = Fraction(1, 2**80)
 
-# working precision, in bits, of the first and the last try at certified root
-# discs; each failed try doubles it
+# precision, in bits, of the first and the last try at certified root discs:
+# the approximations sit on the grid 2^-(prec + low), where 2^-low is below
+# every root modulus; each failed try doubles it
 _DISC_PREC = 64
 _DISC_PREC_CAP = 2**12
 
@@ -593,64 +594,148 @@ def _sq_modulus_interval(box):
     return alo + blo, ahi + bhi
 
 
-def _gauss_mul(a, b):
-    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+def _gauss_round(re, im, den):
+    """(re + i im) / den rounded to the nearest Gaussian integer, for den > 0."""
+    return (2 * re + den) // (2 * den), (2 * im + den) // (2 * den)
+
+
+def _horner(scaled, x, y):
+    """(g(z) S^d, g'(z) S^(d-1)) for z = (x + iy) / S, as Gaussian integers;
+    scaled[k] = c_k S^(d - k), ascending, is g homogenised over S."""
+    p_re, p_im, dp_re, dp_im = scaled[-1], 0, 0, 0
+    for c in reversed(scaled[:-1]):
+        dp_re, dp_im = dp_re * x - dp_im * y + p_re, dp_re * y + dp_im * x + p_im
+        p_re, p_im = p_re * x - p_im * y + c, p_re * y + p_im * x
+    return p_re, p_im, dp_re, dp_im
+
+
+# start points turn by (-21 + 20i)/29, of modulus 1 and about 136.4 degrees,
+# near the golden angle, from (4 + 3i)/4: any d of them spread round the
+# circle, none is real and no two are conjugate; the modulus 5/4 keeps them
+# off the circles |z| = 2^m that reciprocal factors have roots on
+_TURN = (-21, 20, 29)
+_OFFSET = (4, 3, 4)
+
+
+def _aberth_roots(g: IntPoly, prec: int):
+    """Approximate roots (X_i + i Y_i) / 2^E of the squarefree g, g(0) != 0,
+    as the list of integer pairs (X_i, Y_i), and E; or None when the
+    corrections do not settle within prec sweeps.
+
+    The Aberth-Ehrlich iteration (Bini, Numer. Algorithms 13, 1996) runs on
+    Gaussian integers over one common 2^E, E = prec + low, where 2^-low is
+    below Cauchy's lower bound on the root moduli.  The start points lie on a
+    circle between Cauchy's lower and upper bounds.  The sweeps stop once no
+    correction moves a point by more than one unit in either coordinate.
+    Only the check in _root_boxes certifies anything, so the approximations
+    may be of any quality.
+    """
+    c, d = g.coeffs, g.degree
+    # every root has 2^-low < |z| < 2^high
+    low = (max(abs(x) for x in c[1:]) // abs(c[0]) + 1).bit_length()
+    high = (max(abs(x) for x in c[:-1]) // abs(c[-1]) + 1).bit_length()
+    e = prec + low
+    # the start circle has radius 5/4 * 2^((high - low) // 2)
+    shift = e + (high - low) // 2
+    z, (u, v, w), (turn_re, turn_im, turn_den) = [], _OFFSET, _TURN
+    for _ in range(d):
+        z.append(((u << shift) // w, (v << shift) // w))
+        u, v, w = u * turn_re - v * turn_im, u * turn_im + v * turn_re, w * turn_den
+    scaled = [ci << (e * (d - k)) for k, ci in enumerate(c)]
+    # sum_j 1 / (z_i - z_j) is kept in units 2^(e - bits), fine enough for the
+    # largest root
+    bits = 2 * e + high
+    for _ in range(prec):
+        settled = True
+        for i, (x, y) in enumerate(z):
+            p_re, p_im, dp_re, dp_im = _horner(scaled, x, y)
+            s_re = s_im = 0
+            for j, (xj, yj) in enumerate(z):
+                if j != i:
+                    dx, dy = x - xj, y - yj
+                    n2 = dx * dx + dy * dy
+                    if not n2:
+                        return None
+                    s_re += (dx << bits) // n2
+                    s_im -= (dy << bits) // n2
+            # z_i -= N / (1 - N sum_j 1 / (z_i - z_j)) with N = g(z_i) / g'(z_i);
+            # in units 2^-e that is p 2^bits / (dp 2^bits - p s)
+            a_re = (dp_re << bits) - (p_re * s_re - p_im * s_im)
+            a_im = (dp_im << bits) - (p_re * s_im + p_im * s_re)
+            n2 = a_re * a_re + a_im * a_im
+            if not n2:
+                return None
+            q_re, q_im = _gauss_round((p_re * a_re + p_im * a_im) << bits,
+                                      (p_im * a_re - p_re * a_im) << bits, n2)
+            if q_re > 1 or q_re < -1 or q_im > 1 or q_im < -1:
+                settled = False
+            z[i] = (x - q_re, y - q_im)
+        if settled:
+            return z, e
+    return None
 
 
 def _root_boxes(g: IntPoly, prec: int):
     """One box [re_lo, re_hi] x [im_lo, im_hi] around each root of the
-    squarefree g, or None when the approximate roots at prec bits certify no
-    disjoint discs.
+    squarefree g, or None when the approximate roots of _aberth_roots(g, prec)
+    certify no disjoint discs.
 
     For approximate roots z_i and Weierstrass corrections
     W_i = g(z_i) / (lc * prod_{j != i} (z_i - z_j)), the roots of g are the
     eigenvalues of diag(z) - W 1^T, so the Gerschgorin discs
     D(z_i - W_i, (d - 1)|W_i|) cover them; pairwise disjoint discs hold
-    exactly one root each.  All of it is exact Gaussian-rational arithmetic.
+    exactly one root each.  All of it is exact integer arithmetic over the
+    grid 2^-E of the approximations: g(z_i) by homogenised Horner, the
+    product on Gaussian integers, W_i rounded to the grid with the rounding
+    (below one unit) added to the radius, and |W_i| bounded above by isqrt.
     """
-    # polyroots stops on an absolute error and walks out to large or clustered
-    # roots at a bounded rate per step, so its guard bits and steps grow with prec
-    with mp.workprec(prec):
-        try:
-            approx = mp.polyroots(list(reversed(g.coeffs)), maxsteps=prec, extraprec=prec)
-        except mp.NoConvergence:
-            return None
-    z = [(mpf_to_fraction(r.real), mpf_to_fraction(r.imag)) for r in approx]
+    found = _aberth_roots(g, prec)
+    if found is None:
+        return None
+    z, e = found
+    d = g.degree
+    scaled = [ci << (e * (d - k)) for k, ci in enumerate(g.coeffs)]
     discs = []
-    for i, zi in enumerate(z):
-        value = (Fraction(0), Fraction(0))
-        for c in reversed(g.coeffs):
-            value = _gauss_mul(value, zi)
-            value = (value[0] + c, value[1])
-        den = (Fraction(g.lc), Fraction(0))
-        for j, zj in enumerate(z):
+    for i, (x, y) in enumerate(z):
+        p_re, p_im, _, _ = _horner(scaled, x, y)
+        den_re, den_im = g.lc, 0
+        for j, (xj, yj) in enumerate(z):
             if j != i:
-                den = _gauss_mul(den, (zi[0] - zj[0], zi[1] - zj[1]))
-        den_sq = den[0] * den[0] + den[1] * den[1]
-        if den_sq == 0:  # coincident approximations certify nothing
+                dx, dy = x - xj, y - yj
+                den_re, den_im = den_re * dx - den_im * dy, den_re * dy + den_im * dx
+        den_sq = den_re * den_re + den_im * den_im
+        if not den_sq:  # coincident approximations certify nothing
             return None
-        w = _gauss_mul(value, (den[0] / den_sq, -den[1] / den_sq))
-        radius = (g.degree - 1) * sqrt_enclosure(w[0] * w[0] + w[1] * w[1], 2 * prec)[1]
-        discs.append((zi[0] - w[0], zi[1] - w[1], radius))
+        # with S = 2^e and Z = S z: W_i S = (g(z_i) S^d) / (lc prod_j (Z_i - Z_j))
+        w_re, w_im = _gauss_round(p_re * den_re + p_im * den_im, p_im * den_re - p_re * den_im, den_sq)
+        w_abs = isqrt(w_re * w_re + w_im * w_im - 1) + 1 if w_re or w_im else 0  # ceil |w|
+        discs.append((x - w_re, y - w_im, (d - 1) * (w_abs + 1) + 1))
     for i, (x1, y1, r1) in enumerate(discs):
         for x2, y2, r2 in discs[i + 1:]:
             if (x1 - x2) ** 2 + (y1 - y2) ** 2 <= (r1 + r2) ** 2:
                 return None
-    return [(x - r, x + r, y - r, y + r) for x, y, r in discs]
+    grid = 1 << e
+    return [(Fraction(x - r, grid), Fraction(x + r, grid), Fraction(y - r, grid), Fraction(y + r, grid))
+            for x, y, r in discs]
 
 
-def _rank_boxes(boxes, intervals, n_real: int):
+def _rank_boxes(boxes, intervals, n_real: int, narrow):
     """(index of the q-interval holding |z|^2 for each root box, ascending signs
     of the real roots in the top interval), or None when a box is too wide.
 
     |z|^2 = z * conj(z) is a real root of q, so it lies in exactly one of the
-    disjoint intervals, and a unique overlap decides.  A box meeting the real
-    axis holds a real root once exactly n_real boxes meet it.
+    disjoint intervals, and a unique overlap decides.  A box meeting several
+    intervals is decided on them after narrow(indices) has shrunk them in
+    place.  A box meeting the real axis holds a real root once exactly n_real
+    boxes meet it.
     """
     assignment = []
     for box in boxes:
         slo, shi = _sq_modulus_interval(box)
         hits = [k for k, (lo, hi) in enumerate(intervals) if shi >= lo and slo <= hi]
+        if len(hits) > 1:
+            narrow(hits)
+            hits = [k for k in hits if shi >= intervals[k][0] and slo <= intervals[k][1]]
         if len(hits) != 1:
             return None
         assignment.append(hits[0])
@@ -672,10 +757,19 @@ def _factor_data_high_degree(g: IntPoly, mult: int) -> FactorData:
     intervals = [list(iv) for iv in _isolate_real_roots(q)]
     if not intervals:
         raise ArithmeticError("modulus resultant has no real roots")
-    # refine so intervals are tight enough for membership assignment
-    intervals = [list(_bisect_to_width(q, lo, hi, Fraction(1, 2**40))) for lo, hi in intervals]
-    top = intervals[-1]
+    narrowed = set()
 
+    def narrow(indices):
+        """Bisect the isolating intervals of q at indices to width 2^-40, each once."""
+        for k in set(indices) - narrowed:
+            intervals[k] = list(_bisect_to_width(q, *intervals[k], Fraction(1, 2**40)))
+            narrowed.add(k)
+
+    # the two intervals that reach an output: the top one, whose endpoints
+    # printed radii refine from, and the highest other one holding a root,
+    # whose upper end is second_sq_hi; the rest only when a box meets several
+    top_idx = len(intervals) - 1
+    narrow([top_idx])
     bound = root_bound(g)
     n_real = sturm_count(g, -bound, bound)
     prec = _DISC_PREC
@@ -685,12 +779,14 @@ def _factor_data_high_degree(g: IntPoly, mult: int) -> FactorData:
             raise IndistinguishableModuliError(
                 "root discs did not separate the moduli", [tuple(iv) for iv in intervals])
         boxes = _root_boxes(g, prec)
-        ranked = boxes and _rank_boxes(boxes, intervals, n_real)
+        ranked = boxes and _rank_boxes(boxes, intervals, n_real, narrow)
         prec *= 2
     assignment, signs = ranked
 
-    top_idx = len(intervals) - 1
-    seconds = [intervals[a][1] for a in assignment if a != top_idx]
+    second = max((a for a in assignment if a != top_idx), default=None)
+    if second is not None:
+        narrow([second])
+    top = intervals[top_idx]
     rho_sq = CertifiedReal.from_poly_root(q, top[0], top[1])
     rho = CertifiedReal.sqrt_of(rho_sq)
     return FactorData(
@@ -698,7 +794,7 @@ def _factor_data_high_degree(g: IntPoly, mult: int) -> FactorData:
         roots_at_max=assignment.count(top_idx),
         all_roots_real=n_real == g.degree,
         max_real_signs=signs,
-        second_sq_hi=max(seconds) if seconds else None,
+        second_sq_hi=None if second is None else intervals[second][1],
     )
 
 

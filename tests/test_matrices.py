@@ -1,6 +1,7 @@
 """Exact matrix invariants: determinants, characteristic polynomials,
 certified spectral radii, rational kernels."""
 
+import random
 import sys
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -809,61 +810,155 @@ def test_root_discs_agree_on_irreducible_cubics_and_quartics(coeffs):
     assert _disc_route(g) == _sympy_route(g)
 
 
-def _count_polyroots(monkeypatch, replacement=None):
-    """Record (working precision, converged) of every mpmath.polyroots call."""
+def _random_irreducible(rng, degree):
+    while True:
+        coeffs = [rng.randint(-9, 9) for _ in range(degree)] + [rng.choice((1, 2, -3))]
+        g = IntPoly(coeffs).primitive()
+        if coeffs[0] and factor_over_q(g) == [(g, 1)]:
+            return g.coeffs
+
+
+def _chebyshev_16():
+    """2 T_16(x / 2): the minimal polynomial of 2 cos(pi / 32), 16 real roots."""
+    before, p = [2], [0, 1]
+    for _ in range(15):
+        before, p = p, [a - (before[i] if i < len(before) else 0) for i, a in enumerate([0] + p)]
+    return p
+
+
+def _mignotte(degree, a):
+    """x^degree - 2 (a x - 1)^2, with two roots about 2 a^(-(degree + 2) / 2) apart."""
+    coeffs = [-2, 4 * a, -2 * a * a] + [0] * (degree - 2)
+    coeffs[degree] += 1
+    return coeffs
+
+
+_RNG = random.Random(24)
+DISC_CASES = (
+    [_random_irreducible(_RNG, d) for d in range(3, 10)]
+    + [[-2] + [0] * (d - 1) + [1] for d in (3, 4, 7)]  # x^d - 2: every root at the maximum
+    + [[a * a - 1, 0, -2 * a, 0, 1] for a in (4, 7)]  # (x^2 - a)^2 - 1: -r and r at the maximum
+    + [_mignotte(3, 2**10), _mignotte(5, 2**24), [402, 0, -401, 0, 100]]  # clustered roots
+    + [_chebyshev_16()]  # FACTOR_DEGREE_BOUND
+)
+
+
+def _roots_held(g, boxes):
+    """For each box, the roots of g in its disc, read off mpmath's roots at 512 bits."""
+    def to_mpf(q):
+        return mp.mpf(q.numerator) / q.denominator
+
+    with mp.workprec(512):
+        roots = mp.polyroots(list(reversed(g.coeffs)), maxsteps=200, extraprec=512)
+        held = []
+        for re_lo, re_hi, im_lo, im_hi in boxes:
+            x, y, r = to_mpf((re_lo + re_hi) / 2), to_mpf((im_lo + im_hi) / 2), to_mpf((re_hi - re_lo) / 2)
+            held.append([k for k, z in enumerate(roots) if (z.real - x) ** 2 + (z.imag - y) ** 2 < r * r])
+    return held
+
+
+@pytest.mark.parametrize("coeffs", DISC_CASES)
+def test_each_root_disc_holds_one_root(coeffs):
+    g = IntPoly(coeffs)
+    assert squarefree_part(g) == g and coeffs[0] != 0
+    prec = 64
+    while (boxes := monoheight.matrices._root_boxes(g, prec)) is None:
+        prec *= 2
+    assert sorted(_roots_held(g, boxes)) == [[k] for k in range(g.degree)]
+    assert _disc_route(g) == _sympy_route(g)
+
+
+def _count_calls(monkeypatch, name, replacement=None):
+    """Record (precision, result is not None) of every call of the root-disc
+    step matrices.<name>(g, prec), and run replacement in its place when given."""
     calls = []
-    exact = mp.polyroots
+    step = replacement or getattr(monoheight.matrices, name)
 
-    def counted(*args, **kwargs):
-        try:
-            roots = (replacement or exact)(*args, **kwargs)
-        except mp.NoConvergence:
-            calls.append((mp.prec, False))
-            raise
-        calls.append((mp.prec, True))
-        return roots
+    def counted(g, prec):
+        found = step(g, prec)
+        calls.append((prec, found is not None))
+        return found
 
-    monkeypatch.setattr(mp, "polyroots", counted)
+    monkeypatch.setattr(monoheight.matrices, name, counted)
     return calls
 
 
 def test_root_discs_ignore_the_order_of_the_approximations(monkeypatch):
-    exact = mp.polyroots
-    monkeypatch.setattr(mp, "polyroots", lambda *args, **kwargs: exact(*args, **kwargs)[::-1])
+    def reversed_start(g, prec):
+        z, e = exact(g, prec)
+        return z[::-1], e
+
+    exact = monoheight.matrices._aberth_roots
+    calls = _count_calls(monkeypatch, "_aberth_roots", reversed_start)
     g = IntPoly([2, 0, -5, 0, 1])  # x^4 - 5x^2 + 2: max_real_signs stay in root order
     assert _disc_route(g) == _sympy_route(g)
+    assert calls == [(64, True)]
 
 
 def test_overlapping_root_discs_certify_nothing(monkeypatch):
-    # two approximations of one complex root of x^3 - x - 1 and none of its conjugate
-    with mp.workprec(64):
-        real, root, _ = mp.polyroots([1, 0, -1, -1])
-    monkeypatch.setattr(mp, "polyroots", lambda coeffs, **kwargs: [real, root, root + mp.mpf(2) ** -30])
-    assert monoheight.matrices._root_boxes(IntPoly([-1, -1, 0, 1]), 64) is None
+    # two approximations 2^-30 apart of one root of x^3 - x - 1 and none of another
+    g = IntPoly([-1, -1, 0, 1])
+    (first, second, _), e = monoheight.matrices._aberth_roots(g, 64)
+    assert monoheight.matrices._root_boxes(g, 64) is not None
+    near = (second[0], second[1] + (1 << (e - 30)))
+    _count_calls(monkeypatch, "_aberth_roots", lambda g, prec: ([first, second, near], e))
+    assert monoheight.matrices._root_boxes(g, 64) is None
 
 
-def test_root_discs_double_the_precision_when_polyroots_fails(monkeypatch):
-    calls = _count_polyroots(monkeypatch)
-    _factor_data_high_degree(EISENSTEIN, 1)
+def test_root_discs_double_the_precision_when_the_start_fails(monkeypatch):
+    # x^3 - 2 (2^48 x - 1)^2 has two roots about 2^-119 apart near 2^-48: the
+    # corrections settle after 66 sweeps, more than the 64 allowed at 64 bits
+    g = IntPoly(_mignotte(3, 2**48))
+    calls = _count_calls(monkeypatch, "_aberth_roots")
+    assert _disc_route(g) == _sympy_route(g)
     assert calls == [(64, False), (128, True)]
 
 
 def test_root_discs_double_the_precision_until_the_boxes_decide(monkeypatch):
-    # at 64 bits the discs around the roots of modulus ~2^50 are disjoint, but
+    # at 64 bits the discs around the roots of modulus ~2^70 are disjoint, but
     # their |z|^2 ranges are wider than the gap 1 between rho^2 and rho^2 + 1
-    g = IntPoly([-2**150, 1, 0, 1])
-    assert monoheight.matrices._root_boxes(g, 64) is not None
-    calls = _count_polyroots(monkeypatch)
+    g = IntPoly([-2**210, 1, 0, 1])
+    calls = _count_calls(monkeypatch, "_root_boxes")
     fd = _factor_data_high_degree(g, 1)
     assert calls == [(64, True), (128, True)]
     assert (fd.roots_at_max, fd.max_real_signs) == (2, [])
 
 
 def test_coincident_root_approximations_raise_at_the_precision_cap(monkeypatch):
-    calls = _count_polyroots(monkeypatch, lambda coeffs, **kwargs: [mp.mpf(1)] * (len(coeffs) - 1))
+    calls = _count_calls(monkeypatch, "_aberth_roots", lambda g, prec: ([(1 << prec, 0)] * g.degree, prec))
     with pytest.raises(IndistinguishableModuliError, match="did not separate"):
         _factor_data_high_degree(IntPoly([-1, -1, 0, 0, 0, 1]), 1)
-    assert [prec for prec, _ in calls] == [64, 128, 256, 512, 1024, 2048, 4096]
+    assert calls == [(prec, True) for prec in (64, 128, 256, 512, 1024, 2048, 4096)]
+
+
+@pytest.mark.parametrize("coeffs", [
+    [-1, -1, 0, 1],  # x^3 - x - 1 and x^5 - x - 1, the fixed spectral items
+    [-1, -1, 0, 0, 0, 1],
+    EISENSTEIN.coeffs,  # roots of modulus 2^121 and 2^-60
+    [-2**150, 1, 0, 1],  # moduli^2 rho^2 and rho^2 + 1 near 2^100
+])
+def test_root_discs_certify_at_the_first_precision(monkeypatch, coeffs):
+    # the start is the fast path: one that quietly falls back to a higher
+    # precision fails here
+    calls = _count_calls(monkeypatch, "_root_boxes")
+    modulus_profile(_companion(IntPoly(coeffs)))
+    assert calls == [(64, True)]
+
+
+def test_only_the_intervals_that_reach_an_output_are_bisected(monkeypatch):
+    # x^4 - 5x^2 + 2: of the six isolating intervals of q, the top one and the
+    # one holding the smaller roots' |z|^2 reach the output
+    bisected = []
+    exact = monoheight.matrices._bisect_to_width
+
+    def counted(p, lo, hi, eps):
+        bisected.append((lo, hi))
+        return exact(p, lo, hi, eps)
+
+    monkeypatch.setattr(monoheight.matrices, "_bisect_to_width", counted)
+    fd = _factor_data_high_degree(IntPoly([2, 0, -5, 0, 1]), 1)
+    assert len(bisected) == 2
+    assert fd.second_sq_hi == Fraction(482077780483, 1099511627776)
 
 
 def test_root_boxes_decide_realness_and_signs_only_when_certain():
@@ -871,12 +966,16 @@ def test_root_boxes_decide_realness_and_signs_only_when_certain():
     at_1_and_4 = [[F(1), F(1)], [F(4), F(4)]]
     real = (F(19, 10), F(21, 10), F(-1, 10), F(1, 10))  # around the real root 2
     near = (F(199, 100), F(201, 100), F(-1, 1000), F(2, 1000))  # around 2 + i*eps, |z|^2 = 4
-    assert _rank_boxes([real, near], at_1_and_4, 2) == ([1, 1], [1, 1])
+    narrowed = []
+    assert _rank_boxes([real, near], at_1_and_4, 2, narrowed.extend) == ([1, 1], [1, 1])
     # one real root but two boxes meet the real axis: which one is real is open
-    assert _rank_boxes([real, near], at_1_and_4, 1) is None
-    # a box meeting both q-intervals, or a real root's box holding 0, decides nothing
-    assert _rank_boxes([(F(0), F(2), F(-1), F(1))], at_1_and_4, 1) is None
-    assert _rank_boxes([(F(-1, 2), F(1, 2), F(-1, 2), F(1, 2))], [[F(0), F(1, 2)]], 1) is None
+    assert _rank_boxes([real, near], at_1_and_4, 1, narrowed.extend) is None
+    assert narrowed == []  # each box met one interval
+    # a box meeting both q-intervals, even once they are narrowed, or a real
+    # root's box holding 0, decides nothing
+    assert _rank_boxes([(F(0), F(2), F(-1), F(1))], at_1_and_4, 1, narrowed.extend) is None
+    assert narrowed == [0, 1]
+    assert _rank_boxes([(F(-1, 2), F(1, 2), F(-1, 2), F(1, 2))], [[F(0), F(1, 2)]], 1, narrowed.extend) is None
 
 
 def _profile_fields(prof):
