@@ -6,6 +6,13 @@ surd, so a rational Quad becomes its rational part.  Logarithms of distinct
 primes are linearly independent over the algebraic numbers (Baker), so such a
 combination is zero exactly when every coefficient is zero; that makes
 equality decidable and sign evaluation terminating.
+
+Enclosures run on integers.  Each prime's log bounds are read once per
+precision as numerators over 2^k, a surd coefficient's bounds come from
+Quad.bounds, the sign of each coefficient bound picks the log bound it
+multiplies, and the terms are summed over one common denominator, so only
+the two ends of the interval become Fractions.  No step reads the ambient
+mpmath precision.
 """
 
 from fractions import Fraction
@@ -42,22 +49,48 @@ def _coefficient(c):
 
 
 @lru_cache(maxsize=1024)
-def _prime_log_enclosure(p: int, prec: int) -> tuple[Fraction, Fraction]:
-    return log_enclosure(Fraction(p), prec)
+def _prime_log_bounds(p: int, prec: int) -> tuple[int, int, int]:
+    """log_enclosure(p, prec) on integers: (lo, hi, k) with lo / 2^k <= log p <= hi / 2^k.
+
+    Both bounds are dyadic, so k is read off the larger denominator.
+    """
+    lo, hi = log_enclosure(Fraction(p), prec)
+    den = max(lo.denominator, hi.denominator)
+    return lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den.bit_length() - 1
 
 
 def _enclosure(coeffs, prec: int) -> tuple[Fraction, Fraction]:
-    """Rigorous rational interval for sum c * log p over coeffs = {p: c}."""
-    lo = Fraction(0)
-    hi = Fraction(0)
+    """Rigorous rational interval for sum c * log p over coeffs = {p: c}.
+
+    On integers: each coefficient is bounded by numerators over a denominator
+    (Quad.bounds for a surd) and log p by numerators over 2^k.  As log p > 0,
+    a bound c >= 0 takes the lower log bound at the lower end and c < 0 the
+    upper one (and the other way round at the upper end).  The terms are added
+    over lcm(coefficient denominators) * 2^kmax and each end becomes one
+    Fraction.  For prec > PAD_BITS the lower log bound is positive and this is
+    the same exact rational as the interval product term by term; below, it
+    is a narrower interval that still holds the value.
+    """
+    terms = []
+    den = 1
+    kmax = 0
     for p, c in coeffs.items():
-        clo, chi = c.enclosure(prec) if isinstance(c, Quad) else (c, c)
-        llo, lhi = _prime_log_enclosure(p, prec)
-        # log p > 0, so only the coefficient's sign matters for orientation
-        products = (clo * llo, clo * lhi, chi * llo, chi * lhi)
-        lo += min(products)
-        hi += max(products)
-    return lo, hi
+        if isinstance(c, Quad):
+            clo, chi, cden = c.bounds(prec)
+        else:
+            clo = chi = c.numerator
+            cden = c.denominator
+        llo, lhi, k = _prime_log_bounds(p, prec)
+        terms.append((clo * (llo if clo >= 0 else lhi), chi * (lhi if chi >= 0 else llo), cden, k))
+        den = lcm(den, cden)
+        kmax = max(kmax, k)
+    lo = hi = 0
+    for tlo, thi, cden, k in terms:
+        scale = (den // cden) << (kmax - k)
+        lo += tlo * scale
+        hi += thi * scale
+    den <<= kmax
+    return Fraction(lo, den), Fraction(hi, den)
 
 
 def _power_ratio(exps):

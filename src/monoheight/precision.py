@@ -20,6 +20,11 @@ def default_precision() -> int:
     return DEFAULT_PRECISION
 
 
+def _dyadic(man: int, exp: int) -> Fraction:
+    """man * 2^exp as a Fraction, built by a shift."""
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+
+
 def mpf_to_fraction(x) -> Fraction:
     """Exact value of an mpf as a Fraction.
 
@@ -27,10 +32,7 @@ def mpf_to_fraction(x) -> Fraction:
     ambient precision and silently discard bits.
     """
     sign, man, exp, _ = x._mpf_
-    if man == 0:
-        return Fraction(0)
-    v = Fraction(-man if sign else man)
-    return v * Fraction(2) ** exp
+    return _dyadic(-man if sign else man, exp)
 
 
 def fraction_to_mpf(q: Fraction, prec: int):
@@ -47,7 +49,7 @@ def log_enclosure(q: Fraction, prec: int) -> tuple[Fraction, Fraction]:
     with mp.workprec(prec + GUARD_BITS):
         val = mp.log(mpf(q.numerator)) - mp.log(mpf(q.denominator))
     f = mpf_to_fraction(val)
-    pad = max(abs(f), Fraction(1)) / (Fraction(2) ** (prec - PAD_BITS))
+    pad = max(abs(f), Fraction(1)) * _dyadic(1, PAD_BITS - prec)
     return f - pad, f + pad
 
 

@@ -9,11 +9,11 @@ by squaring, never through floating point.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from functools import lru_cache
+from math import gcd, isqrt, lcm
 
 from .errors import InputError, UnsupportedError
 from .polys import IntPoly
-from .precision import sqrt_enclosure
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
@@ -26,6 +26,12 @@ def _squarefree_split(n: int) -> tuple[int, int]:
         if e % 2:
             d *= p
     return s, d
+
+
+@lru_cache(maxsize=256)
+def _scaled_isqrt(d: int, prec: int) -> int:
+    """floor(sqrt(d) * 2^prec), so that s / 2^prec <= sqrt(d) <= (s + 1) / 2^prec."""
+    return isqrt(d << 2 * prec)
 
 
 def _make(p, q, r, d):
@@ -220,16 +226,26 @@ class Quad:
     def __abs__(self):
         return -self if self.sign() < 0 else self
 
-    def enclosure(self, prec: int) -> tuple[Fraction, Fraction]:
-        """Rigorous rational interval containing the value."""
+    def bounds(self, prec: int) -> tuple[int, int, int]:
+        """Integers (lo, hi, den), den > 0, with lo / den <= value <= hi / den.
+
+        A rational value gives (p, p, r).  Otherwise den = r * 2^prec and, with
+        s = isqrt(d * 4^prec), s / 2^prec <= sqrt(d) <= (s + 1) / 2^prec bounds
+        p + q sqrt(d) by p * 2^prec + q * s and p * 2^prec + q * (s + 1),
+        swapped when q < 0.
+        """
         p, q, r = self._p, self._q, self._r
         if q == 0:
-            value = Fraction(p, r)
-            return value, value
-        lo, hi = sqrt_enclosure(Fraction(self.d), prec)
-        if q < 0:
-            lo, hi = hi, lo
-        return tuple(Fraction(p * s.denominator + q * s.numerator, r * s.denominator) for s in (lo, hi))
+            return p, p, r
+        s = _scaled_isqrt(self.d, prec)
+        base = p << prec
+        lo, hi = base + q * s, base + q * (s + 1)
+        return (lo, hi, r << prec) if q > 0 else (hi, lo, r << prec)
+
+    def enclosure(self, prec: int) -> tuple[Fraction, Fraction]:
+        """Rigorous rational interval containing the value: bounds() as Fractions."""
+        lo, hi, den = self.bounds(prec)
+        return Fraction(lo, den), Fraction(hi, den)
 
     def to_mpf(self, prec: int):
         from mpmath import mp, mpf

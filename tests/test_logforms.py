@@ -11,8 +11,9 @@ from monoheight import (
     CertifiedReal, IntMatrix, LogLinear, PointGm, Quad, canonical_height_closed, weil_height_of_point,
 )
 from monoheight.heights import truncated_estimates
-from monoheight.logforms import max_with_zero
+from monoheight.logforms import _enclosure, max_with_zero
 from monoheight.points import LogProfile, weil_height
+from monoheight.precision import PAD_BITS, fraction_to_mpf, log_enclosure, sqrt_enclosure
 
 SQRT5 = Quad(0, 1, 5)
 
@@ -163,7 +164,7 @@ def test_ladder_reads_prime_logs_from_the_cache(monkeypatch):
         return inner(q, prec)
 
     monkeypatch.setattr(monoheight.logforms, "log_enclosure", counted)
-    monoheight.logforms._prime_log_enclosure.cache_clear()
+    monoheight.logforms._prime_log_bounds.cache_clear()
     phi = Quad(Fraction(1, 2), Fraction(1, 2), 5)
     form = LogLinear({2: phi, 3: -1})
     assert form.sign() == 1
@@ -171,7 +172,7 @@ def test_ladder_reads_prime_logs_from_the_cache(monkeypatch):
     assert len(first) == len(set(first))  # one computation per prime and rung
     assert form.sign() == 1 and form.scale(2).sign() == 1
     assert sorted(calls) == first
-    monoheight.logforms._prime_log_enclosure.cache_clear()
+    monoheight.logforms._prime_log_bounds.cache_clear()
 
 
 def _weil_height_by_candidates(prof):
@@ -239,7 +240,7 @@ def test_rational_quad_differences_tie_exactly(monkeypatch):
     def no_enclosure(p, prec):
         raise AssertionError("an exact zero reached the precision ladder")
 
-    monkeypatch.setattr(monoheight.logforms, "_prime_log_enclosure", no_enclosure)
+    monkeypatch.setattr(monoheight.logforms, "_prime_log_bounds", no_enclosure)
     assert monoheight.logforms._form_sign({2: Quad(1) - Quad(1), 3: Quad(2) - Quad(2)}) == 0
 
 
@@ -257,3 +258,114 @@ def test_word_sums_construct_no_quad(monkeypatch):
     est = truncated_estimates(shears, PointGm.parse("2,3"), 6, delta=golden)
     assert len(est["summed"].exact_level_sums) == 6
     assert made == []
+
+
+def _reference_enclosure(coeffs, prec):
+    """Interval product term by term: four Fraction products and their min and max."""
+    lo = hi = Fraction(0)
+    for p, c in coeffs.items():
+        if isinstance(c, Quad):
+            slo, shi = sqrt_enclosure(Fraction(c.d), prec)
+            clo, chi = sorted((c.a + c.b * slo, c.a + c.b * shi))
+        else:
+            clo = chi = c
+        llo, lhi = log_enclosure(Fraction(p), prec)
+        products = (clo * llo, clo * lhi, chi * llo, chi * lhi)
+        lo += min(products)
+        hi += max(products)
+    return lo, hi
+
+
+# from 2 to the Mersenne prime 2^61 - 1, whose logarithm needs six bits before the point
+WIDE_PRIMES = (2, 3, 5, 7, 13, 101, 65537, 1000003, 2**31 - 1, 2**61 - 1)
+surds = st.builds(
+    Quad,
+    st.fractions(min_value=-10**4, max_value=10**4, max_denominator=60),
+    st.fractions(min_value=-10**4, max_value=10**4, max_denominator=60).filter(bool),
+    st.sampled_from([2, 3, 5, 13]),
+)
+coefficients = st.one_of(
+    st.integers(-10**12, 10**12),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**5),
+    surds,
+    # (1 - sqrt 2)^m is near 0, so its bounds straddle 0 at a low precision
+    st.integers(1, 60).map(lambda m: Quad(1, -1, 2) ** m),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from(WIDE_PRIMES), coefficients, max_size=5), st.integers(96, 2048))
+@example({}, 128)
+@example({2: Quad(Fraction(1, 2), Fraction(1, 2), 5), 3: -1}, 96)
+@example({2: Quad(Fraction(1, 2), Fraction(-1, 2), 5), 2**61 - 1: Fraction(-7, 3)}, 2048)
+def test_integer_enclosure_matches_the_term_by_term_product(coeffs, prec):
+    got = _enclosure(coeffs, prec)
+    assert got == _reference_enclosure(coeffs, prec)
+    assert [type(x) for x in got] == [Fraction, Fraction]
+    if not coeffs:
+        assert got == (0, 0)
+    for c in coeffs.values():
+        if isinstance(c, Quad):
+            lo, hi, den = c.bounds(prec)
+            assert c.enclosure(prec) == (Fraction(lo, den), Fraction(hi, den))
+            slo, shi = sqrt_enclosure(Fraction(c.d), prec)
+            assert (Fraction(lo, den), Fraction(hi, den)) == tuple(sorted((c.a + c.b * slo, c.a + c.b * shi)))
+
+
+@pytest.mark.parametrize("prec", range(2, 13))
+def test_low_precision_enclosures_stay_rigorous(prec):
+    # at PAD_BITS bits or fewer the lower log bound of 2 reaches 0 or below, and
+    # orienting by the coefficient alone, justified by log p > 0, gives a
+    # narrower interval than the term-by-term product: still an enclosure
+    form = {2: Quad(1, -1, 2) ** 3, 3: Quad(Fraction(1, 2), Fraction(1, 2), 5), 5: Fraction(-7, 3)}
+    lo, hi = _enclosure(form, prec)
+    ref_lo, ref_hi = _reference_enclosure(form, prec)
+    assert ref_lo <= lo <= hi <= ref_hi
+    assert (prec <= PAD_BITS) or (lo, hi) == (ref_lo, ref_hi)
+    value = LogLinear(form).evaluate(256)
+    assert fraction_to_mpf(lo, 256) <= value <= fraction_to_mpf(hi, 256)
+
+
+def test_surd_bounds_take_one_isqrt_per_radicand_and_rung(monkeypatch):
+    calls = []
+    inner = monoheight.quadratic.isqrt
+
+    def counted(n):
+        calls.append(n)
+        return inner(n)
+
+    monkeypatch.setattr(monoheight.quadratic, "isqrt", counted)
+    monoheight.quadratic._scaled_isqrt.cache_clear()
+    phi = Quad(Fraction(1, 2), Fraction(1, 2), 5)
+    forms = [LogLinear({2: phi, 3: -1}), LogLinear({3: phi.conjugate(), 5: Quad(0, 3, 5), 7: Quad(1, -1, 2)})]
+    for _ in range(2):
+        assert [f.sign() for f in forms] == [1, 1]
+        for prec in (128, 256, 512):
+            assert [f.enclosure(prec) for f in forms] == [f.enclosure(prec) for f in forms]
+            phi.enclosure(prec)
+    # one isqrt per radicand and precision, however many coefficients and calls read it
+    assert sorted(calls) == sorted(d << 2 * prec for d in (2, 5) for prec in (128, 256, 512))
+    monoheight.quadratic._scaled_isqrt.cache_clear()
+
+
+@pytest.mark.parametrize("ambient", [20, 53, 300])
+def test_closed_heights_and_enclosures_ignore_ambient_precision(ambient):
+    cases = [
+        (IntMatrix([[1, 1], [1, 0]]), "2,3"),
+        (IntMatrix([[1, 1], [1, 0]]), "-4/9,10"),
+        (IntMatrix([[2, 1], [0, 2]]), "3,5/7"),
+        (IntMatrix([[2, 1], [1, 1]]), "2,3"),
+        (IntMatrix([[2, 1], [1, 1]]), "1/1024,3/5"),
+    ]
+    form = LogLinear({2: Quad(Fraction(1, 2), Fraction(1, 2), 5), 3: -1})
+
+    def outputs():
+        # from empty tables, so that no value computed at the other precision is read back
+        monoheight.matrices._ANALYSES.clear()
+        monoheight.logforms._prime_log_bounds.cache_clear()
+        monoheight.quadratic._scaled_isqrt.cache_clear()
+        return [canonical_height_closed(A, PointGm.parse(p)).to_json() for A, p in cases], form.enclosure(128)
+
+    with mp.workprec(ambient):
+        inside = outputs()
+    assert inside == outputs()
