@@ -40,7 +40,7 @@ def _load_json_file(path):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer past the int-string limit
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 

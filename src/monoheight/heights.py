@@ -15,7 +15,7 @@ from mpmath import mp, mpf
 
 from . import kernels
 from .errors import BudgetError, InputError, UnsupportedError
-from .jordan import LIMIT_TOL, jordan_profile, limit_matrix_B
+from .jordan import LIMIT_TOL, _dominant_factors, jordan_profile, limit_matrix_B
 from .logforms import LogLinear
 from .matrices import IntMatrix, _as_system, charpoly_factors
 from .points import HeightValue, LogProfile, PointGm, _place_heights, log_profile, weil_height
@@ -39,7 +39,7 @@ def canonical_height_closed(A: IntMatrix, P: PointGm, prec=None) -> HeightValue:
         raise InputError("matrix dimension does not match point dimension")
     prof = log_profile(P)
     if prof.is_torsion():
-        limit_matrix_B(A, prec=prec)  # validate support, then exact 0
+        _dominant_factors(jordan_profile(A))  # the same support as the limit, then exact 0
         return HeightValue(LogLinear({}))
     # scale the B tolerance by the profile mass so the final width is <= LIMIT_TOL
     mass = 0.0

@@ -125,6 +125,21 @@ class LimitMatrixB:
     notes: tuple = ()
 
 
+def _dominant_factors(jp: JordanProfile):
+    """The factors whose roots lead A^n/(n^l rho^n): those at the maximum
+    modulus with a block of size l + 1.  Raises UnsupportedError when one of
+    those roots is not real, as the limit then has no fixed phase."""
+    dominant = []
+    for idx in jp.modulus.max_indices:
+        fd = jp.modulus.factors[idx]
+        if (jp.l + 1) not in jp.block_sizes[idx]:
+            continue  # max-modulus but smaller blocks: vanishes in the limit
+        if len(fd.max_real_signs) != fd.roots_at_max:
+            raise UnsupportedError("dominant eigenvalue is not real; limit has no fixed phase")
+        dominant.append(fd)
+    return dominant
+
+
 def _divide_linear(coeffs, lam: Quad):
     """(quotient, remainder) of a polynomial (ascending coefficients) by x - lam,
     by synthetic division; the remainder is the value at lam."""
@@ -156,15 +171,7 @@ def limit_matrix_B(A: IntMatrix, prec=None, *, _tol=LIMIT_TOL) -> LimitMatrixB:
     jp = jordan_profile(A)
     prof = jp.modulus
     l, m = jp.l, jp.m
-    dominant = []
-    for idx in prof.max_indices:
-        fd = prof.factors[idx]
-        if (l + 1) not in jp.block_sizes[idx]:
-            continue  # max-modulus but smaller blocks: vanishes in the limit
-        real_at_max = len(fd.max_real_signs)
-        if real_at_max != fd.roots_at_max:
-            raise UnsupportedError("dominant eigenvalue is not real; limit has no fixed phase")
-        dominant.append(fd)
+    dominant = _dominant_factors(jp)
     notes = [] if all(fd.all_roots_real for fd in prof.factors) else [
         "matrix has nonreal eigenvalues below the spectral radius; the limit only needs the dominant ones real",
     ]

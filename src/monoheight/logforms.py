@@ -214,9 +214,6 @@ class LogLinear:
         """Exact sign; 0 only for the identically zero form."""
         return _form_sign(self.coeffs)
 
-    def compare(self, other) -> int:
-        return (self - other).sign()
-
     def __str__(self):
         if self.is_zero:
             return "0"

@@ -30,7 +30,8 @@ from . import kernels
 from .errors import IndistinguishableModuliError, InputError, UnsupportedError
 from .polys import (
     IntPoly,
-    root_bound,
+    real_root_count,
+    sign_at,
     squarefree_part,
     sturm_chain,
     sturm_count,
@@ -42,6 +43,9 @@ FACTOR_DEGREE_BOUND = 16
 
 # relative enclosure width contract for spectral radii
 _RADIUS_REL_WIDTH = Fraction(1, 2**80)
+
+# width to which a root of a modulus resultant is refined before it is read
+_ROOT_WIDTH = Fraction(1, 2**40)
 
 # precision, in bits, of the first and the last try at certified root discs:
 # the approximations sit on the grid 2^-(prec + low), where 2^-low is below
@@ -58,7 +62,7 @@ class IntMatrix:
     the same rows shares one record of the analysis table (see _analysis).
     """
 
-    __slots__ = ("n", "_rows", "_det")
+    __slots__ = ("n", "_rows")
 
     def __init__(self, rows, _trusted=False):
         try:
@@ -74,8 +78,7 @@ class IntMatrix:
                     raise InputError("entries must be integers")
         self.n = n
         self._rows = rows
-        self._det = None
-        if not _trusted and self.det() == 0:
+        if not _trusted and det(rows) == 0:
             raise InputError("determinant is zero")
 
     @classmethod
@@ -97,9 +100,7 @@ class IntMatrix:
         return self._rows
 
     def det(self) -> int:
-        if self._det is None:
-            self._det = det(self._rows)
-        return self._det
+        return det(self._rows)
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.n != other.n:
@@ -261,8 +262,7 @@ def _bisect_to_width(p: IntPoly, lo: Fraction, hi: Fraction, eps: Fraction):
     """Shrink an isolating interval of p to width <= eps by exact sign bisection.
 
     The endpoints are kept as integers X over one denominator D, which each
-    halving doubles; the sign of p(X / D) is that of the homogenised integer
-    sum of c_i X^i D^(deg - i), so no step normalises a Fraction.
+    halving doubles, and sign_at decides the sign of p(X / D) on integers.
     """
     if lo == hi:
         return lo, hi
@@ -270,19 +270,11 @@ def _bisect_to_width(p: IntPoly, lo: Fraction, hi: Fraction, eps: Fraction):
         return lo, lo
     den = lcm(lo.denominator, hi.denominator)
     x_lo, x_hi = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
-
-    def sign_at(x):
-        acc, scale = 0, 1
-        for c in reversed(p.coeffs):
-            acc = acc * x + c * scale
-            scale *= den
-        return (acc > 0) - (acc < 0)
-
-    s_lo = sign_at(x_lo)
+    s_lo = sign_at(p.coeffs, x_lo, den)
     while (x_hi - x_lo) * eps.denominator > eps.numerator * den:
         mid = x_lo + x_hi
         x_lo, x_hi, den = 2 * x_lo, 2 * x_hi, 2 * den
-        s_mid = sign_at(mid)
+        s_mid = sign_at(p.coeffs, mid, den)
         if s_mid == 0:
             return Fraction(mid, den), Fraction(mid, den)
         if s_lo != s_mid:
@@ -313,10 +305,7 @@ class CertifiedReal:
     >= 0 with known squares; a common root of the defining polynomials in the
     overlap, which makes them equal; else refinement until they separate.
 
-    Only refine narrows an enclosure in place, and only the code that builds
-    a value calls it; compare and to_mpf refine copies.  So a value shared
-    through the analysis table prints the same enclosure whatever its other
-    readers asked of it.
+    A value never changes: refine returns a narrower value.
     """
 
     __slots__ = ("lo", "hi", "descriptor", "poly", "sq")
@@ -365,50 +354,42 @@ class CertifiedReal:
         return (self.lo + self.hi) / 2
 
     def to_mpf(self, prec=None):
-        """The value rounded to prec bits, from a refined copy: the enclosure
-        of this value stays as it is."""
+        """The value rounded to prec bits."""
         prec = prec or default_precision()
         if self.descriptor is not None:
             return self.descriptor.to_mpf(prec)
-        value = self._copy().refine(Fraction(1, 2 ** (prec + 8)) * max(Fraction(1), abs(self.mid())))
+        value = self.refine(Fraction(1, 2 ** (prec + 8)) * max(Fraction(1), abs(self.mid())))
         return fraction_to_mpf(value.mid(), prec)
 
-    def _copy(self):
-        """The same value, with an enclosure that refines independently of this one."""
-        return CertifiedReal(self.lo, self.hi, self.descriptor, self.poly, self.sq and self.sq._copy())
-
-    def refine(self, eps):
-        """Tighten the enclosure to width <= eps (in place); exact at every step."""
+    def refine(self, eps) -> "CertifiedReal":
+        """The same value with an enclosure of width <= eps; exact at every step."""
         eps = Fraction(eps)
         if self.width <= eps:
             return self
         if eps <= 0:
             raise InputError("only an exact value has an enclosure of width <= 0")
+        lo, hi = self.lo, self.hi
         if self.descriptor is not None:
             prec = 64
-            while self.width > eps:
-                self.lo, self.hi = self.descriptor.enclosure(prec)
+            while hi - lo > eps:
+                lo, hi = self.descriptor.enclosure(prec)
                 prec *= 2
-            return self
+            return CertifiedReal(lo, hi, self.descriptor, self.poly, self.sq)
         if self.sq is not None:
-            prec = 64
-            while self.width > eps:
-                self.sq.refine(eps * eps / 16 if self.sq.hi < 1 else eps / 2)
-                lo, _ = sqrt_enclosure(max(self.sq.lo, Fraction(0)), prec)
-                _, hi = sqrt_enclosure(self.sq.hi, prec)
-                self.lo = max(self.lo, lo)
-                self.hi = min(self.hi, hi)
+            sq, prec = self.sq, 64
+            while hi - lo > eps:
+                sq = sq.refine(eps * eps / 16 if sq.hi < 1 else eps / 2)
+                lo = max(lo, sqrt_enclosure(max(sq.lo, Fraction(0)), prec)[0])
+                hi = min(hi, sqrt_enclosure(sq.hi, prec)[1])
                 prec *= 2
-                if prec > 2**16 and self.width > eps:
+                if prec > 2**16 and hi - lo > eps:
                     raise IndistinguishableModuliError(
-                        "square-root refinement did not reach the requested width", [(self.lo, self.hi)]
+                        "square-root refinement did not reach the requested width", [(lo, hi)]
                     )
-            return self
+            return CertifiedReal(lo, hi, poly=self.poly, sq=sq)
         if self.poly is not None:
-            self.lo, self.hi = _bisect_to_width(self.poly, self.lo, self.hi, eps)
-            if self.lo == self.hi:
-                self.descriptor = Quad(self.lo)
-            return self
+            lo, hi = _bisect_to_width(self.poly, lo, hi, eps)
+            return CertifiedReal(lo, hi, Quad(lo) if lo == hi else None, self.poly)
         raise IndistinguishableModuliError(
             "cannot refine a bare interval", [(self.lo, self.hi)]
         )
@@ -473,13 +454,11 @@ def _share_root(p: IntPoly, q: IntPoly, lo: Fraction, hi: Fraction) -> bool:
 
 
 def _separate(a: CertifiedReal, b: CertifiedReal) -> int:
-    """The sign of a - b, from refined copies of two overlapping values."""
-    a, b = a._copy(), b._copy()
+    """The sign of a - b, from refinements of two overlapping values."""
     eps = min(a.width, b.width, Fraction(1)) or Fraction(1, 2)
     for _ in range(80):
         eps /= 2**8
-        a.refine(eps)
-        b.refine(eps)
+        a, b = a.refine(eps), b.refine(eps)
         if a.hi < b.lo:
             return -1
         if b.hi < a.lo:
@@ -719,23 +698,25 @@ def _root_boxes(g: IntPoly, prec: int):
             for x, y, r in discs]
 
 
-def _rank_boxes(boxes, intervals, n_real: int, narrow):
-    """(index of the q-interval holding |z|^2 for each root box, ascending signs
-    of the real roots in the top interval), or None when a box is too wide.
+def _rank_boxes(boxes, roots, n_real: int):
+    """(index of the root of q equal to |z|^2 for each root box, ascending signs
+    of the real roots at the top root), or None when a box is too wide.
 
-    |z|^2 = z * conj(z) is a real root of q, so it lies in exactly one of the
-    disjoint intervals, and a unique overlap decides.  A box meeting several
-    intervals is decided on them after narrow(indices) has shrunk them in
-    place.  A box meeting the real axis holds a real root once exactly n_real
-    boxes meet it.
+    roots are the real roots of q, ascending, as CertifiedReals with disjoint
+    enclosures.  |z|^2 = z * conj(z) is one of them, so a unique overlap
+    decides.  A box meeting several enclosures is decided on them once they
+    are refined to width _ROOT_WIDTH, which replaces those roots in the list.
+    A box meeting the real axis holds a real root once exactly n_real boxes
+    meet it.
     """
     assignment = []
     for box in boxes:
         slo, shi = _sq_modulus_interval(box)
-        hits = [k for k, (lo, hi) in enumerate(intervals) if shi >= lo and slo <= hi]
+        hits = [k for k, r in enumerate(roots) if shi >= r.lo and slo <= r.hi]
         if len(hits) > 1:
-            narrow(hits)
-            hits = [k for k in hits if shi >= intervals[k][0] and slo <= intervals[k][1]]
+            for k in hits:
+                roots[k] = roots[k].refine(_ROOT_WIDTH)
+            hits = [k for k in hits if shi >= roots[k].lo and slo <= roots[k].hi]
         if len(hits) != 1:
             return None
         assignment.append(hits[0])
@@ -744,7 +725,7 @@ def _rank_boxes(boxes, intervals, n_real: int, narrow):
         return None
     signs = []
     for box, is_real, k in zip(boxes, real, assignment):
-        if is_real and k == len(intervals) - 1:
+        if is_real and k == len(roots) - 1:
             if box[0] <= 0 <= box[1]:  # g(0) != 0, so a tighter box excludes 0
                 return None
             signs.append(1 if box[0] > 0 else -1)
@@ -754,47 +735,34 @@ def _rank_boxes(boxes, intervals, n_real: int, narrow):
 
 def _factor_data_high_degree(g: IntPoly, mult: int) -> FactorData:
     q = squarefree_part(_modulus_resultant(g))
-    intervals = [list(iv) for iv in _isolate_real_roots(q)]
-    if not intervals:
+    roots = [CertifiedReal.from_poly_root(q, lo, hi) for lo, hi in _isolate_real_roots(q)]
+    if not roots:
         raise ArithmeticError("modulus resultant has no real roots")
-    narrowed = set()
-
-    def narrow(indices):
-        """Bisect the isolating intervals of q at indices to width 2^-40, each once."""
-        for k in set(indices) - narrowed:
-            intervals[k] = list(_bisect_to_width(q, *intervals[k], Fraction(1, 2**40)))
-            narrowed.add(k)
-
-    # the two intervals that reach an output: the top one, whose endpoints
-    # printed radii refine from, and the highest other one holding a root,
-    # whose upper end is second_sq_hi; the rest only when a box meets several
-    top_idx = len(intervals) - 1
-    narrow([top_idx])
-    bound = root_bound(g)
-    n_real = sturm_count(g, -bound, bound)
+    # the two roots that reach an output: the top one, rho^2, and the highest
+    # other one that is some |z|^2, whose upper end is second_sq_hi; the rest
+    # only when a box meets several
+    top_idx = len(roots) - 1
+    roots[top_idx] = roots[top_idx].refine(_ROOT_WIDTH)
+    n_real = real_root_count(g)
     prec = _DISC_PREC
     ranked = None
     while ranked is None:
         if prec > _DISC_PREC_CAP:
             raise IndistinguishableModuliError(
-                "root discs did not separate the moduli", [tuple(iv) for iv in intervals])
+                "root discs did not separate the moduli", [(r.lo, r.hi) for r in roots])
         boxes = _root_boxes(g, prec)
-        ranked = boxes and _rank_boxes(boxes, intervals, n_real, narrow)
+        ranked = boxes and _rank_boxes(boxes, roots, n_real)
         prec *= 2
     assignment, signs = ranked
 
     second = max((a for a in assignment if a != top_idx), default=None)
-    if second is not None:
-        narrow([second])
-    top = intervals[top_idx]
-    rho_sq = CertifiedReal.from_poly_root(q, top[0], top[1])
-    rho = CertifiedReal.sqrt_of(rho_sq)
+    rho_sq = roots[top_idx]
     return FactorData(
-        poly=g, multiplicity=mult, rho=rho, rho_sq=rho_sq,
+        poly=g, multiplicity=mult, rho=CertifiedReal.sqrt_of(rho_sq), rho_sq=rho_sq,
         roots_at_max=assignment.count(top_idx),
         all_roots_real=n_real == g.degree,
         max_real_signs=signs,
-        second_sq_hi=None if second is None else intervals[second][1],
+        second_sq_hi=None if second is None else roots[second].refine(_ROOT_WIDTH).hi,
     )
 
 
@@ -884,7 +852,7 @@ def modulus_profile(A: IntMatrix) -> ModulusProfile:
 
 
 def _within_radius_width(rho: CertifiedReal) -> CertifiedReal:
-    """rho refined in place to the relative width every certified radius has."""
+    """rho refined to the relative width every certified radius has."""
     return rho.refine(max(rho.hi, Fraction(1)) * _RADIUS_REL_WIDTH)
 
 

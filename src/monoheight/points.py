@@ -59,9 +59,6 @@ class PointGm:
             raise InputError(f"malformed point {text!r}; expected comma-separated rationals")
         return cls(tuple(parse_rational(p) for p in parts))
 
-    def power(self, d: int) -> "PointGm":
-        return PointGm(tuple(c**d for c in self.coords))
-
     def __str__(self):
         return ",".join(str(c) for c in self.coords)
 

@@ -2,13 +2,14 @@
 
 Coefficients are stored ascending (constant term first), matching the printed
 form.  Squarefree parts and Sturm remainders come from sympy's dense routines
-(dup_sqf_part over ZZ, dup_rem over QQ); the Sturm counts here are the exact
-interval tool used by certified-real comparisons.
+(dup_sqf_part over ZZ, dup_rem over QQ).  Every exact sign decision on a
+polynomial is one integer routine, sign_at; the Sturm counts built on it are
+the exact interval tool used by certified-real comparisons.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import sympy
 from sympy.polys.densearith import dup_neg, dup_rem
@@ -49,11 +50,6 @@ class IntPoly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def derivative(self) -> "IntPoly":
-        if self.degree == 0:
-            raise InputError("derivative of a constant is the zero polynomial")
-        return IntPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
 
     def content(self) -> int:
         g = 0
@@ -111,8 +107,9 @@ def squarefree_part(p: IntPoly) -> IntPoly:
 
 
 def sturm_chain(p: IntPoly):
-    """Sturm sequence of p as ascending Fraction lists (requires squarefree
-    input); each remainder is sympy's dense dup_rem over QQ."""
+    """Sturm sequence of p as ascending integer lists (requires squarefree
+    input); each remainder is sympy's dense dup_rem over QQ, cleared of its
+    denominators by a positive factor, which keeps every sign."""
     chain = [[QQ(c) for c in reversed(p.coeffs)]]
     if p.degree:
         chain.append(dup_diff(chain[0], 1, QQ))
@@ -121,22 +118,26 @@ def sturm_chain(p: IntPoly):
         if not r:
             break
         chain.append(dup_neg(r, QQ))
-    return [[Fraction(int(c.numerator), int(c.denominator)) for c in reversed(g)] for g in chain]
+    out = []
+    for g in chain:
+        den = lcm(*(int(c.denominator) for c in g))
+        out.append([int(c.numerator) * (den // int(c.denominator)) for c in reversed(g)])
+    return out
 
 
-def _eval_list(coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def sign_at(coeffs, x: int, den: int) -> int:
+    """Sign of the polynomial with ascending integer coeffs at x / den, den > 0:
+    that of the homogenised integer sum of c_i x^i den^(deg - i), so no step
+    normalises a Fraction."""
+    acc, scale = 0, 1
     for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+        acc = acc * x + c * scale
+        scale *= den
+    return (acc > 0) - (acc < 0)
 
 
-def _sign_changes(chain, x: Fraction) -> int:
-    signs = []
-    for coeffs in chain:
-        v = _eval_list(coeffs, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+def _sign_changes(signs) -> int:
+    signs = [s for s in signs if s]
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
@@ -145,12 +146,17 @@ def sturm_count(p: IntPoly, a: Fraction, b: Fraction, chain=None) -> int:
     if a > b:
         raise InputError("empty interval")
     chain = chain or sturm_chain(p)
-    return _sign_changes(chain, a) - _sign_changes(chain, b)
+    return (_sign_changes(sign_at(g, a.numerator, a.denominator) for g in chain)
+            - _sign_changes(sign_at(g, b.numerator, b.denominator) for g in chain))
 
 
-def root_bound(p: IntPoly) -> Fraction:
-    """Cauchy bound: all roots have absolute value below 1 + max|c_i|/|lc|."""
-    return 1 + max(Fraction(abs(c), abs(p.lc)) for c in p.coeffs[:-1]) if p.degree else Fraction(1)
+def real_root_count(p: IntPoly) -> int:
+    """Number of distinct real roots of squarefree p: the sign changes of its
+    Sturm chain at -infinity less those at +infinity, where each term has the
+    sign of its leading term."""
+    chain = sturm_chain(p)
+    at_top = [1 if g[-1] > 0 else -1 for g in chain]
+    return _sign_changes(s if len(g) % 2 else -s for g, s in zip(chain, at_top)) - _sign_changes(at_top)
 
 
 def cyclotomic_index(p: IntPoly) -> int | None:

@@ -155,13 +155,6 @@ class Quad:
     def conjugate(self):
         return _make(self._p, -self._q, self._r, self.d)
 
-    def norm(self) -> Fraction:
-        """Field norm a^2 - b^2 d (product with the conjugate)."""
-        return Fraction(self._p * self._p - self._q * self._q * self.d, self._r * self._r)
-
-    def trace(self) -> Fraction:
-        return Fraction(2 * self._p, self._r)
-
     def minimal_poly(self) -> IntPoly:
         """Primitive integer minimal polynomial over Q: r x - p for a rational,
         else r^2 x^2 - 2 p r x + (p^2 - q^2 d) over its content."""

@@ -3,11 +3,14 @@
 A factorization is kept as exact integer exponents per prime.
 """
 
+import re
 from fractions import Fraction
 
 import sympy
 
 from .errors import InputError
+
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def factor_rational(x: Fraction) -> dict[int, int]:
@@ -34,9 +37,12 @@ def factor_rational(x: Fraction) -> dict[int, int]:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q" (ASCII, no whitespace) into an exact rational."""
+    """Parse "p" or "p/q", [+-]?[0-9]+(/[0-9]+)? in ASCII with surrounding
+    whitespace stripped, into an exact rational; anything else is an InputError."""
+    match = _RATIONAL.fullmatch(text.strip())
+    if match is None:
+        raise InputError(f"not a rational: {text!r}")
     try:
-        value = Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(int(match[1]), int(match[2] or 1))
+    except (ValueError, ZeroDivisionError) as exc:  # int() refuses past the int-string limit
         raise InputError(f"not a rational: {text!r}") from exc
-    return value

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -252,6 +253,29 @@ def test_malformed_json_is_an_input_error(tmp_path, command, option, content):
     code, text = invoke([command, option, str(path), "--point", "2,3"])
     assert code == EXIT_INPUT
     assert json.loads(text)["error"]["type"] == "input"
+
+
+def test_integer_literal_past_the_int_string_limit_is_an_input_error(tmp_path):
+    # json.load raises a bare ValueError for it, which is bad input, not a crash
+    path = tmp_path / "long.json"
+    path.write_text("[[" + "7" * 5000 + ", 1], [1, 0]]")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, text = invoke(["analyze", "--matrix", str(path)])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == EXIT_INPUT
+    assert json.loads(text)["error"]["type"] == "input"
+
+
+def test_a_point_outside_the_rational_grammar_exits_2_at_once():
+    # Fraction("1e10000000") would build a 33-million-bit integer first
+    start = time.perf_counter()
+    code, text = invoke(["height", "--point", "1e10000000,2"])
+    assert code == EXIT_INPUT
+    assert "not a rational" in json.loads(text)["error"]["message"]
+    assert time.perf_counter() - start < 2
 
 
 @pytest.mark.parametrize("error", [ArithmeticError, ZeroDivisionError, ValueError])

@@ -6,12 +6,14 @@ from fractions import Fraction
 from mpmath import mp
 import pytest
 
+import monoheight.jordan
 from monoheight import (
     BudgetError,
     InputError,
     IntMatrix,
     PointGm,
     Quad,
+    UnsupportedError,
     canonical_height_closed,
     classify_orbit,
     eval_monomial,
@@ -54,6 +56,22 @@ def test_closed_diag_and_shear():
 def test_closed_torsion_is_zero():
     h = canonical_height_closed(FIB, pt(1, -1))
     assert h.exact and h.is_zero()
+
+
+def test_closed_torsion_runs_no_iterated_limit(monkeypatch):
+    # the dominant root of x^3 - x - 1 is cubic, so its limit is iterated;
+    # a torsion point needs only the support check
+    calls = []
+    monkeypatch.setattr(monoheight.jordan, "_iterated_limit", lambda *args: calls.append(args))
+    h = canonical_height_closed(IntMatrix([[0, 0, 1], [1, 0, 1], [0, 1, 0]]), pt(1, -1, -1))
+    assert h.exact and h.is_zero()
+    assert calls == []
+
+
+def test_closed_torsion_keeps_the_support_check():
+    # the dominant eigenvalues 1 +- i of [[1, -1], [1, 1]] are not real
+    with pytest.raises(UnsupportedError, match="not real"):
+        canonical_height_closed(IntMatrix([[1, -1], [1, 1]]), pt(1, -1))
 
 
 def test_step_relation_exact():

@@ -237,7 +237,6 @@ def _stepping_limit(A, jp, tol, prec):
     second = jp.modulus.second_sq_hi
     ratio = None
     if second is not None:
-        jp.rho.refine(Fraction(1, 2**96))
         ratio = mp.sqrt(mpf(second.numerator) / mpf(second.denominator)) / rho_mpf
     poly_decay = any(
         i in jp.modulus.max_indices and any(s < l + 1 for s in sizes)

@@ -44,7 +44,7 @@ from monoheight.matrices import (
     rank,
     word_product,
 )
-from monoheight.polys import root_bound, squarefree_part, sturm_count
+from monoheight.polys import real_root_count, squarefree_part, sturm_count
 from monoheight.precision import default_precision
 from conftest import random_matrix
 
@@ -160,7 +160,7 @@ def test_real_roots_match_sympy():
     p = IntPoly([-1, -1, 1])
     roots = _real_roots(p)
     sy = sorted(float(r) for r in sympy.Poly([1, -1, -1], sympy.Symbol("x")).real_roots())
-    assert len(roots) == sturm_count(p, -root_bound(p), root_bound(p)) == 2
+    assert len(roots) == real_root_count(p) == 2
     for (lo, hi), expect in zip(roots, sy):
         assert hi - lo <= Fraction(1, 2**53)
         assert abs(float((lo + hi) / 2) - expect) < 1e-9
@@ -171,7 +171,7 @@ def test_real_roots_when_an_endpoint_is_a_root():
     # intervals [0, 1] and [1, 1]: the first one ends on the root of the second
     q = squarefree_part(_modulus_resultant(IntPoly([1, -3, 3, -3, 1])))
     roots = _real_roots(q)
-    assert len(roots) == sturm_count(q, -root_bound(q), root_bound(q)) == 3
+    assert len(roots) == real_root_count(q) == 3
     for lo, hi in roots:
         assert (lo == hi and q(lo) == 0) or (q(lo) != 0 and sturm_count(q, lo, hi) == 1)
     A = IntMatrix([[0, 0, 0, 0, 1], [1, 0, 0, 0, -4], [0, 1, 0, 0, 6],
@@ -248,8 +248,7 @@ def test_integer_bisection_matches_on_isolating_intervals(rng):
 ])
 def test_binomial_companion_radius(rows, cube):
     # sympy gives radical roots for binomials unless asked for CRootOf
-    rho = jordan_profile(IntMatrix(rows)).rho
-    rho.refine(Fraction(1, 2**60))
+    rho = jordan_profile(IntMatrix(rows)).rho.refine(Fraction(1, 2**60))
     assert rho.lo**3 <= cube <= rho.hi**3
 
 
@@ -335,6 +334,21 @@ def test_to_mpf_and_compare_leave_the_enclosure_as_it_is():
     assert state() == before
 
 
+@pytest.mark.parametrize("make", [
+    lambda: CertifiedReal.from_quad(SQRT2),
+    lambda: CertifiedReal.sqrt_of(_root((-2, 0, 0, 1))),  # 2^(1/6) by its square
+    lambda: _root((-2, 0, 0, 1)),  # 2^(1/3) by its polynomial
+    lambda: _root((-3, 2), 0, 4),  # 3/2 by 2x - 3: bisection lands on the root
+], ids=["descriptor", "square", "poly", "poly-exact"])
+def test_refine_returns_a_narrower_value_and_leaves_its_receiver(make):
+    x = make()
+    before = (x.lo, x.hi, x.descriptor, x.poly, x.sq and (x.sq.lo, x.sq.hi))
+    y = x.refine(Fraction(1, 2**300))  # below the width every constructor gives
+    assert (x.lo, x.hi, x.descriptor, x.poly, x.sq and (x.sq.lo, x.sq.hi)) == before
+    assert y.width <= Fraction(1, 2**300) and x.lo <= y.lo <= y.hi <= x.hi
+    assert y.compare(x) == 0 and y.to_mpf(200) == x.to_mpf(200)
+
+
 def test_compare_decides_one_field_before_any_refinement():
     # printed radii keep their bytes only if an exact sign leaves the intervals alone
     a, b = CertifiedReal(1, 2, descriptor=SQRT2), CertifiedReal.from_quad(SQRT2 + Fraction(1, 10**40))
@@ -386,8 +400,7 @@ def test_square_root_refinement_raises_rather_than_fall_short(monkeypatch):
     # 2^(1/4) as the square root of the quadratic sqrt(2)
     r = CertifiedReal.sqrt_of(CertifiedReal.from_quad(Quad.sqrt_of(Fraction(2))))
     assert r.sq is not None
-    r.refine(Fraction(1, 2**300))
-    assert r.width <= Fraction(1, 2**300)
+    assert r.refine(Fraction(1, 2**300)).width <= Fraction(1, 2**300)
     # square-root enclosures that stall at a width of 2^-200 cannot reach 2^-400
     exact = monoheight.matrices.sqrt_enclosure
     pad = Fraction(1, 2**201)
@@ -963,19 +976,21 @@ def test_only_the_intervals_that_reach_an_output_are_bisected(monkeypatch):
 
 def test_root_boxes_decide_realness_and_signs_only_when_certain():
     F = Fraction
-    at_1_and_4 = [[F(1), F(1)], [F(4), F(4)]]
+    # the roots 1 and 4 of q, isolated by [1/2, 3/2] and [7/2, 9/2]
+    at_1_and_4 = [_root((-1, 1), F(1, 2), F(3, 2)), _root((-4, 1), F(7, 2), F(9, 2))]
+    roots = list(at_1_and_4)
     real = (F(19, 10), F(21, 10), F(-1, 10), F(1, 10))  # around the real root 2
     near = (F(199, 100), F(201, 100), F(-1, 1000), F(2, 1000))  # around 2 + i*eps, |z|^2 = 4
-    narrowed = []
-    assert _rank_boxes([real, near], at_1_and_4, 2, narrowed.extend) == ([1, 1], [1, 1])
+    assert _rank_boxes([real, near], roots, 2) == ([1, 1], [1, 1])
     # one real root but two boxes meet the real axis: which one is real is open
-    assert _rank_boxes([real, near], at_1_and_4, 1, narrowed.extend) is None
-    assert narrowed == []  # each box met one interval
-    # a box meeting both q-intervals, even once they are narrowed, or a real
-    # root's box holding 0, decides nothing
-    assert _rank_boxes([(F(0), F(2), F(-1), F(1))], at_1_and_4, 1, narrowed.extend) is None
-    assert narrowed == [0, 1]
-    assert _rank_boxes([(F(-1, 2), F(1, 2), F(-1, 2), F(1, 2))], [[F(0), F(1, 2)]], 1, narrowed.extend) is None
+    assert _rank_boxes([real, near], roots, 1) is None
+    assert all(r is s for r, s in zip(roots, at_1_and_4))  # each box met one root: none refined
+    # a box meeting both roots, even once they are refined, or a real root's
+    # box holding 0, decides nothing
+    assert _rank_boxes([(F(0), F(2), F(-1), F(1))], roots, 1) is None
+    assert [(r.lo, r.hi) for r in roots] == [(1, 1), (4, 4)]  # both refined, to the roots themselves
+    assert [(r.lo, r.hi) for r in at_1_and_4] == [(F(1, 2), F(3, 2)), (F(7, 2), F(9, 2))]
+    assert _rank_boxes([(F(-1, 2), F(1, 2), F(-1, 2), F(1, 2))], [_root((-1, 4), 0, F(1, 2))], 1) is None
 
 
 def _profile_fields(prof):

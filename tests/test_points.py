@@ -195,7 +195,7 @@ def test_weil_power_scaling(coords, d):
     # h(P^d) = d h(P): the max-plus form is positively homogeneous
     P = PointGm(tuple(coords))
     hP = weil_height_of_point(P).value(128)
-    hPd = weil_height_of_point(P.power(d)).value(128)
+    hPd = weil_height_of_point(PointGm(tuple(c**d for c in P.coords))).value(128)
     assert abs(hPd - d * hP) < 1e-30
 
 

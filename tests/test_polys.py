@@ -8,7 +8,8 @@ import sympy
 from monoheight import InputError, IntPoly, poly_str
 from monoheight.polys import (
     cyclotomic_index,
-    root_bound,
+    real_root_count,
+    sign_at,
     squarefree_part,
     sturm_chain,
     sturm_count,
@@ -49,7 +50,6 @@ def test_poly_str_fraction_coefficients():
 
 def test_derivative_content_primitive():
     p = IntPoly([4, 0, 6])
-    assert p.derivative() == IntPoly([0, 12])
     assert p.content() == 2
     assert p.primitive() == IntPoly([2, 0, 3])
 
@@ -100,7 +100,7 @@ def _fraction_sturm_chain(p):
 
     chain = [[Fraction(c) for c in p.coeffs]]
     if p.degree:
-        chain.append([Fraction(c) for c in p.derivative().coeffs])
+        chain.append([Fraction(i * c) for i, c in enumerate(p.coeffs)][1:])
     while len(chain[-1]) > 1:
         r = rem(chain[-2], chain[-1])
         if not any(r):
@@ -119,14 +119,42 @@ def test_sturm_chain_matches_the_fraction_chain(rng):
     assert sum(p.lc < 0 for p in polys) >= 20 and sum(abs(p.lc) > 1 for p in polys) >= 20
     for p in polys:
         got, old = sturm_chain(p), _fraction_sturm_chain(p)
-        assert got == old, p
-        assert all(type(c) is Fraction for g in got for c in g)
+        assert all(type(c) is int for g in got for c in g)
+        # each term is the reference term times one positive factor
+        assert len(got) == len(old), p
+        for g, h in zip(got, old):
+            factor = Fraction(g[-1]) / h[-1]
+            assert factor > 0 and [factor * c for c in h] == g, p
 
 
-def test_root_bound():
-    b = root_bound(X2_X_1)
-    assert b >= Fraction(1618, 1000)
-    assert root_bound(IntPoly([100, 0, 1])) >= 10
+def test_sign_at_matches_the_sign_of_the_value(rng):
+    for _ in range(300):
+        p = IntPoly([rng.randint(-20, 20) for _ in range(rng.randint(0, 7))] + [rng.choice([-3, -1, 1, 2])])
+        xs = [Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(5)]
+        # the rational roots of p, where the sign is 0
+        xs += map(Fraction, sympy.roots(p.to_sympy(), filter="Q"))
+        for x in xs:
+            v = p(x)
+            assert sign_at(p.coeffs, x.numerator, x.denominator) == (v > 0) - (v < 0), (p, x)
+    # a factor with roots -1/2 and 3/2: both are found and give 0
+    p = IntPoly([-3, -4, 4])
+    assert [sign_at(p.coeffs, *x) for x in ((-1, 2), (3, 2), (0, 1), (-1, 1))] == [0, 0, -1, 1]
+
+
+def _cauchy_bound(p):
+    """1 + max |c_i| / |lc|: every root of p has a smaller absolute value."""
+    return 1 + max((Fraction(abs(c), abs(p.lc)) for c in p.coeffs[:-1]), default=Fraction(0))
+
+
+def test_real_root_count_matches_the_bounded_sturm_count(rng):
+    for deg in list(range(1, 17)) * 8:
+        coeffs = [rng.randint(-9, 9) for _ in range(deg)] + [rng.choice([-4, -1, 1, 3])]
+        p = squarefree_part(IntPoly(coeffs))
+        bound = _cauchy_bound(p)
+        assert real_root_count(p) == sturm_count(p, -bound, bound), p
+    assert real_root_count(X2_X_1) == 2
+    assert real_root_count(IntPoly([1, 0, 1])) == 0
+    assert real_root_count(IntPoly([-2, 1])) == 1
 
 
 def test_cyclotomic_index():

@@ -1,5 +1,6 @@
 """Factorizations and parsing."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,35 @@ def test_parse_and_format():
     assert str(parse_rational("-4/9")) == "-4/9"
     with pytest.raises(InputError):
         parse_rational("x")
+
+
+@pytest.mark.parametrize("text, value", [
+    ("3", Fraction(3)), ("+3", Fraction(3)), ("-0", Fraction(0)), (" -4/9\t", Fraction(-4, 9)),
+    ("6/4", Fraction(3, 2)), ("007/010", Fraction(7, 10)),
+])
+def test_parse_rational_reads_its_grammar(text, value):
+    assert parse_rational(text) == value
+
+
+@pytest.mark.parametrize("text", [
+    "1e10000000", "1E3", "0.5", ".5", "1_000", "\u0663", "\uff11", "1/0", "1/-2", "-1/+2",
+    "1 / 2", "1/", "/2", "", "+", "inf", "nan", "0x10", "1/2/3",
+], ids=["exponent", "capital-exponent", "decimal", "bare-decimal", "underscore", "arabic-indic-digit",
+        "fullwidth-digit", "zero-denominator", "signed-denominator", "two-signs", "spaced-slash",
+        "no-denominator", "no-numerator", "empty", "sign-only", "inf", "nan", "hex", "two-slashes"])
+def test_parse_rational_refuses_everything_else(text):
+    with pytest.raises(InputError, match="not a rational"):
+        parse_rational(text)
+
+
+def test_parse_rational_refuses_an_integer_past_the_int_string_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(InputError, match="not a rational"):
+            parse_rational("7" * 5000)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @given(st.integers(min_value=-10**6, max_value=10**6).filter(lambda n: n != 0),

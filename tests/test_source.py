@@ -23,6 +23,8 @@ EMPTY_CONTAINERS = ("dict", "OrderedDict", "defaultdict", "WeakKeyDictionary", "
 # LogProfile attributes that only its constructor writes, and the dict methods that change vals
 PROFILE_ATTRIBUTES = ("vals", "signs")
 MUTATING_METHODS = ("pop", "popitem", "update", "clear", "setdefault", "__setitem__", "__delitem__")
+# CertifiedReal attributes that only its constructor writes
+REAL_ATTRIBUTES = ("lo", "hi", "descriptor", "poly", "sq")
 # calls that read or write a table by key
 KEYED_METHODS = ("get", "setdefault", "pop", "move_to_end", "__getitem__", "__setitem__", "__contains__")
 
@@ -190,7 +192,7 @@ def test_only_the_analysis_functions_fill_the_matrix_slots():
     # the analysis lives in the one table of matrices.py, keyed on the rows:
     # nothing on the matrix object, no second table, and each field of a
     # record written only by its filler
-    assert set(IntMatrix.__slots__) == {"n", "_rows", "_det"}
+    assert set(IntMatrix.__slots__) == {"n", "_rows"}
     assert set(_Analysis.__slots__) == set(RECORD_FIELDS)
     found = [f"{path.name}:{line} {scope} sets {name}" for path in sorted(SRC.rglob("*.py"))
              for scope, name, line in _record_writes(path) if scope != name]
@@ -231,19 +233,27 @@ def test_log_profiles_are_only_read():
     assert found == []
 
 
-def _refine_calls(path):
-    """(scope, line) of each call of a method named refine."""
-    return [(scope, node.lineno) for scope, node in _scoped_nodes(path)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "refine"]
+def _real_writes(path):
+    """(scope, line) of each assignment, deletion or setattr of a
+    CertifiedReal attribute, and of each definition named _copy."""
+    found = []
+    for scope, node in _scoped_nodes(path):
+        if isinstance(node, ast.Attribute) and node.attr in REAL_ATTRIBUTES and not isinstance(node.ctx, ast.Load):
+            found.append((scope, node.lineno))
+        elif isinstance(node, ast.Call) and _call_name(node) in ("setattr", "__setattr__"):
+            found.extend((scope, node.lineno) for a in node.args
+                         if isinstance(a, ast.Constant) and a.value in REAL_ATTRIBUTES)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "_copy":
+            found.append((scope, node.lineno))
+    return found
 
 
-def test_only_the_builders_refine_in_place():
-    # a CertifiedReal in the analysis table is shared by every reader: it is
-    # narrowed in place only while it is built (_within_radius_width, and
-    # refine on its own square), and compare and to_mpf refine copies
-    allowed = {"_within_radius_width", "CertifiedReal.refine", "CertifiedReal.to_mpf", "_separate"}
+def test_certified_reals_never_change():
+    # a CertifiedReal in the analysis table is shared by every reader, so no
+    # reader may narrow it: only its constructor sets the enclosure and the
+    # witnesses, refine returns a new value, and there is no copy to refine
     found = [f"{path.name}:{line} {scope}" for path in sorted(SRC.rglob("*.py"))
-             for scope, line in _refine_calls(path) if scope not in allowed]
+             for scope, line in _real_writes(path) if scope != "CertifiedReal.__init__"]
     assert found == []
 
 
