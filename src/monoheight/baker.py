@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import ceil, factorial, lcm
 from operator import index as _as_int
 
-from .errors import InputError, UnsupportedError
+from .errors import BudgetError, InputError, UnsupportedError
 from .precision import default_precision, fraction_to_mpf, mp, real_str
 from .matrices import CertifiedReal, IntMatrix
 from .jordan import jordan_basis, jordan_profile
@@ -46,12 +46,22 @@ def baker_c11(n: int) -> int:
     return 2 ** (8 * n + 53) * n ** (2 * n)
 
 
+CLEARED_DIGITS_CAP = 4300  # the interpreter's default int-string limit
+_CLEARED_CAP = 10**CLEARED_DIGITS_CAP
+
+
 def _cleared_representative(P: PointGm):
-    """Scale P by the lcm of coordinate denominators; both points are reported."""
+    """Scale P by the lcm of coordinate denominators; both points are reported.
+
+    The factor and the cleared coordinates bound every integer of both points,
+    so a BudgetError when one has more than CLEARED_DIGITS_CAP digits keeps
+    the report printable whatever the int-string limit of the process.
+    """
     m = lcm(*(c.denominator for c in P.coords))
-    if m == 1:
-        return P, 1
-    return PointGm(tuple(c * m for c in P.coords)), m
+    coords = tuple(c * m for c in P.coords)
+    if m >= _CLEARED_CAP or any(abs(c) >= _CLEARED_CAP for c in coords):
+        raise BudgetError(f"the cleared point has an integer of more than {CLEARED_DIGITS_CAP} digits")
+    return (P, 1) if m == 1 else (PointGm(coords), m)
 
 
 CEIL_PREC_CAP = 1 << 14  # largest working precision, in bits, of _ceil_shifted_height

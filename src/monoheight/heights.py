@@ -9,6 +9,7 @@ entries the whole height is an exact linear form in prime logarithms.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 
 from mpmath import mp, mpf
@@ -17,8 +18,8 @@ from . import kernels
 from .errors import BudgetError, InputError, UnsupportedError
 from .jordan import LIMIT_TOL, _dominant_factors, jordan_profile, limit_matrix_B
 from .logforms import LogLinear
-from .matrices import IntMatrix, _as_system, charpoly_factors
-from .points import HeightValue, LogProfile, PointGm, _place_heights, log_profile, weil_height
+from .matrices import CertifiedReal, IntMatrix, _as_system, charpoly_factors
+from .points import HeightValue, LogProfile, PointGm, _place_heights, log_profile
 from .polys import cyclotomic_index
 from .precision import default_precision, real_str
 
@@ -112,9 +113,9 @@ def _delta_and_l(mats, delta, l_override):
         if len(mats) != 1:
             raise InputError("multi-map systems need delta (use the system analyzer)")
         delta = jordan_profile(mats[0]).rho
-    if hasattr(delta, "to_mpf"):
+    if isinstance(delta, CertifiedReal):
         delta_mpf = delta.to_mpf(default_precision())
-        delta_str = getattr(delta, "exact_str", lambda: None)() or real_str(delta_mpf, 20)
+        delta_str = delta.exact_str() or real_str(delta_mpf, 20)
     else:
         delta_mpf = mpf(delta) if not isinstance(delta, Fraction) else mpf(delta.numerator) / delta.denominator
         delta_str = real_str(delta_mpf, 20)
@@ -122,13 +123,14 @@ def _delta_and_l(mats, delta, l_override):
     return delta_mpf, delta_str, l
 
 
-def _level_states(mats, P: PointGm):
-    """Iterate levels: (exact Weil height, word multiplicity) per distinct orbit state."""
+def _level_sums(mats, P: PointGm):
+    """Iterate levels: the exact sum of Weil heights over the level's words, as
+    one LogLinear summing word multiplicity x place heights per distinct orbit state."""
     prof = log_profile(P)
     level = {prof.state_key(): (prof, 1)}
     while True:
         nxt = {}
-        for _, (state, count) in level.items():
+        for state, count in level.values():
             for M in mats:
                 image = state.transport(M)
                 key = image.state_key()
@@ -137,7 +139,11 @@ def _level_states(mats, P: PointGm):
                 else:
                     nxt[key] = (image, count)
         level = nxt
-        yield [(weil_height(state).symbolic, count) for state, count in level.values()]
+        coeffs = {}
+        for state, count in level.values():
+            for p, c in _place_heights(state.vals).items():
+                coeffs[p] = coeffs.get(p, 0) + c * count
+        yield LogLinear(coeffs)
 
 
 def _walk_words(k: int, n: int, word_budget: int) -> int:
@@ -168,20 +174,10 @@ def truncated_estimates(
     words = _walk_words(k, n, word_budget)
     delta_mpf, delta_str, l = _delta_and_l(mats, delta, l_override)
     values = {"summed": [], "averaged": []}
-    level_sums = []
+    level_sums = list(islice(_level_sums(mats, P), n))
     with mp.workprec(prec + 32):
-        logs = {}
-        for nu, level in zip(range(1, n + 1), _level_states(mats, P)):
-            coeffs = {}
-            for h, count in level:
-                for p, c in h.coeffs.items():
-                    coeffs[p] = coeffs.get(p, 0) + c * count
-            level_sums.append(LogLinear(coeffs))
-            s = mpf(0)
-            for p, c in coeffs.items():
-                if p not in logs:
-                    logs[p] = mp.log(p)
-                s += (mpf(c.numerator) / c.denominator) * logs[p]
+        for nu, level_sum in enumerate(level_sums, 1):
+            s = level_sum.evaluate(prec + 32)
             norm = mpf(nu) ** l * delta_mpf**nu
             values["summed"].append(s / norm)
             values["averaged"].append(s / (norm * mpf(k) ** nu))

@@ -99,9 +99,6 @@ class IntMatrix:
     def rows(self):
         return self._rows
 
-    def det(self) -> int:
-        return det(self._rows)
-
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.n != other.n:
             raise InputError("dimension mismatch")
@@ -163,17 +160,6 @@ def _as_system(F) -> SystemF:
     if isinstance(F, IntMatrix):
         return SystemF((F,))
     return SystemF(tuple(F))
-
-
-def word_product(matrices) -> IntMatrix:
-    """Exact product in list order; matches composition order of the induced maps."""
-    matrices = list(matrices)
-    if not matrices:
-        raise InputError("empty word")
-    out = matrices[0]
-    for m in matrices[1:]:
-        out = out.mul(m)
-    return out
 
 
 def charpoly(A: IntMatrix) -> IntPoly:

@@ -204,9 +204,6 @@ class HeightValue:
         lo, hi = self.enclosure(prec)
         return (lo + hi) / 2
 
-    def __float__(self):
-        return float(self.value(80))
-
     def str15(self) -> str:
         return real_str(self.value(), 15)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import count
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from mpmath import mp, mpf
 
@@ -36,7 +36,6 @@ from .matrices import (
     monomial_degree,
     spectral_radius,
     trace_det_radius,
-    word_product,
 )
 from .points import PointGm
 from .polys import poly_str
@@ -92,8 +91,8 @@ def _compare_surds(x, y) -> int:
 
 
 def _level_max_radius(level):
-    """(CertifiedReal, word) for the max spectral radius over one level: the
-    first word of largest radius in order of decreasing norm bound.
+    """(CertifiedReal, word, product) for the max spectral radius over one
+    level: the first word of largest radius in order of decreasing norm bound.
 
     2x2 words are ranked in one pass by exact integer tests on trace and
     determinant; a tie in radius goes to the strictly larger norm bound, read
@@ -116,33 +115,37 @@ def _level_max_radius(level):
                     best, best_bound = (t, d, word, M), bound
             elif cmp > 0:
                 best, best_key, best_bound = (t, d, word, M), key, None
-        t, d, word, _ = best
-        return trace_det_radius(t, d), word
+        t, d, word, M = best
+        return trace_det_radius(t, d), word, M
     best = None
-    best_word = None
     for word, M in sorted(level, key=lambda wm: -_norm_bound(wm[1])):
-        if best is not None and Fraction(_norm_bound(M)) <= best.lo:
+        if best is not None and Fraction(_norm_bound(M)) <= best[0].lo:
             break
         rho = spectral_radius(M)
-        if best is None or best.compare(rho) < 0:
-            best, best_word = rho, word
-    return best, best_word
+        if best is None or best[0].compare(rho) < 0:
+            best = (rho, word, M)
+    return best
 
 
 @dataclass
 class GrowthRow:
+    """The first word of largest spectral radius rho at level n, its product,
+    and the level's largest degree; rho is read as an mpf once, here."""
+
     n: int
     rho: CertifiedReal
     word: tuple
+    product: IntMatrix
     maxdeg: int
     deg_word: tuple
+    value: object = field(init=False)  # rho as an mpf at the default precision
+    root: object = field(init=False)  # value^(1/n), a lower bound for delta
 
-
-def _best_row(rows, prec):
-    """(row, rho^(1/n)) for the first row maximizing rho^(1/n); None without rows."""
-    with mp.workprec(prec):
-        return max(((row, mp.root(row.rho.to_mpf(prec), row.n)) for row in rows),
-                   key=itemgetter(1), default=None)
+    def __post_init__(self):
+        prec = default_precision()
+        self.value = self.rho.to_mpf(prec)
+        with mp.workprec(prec):
+            self.root = mp.root(self.value, self.n)
 
 
 @dataclass
@@ -151,8 +154,7 @@ class GrowthTable:
 
     def lower_bound(self):
         """max over rows of rho^(1/n): certified lower bound for delta."""
-        best = _best_row(self.rows, default_precision())
-        return mpf(1) if best is None else max(mpf(1), best[1])
+        return max([mpf(1)] + [row.root for row in self.rows])
 
     def upper_bound(self):
         """min over rows of maxdeg^(1/m): Fekete bound from submultiplicativity."""
@@ -177,9 +179,9 @@ def growth_table(
             if rows:
                 break
             raise
-        rho, word = _level_max_radius(level)
+        rho, word, product = _level_max_radius(level)
         deg_word, maxdeg = max(((w, monomial_degree(M)) for w, M in level), key=itemgetter(1))
-        rows.append(GrowthRow(n=n, rho=rho, word=word, maxdeg=maxdeg, deg_word=deg_word))
+        rows.append(GrowthRow(n=n, rho=rho, word=word, product=product, maxdeg=maxdeg, deg_word=deg_word))
     return GrowthTable(rows=rows)
 
 
@@ -263,20 +265,18 @@ def _structural_certificate(system: SystemF):
     )
 
 
-def _empirical_certificate(system: SystemF, rows) -> StarCertificate:
+def _empirical_certificate(rows) -> StarCertificate:
     """Best single word of the growth rows as psi candidate, checked on every row."""
     prec = default_precision()
-    best_row, delta = _best_row(rows, prec)  # delta = rho(psi)^(1/t), the candidate value
-    psi_word = best_row.word
-    t = best_row.n
-    psi = word_product([system.matrices[i] for i in psi_word])
+    best_row = max(rows, key=attrgetter("root"))  # the first row of largest rho^(1/n)
+    delta = best_row.root  # rho(psi)^(1/t), the candidate value
+    psi, psi_word, t = best_row.product, best_row.word, best_row.n
     l = jordan_profile(psi).l
     with mp.workprec(prec):
         bound_factor = mpf(1) / mpf(t) ** l  # sup_s rho(psi^s)/((ts)^l delta^(ts))
         for row in rows:
-            lhs = row.rho.to_mpf(prec)
             rhs = bound_factor * mpf(row.n) ** l * delta**row.n
-            if lhs > rhs * (1 + mpf(2) ** (24 - prec)):
+            if row.value > rhs * (1 + mpf(2) ** (24 - prec)):
                 return StarCertificate(
                     status="unknown",
                     notes=(f"word-growth inequality fails at n={row.n} for the best candidate",),
@@ -314,7 +314,7 @@ def dynamical_degree(
     if cert is None:
         # the empirical check reads only the first 8 levels; the table is
         # built level by level, so these rows equal those of an 8-level table
-        cert = _empirical_certificate(system, table.rows[:min(n_max, 8)])
+        cert = _empirical_certificate(table.rows[:min(n_max, 8)])
     lo = table.lower_bound()
     hi = table.upper_bound()
     exact = None
@@ -362,7 +362,7 @@ def correction_exponent(F, n_max: int = DEFAULT_N_MAX, degree: DynamicalDegree =
     delta_hi = degree.hi
     with mp.workprec(prec):
         for l in range(0, system.n + 1):
-            vals = [(row.n, row.rho.to_mpf(prec) / (mpf(row.n) ** l * delta_hi**row.n))
+            vals = [(row.n, row.value / (mpf(row.n) ** l * delta_hi**row.n))
                     for row in table.rows]
             tail = vals[len(vals) // 2 :]
             if all(tail[i + 1][1] <= tail[i][1] * (1 + mpf(2) ** (16 - prec))

@@ -12,6 +12,7 @@ from mpmath import mp
 import pytest
 
 from monoheight import (
+    BudgetError,
     InputError,
     IntMatrix,
     PointGm,
@@ -19,6 +20,7 @@ from monoheight import (
     baker_c11,
     effective_constants,
 )
+from monoheight.baker import CLEARED_DIGITS_CAP, _cleared_representative
 
 J2 = IntMatrix([[2, 1], [0, 2]])
 FIB = IntMatrix([[1, 1], [1, 0]])
@@ -142,3 +144,18 @@ def test_json_field_names():
         assert key in d
     assert d["path"] == "repeated-root"
     assert d["inputs"]["clearing_factor"] == 1
+
+
+def test_cleared_point_stops_below_the_int_string_limit():
+    # the report prints both points and the clearing factor; each integer of
+    # them is bounded by the factor or a cleared coordinate
+    cap = 10**CLEARED_DIGITS_CAP
+    assert _cleared_representative(pt(cap - 1, 2)) == (pt(cap - 1, 2), 1)
+    cleared, factor = _cleared_representative(pt(Fraction(1, cap // 10), 3))
+    assert (cleared, factor) == (pt(1, 3 * cap // 10), cap // 10)
+    for P in (pt(cap, 2), pt(Fraction(3, cap // 10), 11), pt(Fraction(-1, 2), cap // 2)):
+        with pytest.raises(BudgetError, match="more than 4300 digits"):
+            _cleared_representative(P)
+    # 2^8000 and 3^5100 have under 4300 digits each, their product more
+    with pytest.raises(BudgetError):
+        _cleared_representative(pt(Fraction(1, 2**8000), Fraction(1, 3**5100)))

@@ -301,6 +301,23 @@ def test_exit_unsupported(files):
     assert json.loads(text)["error"]["type"] == "unsupported"
 
 
+def test_a_cleared_point_past_the_int_string_limit_exits_4(files):
+    # 1/2^13000 and 3^8000 have under 4300 digits each; the cleared point
+    # (1, 2^13000 3^8000) has 7732, so printing it would pass the limit
+    argv = ["baker-bound", "--matrix", files["rows"], "--point", f"1/{2**13000},{3**8000}"]
+    code, text = invoke(argv)
+    assert code == EXIT_BUDGET
+    assert json.loads(text)["error"]["type"] == "budget"
+    # the same document whatever the int-string limit of the process
+    src = str(Path(monoheight.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for extra in ({}, {"PYTHONINTMAXSTRDIGITS": "0"}):
+        out = subprocess.run([sys.executable, "-c", "from monoheight.cli import main; main()", *argv],
+                             env=dict(env, **extra), capture_output=True, text=True)
+        assert (out.returncode, out.stdout, out.stderr) == (EXIT_BUDGET, text, "")
+
+
 def test_exit_budget(files):
     code, text = invoke(
         ["system", "--system", files["pair"], "--point", "2,3", "--word-budget", "2"]

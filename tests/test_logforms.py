@@ -312,6 +312,30 @@ def test_integer_enclosure_matches_the_term_by_term_product(coeffs, prec):
             assert (Fraction(lo, den), Fraction(hi, den)) == tuple(sorted((c.a + c.b * slo, c.a + c.b * shi)))
 
 
+def _loop_evaluate(coeffs, prec):
+    """LogLinear.evaluate as a loop over the primes in increasing order, kept as
+    the reference: each term c * log p rounded to prec bits, then added."""
+    with mp.workprec(prec):
+        total = mp.mpf(0)
+        for p, c in sorted(coeffs.items()):
+            value = c.to_mpf(prec) if isinstance(c, Quad) else mp.mpf(Fraction(c).numerator) / Fraction(c).denominator
+            total += value * mp.log(p)
+        return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from(WIDE_PRIMES), coefficients, max_size=5), st.integers(96, 2048))
+@example({}, 128)
+@example({13: 1, 2: -485, 3: 306}, 96)
+@example({2**61 - 1: Fraction(-7, 3), 2: Quad(Fraction(1, 2), Fraction(-1, 2), 5)}, 2048)
+def test_evaluate_sums_in_prime_order(coeffs, prec):
+    # truncated_estimates reports these values, so their rounding is pinned
+    # to one summation order whatever order the coefficients came in
+    got = LogLinear(coeffs).evaluate(prec)
+    assert got == _loop_evaluate(coeffs, prec)
+    assert got._mpf_[1].bit_length() <= prec  # the mantissa is rounded to prec bits
+
+
 @pytest.mark.parametrize("prec", range(2, 13))
 def test_low_precision_enclosures_stay_rigorous(prec):
     # at PAD_BITS bits or fewer the lower log bound of 2 reaches 0 or below, and

@@ -1,6 +1,7 @@
 """Rules checked on the library source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 from monoheight import IntMatrix
@@ -257,11 +258,11 @@ def test_certified_reals_never_change():
     assert found == []
 
 
-def _loads(path):
-    """(bare names, (base, attribute) pairs) that the module at path loads;
+def _loads(source):
+    """(bare names, (base, attribute) pairs) that the Python source loads;
     the base of an attribute load is the last name of its base expression."""
     names, attributes = set(), set()
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
@@ -276,7 +277,7 @@ def test_every_public_definition_has_a_caller():
     # so a method of the same name cannot hide a function that nothing calls
     users = [p for p in sorted(SRC.rglob("*.py")) if p.name != "__init__.py"]
     users += sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
-    loads = [_loads(p) for p in users]
+    loads = [_loads(p.read_text()) for p in users]
     names = set().union(*(n for n, _ in loads))
     attributes = set().union(*(a for _, a in loads))
     found = [f"{path.name}:{node.lineno} {node.name}" for path in sorted(SRC.rglob("*.py"))
@@ -284,6 +285,22 @@ def test_every_public_definition_has_a_caller():
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
              and not node.name.startswith("_") and node.name not in names
              and not {(base, node.name) for base in (path.stem, "lib", "monoheight")} & attributes]
+    assert found == []
+
+
+def test_every_public_method_has_a_caller():
+    # a public method, property or classmethod that only unit tests reach is
+    # surface to delete; any attribute load of its name counts as a call, but
+    # a getattr string does not
+    users = sorted(SRC.rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    users.append(ROOT / "tests" / "test_acceptance.py")
+    sources = [p.read_text() for p in users]
+    sources += re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    loaded = {attr for source in sources for _, attr in _loads(source)[1]}
+    found = [f"{path.name}:{node.lineno} {cls.name}.{node.name}" for path in sorted(SRC.rglob("*.py"))
+             for cls in ast.parse(path.read_text(), filename=str(path)).body if isinstance(cls, ast.ClassDef)
+             for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and not node.name.startswith("_") and node.name not in loaded]
     assert found == []
 
 
@@ -303,7 +320,7 @@ def test_every_private_helper_has_a_caller():
     # left over from a deletion: delete it with its last caller
     names, attributes = set(), set()
     for path in sorted(SRC.rglob("*.py")):
-        n, a = _loads(path)
+        n, a = _loads(path.read_text())
         names |= n
         attributes |= {attr for _, attr in a}
     found = [f"{path.name}:{node.lineno} {node.name}" for path in sorted(SRC.rglob("*.py"))
@@ -321,8 +338,7 @@ def _float_calls(path):
 
 
 def test_no_float_conversions():
-    # decisions are exact: a float rounding of a certified value decides nothing;
-    # HeightValue.__float__ is the one place a caller asks for a float
+    # decisions are exact: a float rounding of a certified value decides nothing
     found = [f"{path.name}:{line} {scope}" for path in sorted(SRC.rglob("*.py"))
-             for scope, line in _float_calls(path) if scope != "HeightValue.__float__"]
+             for scope, line in _float_calls(path)]
     assert found == []

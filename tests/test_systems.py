@@ -1,6 +1,8 @@
 """Word growth, dynamical degree enclosures, and reduction certificates."""
 
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
 
 from mpmath import mp
@@ -28,13 +30,12 @@ from monoheight import (
     system_report,
     truncated_estimates,
 )
-from monoheight.matrices import charpoly, trace_det_radius, word_product
+from monoheight.matrices import charpoly, trace_det_radius
 from monoheight.polys import IntPoly
 from monoheight.precision import default_precision
 from monoheight.systems import (
     GrowthRow,
     _argmax_radius,
-    _best_row,
     _compare_surds,
     _empirical_certificate,
     _level_max_radius,
@@ -124,7 +125,8 @@ def test_word_levels_raise_each_budget_at_its_level():
     for n in range(1, 6):
         level = next(levels)
         assert [w for w, _ in level] == list(product(range(2), repeat=n))
-        assert all(M == word_product([shears.matrices[i] for i in w]) for w, M in level)
+        # each product is its word's generators multiplied in word order
+        assert all(M == reduce(IntMatrix.mul, [shears.matrices[i] for i in w]) for w, M in level)
     # 2 + 4 + ... + 32 = 62 words fit in a budget of 100; level 6 would make 126
     with pytest.raises(BudgetError, match=r"^word budget 100 exceeded at 126 words$"):
         next(levels)
@@ -166,7 +168,7 @@ def test_n_max_must_be_an_integer(n_max):
 
 
 def _loop_best_row(rows, prec):
-    """_best_row as a loop, kept as the reference: the first row maximizing rho^(1/n)."""
+    """The best-row search as a loop, kept as the reference: the first row maximizing rho^(1/n)."""
     best = None
     with mp.workprec(prec):
         for row in rows:
@@ -198,8 +200,10 @@ def _loop_argmax_radius(mats):
 
 
 def _rows_of(values):
-    """Growth rows (n, rho, maxdeg) with distinct words, so the chosen row is identifiable."""
-    return [GrowthRow(n=n, rho=CertifiedReal.from_fraction(Fraction(rho)), word=(i,), maxdeg=deg, deg_word=(i,))
+    """Growth rows (n, rho, maxdeg) with distinct words, so the chosen row is
+    identifiable; each product is the 1x1 matrix [[rho]]."""
+    return [GrowthRow(n=n, rho=CertifiedReal.from_fraction(Fraction(rho)), word=(i,),
+                      product=IntMatrix([[rho]]), maxdeg=deg, deg_word=(i,))
             for i, (n, rho, deg) in enumerate(values)]
 
 
@@ -217,12 +221,15 @@ def test_builtin_rankers_match_their_loops():
                  [(1, 2, 4), (2, 5, 3)], [(2, 5, 3), (1, 2, 4)], [(1, 7, 7)], []]
     for values in row_cases:
         rows = _rows_of(values)
-        got, old = _best_row(rows, default_precision()), _loop_best_row(rows, default_precision())
-        assert (got is None) == (old is None)
-        if got is not None:
-            assert got[0] is old[0] and got[1] == old[1]
+        old = _loop_best_row(rows, default_precision())
+        assert GrowthTable(rows).lower_bound() == (1 if old is None else max(1, old[1]))
+        if old is not None:
+            # the star certificate's psi is the product of the first row of largest root
+            cert = _empirical_certificate(rows)
+            assert (cert.status, cert.psi_word, cert.t) == ("empirical", old[0].word, old[0].n)
+            assert cert.psi is old[0].product
         assert GrowthTable(rows).upper_bound() == _loop_upper_bound(rows)
-    assert _best_row(_rows_of(row_cases[2]), default_precision())[0].word == (1,)
+    assert _empirical_certificate(_rows_of(row_cases[2])).psi_word == (1,)
     assert GrowthTable([]).upper_bound() is None
 
 
@@ -414,7 +421,7 @@ def test_dynamical_degree_certificate_reads_the_first_8_levels(word_budget):
         return row.n, row.rho.to_json(), row.word, row.maxdeg, row.deg_word
 
     assert [fields(r) for r in d.table.rows[:8]] == [fields(r) for r in rows8]
-    expected = _empirical_certificate(SystemF(tuple(shears)), rows8)
+    expected = _empirical_certificate(rows8)
     assert d.certificate.to_json() == expected.to_json()
 
 
@@ -429,18 +436,18 @@ def test_system_report_walks_each_system_once(monkeypatch):
     tables = []
     states = []
     real_table = monoheight.systems.growth_table
-    real_weil = monoheight.heights.weil_height
+    real_place_heights = monoheight.heights._place_heights
 
     def counting_table(*args, **kwargs):
         tables.append(args)
         return real_table(*args, **kwargs)
 
-    def counting_weil(prof):
-        states.append(prof.state_key())
-        return real_weil(prof)
+    def counting_place_heights(vals):
+        states.append(tuple(vals.values()))
+        return real_place_heights(vals)
 
     monkeypatch.setattr(monoheight.systems, "growth_table", counting_table)
-    monkeypatch.setattr(monoheight.heights, "weil_height", counting_weil)
+    monkeypatch.setattr(monoheight.heights, "_place_heights", counting_place_heights)
     shears = [SHEAR_U, SHEAR_L]
     rep = system_report(shears, pt(2, 3), n_max=6)
     assert len(tables) == 1
@@ -526,9 +533,10 @@ def test_one_pass_ranking_matches_the_sorted_ranking(rng):
         for _ in range(rng.randint(1, 3)):
             level = next(levels)
         level = rng.sample(level, len(level))  # any enumeration order
-        rho, word = _level_max_radius(level)
+        rho, word, M = _level_max_radius(level)
         expected_rho, expected_word = _sorted_level_max_radius(level)
         assert word == expected_word, (a, b, level)
+        assert M is dict(level)[word]
         assert (rho.to_json(), rho.exact_str()) == (expected_rho.to_json(), expected_rho.exact_str())
         keys = {w: _twice_radius(*_trace_det(M)) for w, M in level}
         bounds = [_norm_bound(M) for w, M in level if _compare_surds(keys[w], keys[word]) == 0]
@@ -567,7 +575,7 @@ def test_growth_rows_are_first_maximisers(mats, n_max):
     assert [row.n for row in rows] == list(range(1, n_max + 1))
     for row in rows:
         # the level in enumeration order, stably sorted by decreasing norm bound
-        level = {w: word_product([mats[i] for i in w]) for w in product(range(len(mats)), repeat=row.n)}
+        level = {w: reduce(IntMatrix.mul, [mats[i] for i in w]) for w in product(range(len(mats)), repeat=row.n)}
         words = sorted(level, key=lambda w: -_norm_bound(level[w]))
         radii = [spectral_radius(level[w]) for w in words]
         best = 0
@@ -575,4 +583,40 @@ def test_growth_rows_are_first_maximisers(mats, n_max):
             if rho.compare(radii[best]) > 0:
                 best = i
         assert row.word == words[best]
+        assert row.product == level[row.word]
         assert row.rho.compare(radii[best]) == 0
+
+
+@pytest.mark.parametrize("mats", [[SHEAR_U, SHEAR_L], FREE3, PAIR3, [DIAG23, DIAG52]],
+                         ids=["shears", "free3", "pair_3x3", "diagonal"])
+def test_growth_row_values_ignore_the_ambient_precision(mats):
+    prec = default_precision()
+    seen = []
+    for ambient in (20, 53, 300):
+        with mp.workprec(ambient):
+            rows = growth_table(mats, n_max=4).rows
+        seen.append([(row.value, row.root) for row in rows])
+        with mp.workprec(prec):
+            assert seen[-1] == [(row.rho.to_mpf(prec), mp.root(row.rho.to_mpf(prec), row.n)) for row in rows]
+    assert seen[0] == seen[1] == seen[2]
+
+
+@pytest.mark.parametrize("mats, n_max", [
+    ([SHEAR_U, SHEAR_L], 6),
+    (FREE3, 4),
+    ([DIAG23, DIAG52], 6),
+    (PAIR3, 4),
+], ids=["shears", "free3", "diagonal", "pair_3x3"])
+def test_system_report_reads_each_growth_radius_once(monkeypatch, mats, n_max):
+    reads, kept = Counter(), []
+    real = CertifiedReal.to_mpf
+
+    def counting(self, prec=None):
+        reads[id(self)] += 1
+        kept.append(self)  # no later value reuses the id of a counted one
+        return real(self, prec)
+
+    monkeypatch.setattr(CertifiedReal, "to_mpf", counting)
+    rows = system_report(mats, pt(*(2, 3, 5)[:mats[0].n]), n_max=n_max).degree.table.rows
+    assert len(rows) == n_max
+    assert [reads[id(row.rho)] for row in rows] == [1] * n_max
