@@ -1,8 +1,12 @@
 """Exact matrix products and matrix polynomials on lists of rows.
 
 Entries may be ints, Fractions or Quads (which mix with ints); outputs are
-fresh lists.
+fresh lists.  Every dot product adds its terms in index order onto the int 0,
+so a result has the same value and type as the plain index loop.
 """
+
+from itertools import chain
+from operator import mul
 
 # Recorded in benchmark results; this module is the only implementation.
 BACKEND = "python"
@@ -10,14 +14,13 @@ BACKEND = "python"
 
 def mat_mul(a, b):
     """Exact product of two square matrices given as lists of rows."""
-    n = len(a)
-    bt = [[b[k][j] for k in range(n)] for j in range(n)]
-    return [[sum(ra[k] * cb[k] for k in range(n)) for cb in bt] for ra in a]
+    bt = list(zip(*b))
+    return [[sum(map(mul, ra, cb)) for cb in bt] for ra in a]
 
 
 def mat_vec(a, v):
     """Exact matrix-vector product."""
-    return [sum(ra[k] * v[k] for k in range(len(v))) for ra in a]
+    return [sum(map(mul, ra, v)) for ra in a]
 
 
 def mat_pow(a, e):
@@ -52,4 +55,4 @@ def mat_poly(coeffs, a):
 
 def max_bits(a):
     """Largest bit length over the entries of an integer matrix."""
-    return max((abs(x).bit_length() for row in a for x in row), default=0)
+    return max(map(abs, chain.from_iterable(a)), default=0).bit_length()

@@ -54,23 +54,29 @@ def _norm_bound(M: IntMatrix) -> int:
 
 
 def _word_levels(system: SystemF, word_budget: int):
-    """Levels 1, 2, ... of (word, product) pairs in lexicographic word order,
-    each product extending its prefix's; raises BudgetError before a level
-    that would pass word_budget words in all, or on an entry above
+    """Levels 1, 2, ... of (word, product) pairs, one pair per distinct
+    product under its lexicographically first word, in word order.
+
+    Only the kept pairs are extended: a repeated product's children repeat the
+    children of its first copy and come later in word order, so every product
+    of a level, and the first word of each, is still reached.  The budget
+    counts the nominal k + k^2 + ... + k^n words: it raises BudgetError before
+    a level that would pass word_budget of them, or on an entry above
     DEFAULT_BIT_BUDGET bits."""
     level = [((), IntMatrix.identity(system.n))]
     for n in count(1):
         _walk_words(system.k, n, word_budget)
-        nxt = []
+        nxt = {}  # product -> its first word, in insertion (word) order
         for word, M in level:
             for i, gen in enumerate(system.matrices):
                 prod = M.mul(gen)
-                if prod.max_bit_length() > DEFAULT_BIT_BUDGET:
-                    raise BudgetError(
-                        f"matrix entries exceeded {DEFAULT_BIT_BUDGET} bits in word enumeration"
-                    )
-                nxt.append((word + (i,), prod))
-        level = nxt
+                if prod not in nxt:
+                    if prod.max_bit_length() > DEFAULT_BIT_BUDGET:
+                        raise BudgetError(
+                            f"matrix entries exceeded {DEFAULT_BIT_BUDGET} bits in word enumeration"
+                        )
+                    nxt[prod] = word + (i,)
+        level = [(word, M) for M, word in nxt.items()]
         yield level
 
 
@@ -118,8 +124,10 @@ def _level_max_radius(level):
         t, d, word, M = best
         return trace_det_radius(t, d), word, M
     best = None
-    for word, M in sorted(level, key=lambda wm: -_norm_bound(wm[1])):
-        if best is not None and Fraction(_norm_bound(M)) <= best[0].lo:
+    # one norm bound per product; a stable sort keeps word order on equal bounds
+    bounded = sorted(((_norm_bound(M), word, M) for word, M in level), key=itemgetter(0), reverse=True)
+    for bound, word, M in bounded:
+        if best is not None and Fraction(bound) <= best[0].lo:
             break
         rho = spectral_radius(M)
         if best is None or best[0].compare(rho) < 0:

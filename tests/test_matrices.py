@@ -734,6 +734,99 @@ def test_kernel_backend_is_python():
 
 
 # ---------------------------------------------------------------------------
+# kernels against plain index loops: the same terms added in the same order
+# onto the int 0, so equal values of equal types
+
+def _loop_mat_mul(a, b):
+    n = len(a)
+    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def _loop_mat_vec(a, v):
+    return [sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a))]
+
+
+def _loop_mat_pow(a, e):
+    n = len(a)
+    out = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(e):
+        out = _loop_mat_mul(out, a)
+    return out
+
+
+def _loop_mat_poly(coeffs, a):
+    n = len(a)
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    powers = []
+    for _ in coeffs:
+        powers.append(power)
+        power = _loop_mat_mul(power, a)
+    return [[sum(c * powers[k][i][j] for k, c in enumerate(coeffs) if c) for j in range(n)]
+            for i in range(n)]
+
+
+def _loop_max_bits(a):
+    best = 0
+    for i in range(len(a)):
+        for j in range(len(a[i])):
+            best = max(best, abs(a[i][j]).bit_length())
+    return best
+
+
+def _typed(rows):
+    """Each entry with its exact type, so that 1, Fraction(1) and Quad(1) differ."""
+    return [[(type(x), x) for x in row] for row in rows]
+
+
+def _kernel_entry(rng, kind):
+    """An int, Fraction or Q(sqrt 5) entry, often 0 or +-2^k."""
+    r = rng.random()
+    if r < 0.15:
+        x = 0
+    elif r < 0.4:
+        x = rng.choice((1, -1)) << rng.randint(0, 130)
+    else:
+        x = rng.randint(-50, 50)
+    if kind == "int":
+        return x
+    if kind == "fraction":
+        return Fraction(x, rng.choice((1, 3, 2**rng.randint(1, 70))))
+    return Quad(Fraction(x, rng.randint(1, 9)), Fraction(rng.randint(-9, 9), rng.randint(1, 4)), 5) \
+        if rng.random() < 0.8 else x  # Quads mix with ints
+
+
+def _kernel_rows(rng, kind, n):
+    if rng.random() < 0.1:
+        return [[0] * n for _ in range(n)]
+    return [[_kernel_entry(rng, kind) for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "quad"])
+def test_kernels_match_index_loops(rng, kind):
+    zero_seen = 0
+    for n in range(1, 7):
+        for _ in range(6):
+            a, b = _kernel_rows(rng, kind, n), _kernel_rows(rng, kind, n)
+            v = [_kernel_entry(rng, kind) for _ in range(n)]
+            assert _typed(kernels.mat_mul(a, b)) == _typed(_loop_mat_mul(a, b)), (a, b)
+            assert _typed([kernels.mat_vec(a, v)]) == _typed([_loop_mat_vec(a, v)]), (a, v)
+            e = rng.randint(0, 5)
+            assert _typed(kernels.mat_pow(a, e)) == _typed(_loop_mat_pow(a, e)), (a, e)
+            coeffs = [_kernel_entry(rng, kind) if rng.random() < 0.6 else 0 for _ in range(rng.randint(0, 5))]
+            assert _typed(kernels.mat_poly(coeffs, a)) == _typed(_loop_mat_poly(coeffs, a)), (coeffs, a)
+            zero_seen += not any(map(any, a))
+        ints = _kernel_rows(rng, "int", n)
+        assert kernels.max_bits(ints) == _loop_max_bits(ints)
+        for k in (0, 1, 63, 64, 2000):
+            for sign in (1, -1):
+                rows = [[0] * n for _ in range(n)]
+                rows[rng.randrange(n)][rng.randrange(n)] = sign << k
+                assert kernels.max_bits(rows) == _loop_max_bits(rows) == k + 1
+        assert kernels.max_bits([[0] * n for _ in range(n)]) == 0
+    assert zero_seen
+
+
+# ---------------------------------------------------------------------------
 # root-modulus ranking of factors of degree >= 3 against the former sympy route
 
 EISENSTEIN = IntPoly([-2, 2**60, -2**121, 1])  # x^3 - 2^121 x^2 + 2^60 x - 2

@@ -30,7 +30,7 @@ from monoheight import (
     system_report,
     truncated_estimates,
 )
-from monoheight.matrices import charpoly, trace_det_radius
+from monoheight.matrices import charpoly, monomial_degree, trace_det_radius
 from monoheight.polys import IntPoly
 from monoheight.precision import default_precision
 from monoheight.systems import (
@@ -135,6 +135,33 @@ def test_word_levels_raise_each_budget_at_its_level():
     assert [w for w, _ in next(levels)] == [(0,)]
     with pytest.raises(BudgetError, match=r"^matrix entries exceeded 65536 bits in word enumeration$"):
         next(levels)
+
+
+def test_word_levels_of_a_commuting_pair_keep_one_entry_per_product():
+    # diag(2^a 5^b, 3^a 2^b) with a + b = n: n + 1 distinct products at level
+    # n, each under its first word, which puts every 0 before every 1
+    levels = _word_levels(SystemF((DIAG23, DIAG52)), 100)
+    for n in range(1, 6):
+        assert [w for w, _ in next(levels)] == [(0,) * (n - b) + (1,) * b for b in range(n + 1)]
+    # the budget still counts all 2 + 4 + ... + 2^n words
+    with pytest.raises(BudgetError, match=r"^word budget 100 exceeded at 126 words$"):
+        next(levels)
+    assert len(growth_table([DIAG23, DIAG52], n_max=12, word_budget=100).rows) == 5
+
+
+def test_growth_table_multiplies_each_distinct_product_once(monkeypatch):
+    calls = []
+    real = IntMatrix.mul
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(IntMatrix, "mul", counting)
+    growth_table([DIAG23, DIAG52], n_max=12)
+    # level n extends the n distinct products of level n - 1 by 2 generators:
+    # 2 (1 + 2 + ... + 12) = 156 products, not 2 + 4 + ... + 2^12 = 8190
+    assert len(calls) == 156
 
 
 def test_growth_table_bounds_sandwich():
@@ -620,3 +647,72 @@ def test_system_report_reads_each_growth_radius_once(monkeypatch, mats, n_max):
     rows = system_report(mats, pt(*(2, 3, 5)[:mats[0].n]), n_max=n_max).degree.table.rows
     assert len(rows) == n_max
     assert [reads[id(row.rho)] for row in rows] == [1] * n_max
+
+
+def _brute_force_levels(mats, n_max):
+    """Every word of levels 1..n_max in lexicographic order with its product,
+    each multiplied out from the generators, kept as the reference walk."""
+    for n in range(1, n_max + 1):
+        words = list(product(range(len(mats)), repeat=n))
+        yield words, [reduce(IntMatrix.mul, [mats[i] for i in w]) for w in words]
+
+
+def _brute_force_row(words, prods, radii):
+    """(word, product, rho, deg_word, maxdeg) over all words of one level: the
+    first word of largest radius, a tie going to a strictly larger norm bound,
+    and the first word of largest degree."""
+    best = 0
+    for i, M in enumerate(prods):
+        cmp = radii[M].compare(radii[prods[best]])
+        if cmp > 0 or cmp == 0 and _norm_bound(M) > _norm_bound(prods[best]):
+            best = i
+    degrees = [monomial_degree(M) for M in prods]
+    top = degrees.index(max(degrees))
+    return words[best], prods[best], radii[prods[best]], words[top], degrees[top]
+
+
+def _random_system(rng, family, n, k):
+    """k generators of size n: diagonal, a polynomial family a A_1 + b I
+    (both commuting), or free."""
+    while True:
+        try:
+            if family == "diagonal":
+                return [IntMatrix([[rng.choice([-3, -2, -1, 1, 2, 3]) if i == j else 0 for j in range(n)]
+                                   for i in range(n)]) for _ in range(k)]
+            if family == "polynomial":
+                base = random_matrix(rng, n, -2, 2)
+                return [base] + [IntMatrix([[a * v + b * (i == j) for j, v in enumerate(row)]
+                                            for i, row in enumerate(base.rows)])
+                                 for a, b in ((rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(k - 1))]
+            return [random_matrix(rng, n, -2, 2) for _ in range(k)]
+        except InputError:  # a family member with determinant zero
+            continue
+
+
+def test_growth_table_matches_a_walk_over_all_words(rng):
+    collapsed = Counter()
+    for case in range(60):
+        family = ("diagonal", "polynomial", "free")[case % 3]
+        n, k = rng.choice((2, 3)), rng.randint(1, 3)
+        # 3x3 words are ranked by certified radii: keep their levels small
+        n_max = {(2, 3): 5, (3, 2): 4, (3, 3): 3}.get((n, k), 6)
+        mats = _random_system(rng, family, n, k)
+        rows = growth_table(mats, n_max=n_max).rows
+        levels = _word_levels(SystemF(tuple(mats)), 10**6)
+        radii = {}
+        for row, (words, prods) in zip(rows, _brute_force_levels(mats, n_max)):
+            first = {}
+            for w, M in zip(words, prods):
+                first.setdefault(M, w)
+                if M not in radii:
+                    radii[M] = spectral_radius(M)
+            # one entry per distinct product, under its first word, in word order
+            assert next(levels) == [(w, M) for M, w in first.items()], (mats, row.n)
+            collapsed[family] += len(first) < len(words)
+            word, M, rho, deg_word, maxdeg = _brute_force_row(words, prods, radii)
+            assert (row.word, row.product, row.deg_word, row.maxdeg) == (word, M, deg_word, maxdeg), \
+                (mats, row.n)
+            assert row.rho.compare(rho) == 0
+        assert len(rows) == n_max
+    # commuting families repeat products from level 2 on; free ones rarely do
+    assert collapsed["diagonal"] >= 40 and collapsed["polynomial"] >= 40, collapsed
