@@ -147,15 +147,22 @@ def _level_sums(mats, P: PointGm):
 
 
 def _walk_words(k: int, n: int, word_budget: int) -> int:
-    """Words in a walk over levels 1..n, sum of k^nu; raises BudgetError as
-    soon as the count passes word_budget."""
-    words, level = 0, 1
-    for _ in range(n):
+    """Words in a walk over levels 1..n, k + k^2 + ... + k^n in closed form;
+    raises BudgetError when the count passes word_budget, naming the first
+    partial sum that does."""
+    if k == 1:
+        words = n
+    elif n < max(word_budget, 0).bit_length():
+        words = (k ** (n + 1) - k) // (k - 1)
+    else:  # k^n >= 2^n passes the budget; k^(n+1) is never formed for a long walk
+        words = word_budget + 1
+    if words <= word_budget:
+        return words
+    words = level = k
+    while words <= word_budget:
         level *= k
         words += level
-        if words > word_budget:
-            raise BudgetError(f"word budget {word_budget} exceeded at {words} words")
-    return words
+    raise BudgetError(f"word budget {word_budget} exceeded at {words} words")
 
 
 def truncated_estimates(

@@ -22,7 +22,7 @@ from math import lcm
 from mpmath import mp
 
 from .errors import IndistinguishableModuliError
-from .precision import default_precision, log_enclosure
+from .precision import log_enclosure
 from .quadratic import Quad
 
 # Precision ladder for sign decisions; a genuinely nonzero combination of prime
@@ -196,13 +196,12 @@ class LogLinear:
     def __hash__(self):
         return hash(tuple(self.coeffs.items()))
 
-    def enclosure(self, prec=None) -> tuple[Fraction, Fraction]:
+    def enclosure(self, prec) -> tuple[Fraction, Fraction]:
         """Rigorous rational interval for the value."""
-        return _enclosure(self.coeffs, prec or default_precision())
+        return _enclosure(self.coeffs, prec)
 
-    def evaluate(self, prec=None):
+    def evaluate(self, prec):
         """mpf value at the given binary precision."""
-        prec = prec or default_precision()
         with mp.workprec(prec):
             total = mp.mpf(0)
             for p, c in self.coeffs.items():

@@ -54,17 +54,28 @@ _DISC_PREC = 64
 _DISC_PREC_CAP = 2**12
 
 
+def _make(rows):
+    """The IntMatrix of rows already known square, integral and invertible,
+    such as a product or power of IntMatrix rows; nothing is checked."""
+    m = object.__new__(IntMatrix)
+    m.n = len(rows)
+    m._rows = tuple(map(tuple, rows))
+    return m
+
+
 class IntMatrix:
     """Square integer matrix with nonzero determinant (exponent matrix of a monomial map).
 
     The matrix is immutable, its rows one tuple of int tuples read through
-    rows.  Its analysis is kept by rows, not on the object: every matrix with
-    the same rows shares one record of the analysis table (see _analysis).
+    rows.  The constructor checks rows entering the program; identities,
+    products and powers are built by _make unchecked.  Its analysis is kept by
+    rows, not on the object: every matrix with the same rows shares one record
+    of the analysis table (see _analysis).
     """
 
     __slots__ = ("n", "_rows")
 
-    def __init__(self, rows, _trusted=False):
+    def __init__(self, rows):
         try:
             rows = tuple(tuple(r) for r in rows)
         except TypeError:
@@ -78,12 +89,12 @@ class IntMatrix:
                     raise InputError("entries must be integers")
         self.n = n
         self._rows = rows
-        if not _trusted and det(rows) == 0:
+        if det(rows) == 0:
             raise InputError("determinant is zero")
 
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], _trusted=True)
+    @staticmethod
+    def identity(n):
+        return _make([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def from_json(cls, obj):
@@ -102,12 +113,12 @@ class IntMatrix:
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.n != other.n:
             raise InputError("dimension mismatch")
-        return IntMatrix(kernels.mat_mul(self._rows, other._rows), _trusted=True)
+        return _make(kernels.mat_mul(self._rows, other._rows))
 
     def pow(self, e: int) -> "IntMatrix":
         if e < 0:
             raise InputError("negative matrix powers are not integral")
-        return IntMatrix(kernels.mat_pow(self._rows, e), _trusted=True)
+        return _make(kernels.mat_pow(self._rows, e))
 
     def max_bit_length(self) -> int:
         return kernels.max_bits(self._rows)
@@ -339,9 +350,8 @@ class CertifiedReal:
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def to_mpf(self, prec=None):
+    def to_mpf(self, prec):
         """The value rounded to prec bits."""
-        prec = prec or default_precision()
         if self.descriptor is not None:
             return self.descriptor.to_mpf(prec)
         value = self.refine(Fraction(1, 2 ** (prec + 8)) * max(Fraction(1), abs(self.mid())))

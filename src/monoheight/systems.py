@@ -354,13 +354,11 @@ class CorrectionExponent:
         return out
 
 
-def correction_exponent(F, n_max: int = DEFAULT_N_MAX, degree: DynamicalDegree = None) -> CorrectionExponent:
-    """Polynomial correction order: exact via the reduced map when certified,
-    otherwise the smallest l whose normalized table tail is non-increasing
-    (explicitly labeled heuristic)."""
-    system = _as_system(F)
-    if degree is None:
-        degree = dynamical_degree(system, n_max=n_max)
+def correction_exponent(degree: DynamicalDegree) -> CorrectionExponent:
+    """Polynomial correction order of the system whose degree is given: exact
+    via the reduced map when certified, otherwise the smallest l whose
+    normalized growth-table tail is non-increasing (explicitly labeled
+    heuristic).  Nothing of the degree is computed again."""
     cert = degree.certificate
     if cert is not None and cert.certified:
         return CorrectionExponent(l=jordan_profile(cert.psi).l, certified=True,
@@ -368,8 +366,9 @@ def correction_exponent(F, n_max: int = DEFAULT_N_MAX, degree: DynamicalDegree =
     prec = default_precision()
     table = degree.table
     delta_hi = degree.hi
+    N = table.rows[0].product.n
     with mp.workprec(prec):
-        for l in range(0, system.n + 1):
+        for l in range(0, N + 1):
             vals = [(row.n, row.value / (mpf(row.n) ** l * delta_hi**row.n))
                     for row in table.rows]
             tail = vals[len(vals) // 2 :]
@@ -377,12 +376,12 @@ def correction_exponent(F, n_max: int = DEFAULT_N_MAX, degree: DynamicalDegree =
                    for i in range(len(tail) - 1)):
                 return CorrectionExponent(l=l, certified=False,
                                           method="heuristic table monotonicity", ratios=vals)
-    return CorrectionExponent(l=system.n, certified=False,
+    return CorrectionExponent(l=N, certified=False,
                               method="heuristic fallback (no monotone tail found)")
 
 
 def _height_estimates(system: SystemF, P: PointGm, n_max: int, degree: DynamicalDegree, l: int,
-                      word_budget: int = DEFAULT_WORD_BUDGET) -> dict:
+                      word_budget: int) -> dict:
     """Both truncated height estimates at the deepest level n <= n_max with
     k^n <= 4096 words (at least level 1); raises BudgetError when that walk,
     of k + k^2 + ... + k^n words, passes word_budget."""
@@ -404,16 +403,18 @@ class ReductionReport:
         return all(p for _, p, _ in self.items)
 
 
-def check_reduction(F, P: PointGm, n_max: int = DEFAULT_N_MAX) -> ReductionReport:
-    """Verify the reduction facts on a certified system: degree match,
-    correction exponent match, and zero-height transfer to the reduced map.
+def check_reduction(report: "SystemReport") -> ReductionReport:
+    """Verify the reduction facts on a certified system's report: degree
+    match, correction exponent match, and zero-height transfer to the reduced
+    map.  The degree, correction exponent, truncated estimate and closed-form
+    height are the report's own; none is computed again, except a closed form
+    the report lacks, which is computed here and raises if it fails.
 
     The zero decisions are exact, with no float threshold: the truncated sums
     are zero only when every level sum is the zero log form, and the
     reduced-map height is zero when its closed form is zero or its enclosure
     contains 0."""
-    system = _as_system(F)
-    degree = dynamical_degree(system, n_max=n_max)
+    degree = report.degree
     cert = degree.certificate
     if cert is None or not cert.certified:
         raise InputError("reduction checks need a certified system")
@@ -427,11 +428,13 @@ def check_reduction(F, P: PointGm, n_max: int = DEFAULT_N_MAX) -> ReductionRepor
                   bool(ok_a), f"delta in [{real_str(degree.lo, 15)}, {real_str(degree.hi, 15)}], "
                               f"rho(psi)^(1/t) = {real_str(psi_val, 15)}"))
     l_psi = jordan_profile(psi).l
-    l_sys = correction_exponent(system, n_max=n_max, degree=degree).l
+    l_sys = report.correction.l
     items.append(("correction exponent matches reduced map",
                   l_sys == l_psi, f"system l = {l_sys}, psi l = {l_psi}"))
-    trunc = _height_estimates(system, P, n_max, degree, l_psi)["summed"]
-    closed = canonical_height_closed(psi, P)
+    trunc = report.trunc_summed
+    closed = report.closed_height
+    if closed is None:
+        closed = canonical_height_closed(psi, report.point)
     ok_c = (not trunc.is_exact_zero()) or closed.is_zero()
     items.append(("zero height transfers to reduced map", ok_c,
                   f"truncated estimate {real_str(trunc.estimate, 10)}, "
@@ -495,7 +498,7 @@ def system_report(
         raise InputError("point dimension does not match the system")
     degree = dynamical_degree(system, n_max=n_max, word_budget=word_budget)
     cert = degree.certificate
-    correction = correction_exponent(system, n_max=n_max, degree=degree)
+    correction = correction_exponent(degree)
     notes = []
     estimates = _height_estimates(system, P, n_max, degree, correction.l, word_budget)
     trunc_s, trunc_a = estimates["summed"], estimates["averaged"]

@@ -154,7 +154,7 @@ def test_criterion_06_diagonal_system_dynamical_degree():
     assert d.certificate.status == "certified_diagonal"
     assert d.exact is not None
     assert d.exact.compare(CertifiedReal.from_fraction(Fraction(5))) == 0
-    rep = check_reduction(F, pt(2, 3), n_max=8)
+    rep = check_reduction(system_report(F, pt(2, 3), n_max=8))
     assert rep.all_pass
     assert time.monotonic() - t0 < 5
 

@@ -24,7 +24,7 @@ from monoheight import (
     spectral_radius,
     truncated_estimates,
 )
-from monoheight.heights import _closed_numeric, _enumerate_orbit, _level_sums
+from monoheight.heights import _closed_numeric, _enumerate_orbit, _level_sums, _walk_words
 from monoheight.points import log_profile, weil_height
 
 from conftest import COORD_CHOICES, random_matrix, random_point
@@ -185,6 +185,28 @@ def test_truncated_word_budget():
     F = [DIAG23, FIB]
     with pytest.raises(BudgetError):
         truncated_estimates(F, pt(2, 3), 20, word_budget=100)["summed"]
+
+
+def _loop_walk_words(k, n, word_budget):
+    """The word count as a loop over the levels, kept as the reference."""
+    words, level = 0, 1
+    for _ in range(n):
+        level *= k
+        words += level
+        if words > word_budget:
+            raise BudgetError(f"word budget {word_budget} exceeded at {words} words")
+    return words
+
+
+def test_walk_words_closed_form_matches_the_loop():
+    def outcome(walk, *args):
+        try:
+            return walk(*args)
+        except BudgetError as exc:
+            return str(exc)
+
+    for k, n, budget in product(range(1, 5), range(1, 41), (0, 1, 62, 100, 126, 10**6)):
+        assert outcome(_walk_words, k, n, budget) == outcome(_loop_walk_words, k, n, budget), (k, n, budget)
 
 
 def test_truncated_word_budget_counts_every_level():

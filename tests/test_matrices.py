@@ -93,6 +93,24 @@ def test_construction_errors():
         IntMatrix([[Fraction(1, 2), 0], [0, 1]])
 
 
+def test_products_are_built_without_the_checked_constructor(monkeypatch):
+    A, B = IntMatrix([[2, 1], [1, 1]]), IntMatrix([[1, 1], [0, 1]])
+    C = IntMatrix([[0, 0, 1], [1, 0, 1], [0, 1, 0]])
+
+    def checked(self, rows):
+        raise AssertionError("IntMatrix.__init__ ran")
+
+    with monkeypatch.context() as m:
+        m.setattr(IntMatrix, "__init__", checked)
+        built = [A.mul(B), C.pow(3), C.pow(0), IntMatrix.identity(3)]
+    expected = [kernels.mat_mul(A.rows, B.rows), kernels.mat_pow(C.rows, 3),
+                [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]
+    for M, rows in zip(built, expected):
+        assert type(M) is IntMatrix and M.n == len(rows)
+        assert type(M.rows) is tuple and all(type(r) is tuple for r in M.rows)
+        assert M == IntMatrix(rows) and hash(M) == hash(IntMatrix(rows))
+
+
 def test_rows_are_the_one_read_only_storage(rng):
     A = IntMatrix([[2, 1], [1, 1]])
     assert A.rows == ((2, 1), (1, 1))

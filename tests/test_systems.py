@@ -1,6 +1,7 @@
 """Word growth, dynamical degree enclosures, and reduction certificates."""
 
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
@@ -32,8 +33,9 @@ from monoheight import (
 )
 from monoheight.matrices import charpoly, monomial_degree, trace_det_radius
 from monoheight.polys import IntPoly
-from monoheight.precision import default_precision
+from monoheight.precision import default_precision, real_str
 from monoheight.systems import (
+    CorrectionExponent,
     GrowthRow,
     _argmax_radius,
     _compare_surds,
@@ -177,8 +179,8 @@ def test_growth_table_bounds_sandwich():
 @pytest.mark.parametrize("call", [
     lambda F, n_max: growth_table(F, n_max=n_max),
     lambda F, n_max: dynamical_degree(F, n_max=n_max),
-    lambda F, n_max: correction_exponent(F, n_max=n_max),
-    lambda F, n_max: check_reduction(F, pt(2, 3), n_max=n_max),
+    lambda F, n_max: correction_exponent(dynamical_degree(F, n_max=n_max)),
+    lambda F, n_max: check_reduction(system_report(F, pt(2, 3), n_max=n_max)),
     lambda F, n_max: system_report(F, pt(2, 3), n_max=n_max),
 ], ids=["growth_table", "dynamical_degree", "correction_exponent", "check_reduction", "system_report"])
 @pytest.mark.parametrize("n_max", [0, -1])
@@ -322,21 +324,21 @@ def test_noncommuting_shears_empirical():
 
 
 def test_correction_exponent_certified():
-    c = correction_exponent(FIB, n_max=6)
+    c = correction_exponent(dynamical_degree(FIB, n_max=6))
     assert c.certified and c.l == 0 and c.method == "reduced map jordan profile"
-    c = correction_exponent(SHEAR_U, n_max=6)
+    c = correction_exponent(dynamical_degree(SHEAR_U, n_max=6))
     assert c.certified and c.l == 1
 
 
 def test_correction_exponent_heuristic():
-    c = correction_exponent([SHEAR_U, SHEAR_L], n_max=8)
+    c = correction_exponent(dynamical_degree([SHEAR_U, SHEAR_L], n_max=8))
     assert not c.certified
     assert c.l in (0, 1)
     assert c.method.startswith("heuristic")
 
 
 def test_check_reduction_fib():
-    rep = check_reduction(FIB, pt(2, 3), n_max=6)
+    rep = check_reduction(system_report(FIB, pt(2, 3), n_max=6))
     assert rep.all_pass
     assert len(rep.items) == 3
     names = [n for n, _, _ in rep.items]
@@ -345,7 +347,57 @@ def test_check_reduction_fib():
 
 def test_check_reduction_needs_certificate():
     with pytest.raises(InputError):
-        check_reduction([SHEAR_U, SHEAR_L], pt(2, 3), n_max=6)
+        check_reduction(system_report([SHEAR_U, SHEAR_L], pt(2, 3), n_max=6))
+
+
+def _forbid(monkeypatch, *names):
+    """Make each named function of systems and heights raise when called."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a given result was computed again")
+
+    for module in (monoheight.systems, monoheight.heights):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+
+
+REDERIVERS = ("dynamical_degree", "growth_table", "truncated_estimates")
+
+
+@pytest.mark.parametrize("F", [FIB, SHEAR_U, [DIAG23, DIAG52], [SHEAR_U, SHEAR_L], FREE3],
+                         ids=["fib", "shear", "diagonal", "shears", "free3"])
+def test_correction_exponent_reads_the_given_degree(monkeypatch, F):
+    report = system_report(F, pt(2, 3), n_max=8)
+    _forbid(monkeypatch, *REDERIVERS)
+    assert correction_exponent(report.degree) == report.correction
+
+
+def test_check_reduction_reads_the_given_report(monkeypatch):
+    report = system_report(FIB, pt(2, 3), n_max=6)
+    _forbid(monkeypatch, *REDERIVERS, "canonical_height_closed")
+    rep = check_reduction(report)
+    assert rep.all_pass
+    assert rep.items[1][2] == f"system l = {report.correction.l}, psi l = 0"
+    assert rep.items[2][2] == (f"truncated estimate {real_str(report.trunc_summed.estimate, 10)}, "
+                               f"reduced-map height {report.closed_height.str15()}")
+    # the report's correction exponent is the one compared
+    other = replace(report, correction=CorrectionExponent(l=3, certified=True, method="given"))
+    assert check_reduction(other).items[1][1:] == (False, "system l = 3, psi l = 0")
+
+
+def test_check_reduction_computes_only_a_missing_closed_form(monkeypatch):
+    report = system_report([DIAG23, DIAG52], pt(2, 3), n_max=8)
+    missing = replace(report, closed_height=None)
+    assert check_reduction(missing).items == check_reduction(report).items
+
+    def no_closed_form(A, P):
+        raise UnsupportedError("no closed form")
+
+    monkeypatch.setattr(monoheight.systems, "canonical_height_closed", no_closed_form)
+    check_reduction(report)
+    with pytest.raises(UnsupportedError, match="no closed form"):
+        check_reduction(missing)
 
 
 def test_system_report_fib():
