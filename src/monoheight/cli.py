@@ -48,7 +48,11 @@ def _matrix_from_obj(obj) -> IntMatrix:
     # canonical {"n":, "rows":}, plus tolerant forms: raw [[..]] or {"matrix": [[..]]}
     if isinstance(obj, dict):
         if "rows" in obj:
-            return IntMatrix.from_json(obj)
+            m = IntMatrix(obj["rows"])
+            n = obj.get("n", m.n)
+            if type(n) is not int or n != m.n:
+                raise InputError("declared dimension does not match rows")
+            return m
         if "matrix" in obj:
             obj = obj["matrix"]
     if isinstance(obj, list):

@@ -21,7 +21,7 @@ from .logforms import LogLinear
 from .matrices import CertifiedReal, IntMatrix, _as_system, charpoly_factors
 from .points import HeightValue, LogProfile, PointGm, _place_heights, log_profile
 from .polys import cyclotomic_index
-from .precision import default_precision, real_str
+from .precision import default_precision, fraction_to_mpf, real_str
 
 DEFAULT_WORD_BUDGET = 10**6
 
@@ -184,7 +184,8 @@ def truncated_estimates(
     level_sums = list(islice(_level_sums(mats, P), n))
     with mp.workprec(prec + 32):
         for nu, level_sum in enumerate(level_sums, 1):
-            s = level_sum.evaluate(prec + 32)
+            lo, hi = level_sum.enclosure(prec + 32)
+            s = fraction_to_mpf((lo + hi) / 2, prec + 32)
             norm = mpf(nu) ** l * delta_mpf**nu
             values["summed"].append(s / norm)
             values["averaged"].append(s / (norm * mpf(k) ** nu))

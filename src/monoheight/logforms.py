@@ -11,15 +11,14 @@ Enclosures run on integers.  Each prime's log bounds are read once per
 precision as numerators over 2^k, a surd coefficient's bounds come from
 Quad.bounds, the sign of each coefficient bound picks the log bound it
 multiplies, and the terms are summed over one common denominator, so only
-the two ends of the interval become Fractions.  No step reads the ambient
-mpmath precision.
+the two ends of the interval become Fractions.  The module imports no
+mpmath, so no step reads the ambient precision; enclosure(prec) is the one
+way a form becomes a number.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-
-from mpmath import mp
 
 from .errors import IndistinguishableModuliError
 from .precision import log_enclosure
@@ -199,15 +198,6 @@ class LogLinear:
     def enclosure(self, prec) -> tuple[Fraction, Fraction]:
         """Rigorous rational interval for the value."""
         return _enclosure(self.coeffs, prec)
-
-    def evaluate(self, prec):
-        """mpf value at the given binary precision."""
-        with mp.workprec(prec):
-            total = mp.mpf(0)
-            for p, c in self.coeffs.items():
-                value = c.to_mpf(prec) if isinstance(c, Quad) else mp.mpf(c.numerator) / mp.mpf(c.denominator)
-                total += value * mp.log(p)
-            return total
 
     def sign(self) -> int:
         """Exact sign; 0 only for the identically zero form."""

@@ -96,16 +96,6 @@ class IntMatrix:
     def identity(n):
         return _make([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def from_json(cls, obj):
-        if not isinstance(obj, dict) or "rows" not in obj:
-            raise InputError('matrix JSON needs {"n": N, "rows": [[...]]}')
-        m = cls(obj["rows"])
-        n = obj.get("n", m.n)
-        if type(n) is not int or n != m.n:
-            raise InputError("declared dimension does not match rows")
-        return m
-
     @property
     def rows(self):
         return self._rows

@@ -7,8 +7,8 @@ since log|x| = sum_p v_p(x) log p for nonzero rational x; keeping only integer
 vectors means monomial maps act by exact integer matrix-vector products even
 when the coordinates themselves would be astronomically large.
 
-The LogProfile constructor checks prime keys, vector lengths and signs and
-drops zero vectors.  log_profile and transport skip those checks: the
+The LogProfile constructor checks prime keys, integer vectors of the right
+length and signs and drops zero vectors; like PointGm, it converts nothing.  log_profile and transport skip those checks: the
 factorization yields primes with nonzero exponents, and a nonsingular integer
 matrix maps nonzero integer vectors to nonzero integer vectors.  So every
 state of one walk keeps the primes of its start, in the same order, which is
@@ -42,6 +42,8 @@ class PointGm:
             raise InputError("a point needs at least one coordinate")
         norm = []
         for c in self.coords:
+            if type(c) not in (int, Fraction):  # no bool, float or string
+                raise InputError("coordinates must be ints or Fractions")
             q = Fraction(c)
             if q == 0:
                 raise InputError("coordinates must be nonzero")
@@ -79,16 +81,18 @@ class LogProfile:
         if not _trusted:
             clean = {}
             for p, vec in vals.items():
-                if not isinstance(p, int) or not sympy.isprime(p):
+                if type(p) is not int or not sympy.isprime(p):
                     raise InputError(f"{p} is not prime")
-                vec = tuple(int(v) for v in vec)
+                vec = tuple(vec)
                 if len(vec) != n:
                     raise InputError("valuation vector length mismatch")
+                if any(type(v) is not int for v in vec):
+                    raise InputError("valuations must be integers")
                 if any(vec):
                     clean[p] = vec
             vals = clean
             signs = tuple(signs)
-            if len(signs) != n or any(s not in (1, -1) for s in signs):
+            if len(signs) != n or any(type(s) is not int or s not in (1, -1) for s in signs):
                 raise InputError("signs must be a +-1 tuple matching the dimension")
         self.n = n
         self.vals = vals
@@ -194,18 +198,17 @@ class HeightValue:
             return self.symbolic.is_zero
         return self.lo <= 0 <= self.hi
 
-    def enclosure(self, prec=None):
-        prec = prec or default_precision()
+    def enclosure(self, prec):
         if self.exact:
             return self.symbolic.enclosure(prec)
         return (self.lo, self.hi)
 
-    def value(self, prec=None):
+    def value(self, prec):
         lo, hi = self.enclosure(prec)
         return (lo + hi) / 2
 
     def str15(self) -> str:
-        return real_str(self.value(), 15)
+        return real_str(self.value(default_precision()), 15)
 
     def symbolic_str(self):
         return str(self.symbolic) if self.exact else None

@@ -29,7 +29,9 @@ class IntPoly:
     coeffs: tuple
 
     def __post_init__(self):
-        c = tuple(int(v) for v in self.coeffs)
+        c = tuple(self.coeffs)
+        if any(type(v) is not int for v in c):  # bool is an int subclass, not a coefficient
+            raise InputError("coefficients must be integers")
         while len(c) > 1 and c[-1] == 0:
             c = c[:-1]
         if not c or c[-1] == 0:

@@ -15,6 +15,8 @@ from monoheight.logforms import _enclosure, max_with_zero
 from monoheight.points import LogProfile, weil_height
 from monoheight.precision import PAD_BITS, fraction_to_mpf, log_enclosure, sqrt_enclosure
 
+from conftest import random_matrix, random_point
+
 SQRT5 = Quad(0, 1, 5)
 
 
@@ -66,7 +68,7 @@ def test_enclosure_and_evaluate():
     assert hi - lo < Fraction(1, 2**64)
     with mp.workprec(200):
         assert mp.exp(fraction_to_mpf(lo, 200)) < 6 < mp.exp(fraction_to_mpf(hi, 200))
-    assert abs(float(x.evaluate(96)) - 1.791759469228055) < 1e-12
+    assert abs(float(_loop_evaluate(x.coeffs, 96)) - 1.791759469228055) < 1e-12
 
 
 def test_max_with_zero():
@@ -115,7 +117,7 @@ def test_integer_sign_matches_ladder_and_evaluation(coeffs):
         assert sign == 0
         return
     assert sign == _ladder_sign(form)
-    assert sign == int(mp.sign(form.evaluate(4096)))
+    assert sign == int(mp.sign(_loop_evaluate(form.coeffs, 4096)))
 
 
 def _count_enclosures(monkeypatch):
@@ -313,8 +315,9 @@ def test_integer_enclosure_matches_the_term_by_term_product(coeffs, prec):
 
 
 def _loop_evaluate(coeffs, prec):
-    """LogLinear.evaluate as a loop over the primes in increasing order, kept as
-    the reference: each term c * log p rounded to prec bits, then added."""
+    """The value of sum c * log p as an mpf, independent of the enclosures: a
+    loop over the primes in increasing order, each term c * log p rounded to
+    prec bits, then added."""
     with mp.workprec(prec):
         total = mp.mpf(0)
         for p, c in sorted(coeffs.items()):
@@ -323,17 +326,25 @@ def _loop_evaluate(coeffs, prec):
         return total
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.dictionaries(st.sampled_from(WIDE_PRIMES), coefficients, max_size=5), st.integers(96, 2048))
-@example({}, 128)
-@example({13: 1, 2: -485, 3: 306}, 96)
-@example({2**61 - 1: Fraction(-7, 3), 2: Quad(Fraction(1, 2), Fraction(-1, 2), 5)}, 2048)
-def test_evaluate_sums_in_prime_order(coeffs, prec):
-    # truncated_estimates reports these values, so their rounding is pinned
-    # to one summation order whatever order the coefficients came in
-    got = LogLinear(coeffs).evaluate(prec)
-    assert got == _loop_evaluate(coeffs, prec)
-    assert got._mpf_[1].bit_length() <= prec  # the mantissa is rounded to prec bits
+@pytest.mark.parametrize("prec", (53, 96, 128, 300))
+def test_truncated_estimates_match_a_loop_over_the_level_sums(rng, prec):
+    # each reported value is the level sum read at prec + 32 bits over the
+    # normalisation; the loop reads the same exact sum without any enclosure
+    for _ in range(12):
+        dim, k = rng.choice((2, 3)), rng.randint(1, 2)
+        mats = [random_matrix(rng, dim) for _ in range(k)]
+        P = random_point(rng, dim)
+        n, l = rng.randint(1, 5), rng.randint(0, 2)
+        delta = rng.choice((1, 2, 3, Fraction(3, 2), Fraction(5, 4)))
+        est = truncated_estimates(mats, P, n, l_override=l, delta=delta, prec=prec)
+        for variant, per_level in (("summed", 1), ("averaged", k)):
+            got = est[variant].values
+            assert len(got) == n
+            for nu, (value, level_sum) in enumerate(zip(got, est[variant].exact_level_sums), 1):
+                norm = fraction_to_mpf(Fraction(nu) ** l * (Fraction(delta) * per_level) ** nu, prec + 32)
+                with mp.workprec(prec + 32):
+                    want = _loop_evaluate(level_sum.coeffs, prec + 32) / norm
+                    assert abs(value - want) <= abs(want) * mp.mpf(2) ** -prec, (mats, P, variant, nu)
 
 
 @pytest.mark.parametrize("prec", range(2, 13))
@@ -346,7 +357,7 @@ def test_low_precision_enclosures_stay_rigorous(prec):
     ref_lo, ref_hi = _reference_enclosure(form, prec)
     assert ref_lo <= lo <= hi <= ref_hi
     assert (prec <= PAD_BITS) or (lo, hi) == (ref_lo, ref_hi)
-    value = LogLinear(form).evaluate(256)
+    value = _loop_evaluate(form, 256)
     assert fraction_to_mpf(lo, 256) <= value <= fraction_to_mpf(hi, 256)
 
 

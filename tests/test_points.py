@@ -43,6 +43,14 @@ def test_zero_coordinate_rejected():
         PointGm.parse("")
 
 
+def test_coordinates_must_be_ints_or_fractions():
+    # a bool, float or string is refused, not converted by Fraction()
+    for coords in [(0.1, True), (True,), (Fraction(1), 0.5), ("1/2",)]:
+        with pytest.raises(InputError, match="coordinates"):
+            PointGm(coords)
+    assert PointGm((2, Fraction(-1, 3))).coords == (Fraction(2), Fraction(-1, 3))
+
+
 def test_log_profile_examples():
     prof = log_profile(pt("-4/9", 10))
     assert prof.vals == {2: (2, 1), 3: (-2, 0), 5: (0, 1)}
@@ -63,6 +71,16 @@ def test_profile_constructor_checks():
     with pytest.raises(InputError, match="signs"):
         LogProfile(2, {2: (1, 0)}, (1, 2))
     assert LogProfile(2, {2: (0, 0), 3: (1, -1)}, (1, -1)).vals == {3: (1, -1)}
+    # nothing is converted: int() would drop the prime 3 of the first case
+    for vals, signs, match in [
+        ({2: (1.5, True), 3: (0.9, 0)}, (1, 1), "valuations"),
+        ({2: (1, Fraction(0))}, (1, 1), "valuations"),
+        ({2: (1, 0)}, (True, 1), "signs"),
+        ({2: (1, 0)}, (1.0, -1), "signs"),
+        ({True: (1, 0)}, (1, 1), "not prime"),
+    ]:
+        with pytest.raises(InputError, match=match):
+            LogProfile(2, vals, signs)
 
 
 def test_log_profile_and_transport_skip_the_checks(monkeypatch):

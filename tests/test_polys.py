@@ -28,6 +28,13 @@ def test_construction_and_eval():
         IntPoly([])
 
 
+@pytest.mark.parametrize("coeffs", [(1.5, True, 2), (1, True), (Fraction(1), 2), ("1", 2), (1.0,)])
+def test_coefficients_must_be_ints(coeffs):
+    # a float, bool, Fraction or string is refused, not truncated by int()
+    with pytest.raises(InputError, match="integers"):
+        IntPoly(coeffs)
+
+
 def test_poly_str():
     assert poly_str(X2_X_1.coeffs) == "x^2-x-1"
     assert poly_str(IntPoly([2]).coeffs) == "2"

@@ -87,6 +87,17 @@ def test_no_sympy_cyclotomic_tables():
     assert found == []
 
 
+def test_logforms_imports_no_mpmath():
+    # a log form becomes a number only through its integer enclosure at a given
+    # precision, so no step of the module can read the ambient mpmath precision
+    path = SRC / "logforms.py"
+    imported = [(node.lineno, name.split(".")[0])
+                for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for name in [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]]
+    assert [line for line, name in imported if name in ("mpmath", "mp", "mpf")] == []
+
+
 def _sympy_expression_calls(path):
     """Line numbers that load one of SYMPY_EXPRESSION_ROUTES from the sympy module."""
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
