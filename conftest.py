@@ -1,8 +1,16 @@
-"""Fixtures for every test of the repository, in tests/ and perfbench/tests."""
+"""Fixtures and options for every test of the repository, in tests/ and
+perfbench/tests."""
 
 import sys
 
 import pytest
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--replay-stride", type=int, default=50, metavar="N",
+        help="replay every N-th item of each benchmark pool in "
+             "tests/test_reference_outputs.py (default 50; 1 replays all)")
 
 
 @pytest.fixture(autouse=True)

@@ -10,10 +10,11 @@ Each root of g is enclosed in its own certified disc (approximate roots from
 an Aberth-Ehrlich iteration on Gaussian integers, with Weierstrass corrections
 checked in exact integer arithmetic), and the disc places the root's |z|^2 in
 one isolating interval of q; Sturm counts decide which roots are real.
-CertifiedReal.compare ranks the results in one fixed order of five steps, with
-one tie test: a common root of the defining polynomials, whose isolating
-intervals overlap, found by a gcd and a Sturm count.  Nothing is ever ranked
-from floating point alone.
+Every CertifiedReal is the only root of its defining polynomial in its
+interval, so CertifiedReal.compare ranks the results in one fixed order of
+four steps, with one tie test: a common root of the two defining polynomials
+in the overlap of the intervals, found by a gcd and a Sturm count.  Nothing is
+ever ranked from floating point alone.
 """
 
 from collections import OrderedDict
@@ -272,25 +273,24 @@ def _bisect_to_width(p: IntPoly, lo: Fraction, hi: Fraction, eps: Fraction):
 
 
 class CertifiedReal:
-    """A real number as a rigorous rational interval plus optional exact witnesses.
+    """A real number as a rigorous rational interval plus exact witnesses.
 
     descriptor: exact value in Q or a real quadratic field, when known.
-    poly: squarefree integer polynomial with this value as the unique root in
-    [lo, hi], enabling exact refinement and equality decisions.
-    sq: CertifiedReal for the square of the value (used when the value itself
-    is a square root of an algebraic number of higher degree).
+    poly: squarefree integer polynomial with this value as its only root in
+    [lo, hi], when there is no descriptor.
+    sq: CertifiedReal for the square of the value, which refines a square
+    root of an algebraic number of higher degree.
 
-    Every value but a square root is a root of a defining polynomial isolated
-    by [lo, hi]: its poly, or else the descriptor's minimal polynomial.  The
-    descriptor intervals of from_quad and refine exclude the conjugate, since
-    their half-width is at most |b| 2^-prec and the conjugate lies 2 |b| sqrt(d)
-    away.
+    Every value is the only root in [lo, hi] of its defining polynomial
+    (_defining_poly): its poly, or else the descriptor's minimal polynomial.
+    The descriptor intervals of from_quad and refine exclude the conjugate,
+    since their half-width is at most |b| 2^-prec and the conjugate lies
+    2 |b| sqrt(d) away; refine only narrows every other interval.
 
-    compare decides in five steps: disjoint intervals; the exact sign of the
+    compare decides in four steps: disjoint intervals; the exact sign of the
     difference of two descriptors in one field (or one rational), before any
-    refinement; the squares, when one value is a square root and both are
-    >= 0 with known squares; a common root of the defining polynomials in the
-    overlap, which makes them equal; else refinement until they separate.
+    refinement; a common root of the defining polynomials in the overlap,
+    which makes them equal; else refinement until they separate.
 
     A value never changes: refine returns a narrower value.
     """
@@ -298,6 +298,8 @@ class CertifiedReal:
     __slots__ = ("lo", "hi", "descriptor", "poly", "sq")
 
     def __init__(self, lo, hi, descriptor=None, poly=None, sq=None):
+        if descriptor is None and poly is None:
+            raise InputError("a certified real needs a descriptor or a defining polynomial")
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
         if self.lo > self.hi:
@@ -325,13 +327,29 @@ class CertifiedReal:
 
     @classmethod
     def sqrt_of(cls, sq: "CertifiedReal"):
-        """Positive square root of a certified nonnegative value."""
+        """Positive square root of a certified nonnegative value s, the only
+        root of p = sq._defining_poly() in [a, b] = [max(sq.lo, 0), sq.hi]:
+        [lo, hi] with [lo^2, hi^2] inside [a, b] isolates sqrt(s) among the
+        roots of p(x^2) once p, simple at s, changes sign over [lo^2, hi^2];
+        a zero sign there is s itself."""
         if sq.descriptor is not None and sq.descriptor.is_rational:
             return cls.from_quad(Quad.sqrt_of(sq.descriptor.rational_value()))
+        p, a, b = sq._defining_poly(), max(sq.lo, Fraction(0)), sq.hi
+        if p.coeffs[0] == 0 and a > 0:  # s > 0 is a root of p / x, and p(x^2) stays squarefree
+            p = IntPoly(p.coeffs[1:])
+        poly = IntPoly(tuple(c for ci in p.coeffs for c in (ci, 0))[:-1])
         prec = default_precision()
-        lo, _ = sqrt_enclosure(max(sq.lo, Fraction(0)), prec)
-        _, hi = sqrt_enclosure(sq.hi, prec)
-        return cls(lo, hi, sq=sq)
+        while prec <= 2**16:
+            # lo bounds sqrt(a) from above and hi bounds sqrt(b) from below
+            lo, hi = sqrt_enclosure(a, prec)[1], sqrt_enclosure(b, prec)[0]
+            if lo <= hi:
+                s_lo, s_hi = (sign_at(p.coeffs, x.numerator ** 2, x.denominator ** 2) for x in (lo, hi))
+                if s_lo == 0 or s_hi == 0:
+                    return cls.from_fraction(lo if s_lo == 0 else hi)
+                if s_lo != s_hi:
+                    return cls(lo, hi, poly=poly, sq=sq)
+            prec *= 2
+        raise IndistinguishableModuliError("square root not isolated", [(sq.lo, sq.hi)])
 
     @property
     def width(self) -> Fraction:
@@ -373,28 +391,14 @@ class CertifiedReal:
                         "square-root refinement did not reach the requested width", [(lo, hi)]
                     )
             return CertifiedReal(lo, hi, poly=self.poly, sq=sq)
-        if self.poly is not None:
-            lo, hi = _bisect_to_width(self.poly, lo, hi, eps)
-            return CertifiedReal(lo, hi, Quad(lo) if lo == hi else None, self.poly)
-        raise IndistinguishableModuliError(
-            "cannot refine a bare interval", [(self.lo, self.hi)]
-        )
+        lo, hi = _bisect_to_width(self.poly, lo, hi, eps)
+        return CertifiedReal(lo, hi, Quad(lo) if lo == hi else None, self.poly)
 
-    def _square(self):
-        """The value's square as a CertifiedReal, or None when it is not known."""
-        if self.sq is not None:
-            return self.sq
-        if self.descriptor is not None:
-            return CertifiedReal.from_quad(self.descriptor * self.descriptor)
-        return None
-
-    def _defining_poly(self):
-        if self.poly is not None:
-            return self.poly
-        return self.descriptor.minimal_poly() if self.descriptor is not None else None
+    def _defining_poly(self) -> IntPoly:
+        return self.poly if self.poly is not None else self.descriptor.minimal_poly()
 
     def compare(self, other: "CertifiedReal") -> int:
-        """Exact three-way comparison in the five steps of the class docstring;
+        """Exact three-way comparison in the four steps of the class docstring;
         raises only if refinement is impossible."""
         if self.hi < other.lo:
             return -1
@@ -403,12 +407,8 @@ class CertifiedReal:
         a, b = self.descriptor, other.descriptor
         if a is not None and b is not None and (a.is_rational or b.is_rational or a.d == b.d):
             return (a - b).sign()
-        if (self.sq is not None or other.sq is not None) and self.lo >= 0 and other.lo >= 0:
-            sq_self, sq_other = self._square(), other._square()
-            if sq_self is not None and sq_other is not None:
-                return sq_self.compare(sq_other)
-        p, q = self._defining_poly(), other._defining_poly()
-        if p is not None and q is not None and _share_root(p, q, max(self.lo, other.lo), min(self.hi, other.hi)):
+        if _share_root(self._defining_poly(), other._defining_poly(),
+                       max(self.lo, other.lo), min(self.hi, other.hi)):
             return 0
         return _separate(self, other)
 

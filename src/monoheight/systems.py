@@ -405,10 +405,10 @@ class ReductionReport:
 
 def check_reduction(report: "SystemReport") -> ReductionReport:
     """Verify the reduction facts on a certified system's report: degree
-    match, correction exponent match, and zero-height transfer to the reduced
-    map.  The degree, correction exponent, truncated estimate and closed-form
-    height are the report's own; none is computed again, except a closed form
-    the report lacks, which is computed here and raises if it fails.
+    match and zero-height transfer to the reduced map.  The degree, truncated
+    estimate and closed-form height are the report's own; none is computed
+    again, except a closed form the report lacks, which is computed here and
+    raises if it fails.
 
     The zero decisions are exact, with no float threshold: the truncated sums
     are zero only when every level sum is the zero log form, and the
@@ -423,20 +423,16 @@ def check_reduction(report: "SystemReport") -> ReductionReport:
     items = []
     with mp.workprec(prec):
         psi_val = mp.root(degree.exact.to_mpf(prec), cert.t)
-        ok_a = degree.lo <= psi_val * (1 + mpf(2) ** -64) and psi_val <= degree.hi * (1 + mpf(2) ** -64)
+        ok_degree = degree.lo <= psi_val * (1 + mpf(2) ** -64) and psi_val <= degree.hi * (1 + mpf(2) ** -64)
     items.append(("degree equals reduced-map degree",
-                  bool(ok_a), f"delta in [{real_str(degree.lo, 15)}, {real_str(degree.hi, 15)}], "
+                  bool(ok_degree), f"delta in [{real_str(degree.lo, 15)}, {real_str(degree.hi, 15)}], "
                               f"rho(psi)^(1/t) = {real_str(psi_val, 15)}"))
-    l_psi = jordan_profile(psi).l
-    l_sys = report.correction.l
-    items.append(("correction exponent matches reduced map",
-                  l_sys == l_psi, f"system l = {l_sys}, psi l = {l_psi}"))
     trunc = report.trunc_summed
     closed = report.closed_height
     if closed is None:
         closed = canonical_height_closed(psi, report.point)
-    ok_c = (not trunc.is_exact_zero()) or closed.is_zero()
-    items.append(("zero height transfers to reduced map", ok_c,
+    ok_zero = (not trunc.is_exact_zero()) or closed.is_zero()
+    items.append(("zero height transfers to reduced map", ok_zero,
                   f"truncated estimate {real_str(trunc.estimate, 10)}, "
                   f"reduced-map height {closed.str15()}"))
     return ReductionReport(items=items)

@@ -113,6 +113,11 @@ def test_effective_constants_rejects():
         effective_constants(IntMatrix([[2, 0], [0, 3]]), pt(2, 3))
 
 
+def test_effective_constants_rejects_a_point_of_another_dimension():
+    with pytest.raises(InputError, match="dimensions differ"):
+        effective_constants(J2, pt(2, 3, 5))
+
+
 def test_effective_constants_torsion_point():
     c = effective_constants(J2, pt(1, -1), prec=192)
     assert c.hhat.is_zero()

@@ -232,6 +232,20 @@ def test_exit_input_errors(files):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["system", "--system", "pair", "--point", "2,3", "--n-max", "0"], "budgets must be positive"),
+    (["system", "--system", "pair", "--point", "2,3", "--word-budget", "0"], "budgets must be positive"),
+    (["analyze", "--matrix", "fib", "--precision", "8"], "precision must be between"),
+    (["analyze", "--matrix", "fib", "--precision", "70000"], "precision must be between"),
+    (["classify", "--point", "2,3"], "classify requires --matrix or --system"),
+], ids=["n-max-0", "word-budget-0", "precision-8", "precision-70000", "classify-point-only"])
+def test_refused_options_exit_with_input_error(files, extra, message):
+    code, text = invoke([files.get(a, a) for a in extra])
+    assert code == EXIT_INPUT
+    error = json.loads(text)["error"]
+    assert error["type"] == "input" and message in error["message"]
+
+
 @pytest.mark.parametrize("command, option, content", [
     ("analyze", "--matrix", b"[1, 2]"),
     ("analyze", "--matrix", b'{"rows": 5}'),

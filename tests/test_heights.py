@@ -333,6 +333,12 @@ def test_truncation_depth_must_be_an_integer():
             truncated_estimates(FIB, pt(2, 3), n)["summed"]
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_truncation_depth_must_be_positive(n):
+    with pytest.raises(InputError, match="n must be >= 1"):
+        truncated_estimates(FIB, pt(2, 3), n)
+
+
 def test_truncated_exact_level_sums_zero_for_torsion():
     est = truncated_estimates(FIB, pt(1, -1), 10)["summed"]
     assert est.is_exact_zero()

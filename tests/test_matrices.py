@@ -330,6 +330,15 @@ COMPARE_PAIRS = [
     pytest.param(lambda: CertifiedReal(1, 2, descriptor=SQRT2),
                  lambda: CertifiedReal.from_quad(SQRT2), 0,
                  id="one-field-tie"),
+    # 2^(1/4) written three ways: square roots carry p(x^2), so the one tie
+    # test sees each equality
+    pytest.param(lambda: CertifiedReal.sqrt_of(_root((-2, 0, 1))), lambda: _root((-2, 0, 0, 0, 1)), 0,
+                 id="2^(1/4)-tie-sqrt-of-root-of-x^2-2-against-root-of-x^4-2"),
+    pytest.param(lambda: CertifiedReal.sqrt_of(CertifiedReal.from_quad(SQRT2)), lambda: _root((-2, 0, 0, 0, 1)), 0,
+                 id="2^(1/4)-tie-sqrt-of-sqrt2-against-root-of-x^4-2"),
+    pytest.param(lambda: CertifiedReal.sqrt_of(_root((-2, 0, 1))),
+                 lambda: CertifiedReal.sqrt_of(CertifiedReal.from_quad(SQRT2)), 0,
+                 id="2^(1/4)-tie-sqrt-of-root-of-x^2-2-against-sqrt-of-sqrt2"),
 ]
 
 
@@ -373,15 +382,67 @@ def test_compare_decides_one_field_before_any_refinement():
     assert (a.lo, a.hi) == (1, 2)
 
 
-def _equal_but_unseen():
-    # 2^(1/4) as a square root against the root of x^4 - 2: no tie test applies
-    return CertifiedReal.sqrt_of(_root((-2, 0, 1))), _root((-2, 0, 0, 0, 1))
+def test_constructor_needs_a_defining_polynomial():
+    with pytest.raises(InputError, match="descriptor or a defining polynomial"):
+        CertifiedReal(1, 2)
 
 
-def test_compare_raises_on_an_equality_no_tie_test_sees():
-    a, b = _equal_but_unseen()
-    with pytest.raises(IndistinguishableModuliError, match="did not separate"):
-        a.compare(b)
+@pytest.mark.parametrize("rows", [
+    [[1, 1], [1, 0]],  # rho irrational quadratic, rho^2 in the same field
+    [[0, 0, 1], [1, 0, 1], [0, 1, 0]],  # rho a square root by its square
+    [[2, 0, 0], [0, 0, 3], [0, 1, 0]],  # rho = sqrt(3) and 2 in two factors
+], ids=["fibonacci", "x^3-x-1", "2-and-sqrt3"])
+def test_square_root_of_a_factors_rho_sq_ties_its_rho(rows):
+    for fd in modulus_profile(IntMatrix(rows)).factors:
+        root = CertifiedReal.sqrt_of(fd.rho_sq)
+        assert root.compare(fd.rho) == 0 and fd.rho.compare(root) == 0
+
+
+@pytest.mark.parametrize("square, root", [
+    (lambda: _root((0, -1, 1), Fraction(-1, 2), Fraction(1, 2)), 0),  # 0 by x^2 - x: lo = 0 is exact
+    (lambda: _root((3, -4, 1), Fraction(1, 2), 1 + Fraction(1, 2**200)), 1),  # 1 by (x - 1)(x - 3): hi is exact
+    (lambda: _root((0, -4, 1), 3, 5), 2),  # 4 by x^2 - 4x: the square root's poly is x^2 - 4
+])
+def test_sqrt_of_roots_at_the_ends_and_at_zero(square, root):
+    x = CertifiedReal.sqrt_of(square())
+    assert x.compare(CertifiedReal.from_fraction(root)) == 0
+    assert _roots_in_interval(x) == 1
+    assert x.poly is None or x.poly.coeffs[0] != 0  # squarefree: no double root at 0
+
+
+def test_sqrt_of_raises_when_the_square_is_not_isolated_inside_its_interval():
+    # 2 as the root of x - 2 on [2, 3]: it sits on the interval's lower end,
+    # and every upper bound of sqrt(2) squares above it
+    with pytest.raises(IndistinguishableModuliError, match="not isolated"):
+        CertifiedReal.sqrt_of(_root((-2, 1), 2, 3))
+
+
+def _roots_in_interval(x):
+    """Roots of x's defining polynomial in the closed [x.lo, x.hi]."""
+    p = x._defining_poly()
+    return sturm_count(p, x.lo, x.hi) + (p(x.lo) == 0)
+
+
+def _random_monic_irreducible(rng, degree):
+    while True:
+        g = IntPoly(tuple(rng.randint(-5, 5) for _ in range(degree)) + (1,))
+        if g.coeffs[0] and factor_over_q(g) == [(g, 1)]:
+            return g
+
+
+_RNG_ISOLATION = random.Random(31)
+ISOLATION_CASES = (
+    [IntPoly((-1, -1, 0, 1)), IntPoly((1, 0, -1, 0, 1)), IntPoly((-2, 0, 0, 1))]
+    + [_random_monic_irreducible(_RNG_ISOLATION, d) for d in (3, 4, 5, 6) for _ in range(6)]
+)
+
+
+@pytest.mark.parametrize("g", ISOLATION_CASES, ids=str)
+def test_every_value_isolates_one_root_of_its_defining_polynomial(g):
+    prof = modulus_profile(_companion(g))
+    values = [prof.rho] + [x for fd in prof.factors for x in (fd.rho, fd.rho_sq)]
+    for x in values + [x.refine(Fraction(1, 2**200)) for x in values]:
+        assert _roots_in_interval(x) == 1, (x, x._defining_poly())
 
 
 def test_every_statement_of_compare_runs():
@@ -405,9 +466,12 @@ def test_every_statement_of_compare_runs():
         for make_a, make_b, _ in (case.values for case in COMPARE_PAIRS):
             make_a().compare(make_b())
             make_b().compare(make_a())
-        with pytest.raises(IndistinguishableModuliError):
-            a, b = _equal_but_unseen()
-            a.compare(b)
+        # unequal, but closer than refinement reaches: the cube root of 2
+        # against a rational within 2^-700 of it
+        cbrt2 = _root((-2, 0, 0, 1))
+        near = CertifiedReal.from_fraction(cbrt2.refine(Fraction(1, 2**700)).lo)
+        with pytest.raises(IndistinguishableModuliError, match="did not separate"):
+            cbrt2.compare(near)
     finally:
         sys.settrace(previous)
     assert sorted((c.co_name, line) for c, line in statements - seen) == []
