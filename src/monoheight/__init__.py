@@ -11,7 +11,6 @@ height of points with infinite orbit.
 
 from .errors import (
     BudgetError,
-    IndistinguishableModuliError,
     InputError,
     MonoheightError,
     UnsupportedError,
@@ -84,7 +83,6 @@ __all__ = [
     "DynamicalDegree",
     "GrowthTable",
     "HeightValue",
-    "IndistinguishableModuliError",
     "InputError",
     "IntMatrix",
     "IntPoly",

@@ -71,20 +71,23 @@ def _ceil_shifted_height(const: int, mult, h) -> int:
     """Smallest integer >= const + mult * h, decided from exact enclosures.
 
     h is a HeightValue; const + mult*h can only be an integer when h = 0
-    (a nonzero integer combination of logs of primes is irrational), so the
-    refinement terminates.
+    (a nonzero integer combination of logs of primes is irrational), so an
+    exact h separates, but a numeric enclosure need not narrow: past
+    CEIL_PREC_CAP bits the refinement raises BudgetError with the last
+    enclosure of h.
     """
     if h.exact and h.symbolic.is_zero:
         return const
     prec = 128
-    while prec <= CEIL_PREC_CAP:
+    while True:
         lo, hi = h.enclosure(prec)
         cl = int(ceil(const + mult * lo))
         ch = int(ceil(const + mult * hi))
         if cl == ch:
             return cl
+        if prec >= CEIL_PREC_CAP:
+            raise BudgetError("could not separate a height-derived exponent from an integer", partial=[(lo, hi)])
         prec *= 2
-    raise UnsupportedError("could not separate a height-derived exponent from an integer")
 
 
 @dataclass(frozen=True)

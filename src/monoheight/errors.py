@@ -1,5 +1,13 @@
 """Exception hierarchy; `cli.run` maps InputError, UnsupportedError and
-BudgetError to exit codes 2, 3 and 4."""
+BudgetError to exit codes 2, 3 and 4.
+
+Certified comparisons and square roots work out their last precision from
+their inputs (Mahler's root-separation bound), so they never give up; failing
+there is an ArithmeticError, an internal self-check that surfaces.  A
+refinement with no proof that it ends (the root-disc precision, the sign
+ladder of log-linear forms, the Baker ceiling) raises BudgetError with its
+last enclosures in partial.
+"""
 
 
 class MonoheightError(Exception):
@@ -14,19 +22,9 @@ class UnsupportedError(MonoheightError):
     """Input is valid but outside the exact-arithmetic scope of the package."""
 
 
-class IndistinguishableModuliError(UnsupportedError):
-    """Eigenvalue moduli could not be separated within the refinement budget.
-
-    Carries the offending enclosures so callers can report them.
-    """
-
-    def __init__(self, message, enclosures=None):
-        super().__init__(message)
-        self.enclosures = enclosures or []
-
-
 class BudgetError(MonoheightError):
-    """A word, bit-size, or iteration budget was exhausted."""
+    """A word, bit-size, iteration or precision budget was exhausted; partial
+    holds what was computed before it ran out, such as the last enclosures."""
 
     def __init__(self, message, partial=None):
         super().__init__(message)

@@ -283,6 +283,21 @@ def _enumerate_orbit(mats, prof: LogProfile, budget: int):
     return None
 
 
+def _minkowski_bound(n: int) -> int:
+    """M(n) = prod_p p^(sum_k floor(n / (p^k (p - 1)))), which by Minkowski every
+    finite subgroup of GL_n(Z) has an order dividing: M(1..6) = 2, 24, 48,
+    5760, 11520, 2903040."""
+    out = 1
+    for p in range(2, n + 2):
+        if all(p % q for q in range(2, math.isqrt(p) + 1)):
+            e, step = 0, p - 1
+            while step <= n:
+                e += n // step
+                step *= p
+            out *= p**e
+    return out
+
+
 def classify_orbit(F, P: PointGm, budget: int = 65536) -> OrbitVerdict:
     """Decide orbit finiteness; exact for a single map.
 
@@ -290,7 +305,12 @@ def classify_orbit(F, P: PointGm, budget: int = 65536) -> OrbitVerdict:
     fixed by A^M, M the lcm of root-of-unity eigenvalue orders (A is
     invertible over Q, so there are no valuation-space transients); signs
     always move in a finite space.  Systems fall back to per-generator escape
-    tests plus breadth-first closure within the budget.
+    tests plus breadth-first closure, walked until it closes, passes the
+    budget (unknown) or passes M(N) 2^N states (infinite).  That bound is a
+    certificate: on a finite closure every generator permutes the valuation
+    states, so they generate a finite group of automorphisms of the lattice
+    their span meets, of order dividing M(m) | M(N) for its rank m <= N, and
+    the states are at most that many valuation states times 2^N signs.
     """
     if type(budget) is not int:  # bool is an int subclass, not a budget
         raise InputError("budget must be an integer")
@@ -313,9 +333,14 @@ def classify_orbit(F, P: PointGm, budget: int = 65536) -> OrbitVerdict:
         if len(mats) > 1:
             cert = f"generator {i + 1} alone escapes: {cert}"
         return OrbitVerdict(status="infinite", certificate=cert, **single)
-    result = _enumerate_orbit(mats, prof, budget)
-    if result is None:
+    bound = _minkowski_bound(prof.n) << prof.n
+    result = _enumerate_orbit(mats, prof, min(budget, bound))
+    if result is None and budget < bound:
         return OrbitVerdict(status="unknown", budget=budget, **single)
+    if result is None:
+        return OrbitVerdict(status="infinite", certificate=(
+            f"the orbit closure passes M({prof.n})*2^{prof.n} = {bound} states, more than a finite "
+            f"orbit has (Minkowski's bound M({prof.n}) on finite subgroups of GL_{prof.n}(Z))"), **single)
     pre, per, size = result
     return OrbitVerdict(status="finite", preperiod=pre, period=per, orbit_size=size, **single)
 

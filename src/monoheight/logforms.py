@@ -20,12 +20,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .errors import IndistinguishableModuliError
+from .errors import BudgetError
 from .precision import log_enclosure
 from .quadratic import Quad
 
 # Precision ladder for sign decisions; a genuinely nonzero combination of prime
-# logarithms separates from 0 long before this runs out.
+# logarithms separates from 0 long before this runs out, but no bound on how
+# close to 0 one with quadratic coefficients comes is applied, so running out
+# is a BudgetError.
 _SIGN_PRECISIONS = (128, 256, 512, 1024, 2048)
 
 # A rational form whose cleared exponents e_p have sum |e_p| * bitlen(p) up to
@@ -119,7 +121,8 @@ def _form_sign(coeffs) -> int:
     0 only when every coefficient is zero.  A rational form, Quads with b == 0
     included, is scaled to integer exponents and decided by _power_ratio while
     they stay within _EXACT_BITS; otherwise, and for quadratic coefficients,
-    the enclosure is tightened up the precision ladder until it excludes zero.
+    the enclosure is tightened up the precision ladder until it excludes zero,
+    and BudgetError carries the last enclosure when the ladder runs out.
     """
     coeffs = {p: _coefficient(c) for p, c in coeffs.items()}
     if not any(isinstance(c, Quad) for c in coeffs.values()):
@@ -133,9 +136,7 @@ def _form_sign(coeffs) -> int:
             return 1
         if hi < 0:
             return -1
-    raise IndistinguishableModuliError(
-        "sign of log-linear form did not separate from zero", [_enclosure(coeffs, _SIGN_PRECISIONS[-1])]
-    )
+    raise BudgetError("sign of log-linear form did not separate from zero", partial=[(lo, hi)])
 
 
 def max_with_zero(forms):

@@ -20,15 +20,15 @@ ever ranked from floating point alone.
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt, lcm
+from math import ceil, isqrt, lcm
 
 import sympy
 from sympy.polys.densebasic import dmp_strip
 from sympy.polys.domains import ZZ
-from sympy.polys.euclidtools import dmp_resultant, dup_gcd
+from sympy.polys.euclidtools import dmp_resultant, dup_gcd, dup_lcm
 
 from . import kernels
-from .errors import IndistinguishableModuliError, InputError, UnsupportedError
+from .errors import BudgetError, InputError, UnsupportedError
 from .polys import (
     IntPoly,
     real_root_count,
@@ -290,7 +290,8 @@ class CertifiedReal:
     compare decides in four steps: disjoint intervals; the exact sign of the
     difference of two descriptors in one field (or one rational), before any
     refinement; a common root of the defining polynomials in the overlap,
-    which makes them equal; else refinement until they separate.
+    which makes them equal; else refinement until they separate, which
+    Mahler's root-separation bound guarantees (_separate).
 
     A value never changes: refine returns a narrower value.
     """
@@ -328,18 +329,32 @@ class CertifiedReal:
     @classmethod
     def sqrt_of(cls, sq: "CertifiedReal"):
         """Positive square root of a certified nonnegative value s, the only
-        root of p = sq._defining_poly() in [a, b] = [max(sq.lo, 0), sq.hi]:
-        [lo, hi] with [lo^2, hi^2] inside [a, b] isolates sqrt(s) among the
-        roots of p(x^2) once p, simple at s, changes sign over [lo^2, hi^2];
-        a zero sign there is s itself."""
+        root of p = sq._defining_poly() in [a, b] = [max(sq.lo, 0), sq.hi].
+
+        A root of p at a or b is s itself, rational, and its square root is
+        exact.  Otherwise [lo, hi] with [lo^2, hi^2] inside [a, b] isolates
+        sqrt(s) among the roots of p(x^2) once p, simple at s, changes sign
+        over [lo^2, hi^2]; a zero sign there is s itself.  s lies more than
+        2^-k from a and from b, for k the separation bits of p (x - a) and
+        p (x - b), and lo^2 - a and b - hi^2 are at most 2^-prec (2 sqrt(b) + 1),
+        below 2^-k from precision k + bitlen(ceil(b)) + 1 on.
+        """
         if sq.descriptor is not None and sq.descriptor.is_rational:
-            return cls.from_quad(Quad.sqrt_of(sq.descriptor.rational_value()))
-        p, a, b = sq._defining_poly(), max(sq.lo, Fraction(0)), sq.hi
-        if p.coeffs[0] == 0 and a > 0:  # s > 0 is a root of p / x, and p(x^2) stays squarefree
+            s = sq.descriptor.rational_value()
+        else:
+            p, a, b = sq._defining_poly(), max(sq.lo, Fraction(0)), sq.hi
+            s = next((end for end in (a, b) if sign_at(p.coeffs, end.numerator, end.denominator) == 0), None)
+        if s is not None:
+            return cls.from_fraction(0) if s == 0 else cls.from_quad(Quad.sqrt_of(s))
+        if p.coeffs[0] == 0:  # s > 0 is a root of p / x, and p(x^2) stays squarefree
             p = IntPoly(p.coeffs[1:])
         poly = IntPoly(tuple(c for ci in p.coeffs for c in (ci, 0))[:-1])
+        # the coefficients of p (den x - num) for each end num/den
+        k = max(_separation_bits([e.denominator * u - e.numerator * v
+                                  for v, u in zip(p.coeffs + (0,), (0,) + p.coeffs)]) for e in (a, b))
+        last = k + ceil(b).bit_length() + 1
         prec = default_precision()
-        while prec <= 2**16:
+        while True:
             # lo bounds sqrt(a) from above and hi bounds sqrt(b) from below
             lo, hi = sqrt_enclosure(a, prec)[1], sqrt_enclosure(b, prec)[0]
             if lo <= hi:
@@ -348,8 +363,9 @@ class CertifiedReal:
                     return cls.from_fraction(lo if s_lo == 0 else hi)
                 if s_lo != s_hi:
                     return cls(lo, hi, poly=poly, sq=sq)
+            if prec >= last:
+                raise ArithmeticError("square root not isolated at its worked-out precision")
             prec *= 2
-        raise IndistinguishableModuliError("square root not isolated", [(sq.lo, sq.hi)])
 
     @property
     def width(self) -> Fraction:
@@ -380,17 +396,19 @@ class CertifiedReal:
                 prec *= 2
             return CertifiedReal(lo, hi, self.descriptor, self.poly, self.sq)
         if self.sq is not None:
-            sq, prec = self.sq, 64
-            while hi - lo > eps:
+            # the square's width keeps sqrt(sq.hi) - sqrt(sq.lo) <= eps / 2, and
+            # each square-root bound adds at most 2^-prec, so 2^-prec <= eps / 4
+            # reaches eps
+            sq, prec, last = self.sq, 64, (-(-4 * eps.denominator // eps.numerator) - 1).bit_length()
+            while True:
                 sq = sq.refine(eps * eps / 16 if sq.hi < 1 else eps / 2)
                 lo = max(lo, sqrt_enclosure(max(sq.lo, Fraction(0)), prec)[0])
                 hi = min(hi, sqrt_enclosure(sq.hi, prec)[1])
+                if hi - lo <= eps:
+                    return CertifiedReal(lo, hi, poly=self.poly, sq=sq)
+                if prec >= last:
+                    raise ArithmeticError("square-root refinement did not reach the requested width")
                 prec *= 2
-                if prec > 2**16 and hi - lo > eps:
-                    raise IndistinguishableModuliError(
-                        "square-root refinement did not reach the requested width", [(lo, hi)]
-                    )
-            return CertifiedReal(lo, hi, poly=self.poly, sq=sq)
         lo, hi = _bisect_to_width(self.poly, lo, hi, eps)
         return CertifiedReal(lo, hi, Quad(lo) if lo == hi else None, self.poly)
 
@@ -399,7 +417,7 @@ class CertifiedReal:
 
     def compare(self, other: "CertifiedReal") -> int:
         """Exact three-way comparison in the four steps of the class docstring;
-        raises only if refinement is impossible."""
+        it decides every pair."""
         if self.hi < other.lo:
             return -1
         if other.hi < self.lo:
@@ -430,29 +448,49 @@ class CertifiedReal:
         return f"CertifiedReal([{self.lo}, {self.hi}])"
 
 
+def _dense(p: IntPoly):
+    """p as sympy's dense list over ZZ, highest degree first."""
+    return [ZZ(c) for c in reversed(p.coeffs)]
+
+
 def _share_root(p: IntPoly, q: IntPoly, lo: Fraction, hi: Fraction) -> bool:
     """Whether the squarefree p and q have a common root in [lo, hi]."""
-    g = dup_gcd([ZZ(c) for c in reversed(p.coeffs)], [ZZ(c) for c in reversed(q.coeffs)], ZZ)
+    g = dup_gcd(_dense(p), _dense(q), ZZ)
     if len(g) < 2:  # a constant gcd has no roots
         return False
     g = IntPoly(tuple(int(c) for c in reversed(g)))
     return g(lo) == 0 or sturm_count(g, lo, hi) >= 1
 
 
+def _separation_bits(coeffs) -> int:
+    """k such that two distinct roots of the squarefree integer polynomial f
+    with these coefficients, of degree n, in either order, lie more than
+    2^-k apart: Mahler's bound sqrt(3) n^(-(n+2)/2) ||f||_2^(1-n) (Michigan
+    Math. J. 11, 1964) exceeds 2^-k once 4^k > n^(n+2) ||f||_2^(2(n-1))."""
+    n = len(coeffs) - 1
+    t = n ** (n + 2) * sum(int(c) ** 2 for c in coeffs) ** (n - 1)
+    return (t.bit_length() + 1) // 2
+
+
 def _separate(a: CertifiedReal, b: CertifiedReal) -> int:
-    """The sign of a - b, from refinements of two overlapping values."""
+    """The sign of a - b, from refinements of two unequal overlapping values.
+
+    Both are roots of f, the lcm of their defining polynomials, so at width
+    2^-(k+1) each, for k the separation bits of f, their intervals are
+    disjoint; refinement steps down by 2^-8 until they are, or to that width.
+    """
+    floor = Fraction(1, 2 ** (_separation_bits(dup_lcm(_dense(a._defining_poly()),
+                                                       _dense(b._defining_poly()), ZZ)) + 1))
     eps = min(a.width, b.width, Fraction(1)) or Fraction(1, 2)
-    for _ in range(80):
-        eps /= 2**8
+    while True:
+        eps = max(eps / 2**8, floor)
         a, b = a.refine(eps), b.refine(eps)
         if a.hi < b.lo:
             return -1
         if b.hi < a.lo:
             return 1
-    raise IndistinguishableModuliError(
-        "values did not separate within refinement budget",
-        [(a.lo, a.hi), (b.lo, b.hi)],
-    )
+        if eps == floor:
+            raise ArithmeticError("values did not separate at their root-separation width")
 
 
 @dataclass(frozen=True)
@@ -734,8 +772,7 @@ def _factor_data_high_degree(g: IntPoly, mult: int) -> FactorData:
     ranked = None
     while ranked is None:
         if prec > _DISC_PREC_CAP:
-            raise IndistinguishableModuliError(
-                "root discs did not separate the moduli", [(r.lo, r.hi) for r in roots])
+            raise BudgetError("root discs did not separate the moduli", partial=[(r.lo, r.hi) for r in roots])
         boxes = _root_boxes(g, prec)
         ranked = boxes and _rank_boxes(boxes, roots, n_real)
         prec *= 2

@@ -47,7 +47,13 @@ def _make(p, q, r, d):
 
 
 class Quad:
-    """a + b*sqrt(d), exact. d = 0 encodes a plain rational."""
+    """a + b*sqrt(d), exact. d = 0 encodes a plain rational.
+
+    The constructor accepts any integer d > 1 and moves its square factors
+    into b, so Quad(0, 1, 8) is Quad(0, 2, 2) and Quad(0, 1, 4) is the
+    rational 2: equal values have one representation, one hash and one
+    printed form.
+    """
 
     __slots__ = ("_p", "_q", "_r", "d")
 
@@ -60,7 +66,12 @@ class Quad:
         if b == 0:
             d = 0
         elif d <= 1:
-            raise InputError("Quad needs squarefree d > 1 when b != 0")
+            raise InputError("Quad needs d > 1 when b != 0")
+        else:  # b sqrt(s^2 d') = b s sqrt(d') with d' squarefree, rational when d' = 1
+            s, d = _squarefree_split(int(d))
+            b *= s
+            if d == 1:
+                a, b, d = a + b, Fraction(0), 0
         # over the lcm of the reduced denominators, gcd(p, q, r) is already 1
         r = lcm(a.denominator, b.denominator)
         self._p = a.numerator * (r // a.denominator)
@@ -84,9 +95,7 @@ class Quad:
             raise InputError("sqrt_of needs a positive rational")
         s, d = _squarefree_split(q.numerator * q.denominator)
         # sqrt(p/r) = sqrt(p*r)/r = s*sqrt(d)/r
-        if d == 1:
-            return cls(Fraction(s, q.denominator))
-        return cls(0, Fraction(s, q.denominator), d)
+        return _make(s, 0, q.denominator, 0) if d == 1 else _make(0, s, q.denominator, d)
 
     def _check(self, other):
         other = other if isinstance(other, Quad) else Quad(other)

@@ -20,7 +20,8 @@ from monoheight import (
     baker_c11,
     effective_constants,
 )
-from monoheight.baker import CLEARED_DIGITS_CAP, _cleared_representative
+from monoheight.baker import CEIL_PREC_CAP, CLEARED_DIGITS_CAP, _ceil_shifted_height, _cleared_representative
+from monoheight.points import HeightValue
 
 J2 = IntMatrix([[2, 1], [0, 2]])
 FIB = IntMatrix([[1, 1], [1, 0]])
@@ -164,3 +165,20 @@ def test_cleared_point_stops_below_the_int_string_limit():
     # 2^8000 and 3^5100 have under 4300 digits each, their product more
     with pytest.raises(BudgetError):
         _cleared_representative(pt(Fraction(1, 2**8000), Fraction(1, 3**5100)))
+
+
+def test_height_ceiling_that_never_separates_ends_in_budget_error(monkeypatch):
+    # a numeric enclosure need not narrow with the precision: 4 + 10 h over
+    # h in [9/20, 11/20] spans the integer 9 at every precision up to the cap
+    h = HeightValue(lo=Fraction(9, 20), hi=Fraction(11, 20))
+    precisions = []
+
+    def enclosure(self, prec):
+        precisions.append(prec)
+        return self.lo, self.hi
+
+    monkeypatch.setattr(HeightValue, "enclosure", enclosure)
+    with pytest.raises(BudgetError, match="height-derived exponent") as raised:
+        _ceil_shifted_height(4, 10, h)
+    assert raised.value.partial == [(h.lo, h.hi)]
+    assert precisions[-1] == CEIL_PREC_CAP

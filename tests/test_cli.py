@@ -332,6 +332,35 @@ def test_a_cleared_point_past_the_int_string_limit_exits_4(files):
         assert (out.returncode, out.stdout, out.stderr) == (EXIT_BUDGET, text, "")
 
 
+def test_classify_decides_a_system_by_minkowskis_bound(tmp_path):
+    # [[0,-1],[1,0]] and [[0,1],[-1,-1]] have finite orders but generate SL_2(Z)
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps({"matrices": [[[0, -1], [1, 0]], [[0, 1], [-1, -1]]]}))
+    code, text = invoke(["classify", "--system", str(path), "--point", "2,3"])
+    assert code == EXIT_OK
+    orbit = json.loads(text)["report"]["orbit"]
+    assert orbit["status"] == "infinite" and "M(2)*2^2 = 96 states" in orbit["certificate"]
+
+
+def test_refinements_that_run_out_exit_4(files, tmp_path, monkeypatch):
+    # the sign ladder of a log form with surd coefficients, cut to 8 bits: the
+    # Fibonacci height compares forms in sqrt5
+    monkeypatch.setattr(monoheight.logforms, "_SIGN_PRECISIONS", (8,))
+    code, text = invoke(["canonical-height", "--matrix", files["fib"], "--point", "2,3"])
+    assert code == EXIT_BUDGET
+    assert json.loads(text)["error"] == {"type": "budget",
+                                         "message": "sign of log-linear form did not separate from zero"}
+    monkeypatch.undo()
+    # root discs of x^5 - x - 1 whose approximations all coincide, so no
+    # precision up to the disc cap certifies them
+    path = tmp_path / "quintic.json"
+    path.write_text(json.dumps([[0, 0, 0, 0, 1], [1, 0, 0, 0, 1], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]]))
+    monkeypatch.setattr(monoheight.matrices, "_aberth_roots", lambda g, prec: ([(1 << prec, 0)] * g.degree, prec))
+    code, text = invoke(["analyze", "--matrix", str(path)])
+    assert code == EXIT_BUDGET
+    assert json.loads(text)["error"] == {"type": "budget", "message": "root discs did not separate the moduli"}
+
+
 def test_exit_budget(files):
     code, text = invoke(
         ["system", "--system", files["pair"], "--point", "2,3", "--word-budget", "2"]

@@ -24,7 +24,7 @@ from monoheight import (
     spectral_radius,
     truncated_estimates,
 )
-from monoheight.heights import _closed_numeric, _enumerate_orbit, _level_sums, _walk_words
+from monoheight.heights import _closed_numeric, _enumerate_orbit, _level_sums, _minkowski_bound, _walk_words
 from monoheight.points import log_profile, weil_height
 
 from conftest import COORD_CHOICES, random_matrix, random_point
@@ -251,6 +251,57 @@ def test_classify_pair_finite_bfs():
 def test_classify_system_over_budget_is_unknown():
     F = [IntMatrix([[0, 1], [1, 0]]), IntMatrix([[-1, 0], [0, 1]])]
     assert classify_orbit(F, pt(2, 3), budget=3).to_json() == {"status": "unknown", "budget": 3}
+
+
+def test_minkowski_bound():
+    assert [_minkowski_bound(n) for n in range(7)] == [1, 2, 24, 48, 5760, 11520, 2903040]
+
+
+def test_classify_system_past_the_minkowski_bound_is_infinite():
+    # generators of orders 4 and 3 that generate SL_2(Z): no generator escapes
+    # alone, and the closure passes the M(2) 2^2 = 96 states of a finite orbit
+    F = [IntMatrix([[0, -1], [1, 0]]), IntMatrix([[0, 1], [-1, -1]])]
+    v = classify_orbit(F, pt(2, 3))
+    assert v.status == "infinite"
+    assert v.certificate.startswith("the orbit closure passes M(2)*2^2 = 96 states")
+    # a budget below the bound leaves it unknown; at the bound it decides
+    assert classify_orbit(F, pt(2, 3), budget=95).to_json() == {"status": "unknown", "budget": 95}
+    assert classify_orbit(F, pt(2, 3), budget=96).status == "infinite"
+    # a finite closure below the bound keeps its fields
+    pair = [IntMatrix([[0, 1], [1, 0]]), IntMatrix([[-1, 0], [0, 1]])]
+    assert classify_orbit(pair, pt(2, 3)).to_json() == {"status": "finite", "preperiod": 0, "period": 8,
+                                                        "orbit_size": 8}
+
+
+def _finite_order_matrices():
+    """The 40 matrices of finite order with entries in [-2, 2]."""
+    found = []
+    for a, b, c, d in product(range(-2, 3), repeat=4):
+        if a * d - b * c in (1, -1):
+            m = IntMatrix([[a, b], [c, d]])
+            if m.pow(12) == IntMatrix.identity(2):  # finite orders in GL_2(Z) divide 4 or 6
+                found.append(m)
+    return found
+
+
+def test_minkowski_verdicts_match_a_long_walk(rng):
+    # systems of finite-order generators, decided by the bound, against a
+    # walk 20 times longer: a finite verdict is the same closure, and an
+    # infinite one is a closure the long walk does not close either
+    matrices = _finite_order_matrices()
+    points = [pt(*c) for c in product((2, 3, 5, 6, 10), repeat=2)]
+    verdicts = {"finite": 0, "infinite": 0}
+    for _ in range(40):
+        mats = [rng.choice(matrices) for _ in range(rng.randint(2, 3))]
+        P = rng.choice(points)
+        v = classify_orbit(mats, P)
+        long_walk = _enumerate_orbit(mats, log_profile(P), 20 * 96)
+        if v.status == "finite":
+            assert long_walk == (v.preperiod, v.period, v.orbit_size)
+        else:  # a generator of finite order never escapes alone
+            assert v.certificate.startswith("the orbit closure passes") and long_walk is None
+        verdicts[v.status] += 1
+    assert verdicts["finite"] and verdicts["infinite"]
 
 
 def test_escape_certificate_without_a_visible_step():

@@ -8,7 +8,7 @@ import pytest
 
 import monoheight.logforms
 from monoheight import (
-    CertifiedReal, IntMatrix, LogLinear, PointGm, Quad, canonical_height_closed, weil_height_of_point,
+    BudgetError, CertifiedReal, IntMatrix, LogLinear, PointGm, Quad, canonical_height_closed, weil_height_of_point,
 )
 from monoheight.heights import truncated_estimates
 from monoheight.logforms import _enclosure, max_with_zero
@@ -93,6 +93,16 @@ def _ladder_sign(form):
         if hi < 0:
             return -1
     raise AssertionError("ladder did not separate")
+
+
+def test_sign_ladder_that_runs_out_ends_in_budget_error(monkeypatch):
+    # no bound on how near 0 a form with a surd comes is applied, so a ladder
+    # cut to 8 bits runs out on sqrt5 (log 2 - log 3)
+    monkeypatch.setattr(monoheight.logforms, "_SIGN_PRECISIONS", (8,))
+    coeffs = {2: SQRT5, 3: -SQRT5}
+    with pytest.raises(BudgetError, match="did not separate from zero") as raised:
+        LogLinear(coeffs).sign()
+    assert raised.value.partial == [_enclosure(coeffs, 8)]
 
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)

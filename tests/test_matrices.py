@@ -15,8 +15,8 @@ from mpmath import mp
 import monoheight.matrices
 from monoheight import kernels
 from monoheight import (
+    BudgetError,
     CertifiedReal,
-    IndistinguishableModuliError,
     InputError,
     IntMatrix,
     IntPoly,
@@ -44,7 +44,7 @@ from monoheight.matrices import (
     rank,
 )
 from monoheight.polys import real_root_count, squarefree_part, sturm_count
-from monoheight.precision import default_precision
+from monoheight.precision import default_precision, sqrt_enclosure
 from conftest import random_matrix
 
 FIB = IntMatrix([[1, 1], [1, 0]])
@@ -398,11 +398,17 @@ def test_square_root_of_a_factors_rho_sq_ties_its_rho(rows):
         assert root.compare(fd.rho) == 0 and fd.rho.compare(root) == 0
 
 
-@pytest.mark.parametrize("square, root", [
+SQRT_OF_EXACT = [
     (lambda: _root((0, -1, 1), Fraction(-1, 2), Fraction(1, 2)), 0),  # 0 by x^2 - x: lo = 0 is exact
-    (lambda: _root((3, -4, 1), Fraction(1, 2), 1 + Fraction(1, 2**200)), 1),  # 1 by (x - 1)(x - 3): hi is exact
+    (lambda: _root((3, -4, 1), Fraction(1, 2), 1 + Fraction(1, 2**200)), 1),  # 1 by (x - 1)(x - 3)
     (lambda: _root((0, -4, 1), 3, 5), 2),  # 4 by x^2 - 4x: the square root's poly is x^2 - 4
-])
+    # 4^128 by x - 4^128 on [4^128 - 1, 4^128 + 1]: the first upper bound of
+    # sqrt(4^128 - 1) is 2^128
+    (lambda: _root((-4**128, 1), 4**128 - 1, 4**128 + 1), 2**128),
+]
+
+
+@pytest.mark.parametrize("square, root", SQRT_OF_EXACT)
 def test_sqrt_of_roots_at_the_ends_and_at_zero(square, root):
     x = CertifiedReal.sqrt_of(square())
     assert x.compare(CertifiedReal.from_fraction(root)) == 0
@@ -410,11 +416,19 @@ def test_sqrt_of_roots_at_the_ends_and_at_zero(square, root):
     assert x.poly is None or x.poly.coeffs[0] != 0  # squarefree: no double root at 0
 
 
-def test_sqrt_of_raises_when_the_square_is_not_isolated_inside_its_interval():
-    # 2 as the root of x - 2 on [2, 3]: it sits on the interval's lower end,
-    # and every upper bound of sqrt(2) squares above it
-    with pytest.raises(IndistinguishableModuliError, match="not isolated"):
-        CertifiedReal.sqrt_of(_root((-2, 1), 2, 3))
+SQRT_OF_ENDS = [
+    (lambda: _root((-2, 1), 2, 3), SQRT2),  # 2 by x - 2 on its lower end
+    (lambda: _root((-3, 1), 2, 3), Quad.sqrt_of(Fraction(3))),  # 3 by x - 3 on its upper end
+]
+
+
+@pytest.mark.parametrize("square, root", SQRT_OF_ENDS, ids=["2-on-lower-end", "3-on-upper-end"])
+def test_sqrt_of_decides_a_square_on_an_interval_end(square, root):
+    # every upper bound of sqrt(2) squares above 2, so no square-root bound
+    # isolates it inside [2, 3]: the end is read as the exact square
+    x = CertifiedReal.sqrt_of(square())
+    assert x.descriptor == root
+    assert x.compare(CertifiedReal.from_quad(root)) == 0
 
 
 def _roots_in_interval(x):
@@ -445,10 +459,23 @@ def test_every_value_isolates_one_root_of_its_defining_polynomial(g):
         assert _roots_in_interval(x) == 1, (x, x._defining_poly())
 
 
-def test_every_statement_of_compare_runs():
-    from monoheight.matrices import _separate, _share_root
+# 2^(1/4) as the square root of the quadratic sqrt(2), made before any patch
+_FOURTH_ROOT_OF_2 = CertifiedReal.sqrt_of(CertifiedReal.from_quad(SQRT2))
+_STALL = Fraction(1, 2**201)
 
-    codes = {f.__code__ for f in (CertifiedReal.compare, _share_root, _separate)}
+
+def _stalled_sqrt_enclosure(q, prec):
+    """Square-root bounds that stall at a width of about 2^-200."""
+    lo, hi = sqrt_enclosure(q, prec)
+    return lo - _STALL, hi + _STALL
+
+
+def test_every_statement_of_compare_runs(monkeypatch):
+    from monoheight.matrices import _separate, _separation_bits, _share_root
+
+    functions = (CertifiedReal.compare, CertifiedReal.sqrt_of.__func__, CertifiedReal.refine,
+                 _share_root, _separate, _separation_bits)
+    codes = {f.__code__ for f in functions}
     statements = {(c, line) for c in codes for _, _, line in c.co_lines()
                   if line is not None and line != c.co_firstlineno}
     seen = set()
@@ -460,40 +487,67 @@ def test_every_statement_of_compare_runs():
             seen.add((frame.f_code, frame.f_lineno))
         return tracer
 
+    # unequal, but closer than any fixed number of refinement rounds reaches:
+    # the cube root of 2 against a rational within 2^-700 of it
+    cbrt2 = _root((-2, 0, 0, 1))
+    near = CertifiedReal.from_fraction(cbrt2.refine(Fraction(1, 2**700)).lo)
     previous = sys.gettrace()
     sys.settrace(tracer)
     try:
         for make_a, make_b, _ in (case.values for case in COMPARE_PAIRS):
             make_a().compare(make_b())
             make_b().compare(make_a())
-        # unequal, but closer than refinement reaches: the cube root of 2
-        # against a rational within 2^-700 of it
-        cbrt2 = _root((-2, 0, 0, 1))
-        near = CertifiedReal.from_fraction(cbrt2.refine(Fraction(1, 2**700)).lo)
-        with pytest.raises(IndistinguishableModuliError, match="did not separate"):
+        assert (cbrt2.compare(near), near.compare(cbrt2)) == (1, -1)
+        for square, _ in SQRT_OF_EXACT + SQRT_OF_ENDS:
+            CertifiedReal.sqrt_of(square())
+        CertifiedReal.sqrt_of(CertifiedReal.from_fraction(4))
+        with pytest.raises(InputError, match="width <= 0"):
+            cbrt2.refine(0)
+        # 2 + 2^-301 on [2, 2 + 2^-300]: the first square-root bounds of 2
+        # are too coarse to fall inside it
+        narrow = _root((-(2**302 + 1), 2**301), 2, 2 + Fraction(1, 2**300))
+        CertifiedReal.sqrt_of(narrow)
+        _FOURTH_ROOT_OF_2.refine(Fraction(1, 2**300))
+        # the self-checks past each worked-out precision, reached with a
+        # separation bound far too wide and square-root bounds that stall
+        monkeypatch.setattr(monoheight.matrices, "_separation_bits", lambda coeffs: 0)
+        with pytest.raises(ArithmeticError, match="root-separation width"):
             cbrt2.compare(near)
+        with pytest.raises(ArithmeticError, match="not isolated"):
+            CertifiedReal.sqrt_of(narrow)
+        monkeypatch.setattr(monoheight.matrices, "sqrt_enclosure", _stalled_sqrt_enclosure)
+        with pytest.raises(ArithmeticError, match="did not reach"):
+            _FOURTH_ROOT_OF_2.refine(Fraction(1, 2**400))
     finally:
         sys.settrace(previous)
     assert sorted((c.co_name, line) for c, line in statements - seen) == []
 
 
+@pytest.mark.parametrize("bits", [700, 5000])
+def test_compare_decides_a_rational_within_2_to_minus_bits_of_a_cube_root(bits):
+    cbrt2 = _root((-2, 0, 0, 1))
+    x = cbrt2.refine(Fraction(1, 2**bits))
+    below, above = CertifiedReal.from_fraction(x.lo), CertifiedReal.from_fraction(x.hi)
+    assert (cbrt2.compare(below), below.compare(cbrt2)) == (1, -1)
+    assert (cbrt2.compare(above), above.compare(cbrt2)) == (-1, 1)
+
+
 def test_square_root_refinement_raises_rather_than_fall_short(monkeypatch):
-    # 2^(1/4) as the square root of the quadratic sqrt(2)
-    r = CertifiedReal.sqrt_of(CertifiedReal.from_quad(Quad.sqrt_of(Fraction(2))))
-    assert r.sq is not None
-    assert r.refine(Fraction(1, 2**300)).width <= Fraction(1, 2**300)
-    # square-root enclosures that stall at a width of 2^-200 cannot reach 2^-400
-    exact = monoheight.matrices.sqrt_enclosure
-    pad = Fraction(1, 2**201)
+    assert _FOURTH_ROOT_OF_2.sq is not None
+    assert _FOURTH_ROOT_OF_2.refine(Fraction(1, 2**300)).width <= Fraction(1, 2**300)
+    # with bounds stalled at 2^-200, the width 2^-400 is out of reach: the
+    # worked-out last precision is 402 bits (2^-402 <= 2^-400 / 4), so the
+    # doublings from 64 stop at 512
+    precisions = []
 
     def stalled(q, prec):
-        lo, hi = exact(q, prec)
-        return lo - pad, hi + pad
+        precisions.append(prec)
+        return _stalled_sqrt_enclosure(q, prec)
 
     monkeypatch.setattr(monoheight.matrices, "sqrt_enclosure", stalled)
-    r = CertifiedReal.sqrt_of(CertifiedReal.from_quad(Quad.sqrt_of(Fraction(2))))
-    with pytest.raises(IndistinguishableModuliError, match="did not reach"):
-        r.refine(Fraction(1, 2**400))
+    with pytest.raises(ArithmeticError, match="did not reach"):
+        _FOURTH_ROOT_OF_2.refine(Fraction(1, 2**400))
+    assert max(precisions) == 512
 
 
 def test_refine_to_width_zero():
@@ -937,7 +991,7 @@ def _sympy_route(g):
         return re - eps, re + eps, im - eps, im + eps
 
     def assign(root):
-        eps = Fraction(1, 2**16)
+        eps = Fraction(1, 1 << 16)
         while True:
             slo, shi = _sq_modulus_interval(box(root, eps))
             hits = [k for k, (lo, hi) in enumerate(intervals) if shi >= lo and slo <= hi]
@@ -1107,9 +1161,13 @@ def test_root_discs_double_the_precision_until_the_boxes_decide(monkeypatch):
 
 def test_coincident_root_approximations_raise_at_the_precision_cap(monkeypatch):
     calls = _count_calls(monkeypatch, "_aberth_roots", lambda g, prec: ([(1 << prec, 0)] * g.degree, prec))
-    with pytest.raises(IndistinguishableModuliError, match="did not separate"):
-        _factor_data_high_degree(IntPoly([-1, -1, 0, 0, 0, 1]), 1)
+    g = IntPoly([-1, -1, 0, 0, 0, 1])
+    with pytest.raises(BudgetError, match="did not separate") as raised:
+        _factor_data_high_degree(g, 1)
     assert calls == [(prec, True) for prec in (64, 128, 256, 512, 1024, 2048, 4096)]
+    # the last enclosures of the modulus resultant's roots, rho^2 on top
+    q = squarefree_part(_modulus_resultant(g))
+    assert [sturm_count(q, lo, hi) for lo, hi in raised.value.partial] == [1] * real_root_count(q)
 
 
 @pytest.mark.parametrize("coeffs", [

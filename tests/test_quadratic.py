@@ -226,6 +226,24 @@ def _trace_norm_minimal_poly(x):
     return c0 // g, c1 // g, den // g
 
 
+def test_constructor_takes_square_factors_out_of_the_radicand():
+    four = Quad(0, 1, 4)
+    assert four == Quad(2) and four == 2 and hash(four) == hash(2)
+    assert four.is_rational and str(four) == "2"
+    assert Quad(0, 1, 8) == Quad(0, 2, 2) and str(Quad(0, 1, 8)) == "2*sqrt(2)"
+    assert Quad(Fraction(1, 2), Fraction(1, 3), 18) == Quad(Fraction(1, 2), 1, 2)
+    assert Quad(0, 1, 8) + Quad(0, 1, 2) == Quad(0, 3, 2)  # one field once reduced
+
+
+@given(parts, parts, parts, parts, radicands, st.integers(1, 12))
+def test_unreduced_radicands_give_the_reduced_values(a, b, c, e, d, s):
+    x, y = Quad(a, b, s * s * d), Quad(c, e, s * s * d)
+    rx, ry = Quad(a, b * s, d), Quad(c, e * s, d)
+    assert (x, y) == (rx, ry) and (hash(x), hash(y)) == (hash(rx), hash(ry))
+    assert (str(x), repr(x), x.minimal_poly()) == (str(rx), repr(rx), rx.minimal_poly())
+    assert x + y == rx + ry and x * y == rx * ry and (x - y).sign() == (rx - ry).sign()
+
+
 @given(parts, parts, radicands)
 def test_minimal_poly_matches_the_trace_norm_formula(a, b, d):
     x = Quad(a, b, d)

@@ -26,6 +26,10 @@ PROFILE_ATTRIBUTES = ("vals", "signs")
 MUTATING_METHODS = ("pop", "popitem", "update", "clear", "setdefault", "__setitem__", "__delitem__")
 # CertifiedReal attributes that only its constructor writes
 REAL_ATTRIBUTES = ("lo", "hi", "descriptor", "poly", "sq")
+# the certified-real comparison and its helpers: their own raises are input
+# errors or self-checks, since every limit they refine to is worked out
+CERTIFIED_SCOPES = ("CertifiedReal", "_separate", "_share_root", "_separation_bits")
+CERTIFIED_RAISES = ("InputError", "ArithmeticError")
 # calls that read or write a table by key
 KEYED_METHODS = ("get", "setdefault", "pop", "move_to_end", "__getitem__", "__setitem__", "__contains__")
 
@@ -353,3 +357,15 @@ def test_no_float_conversions():
     found = [f"{path.name}:{line} {scope}" for path in sorted(SRC.rglob("*.py"))
              for scope, line in _float_calls(path)]
     assert found == []
+
+
+def test_certified_reals_raise_only_input_errors_and_self_checks():
+    # compare and sqrt_of never give up: a limit they cannot reach is a failed
+    # self-check (ArithmeticError), never an error a caller could take for an
+    # unsupported input or an exhausted budget
+    raised = [(scope, getattr(exc, "id", getattr(exc, "attr", None)), node.lineno)
+              for scope, node in _scoped_nodes(SRC / "matrices.py")
+              if isinstance(node, ast.Raise) and (scope or "").split(".")[0] in CERTIFIED_SCOPES
+              for exc in [node.exc.func if isinstance(node.exc, ast.Call) else node.exc]]
+    assert {name for _, name, _ in raised} == set(CERTIFIED_RAISES)
+    assert [r for r in raised if r[1] not in CERTIFIED_RAISES] == []
