@@ -349,11 +349,7 @@ class CertifiedReal:
         if p.coeffs[0] == 0:  # s > 0 is a root of p / x, and p(x^2) stays squarefree
             p = IntPoly(p.coeffs[1:])
         poly = IntPoly(tuple(c for ci in p.coeffs for c in (ci, 0))[:-1])
-        # the coefficients of p (den x - num) for each end num/den
-        k = max(_separation_bits([e.denominator * u - e.numerator * v
-                                  for v, u in zip(p.coeffs + (0,), (0,) + p.coeffs)]) for e in (a, b))
-        last = k + ceil(b).bit_length() + 1
-        prec = default_precision()
+        prec, last = default_precision(), None
         while True:
             # lo bounds sqrt(a) from above and hi bounds sqrt(b) from below
             lo, hi = sqrt_enclosure(a, prec)[1], sqrt_enclosure(b, prec)[0]
@@ -363,6 +359,11 @@ class CertifiedReal:
                     return cls.from_fraction(lo if s_lo == 0 else hi)
                 if s_lo != s_hi:
                     return cls(lo, hi, poly=poly, sq=sq)
+            if last is None:  # worked out only when the first precision fails
+                # the coefficients of p (den x - num) for each end num/den
+                last = max(_separation_bits([e.denominator * u - e.numerator * v
+                                             for v, u in zip(p.coeffs + (0,), (0,) + p.coeffs)])
+                           for e in (a, b)) + ceil(b).bit_length() + 1
             if prec >= last:
                 raise ArithmeticError("square root not isolated at its worked-out precision")
             prec *= 2
@@ -396,12 +397,15 @@ class CertifiedReal:
                 prec *= 2
             return CertifiedReal(lo, hi, self.descriptor, self.poly, self.sq)
         if self.sq is not None:
-            # the square's width keeps sqrt(sq.hi) - sqrt(sq.lo) <= eps / 2, and
-            # each square-root bound adds at most 2^-prec, so 2^-prec <= eps / 4
-            # reaches eps
-            sq, prec, last = self.sq, 64, (-(-4 * eps.denominator // eps.numerator) - 1).bit_length()
+            # sqrt(sq.hi) - sqrt(sq.lo) is at most the square's width once
+            # sq.hi >= 1 and at most its square root below, so this width keeps
+            # it <= eps / 2; each square-root bound adds at most 2^-prec, so
+            # 2^-prec <= eps / 4 reaches eps
+            sq = self.sq.refine(eps / 2)
+            if sq.hi < 1:
+                sq = sq.refine(eps * eps / 16)
+            prec, last = 64, (-(-4 * eps.denominator // eps.numerator) - 1).bit_length()
             while True:
-                sq = sq.refine(eps * eps / 16 if sq.hi < 1 else eps / 2)
                 lo = max(lo, sqrt_enclosure(max(sq.lo, Fraction(0)), prec)[0])
                 hi = min(hi, sqrt_enclosure(sq.hi, prec)[1])
                 if hi - lo <= eps:

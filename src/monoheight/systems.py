@@ -42,7 +42,7 @@ from .polys import poly_str
 from .precision import default_precision, real_str
 
 DEFAULT_N_MAX = 12
-DEFAULT_BIT_BUDGET = 1 << 16
+DEFAULT_BIT_BUDGET = 2**16
 
 
 def _norm_bound(M: IntMatrix) -> int:

@@ -508,6 +508,7 @@ def test_every_statement_of_compare_runs(monkeypatch):
         narrow = _root((-(2**302 + 1), 2**301), 2, 2 + Fraction(1, 2**300))
         CertifiedReal.sqrt_of(narrow)
         _FOURTH_ROOT_OF_2.refine(Fraction(1, 2**300))
+        _small_square_root().refine(Fraction(1, 1024))
         # the self-checks past each worked-out precision, reached with a
         # separation bound far too wide and square-root bounds that stall
         monkeypatch.setattr(monoheight.matrices, "_separation_bits", lambda coeffs: 0)
@@ -548,6 +549,33 @@ def test_square_root_refinement_raises_rather_than_fall_short(monkeypatch):
     with pytest.raises(ArithmeticError, match="did not reach"):
         _FOURTH_ROOT_OF_2.refine(Fraction(1, 2**400))
     assert max(precisions) == 512
+
+
+def _small_square_root():
+    """The square root of s, the root of 100x^3 + 100x - 1 near 0.01, given on [0, 1]."""
+    return CertifiedReal.sqrt_of(_root((-1, 100, 0, 100), 0, 1))
+
+
+def test_square_root_refinement_of_a_small_square_on_a_wide_interval():
+    # the square's interval reaches 1 but s lies below 1/16, so the square's
+    # width must be picked from the refined square, not the one given
+    s, root = _root((-1, 100, 0, 100), 0, 1), _small_square_root()
+    assert (root.lo, root.hi) == (0, 1)
+    for eps in (Fraction(1, 1024), Fraction(1, 2**100)):
+        x = root.refine(eps)
+        assert x.width <= eps
+        assert x.lo ** 2 <= s.refine(eps).hi and s.refine(eps).lo <= x.hi ** 2
+    assert root.compare(CertifiedReal.from_fraction(Fraction(1, 10))) == -1
+    assert root.compare(CertifiedReal.from_fraction(Fraction(1, 11))) == 1
+
+
+def test_sqrt_of_works_out_its_last_precision_only_when_the_first_fails(monkeypatch):
+    def unused(coeffs):
+        raise AssertionError("separation bound worked out on the common path")
+
+    monkeypatch.setattr(monoheight.matrices, "_separation_bits", unused)
+    x = CertifiedReal.sqrt_of(CertifiedReal.from_quad(SQRT2))
+    assert x.refine(Fraction(1, 2**100)).compare(_FOURTH_ROOT_OF_2) == 0
 
 
 def test_refine_to_width_zero():
@@ -991,7 +1019,7 @@ def _sympy_route(g):
         return re - eps, re + eps, im - eps, im + eps
 
     def assign(root):
-        eps = Fraction(1, 1 << 16)
+        eps = Fraction(1, 2**16)
         while True:
             slo, shi = _sq_modulus_interval(box(root, eps))
             hits = [k for k, (lo, hi) in enumerate(intervals) if shi >= lo and slo <= hi]

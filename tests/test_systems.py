@@ -596,7 +596,7 @@ def _sorted_level_max_radius(level):
 
 def test_one_pass_ranking_matches_the_sorted_ranking(rng):
     tied = {"norm_bounds_differ": 0, "norm_bounds_equal": 0}
-    for _ in range(0, 80):
+    for _ in range(80):
         a, b = (random_matrix(rng, 2) for _ in range(2))
         neg_a = IntMatrix([[-v for v in row] for row in a.rows])
         conj_a = SHEAR_U.mul(a).mul(IntMatrix([[1, -1], [0, 1]]))
