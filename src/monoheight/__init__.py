@@ -43,7 +43,6 @@ from .points import (
     PointGm,
     eval_monomial,
     log_profile,
-    weil_height,
     weil_height_of_point,
 )
 from .heights import (
@@ -126,7 +125,6 @@ __all__ = [
     "spectral_radius",
     "system_report",
     "truncated_estimates",
-    "weil_height",
     "weil_height_of_point",
     "__version__",
 ]

@@ -21,7 +21,7 @@ from .errors import BudgetError, InputError, UnsupportedError
 from .precision import default_precision, fraction_to_mpf, mp, real_str
 from .matrices import CertifiedReal, IntMatrix
 from .jordan import jordan_basis, jordan_profile
-from .points import PointGm, log_profile, weil_height
+from .points import PointGm, log_profile, weil_height_of_point
 from .heights import canonical_height_closed
 from .scalars import h_mult_log_enclosure
 
@@ -186,7 +186,7 @@ def _baker_inputs(A: IntMatrix, P: PointGm, prec) -> tuple:
     field_degree = 2 if jb.field_d else 1
     cleared, factor = _cleared_representative(P)
     cleared_prof = log_profile(cleared)
-    h = weil_height(cleared_prof)
+    h = weil_height_of_point(cleared)
     hlo, hhi = h.enclosure(prec + 32)
     h_field = field_degree * fraction_to_mpf((hlo + hhi) / 2, prec)
 

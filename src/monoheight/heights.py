@@ -299,21 +299,26 @@ def _minkowski_bound(n: int) -> int:
 
 
 def classify_orbit(F, P: PointGm, budget: int = 65536) -> OrbitVerdict:
-    """Decide orbit finiteness; exact for a single map.
+    """Decide orbit finiteness; exact for a single map within its budget.
 
     Single map: the valuation orbit is finite iff every valuation vector is
     fixed by A^M, M the lcm of root-of-unity eigenvalue orders (A is
     invertible over Q, so there are no valuation-space transients); signs
-    always move in a finite space.  Systems fall back to per-generator escape
-    tests plus breadth-first closure, walked until it closes, passes the
-    budget (unknown) or passes M(N) 2^N states (infinite).  That bound is a
-    certificate: on a finite closure every generator permutes the valuation
-    states, so they generate a finite group of automorphisms of the lattice
-    their span meets, of order dividing M(m) | M(N) for its rank m <= N, and
-    the states are at most that many valuation states times 2^N signs.
+    always move in a finite space, so a finite orbit has at most M 2^N
+    states: a budget of that many walks it to its end, a smaller one may
+    stop first (unknown).  Systems fall back to per-generator escape tests
+    plus breadth-first closure, walked until it closes, passes the budget
+    (unknown) or passes M(N) 2^N states (infinite).
+    That bound is a certificate: on a finite closure every generator permutes
+    the valuation states, so they generate a finite group of automorphisms of
+    the lattice their span meets, of order dividing M(m) | M(N) for its rank
+    m <= N, and the states are at most that many valuation states times 2^N
+    signs.
     """
     if type(budget) is not int:  # bool is an int subclass, not a budget
         raise InputError("budget must be an integer")
+    if budget < 1:
+        raise InputError("budget must be >= 1")
     mats = _as_system(F).matrices
     prof = log_profile(P)
     for i, A in enumerate(mats):
@@ -333,7 +338,8 @@ def classify_orbit(F, P: PointGm, budget: int = 65536) -> OrbitVerdict:
         if len(mats) > 1:
             cert = f"generator {i + 1} alone escapes: {cert}"
         return OrbitVerdict(status="infinite", certificate=cert, **single)
-    bound = _minkowski_bound(prof.n) << prof.n
+    # one map: A^M fixes every valuation vector, so at most M 2^N states
+    bound = (M if len(mats) == 1 else _minkowski_bound(prof.n)) << prof.n
     result = _enumerate_orbit(mats, prof, min(budget, bound))
     if result is None and budget < bound:
         return OrbitVerdict(status="unknown", budget=budget, **single)

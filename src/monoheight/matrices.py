@@ -339,6 +339,8 @@ class CertifiedReal:
         p (x - b), and lo^2 - a and b - hi^2 are at most 2^-prec (2 sqrt(b) + 1),
         below 2^-k from precision k + bitlen(ceil(b)) + 1 on.
         """
+        if sq.hi < 0 or (sq.lo < 0 and sq.compare(cls.from_fraction(0)) < 0):
+            raise InputError("square root of a negative value")
         if sq.descriptor is not None and sq.descriptor.is_rational:
             s = sq.descriptor.rational_value()
         else:

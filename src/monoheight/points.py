@@ -7,18 +7,16 @@ since log|x| = sum_p v_p(x) log p for nonzero rational x; keeping only integer
 vectors means monomial maps act by exact integer matrix-vector products even
 when the coordinates themselves would be astronomically large.
 
-The LogProfile constructor checks prime keys, integer vectors of the right
-length and signs and drops zero vectors; like PointGm, it converts nothing.  log_profile and transport skip those checks: the
-factorization yields primes with nonzero exponents, and a nonsingular integer
-matrix maps nonzero integer vectors to nonzero integer vectors.  So every
-state of one walk keeps the primes of its start, in the same order, which is
-what lets state_key leave the primes out.
+Profiles are output only: log_profile(P) and LogProfile.transport(M) make
+them, from a checked PointGm and a checked IntMatrix, so the constructor
+only stores its arguments.  The factorization yields primes with nonzero
+exponents, and a nonsingular integer matrix maps nonzero integer vectors to
+nonzero integer vectors.  So every state of one walk keeps the primes of its
+start, in the same order, which is what lets state_key leave the primes out.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import sympy
 
 from . import kernels
 from .errors import BudgetError, InputError
@@ -71,29 +69,15 @@ class PointGm:
 class LogProfile:
     """Valuations v_p(x_j) per prime plus signs; log||x_j||_p = -v_p(x_j) log p.
 
-    vals maps each prime p, a plain int, to the tuple (v_p(x_1), ..., v_p(x_n));
-    zero vectors are dropped.  signs holds sign(x_j) as +-1.
+    vals maps each prime p, a plain int, to the nonzero tuple
+    (v_p(x_1), ..., v_p(x_n)).  signs holds sign(x_j) as +-1.  The
+    constructor is internal and checks nothing: profiles come only from
+    log_profile(P) and transport(M), from a checked point and matrix.
     """
 
     __slots__ = ("n", "vals", "signs")
 
-    def __init__(self, n: int, vals: dict, signs: tuple, _trusted=False):
-        if not _trusted:
-            clean = {}
-            for p, vec in vals.items():
-                if type(p) is not int or not sympy.isprime(p):
-                    raise InputError(f"{p} is not prime")
-                vec = tuple(vec)
-                if len(vec) != n:
-                    raise InputError("valuation vector length mismatch")
-                if any(type(v) is not int for v in vec):
-                    raise InputError("valuations must be integers")
-                if any(vec):
-                    clean[p] = vec
-            vals = clean
-            signs = tuple(signs)
-            if len(signs) != n or any(type(s) is not int or s not in (1, -1) for s in signs):
-                raise InputError("signs must be a +-1 tuple matching the dimension")
+    def __init__(self, n: int, vals: dict, signs: tuple):
         self.n = n
         self.vals = vals
         self.signs = signs
@@ -112,7 +96,7 @@ class LogProfile:
         vals = {p: tuple(kernels.mat_vec(rows, vec)) for p, vec in self.vals.items()}
         bits = [0 if s == 1 else 1 for s in self.signs]
         signs = tuple(1 if b % 2 == 0 else -1 for b in kernels.mat_vec(rows, bits))
-        return LogProfile(self.n, vals, signs, _trusted=True)
+        return LogProfile(self.n, vals, signs)
 
     def state_key(self):
         """Hashable exact state for orbit enumeration, among the states of one walk."""
@@ -141,7 +125,7 @@ def log_profile(P: PointGm) -> LogProfile:
         for p, e in factor_rational(c).items():
             vec = vals.setdefault(p, [0] * P.n)
             vec[j] = e
-    prof = LogProfile(P.n, {p: tuple(v) for p, v in vals.items()}, tuple(signs), _trusted=True)
+    prof = LogProfile(P.n, {p: tuple(v) for p, v in vals.items()}, tuple(signs))
     object.__setattr__(P, "_profile", prof)
     return prof
 
@@ -242,10 +226,6 @@ def _place_heights(vals: dict) -> dict:
     return coeffs
 
 
-def weil_height(prof: LogProfile) -> HeightValue:
-    """h(P) = sum over places of max(0, max_j log||x_j||_v), exactly."""
-    return HeightValue(LogLinear(_place_heights(prof.vals)))
-
-
 def weil_height_of_point(P: PointGm) -> HeightValue:
-    return weil_height(log_profile(P))
+    """h(P) = sum over places of max(0, max_j log||x_j||_v), exactly."""
+    return HeightValue(LogLinear(_place_heights(log_profile(P).vals)))

@@ -9,7 +9,6 @@ by squaring, never through floating point.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, isqrt, lcm
 
 from .errors import InputError, UnsupportedError
@@ -26,12 +25,6 @@ def _squarefree_split(n: int) -> tuple[int, int]:
         if e % 2:
             d *= p
     return s, d
-
-
-@lru_cache(maxsize=256)
-def _scaled_isqrt(d: int, prec: int) -> int:
-    """floor(sqrt(d) * 2^prec), so that s / 2^prec <= sqrt(d) <= (s + 1) / 2^prec."""
-    return isqrt(d << 2 * prec)
 
 
 def _make(p, q, r, d):
@@ -239,7 +232,7 @@ class Quad:
         p, q, r = self._p, self._q, self._r
         if q == 0:
             return p, p, r
-        s = _scaled_isqrt(self.d, prec)
+        s = isqrt(self.d << 2 * prec)
         base = p << prec
         lo, hi = base + q * s, base + q * (s + 1)
         return (lo, hi, r << prec) if q > 0 else (hi, lo, r << prec)

@@ -145,7 +145,6 @@ class GrowthRow:
     word: tuple
     product: IntMatrix
     maxdeg: int
-    deg_word: tuple
     value: object = field(init=False)  # rho as an mpf at the default precision
     root: object = field(init=False)  # value^(1/n), a lower bound for delta
 
@@ -188,8 +187,8 @@ def growth_table(
                 break
             raise
         rho, word, product = _level_max_radius(level)
-        deg_word, maxdeg = max(((w, monomial_degree(M)) for w, M in level), key=itemgetter(1))
-        rows.append(GrowthRow(n=n, rho=rho, word=word, product=product, maxdeg=maxdeg, deg_word=deg_word))
+        maxdeg = max(monomial_degree(M) for _, M in level)
+        rows.append(GrowthRow(n=n, rho=rho, word=word, product=product, maxdeg=maxdeg))
     return GrowthTable(rows=rows)
 
 

@@ -25,7 +25,7 @@ from monoheight import (
     truncated_estimates,
 )
 from monoheight.heights import _closed_numeric, _enumerate_orbit, _level_sums, _minkowski_bound, _walk_words
-from monoheight.points import log_profile, weil_height
+from monoheight.points import _place_heights, log_profile
 
 from conftest import COORD_CHOICES, random_matrix, random_point
 
@@ -378,6 +378,33 @@ def test_orbit_budget_must_be_an_integer():
             classify_orbit(FIB, pt(1, -1), budget=budget)
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+def test_orbit_budget_must_be_positive(budget):
+    for F in (IntMatrix([[0, 1], [1, 0]]), [IntMatrix([[0, 1], [1, 0]]), IntMatrix([[-1, 0], [0, 1]])]):
+        with pytest.raises(InputError, match="budget must be >= 1"):
+            classify_orbit(F, pt(2, 3), budget=budget)
+
+
+def test_a_single_map_orbit_past_its_budget_is_unknown():
+    # the swap moves (2, 3) to (3, 2) and back: two states
+    swap = IntMatrix([[0, 1], [1, 0]])
+    assert classify_orbit(swap, pt(2, 3), budget=1).to_json()["status"] == "unknown"
+    verdict = classify_orbit(swap, pt(2, 3), budget=2)
+    assert (verdict.status, verdict.preperiod, verdict.period) == ("finite", 0, 2)
+
+
+def test_a_long_sign_cycle_stops_at_the_budget():
+    # x^15 + x + 1 is primitive over F_2 and has no root of unity as a root, so
+    # under its companion matrix the signs of (-1, 1, ..., 1) alone move, through
+    # 2^15 - 1 states: the walk stops at the budget, or at M 2^N = 2^15 states
+    rows = [[int(i == j + 1) for j in range(15)] for i in range(15)]
+    rows[0][14] = rows[1][14] = -1
+    A, P = IntMatrix(rows), pt(-1, *[1] * 14)
+    assert classify_orbit(A, P, budget=1000).to_json() == {"status": "unknown", "budget": 1000}
+    verdict = classify_orbit(A, P, budget=1 << 15)
+    assert (verdict.status, verdict.preperiod, verdict.period) == ("finite", 0, (1 << 15) - 1)
+
+
 def test_truncation_depth_must_be_an_integer():
     for n in (2.5, 3.0, True):
         with pytest.raises(InputError, match="n must be an integer"):
@@ -410,7 +437,8 @@ def test_level_sums_match_a_sum_over_every_word(rng):
         for nu, got in enumerate(sums, 1):
             expected = LogLinear()
             for word in product(range(k), repeat=nu):
-                expected = expected + weil_height(prof.transport(reduce(IntMatrix.mul, [mats[i] for i in word]))).symbolic
+                image = prof.transport(reduce(IntMatrix.mul, [mats[i] for i in word]))
+                expected = expected + LogLinear(_place_heights(image.vals))
             assert got == expected, (mats, P, nu)
         assert got.is_zero == prof.is_torsion()
         est = truncated_estimates(mats, P, 4, delta=2, l_override=0)["summed"]

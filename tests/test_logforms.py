@@ -12,7 +12,7 @@ from monoheight import (
 )
 from monoheight.heights import truncated_estimates
 from monoheight.logforms import _enclosure, max_with_zero
-from monoheight.points import LogProfile, weil_height
+from monoheight.points import _place_heights
 from monoheight.precision import PAD_BITS, fraction_to_mpf, log_enclosure, sqrt_enclosure
 
 from conftest import random_matrix, random_point
@@ -187,33 +187,35 @@ def test_ladder_reads_prime_logs_from_the_cache(monkeypatch):
     monoheight.logforms._prime_log_bounds.cache_clear()
 
 
-def _weil_height_by_candidates(prof):
+def _weil_height_by_candidates(n, vals):
     """Weil height with one LogLinear per archimedean candidate, compared pairwise."""
-    total = LogLinear({p: max(0, -min(vec)) for p, vec in prof.vals.items()})
+    total = LogLinear({p: max(0, -min(vec)) for p, vec in vals.items()})
     best = LogLinear({})
-    for j in range(prof.n):
-        cand = LogLinear({p: vec[j] for p, vec in prof.vals.items() if vec[j]})
+    for j in range(n):
+        cand = LogLinear({p: vec[j] for p, vec in vals.items() if vec[j]})
         if (best - cand).sign() < 0:
             best = cand
     return total + best
 
 
 @st.composite
-def profiles(draw):
+def valuations(draw):
+    """(n, vals): valuation vectors of length n keyed by distinct primes."""
     n = draw(st.integers(min_value=1, max_value=3))
     # a scale of 2^12 puts most candidate differences above the bit bound
     scale = draw(st.sampled_from([1, 1, 2**12]))
     primes = draw(st.lists(st.sampled_from(SMALL_PRIMES), unique=True, max_size=4))
     vals = {p: tuple(scale * draw(st.integers(-60, 60)) for _ in range(n)) for p in primes}
-    return LogProfile(n=n, vals=vals, signs=(1,) * n)
+    return n, vals
 
 
 @settings(max_examples=150, deadline=None)
-@given(profiles())
-def test_weil_height_matches_candidate_route(prof):
-    h = weil_height(prof)
-    assert h.symbolic == _weil_height_by_candidates(prof)
-    assert str(h.symbolic) == str(_weil_height_by_candidates(prof))
+@given(valuations())
+def test_weil_height_matches_candidate_route(drawn):
+    n, vals = drawn
+    h, expected = LogLinear(_place_heights(vals)), _weil_height_by_candidates(n, vals)
+    assert h == expected
+    assert str(h) == str(expected)
 
 
 @pytest.mark.parametrize("ambient", [20, 53, 300])
@@ -371,28 +373,6 @@ def test_low_precision_enclosures_stay_rigorous(prec):
     assert fraction_to_mpf(lo, 256) <= value <= fraction_to_mpf(hi, 256)
 
 
-def test_surd_bounds_take_one_isqrt_per_radicand_and_rung(monkeypatch):
-    calls = []
-    inner = monoheight.quadratic.isqrt
-
-    def counted(n):
-        calls.append(n)
-        return inner(n)
-
-    monkeypatch.setattr(monoheight.quadratic, "isqrt", counted)
-    monoheight.quadratic._scaled_isqrt.cache_clear()
-    phi = Quad(Fraction(1, 2), Fraction(1, 2), 5)
-    forms = [LogLinear({2: phi, 3: -1}), LogLinear({3: phi.conjugate(), 5: Quad(0, 3, 5), 7: Quad(1, -1, 2)})]
-    for _ in range(2):
-        assert [f.sign() for f in forms] == [1, 1]
-        for prec in (128, 256, 512):
-            assert [f.enclosure(prec) for f in forms] == [f.enclosure(prec) for f in forms]
-            phi.enclosure(prec)
-    # one isqrt per radicand and precision, however many coefficients and calls read it
-    assert sorted(calls) == sorted(d << 2 * prec for d in (2, 5) for prec in (128, 256, 512))
-    monoheight.quadratic._scaled_isqrt.cache_clear()
-
-
 @pytest.mark.parametrize("ambient", [20, 53, 300])
 def test_closed_heights_and_enclosures_ignore_ambient_precision(ambient):
     cases = [
@@ -408,7 +388,6 @@ def test_closed_heights_and_enclosures_ignore_ambient_precision(ambient):
         # from empty tables, so that no value computed at the other precision is read back
         monoheight.matrices._ANALYSES.clear()
         monoheight.logforms._prime_log_bounds.cache_clear()
-        monoheight.quadratic._scaled_isqrt.cache_clear()
         return [canonical_height_closed(A, PointGm.parse(p)).to_json() for A, p in cases], form.enclosure(128)
 
     with mp.workprec(ambient):

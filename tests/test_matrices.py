@@ -470,6 +470,24 @@ def _stalled_sqrt_enclosure(q, prec):
     return lo - _STALL, hi + _STALL
 
 
+# the root of x^3 + 2, about -1.26, given below zero and straddling it
+SQRT_OF_NEGATIVE = [lambda: _root((2, 0, 0, 1), -2, -1), lambda: _root((2, 0, 0, 1), -2, 1)]
+
+
+@pytest.mark.parametrize("square", SQRT_OF_NEGATIVE, ids=["below-zero", "straddling-zero"])
+def test_sqrt_of_refuses_a_negative_value(square):
+    with pytest.raises(InputError, match="square root of a negative value"):
+        CertifiedReal.sqrt_of(square())
+
+
+def test_sqrt_of_decides_a_positive_value_on_an_interval_straddling_zero():
+    # the cube root of 2, the only real root of x^3 - 2, given on [-1, 2]
+    x = CertifiedReal.sqrt_of(_root((-2, 0, 0, 1), -1, 2))
+    assert x.compare(CertifiedReal.from_fraction(Fraction(112, 100))) == 1
+    assert x.compare(CertifiedReal.from_fraction(Fraction(113, 100))) == -1
+    assert _roots_in_interval(x) == 1
+
+
 def test_every_statement_of_compare_runs(monkeypatch):
     from monoheight.matrices import _separate, _separation_bits, _share_root
 
@@ -501,6 +519,9 @@ def test_every_statement_of_compare_runs(monkeypatch):
         for square, _ in SQRT_OF_EXACT + SQRT_OF_ENDS:
             CertifiedReal.sqrt_of(square())
         CertifiedReal.sqrt_of(CertifiedReal.from_fraction(4))
+        for square in SQRT_OF_NEGATIVE:
+            with pytest.raises(InputError, match="negative"):
+                CertifiedReal.sqrt_of(square())
         with pytest.raises(InputError, match="width <= 0"):
             cbrt2.refine(0)
         # 2 + 2^-301 on [2, 2 + 2^-300]: the first square-root bounds of 2

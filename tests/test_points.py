@@ -10,7 +10,6 @@ from monoheight import (
     BudgetError,
     InputError,
     IntMatrix,
-    LogProfile,
     MonoheightError,
     PointGm,
     canonical_height_closed,
@@ -61,49 +60,6 @@ def test_log_profile_examples():
 def test_log_profile_prime_order():
     # first appearance across coordinates, then ascending within a coordinate
     assert list(log_profile(pt(10, "3/4", 7)).vals) == [2, 5, 3, 7]
-
-
-def test_profile_constructor_checks():
-    with pytest.raises(InputError, match="not prime"):
-        LogProfile(2, {4: (1, 0)}, (1, 1))
-    with pytest.raises(InputError, match="length"):
-        LogProfile(2, {2: (1, 0, 0)}, (1, 1))
-    with pytest.raises(InputError, match="signs"):
-        LogProfile(2, {2: (1, 0)}, (1, 2))
-    assert LogProfile(2, {2: (0, 0), 3: (1, -1)}, (1, -1)).vals == {3: (1, -1)}
-    # nothing is converted: int() would drop the prime 3 of the first case
-    for vals, signs, match in [
-        ({2: (1.5, True), 3: (0.9, 0)}, (1, 1), "valuations"),
-        ({2: (1, Fraction(0))}, (1, 1), "valuations"),
-        ({2: (1, 0)}, (True, 1), "signs"),
-        ({2: (1, 0)}, (1.0, -1), "signs"),
-        ({True: (1, 0)}, (1, 1), "not prime"),
-    ]:
-        with pytest.raises(InputError, match=match):
-            LogProfile(2, vals, signs)
-
-
-def test_log_profile_and_transport_skip_the_checks(monkeypatch):
-    flags = []
-    primality = []
-    init = LogProfile.__init__
-
-    def recording_init(self, n, vals, signs, _trusted=False):
-        flags.append(_trusted)
-        init(self, n, vals, signs, _trusted)
-
-    def recording_isprime(p):
-        primality.append(p)
-        return True
-
-    monkeypatch.setattr(LogProfile, "__init__", recording_init)
-    monkeypatch.setattr(monoheight.points.sympy, "isprime", recording_isprime)
-    prof = log_profile(pt("-4/9", 10, "7/3"))
-    for _ in range(3):
-        prof = prof.transport(IntMatrix([[1, 1, 0], [0, 1, 1], [1, 0, 0]]))
-    assert flags == [True] * 4 and primality == []
-    LogProfile(prof.n, prof.vals, prof.signs)
-    assert flags[-1] is False and primality == list(prof.vals)
 
 
 @pytest.mark.parametrize("rows, coords, calls", [
@@ -257,10 +213,13 @@ def test_transport_images_pass_the_checks_and_keys_split_states_as_before(walk):
     for _ in range(4):
         level = [state.transport(M) for state in level for M in mats]
         states += level
+    primes = list(states[0].vals)
     for state in states:
-        checked = LogProfile(state.n, state.vals, state.signs)
-        assert list(checked.vals.items()) == list(state.vals.items())
-        assert checked.signs == state.signs
+        # the start's primes in the start's order, each with a nonzero int vector
+        assert list(state.vals) == primes
+        assert all(len(vec) == P.n and any(vec) and all(type(v) is int for v in vec)
+                   for vec in state.vals.values())
+        assert len(state.signs) == P.n and all(s in (1, -1) and type(s) is int for s in state.signs)
     # the unsorted key splits the walk's states exactly as the sorted one did
     old = [(tuple(sorted(s.vals.items())), s.signs) for s in states]
     new = [s.state_key() for s in states]

@@ -24,6 +24,9 @@ EMPTY_CONTAINERS = ("dict", "OrderedDict", "defaultdict", "WeakKeyDictionary", "
 # LogProfile attributes that only its constructor writes, and the dict methods that change vals
 PROFILE_ATTRIBUTES = ("vals", "signs")
 MUTATING_METHODS = ("pop", "popitem", "update", "clear", "setdefault", "__setitem__", "__delitem__")
+# the only definitions that call LogProfile(...): from a checked point, and from
+# a profile through a checked matrix
+PROFILE_MAKERS = ("log_profile", "LogProfile.transport")
 # CertifiedReal attributes that only its constructor writes
 REAL_ATTRIBUTES = ("lo", "hi", "descriptor", "poly", "sq")
 # the certified-real comparison and its helpers: their own raises are input
@@ -247,6 +250,15 @@ def test_log_profiles_are_only_read():
     found = [f"{path.name}:{line} {scope}" for path in sorted(SRC.rglob("*.py"))
              for scope, line in _profile_writes(path) if scope != "LogProfile.__init__"]
     assert found == []
+
+
+def test_log_profiles_are_made_only_from_points_and_matrices():
+    # the constructor only stores its arguments, so no other definition may
+    # hand it raw valuations
+    makers = [(scope, f"{path.name}:{node.lineno}") for path in sorted(SRC.rglob("*.py"))
+              for scope, node in _scoped_nodes(path)
+              if isinstance(node, ast.Call) and _call_name(node) == "LogProfile"]
+    assert sorted(scope for scope, _ in makers) == sorted(PROFILE_MAKERS), makers
 
 
 def _real_writes(path):

@@ -231,7 +231,7 @@ def _rows_of(values):
     """Growth rows (n, rho, maxdeg) with distinct words, so the chosen row is
     identifiable; each product is the 1x1 matrix [[rho]]."""
     return [GrowthRow(n=n, rho=CertifiedReal.from_fraction(Fraction(rho)), word=(i,),
-                      product=IntMatrix([[rho]]), maxdeg=deg, deg_word=(i,))
+                      product=IntMatrix([[rho]]), maxdeg=deg)
             for i, (n, rho, deg) in enumerate(values)]
 
 
@@ -491,7 +491,7 @@ def test_dynamical_degree_certificate_reads_the_first_8_levels(word_budget):
     assert len(d.table.rows) == (12 if word_budget == 10**6 else 5)
     rows8 = growth_table(shears, n_max=8, word_budget=word_budget).rows
     def fields(row):
-        return row.n, row.rho.to_json(), row.word, row.maxdeg, row.deg_word
+        return row.n, row.rho.to_json(), row.word, row.maxdeg
 
     assert [fields(r) for r in d.table.rows[:8]] == [fields(r) for r in rows8]
     expected = _empirical_certificate(rows8)
@@ -704,17 +704,15 @@ def _brute_force_levels(mats, n_max):
 
 
 def _brute_force_row(words, prods, radii):
-    """(word, product, rho, deg_word, maxdeg) over all words of one level: the
-    first word of largest radius, a tie going to a strictly larger norm bound,
-    and the first word of largest degree."""
+    """(word, product, rho, maxdeg) over all words of one level: the first
+    word of largest radius, a tie going to a strictly larger norm bound, and
+    the largest degree."""
     best = 0
     for i, M in enumerate(prods):
         cmp = radii[M].compare(radii[prods[best]])
         if cmp > 0 or cmp == 0 and _norm_bound(M) > _norm_bound(prods[best]):
             best = i
-    degrees = [monomial_degree(M) for M in prods]
-    top = degrees.index(max(degrees))
-    return words[best], prods[best], radii[prods[best]], words[top], degrees[top]
+    return words[best], prods[best], radii[prods[best]], max(monomial_degree(M) for M in prods)
 
 
 def _random_system(rng, family, n, k):
@@ -755,8 +753,8 @@ def test_growth_table_matches_a_walk_over_all_words(rng):
             # one entry per distinct product, under its first word, in word order
             assert next(levels) == [(w, M) for M, w in first.items()], (mats, row.n)
             collapsed[family] += len(first) < len(words)
-            word, M, rho, deg_word, maxdeg = _brute_force_row(words, prods, radii)
-            assert (row.word, row.product, row.deg_word, row.maxdeg) == (word, M, deg_word, maxdeg), \
+            word, M, rho, maxdeg = _brute_force_row(words, prods, radii)
+            assert (row.word, row.product, row.maxdeg) == (word, M, maxdeg), \
                 (mats, row.n)
             assert row.rho.compare(rho) == 0
         assert len(rows) == n_max
