@@ -58,7 +58,6 @@ from .systems import (
     StarCertificate,
     SystemF,
     SystemReport,
-    check_reduction,
     correction_exponent,
     dynamical_degree,
     growth_table,
@@ -103,7 +102,6 @@ __all__ = [
     "canonical_height_closed",
     "charpoly",
     "charpoly_factors",
-    "check_reduction",
     "classify_orbit",
     "correction_exponent",
     "default_precision",

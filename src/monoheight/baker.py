@@ -76,7 +76,7 @@ def _ceil_shifted_height(const: int, mult, h) -> int:
     CEIL_PREC_CAP bits the refinement raises BudgetError with the last
     enclosure of h.
     """
-    if h.exact and h.symbolic.is_zero:
+    if h.is_zero():
         return const
     prec = 128
     while True:

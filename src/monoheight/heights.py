@@ -91,9 +91,6 @@ class TruncatedEstimate:
     word_count: int
     exact_level_sums: list = field(default_factory=list)  # one LogLinear per level
 
-    def is_exact_zero(self) -> bool:
-        return all(s.is_zero for s in self.exact_level_sums)
-
     def to_json(self):
         return {
             "variant": self.variant,
@@ -331,7 +328,7 @@ def classify_orbit(F, P: PointGm, budget: int = 65536) -> OrbitVerdict:
             hhat = canonical_height_closed(A, P)
         except (UnsupportedError, BudgetError):
             hhat = None
-        zero = hhat is not None and hhat.exact and hhat.is_zero()
+        zero = hhat is not None and hhat.is_zero()
         single = {"hhat": hhat, "zero_height_dim_bound": A.n - jordan_profile(A).rbar if zero else None}
     if not ok:
         cert = _escape_certificate(A, prof, witness, M)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .errors import BudgetError
+from .errors import BudgetError, InputError
 from .precision import log_enclosure
 from .quadratic import Quad
 
@@ -120,15 +120,19 @@ def _form_sign(coeffs) -> int:
 
     0 only when every coefficient is zero.  A rational form, Quads with b == 0
     included, is scaled to integer exponents and decided by _power_ratio while
-    they stay within _EXACT_BITS; otherwise, and for quadratic coefficients,
-    the enclosure is tightened up the precision ladder until it excludes zero,
-    and BudgetError carries the last enclosure when the ladder runs out.
+    they stay within _EXACT_BITS; a tie there on nonzero coefficients can
+    only come from a non-prime base and raises InputError.  Otherwise, and
+    for quadratic coefficients, the enclosure is tightened up the precision
+    ladder until it excludes zero, and BudgetError carries the last enclosure
+    when the ladder runs out.
     """
     coeffs = {p: _coefficient(c) for p, c in coeffs.items()}
     if not any(isinstance(c, Quad) for c in coeffs.values()):
         den = lcm(*(c.denominator for c in coeffs.values()))
         ratio = _power_ratio({p: c.numerator * (den // c.denominator) for p, c in coeffs.items()})
         if ratio is not None:
+            if ratio[0] == ratio[1] and any(coeffs.values()):
+                raise InputError("a log form with a zero value but nonzero coefficients has a non-prime base")
             return (ratio[0] > ratio[1]) - (ratio[0] < ratio[1])
     for prec in _SIGN_PRECISIONS:
         lo, hi = _enclosure(coeffs, prec)

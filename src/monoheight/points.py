@@ -164,9 +164,11 @@ class HeightValue:
     """A nonnegative real height, symbolic when exact.
 
     symbolic is a LogLinear on prime logarithms when the value is known in
-    closed form; otherwise lo/hi is a certified enclosure.  Its coefficients
-    are ints or Fractions when rational (every Weil height has int
-    coefficients) and Quads only when they carry a surd.
+    closed form; otherwise lo/hi is a numeric enclosure, certified only as far
+    as the route that made it.  Its coefficients are ints or Fractions when
+    rational (every Weil height has int coefficients) and Quads only when
+    they carry a surd.  is_zero() is True only for the exact zero form: an
+    enclosure containing 0 proves no zero.
     """
 
     symbolic: object = None
@@ -178,9 +180,7 @@ class HeightValue:
         return self.symbolic is not None
 
     def is_zero(self) -> bool:
-        if self.exact:
-            return self.symbolic.is_zero
-        return self.lo <= 0 <= self.hi
+        return self.symbolic is not None and self.symbolic.is_zero
 
     def enclosure(self, prec):
         if self.exact:

@@ -1,5 +1,6 @@
 """Finite systems of monomial maps: word growth tables, dynamical degree
-enclosures, reduction certificates, and the combined report.
+enclosures, reduction certificates, and the combined report, which decides
+zero canonical height from exact data only.
 
 For a general system the dynamical degree delta = lim max_words rho^(1/n) has
 no known algorithm, so it is reported as a two-sided enclosure: any single
@@ -37,7 +38,7 @@ from .matrices import (
     spectral_radius,
     trace_det_radius,
 )
-from .points import PointGm
+from .points import PointGm, log_profile
 from .polys import poly_str
 from .precision import default_precision, real_str
 
@@ -325,7 +326,7 @@ def dynamical_degree(
     lo = table.lower_bound()
     hi = table.upper_bound()
     exact = None
-    if cert.certified and cert.t == 1:
+    if cert.certified:
         exact = spectral_radius(cert.psi)
         prec = default_precision()
         # widen at full precision; at ambient 53 bits the products round onto
@@ -394,41 +395,6 @@ def _height_estimates(system: SystemF, P: PointGm, n_max: int, degree: Dynamical
 
 
 @dataclass
-class ReductionReport:
-    items: list  # (name, passed: bool, detail: str)
-
-    @property
-    def all_pass(self) -> bool:
-        return all(p for _, p, _ in self.items)
-
-
-def check_reduction(report: "SystemReport") -> ReductionReport:
-    """Verify the reduction fact on a certified system's report: zero-height
-    transfer to the reduced map.  (The degree needs no check: dynamical_degree
-    clamps a certified [lo, hi] to rho(psi)(1 -+ 2^-96) and raises
-    ArithmeticError when the ends cross.)  The truncated estimate and
-    closed-form height are the report's own; neither is computed again,
-    except a closed form the report lacks, which is computed here and raises
-    if it fails.
-
-    The zero decisions are exact, with no float threshold: the truncated sums
-    are zero only when every level sum is the zero log form, and the
-    reduced-map height is zero when its closed form is zero or its enclosure
-    contains 0."""
-    cert = report.degree.certificate
-    if cert is None or not cert.certified:
-        raise InputError("reduction checks need a certified system")
-    trunc = report.trunc_summed
-    closed = report.closed_height
-    if closed is None:
-        closed = canonical_height_closed(cert.psi, report.point)
-    ok_zero = (not trunc.is_exact_zero()) or closed.is_zero()
-    return ReductionReport(items=[("zero height transfers to reduced map", ok_zero,
-                                   f"truncated estimate {real_str(trunc.estimate, 10)}, "
-                                   f"reduced-map height {closed.str15()}")])
-
-
-@dataclass
 class SystemReport:
     system: SystemF
     point: PointGm
@@ -474,10 +440,9 @@ def system_report(
     The finiteness equivalence (zero canonical height iff finite orbit) needs
     the reduced map's characteristic polynomial irreducible and delta > k;
     when only zero height holds, the report falls back to the subgroup bound
-    dim >= N - rbar.  Zero height is decided exactly: by the reduced map's
-    exact closed form when there is one, else by every level sum of the
-    truncated estimate being the zero log form.  A small but nonzero estimate
-    is never taken for zero.
+    dim >= N - rbar.  Zero height is decided once, from exact data: the
+    reduced map's closed form is the exact zero form, or P is torsion.  A
+    numeric enclosure or a small estimate is never taken for zero.
     """
     system = _as_system(F)
     if P.n != system.n:
@@ -498,10 +463,7 @@ def system_report(
             notes.append(f"closed-form height unavailable: {exc}")
     verdict = classify_orbit(list(system.matrices), P)
 
-    if closed is not None and closed.exact:
-        height_zero = closed.is_zero()
-    else:
-        height_zero = trunc_s.is_exact_zero()
+    height_zero = (closed is not None and closed.is_zero()) or log_profile(P).is_torsion()
     bound = None
     equivalence = None
     if psi is not None:

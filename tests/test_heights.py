@@ -20,11 +20,13 @@ from monoheight import (
     canonical_height_closed,
     classify_orbit,
     eval_monomial,
+    jordan_profile,
     limit_matrix_B,
     spectral_radius,
     truncated_estimates,
 )
 from monoheight.heights import _closed_numeric, _enumerate_orbit, _level_sums, _minkowski_bound, _walk_words
+from monoheight.jordan import _dominant_factors
 from monoheight.points import _place_heights, log_profile
 
 from conftest import COORD_CHOICES, random_matrix, random_point
@@ -56,9 +58,25 @@ def test_closed_diag_and_shear():
     assert h.is_zero()
 
 
-def test_closed_torsion_is_zero():
+def test_closed_torsion_is_zero(rng):
     h = canonical_height_closed(FIB, pt(1, -1))
     assert h.exact and h.is_zero()
+    # a torsion point has the exact zero form on every matrix whose dominant
+    # roots are real, and on any other the support check raises
+    real = 0
+    for _ in range(60):
+        dim = rng.choice((2, 3))
+        A, P = random_matrix(rng, dim), random_point(rng, dim, [Fraction(1), Fraction(-1)])
+        try:
+            _dominant_factors(jordan_profile(A))
+        except UnsupportedError:
+            with pytest.raises(UnsupportedError):
+                canonical_height_closed(A, P)
+            continue
+        real += 1
+        h = canonical_height_closed(A, P)
+        assert h.exact and h.is_zero(), (A, P)
+    assert real >= 30
 
 
 def test_closed_torsion_runs_no_iterated_limit(monkeypatch):
@@ -419,7 +437,7 @@ def test_truncation_depth_must_be_positive(n):
 
 def test_truncated_exact_level_sums_zero_for_torsion():
     est = truncated_estimates(FIB, pt(1, -1), 10)["summed"]
-    assert est.is_exact_zero()
+    assert est.exact_level_sums == [LogLinear()] * 10
     assert all(abs(v) == 0 for v in est.values)
 
 
@@ -440,7 +458,8 @@ def test_level_sums_match_a_sum_over_every_word(rng):
                 image = prof.transport(reduce(IntMatrix.mul, [mats[i] for i in word]))
                 expected = expected + LogLinear(_place_heights(image.vals))
             assert got == expected, (mats, P, nu)
-        assert got.is_zero == prof.is_torsion()
+            # a sum of Weil heights of invertible images: zero exactly on torsion
+            assert got.is_zero == prof.is_torsion(), (mats, P, nu)
         est = truncated_estimates(mats, P, 4, delta=2, l_override=0)["summed"]
         assert est.exact_level_sums == sums
     assert torsion == 10

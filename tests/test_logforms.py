@@ -8,7 +8,7 @@ import pytest
 
 import monoheight.logforms
 from monoheight import (
-    BudgetError, CertifiedReal, IntMatrix, LogLinear, PointGm, Quad, canonical_height_closed, weil_height_of_point,
+    BudgetError, CertifiedReal, InputError, IntMatrix, LogLinear, PointGm, Quad, canonical_height_closed, weil_height_of_point,
 )
 from monoheight.heights import truncated_estimates
 from monoheight.logforms import _enclosure, max_with_zero
@@ -34,6 +34,18 @@ def test_sign_decisions():
     assert LogLinear({3: 2, 2: -3}).sign() == 1
     assert LogLinear({2: 3, 3: -2}).sign() == -1
     assert LogLinear({}).sign() == 0
+    # a nonzero form over non-prime bases still gets its sign: log 4 > log 2, log 9 > 3 log 2
+    assert LogLinear({4: 1, 2: -1}).sign() == 1
+    assert LogLinear({9: 1, 2: -3}).sign() == 1
+
+
+@pytest.mark.parametrize("coeffs", [{2: 2, 4: -1}, {2: 3, 8: -1}, {4: Fraction(1, 2), 2: -1}, {6: 1, 2: -1, 3: -1}])
+def test_a_zero_form_over_a_non_prime_base_is_refused(coeffs):
+    # its coefficients are nonzero, so is_zero says False; the sign would say 0
+    form = LogLinear(coeffs)
+    assert not form.is_zero
+    with pytest.raises(InputError, match="non-prime base"):
+        form.sign()
 
 
 def test_sign_needs_deep_precision():

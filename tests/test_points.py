@@ -3,13 +3,16 @@
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
+from mpmath import mpf
 import pytest
 
 import monoheight.points
 from monoheight import (
     BudgetError,
+    HeightValue,
     InputError,
     IntMatrix,
+    LogLinear,
     MonoheightError,
     PointGm,
     canonical_height_closed,
@@ -152,6 +155,21 @@ def test_weil_height_examples():
     assert h.symbolic_str() == "log 2 + 2*log 3 + log 5"
     assert h.str15() == "4.49980967033027"
     assert weil_height_of_point(pt(1, -1)).is_zero()
+
+
+def test_a_numeric_height_whose_enclosure_holds_zero_is_not_zero():
+    # an enclosure proves no zero: only the exact zero form is zero
+    assert not HeightValue(lo=mpf(-1), hi=mpf(1)).is_zero()
+    assert not HeightValue(lo=mpf(0), hi=mpf(0)).is_zero()
+    assert HeightValue(LogLinear()).is_zero()
+    # blockdiag(companion of x^3 - x - 1, shear): the cubic dominant root
+    # leaves the height of this point, exactly 0, only enclosed
+    A = IntMatrix([[0, 0, 1, 0, 0], [1, 0, 1, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 1, 1], [0, 0, 0, 0, 1]])
+    P = pt(1, 1, 1, 2, 3)
+    h = canonical_height_closed(A, P)
+    assert not h.exact and h.lo < 0 < h.hi
+    assert not h.is_zero()
+    assert classify_orbit(A, P).zero_height_dim_bound is None
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,7 +1,6 @@
 """Word growth, dynamical degree enclosures, and reduction certificates."""
 
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
@@ -18,11 +17,11 @@ from monoheight import (
     GrowthTable,
     InputError,
     IntMatrix,
+    LogLinear,
     PointGm,
     Quad,
     SystemF,
     UnsupportedError,
-    check_reduction,
     correction_exponent,
     dynamical_degree,
     growth_table,
@@ -33,8 +32,9 @@ from monoheight import (
 )
 from monoheight.matrices import charpoly, monomial_degree, trace_det_radius
 from monoheight.polys import IntPoly
-from monoheight.precision import default_precision, real_str
+from monoheight.precision import default_precision
 from monoheight.systems import (
+    DEFAULT_N_MAX,
     GrowthRow,
     _argmax_radius,
     _compare_surds,
@@ -179,9 +179,8 @@ def test_growth_table_bounds_sandwich():
     lambda F, n_max: growth_table(F, n_max=n_max),
     lambda F, n_max: dynamical_degree(F, n_max=n_max),
     lambda F, n_max: correction_exponent(dynamical_degree(F, n_max=n_max)),
-    lambda F, n_max: check_reduction(system_report(F, pt(2, 3), n_max=n_max)),
     lambda F, n_max: system_report(F, pt(2, 3), n_max=n_max),
-], ids=["growth_table", "dynamical_degree", "correction_exponent", "check_reduction", "system_report"])
+], ids=["growth_table", "dynamical_degree", "correction_exponent", "system_report"])
 @pytest.mark.parametrize("n_max", [0, -1])
 def test_n_max_below_one_rejected(call, n_max):
     with pytest.raises(InputError, match="n_max must be >= 1"):
@@ -322,6 +321,42 @@ def test_noncommuting_shears_empirical():
     assert d.exact is None
 
 
+def _certified_family(rng, kind, dim):
+    """Generators of a family _structural_certificate recognizes: diagonal,
+    polynomials a A^2 + b A + c I in a random A, or a single map."""
+    if kind == "single":
+        return [random_matrix(rng, dim)]
+    k = rng.randint(2, 3)
+    mats = [] if kind == "diagonal" else [random_matrix(rng, dim)]
+    while len(mats) < k:
+        if kind == "diagonal":
+            rows = [[rng.choice((-5, -3, -2, -1, 1, 2, 3, 5)) if i == j else 0 for j in range(dim)]
+                    for i in range(dim)]
+        else:
+            a, b, c = (rng.randint(-2, 2) for _ in range(3))
+            A, A2 = mats[0].rows, mats[0].mul(mats[0]).rows
+            rows = [[a * A2[i][j] + b * A[i][j] + c * (i == j) for j in range(dim)] for i in range(dim)]
+        try:
+            mats.append(IntMatrix(rows))
+        except InputError:  # singular
+            continue
+    return mats
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "polynomial", "single"])
+def test_a_certified_psi_is_one_generator_of_largest_radius(rng, kind):
+    # dynamical_degree takes delta = rho(psi) from every certified certificate:
+    # psi is a single generator (t = 1), so its radius is delta exactly
+    for _ in range(12):
+        mats = _certified_family(rng, kind, rng.choice((2, 3)))
+        d = dynamical_degree(mats, n_max=4)
+        cert = d.certificate
+        assert cert.certified, mats
+        assert cert.t == 1 and len(cert.psi_word) == 1 and cert.psi == mats[cert.psi_word[0]]
+        assert all(d.exact.compare(spectral_radius(M)) >= 0 for M in mats)
+        assert d.exact.compare(spectral_radius(cert.psi)) == 0
+
+
 def test_correction_exponent_certified():
     c = correction_exponent(dynamical_degree(FIB, n_max=6))
     assert c.certified and c.l == 0 and c.method == "reduced map jordan profile"
@@ -334,18 +369,6 @@ def test_correction_exponent_heuristic():
     assert not c.certified
     assert c.l in (0, 1)
     assert c.method.startswith("heuristic")
-
-
-def test_check_reduction_fib():
-    rep = check_reduction(system_report(FIB, pt(2, 3), n_max=6))
-    assert rep.all_pass
-    names = [n for n, _, _ in rep.items]
-    assert names == ["zero height transfers to reduced map"]
-
-
-def test_check_reduction_needs_certificate():
-    with pytest.raises(InputError):
-        check_reduction(system_report([SHEAR_U, SHEAR_L], pt(2, 3), n_max=6))
 
 
 def _forbid(monkeypatch, *names):
@@ -369,29 +392,6 @@ def test_correction_exponent_reads_the_given_degree(monkeypatch, F):
     report = system_report(F, pt(2, 3), n_max=8)
     _forbid(monkeypatch, *REDERIVERS)
     assert correction_exponent(report.degree) == report.correction
-
-
-def test_check_reduction_reads_the_given_report(monkeypatch):
-    report = system_report(FIB, pt(2, 3), n_max=6)
-    _forbid(monkeypatch, *REDERIVERS, "canonical_height_closed")
-    rep = check_reduction(report)
-    assert rep.all_pass
-    assert rep.items[0][2] == (f"truncated estimate {real_str(report.trunc_summed.estimate, 10)}, "
-                               f"reduced-map height {report.closed_height.str15()}")
-
-
-def test_check_reduction_computes_only_a_missing_closed_form(monkeypatch):
-    report = system_report([DIAG23, DIAG52], pt(2, 3), n_max=8)
-    missing = replace(report, closed_height=None)
-    assert check_reduction(missing).items == check_reduction(report).items
-
-    def no_closed_form(A, P):
-        raise UnsupportedError("no closed form")
-
-    monkeypatch.setattr(monoheight.systems, "canonical_height_closed", no_closed_form)
-    check_reduction(report)
-    with pytest.raises(UnsupportedError, match="no closed form"):
-        check_reduction(missing)
 
 
 def test_system_report_fib():
@@ -418,7 +418,7 @@ def test_system_report_needs_an_exact_zero():
     rep = system_report(A, pt(1, 1, 2))
     assert rep.closed_height is None
     assert rep.trunc_summed.estimate < 1e-10
-    assert not rep.trunc_summed.is_exact_zero()
+    assert rep.trunc_summed.exact_level_sums == [LogLinear({2: 1})] * DEFAULT_N_MAX
     assert rep.zero_height_dim_bound is None
     assert "zero_height_subgroup_dim_bound" not in rep.to_json()
     assert not any("zero canonical height" in n for n in rep.notes)
