@@ -18,7 +18,7 @@ from math import ceil, factorial, lcm
 from operator import index as _as_int
 
 from .errors import BudgetError, InputError, UnsupportedError
-from .precision import default_precision, fraction_to_mpf, mp, real_str
+from .precision import checked_precision, default_precision, fraction_to_mpf, mp, real_str
 from .matrices import CertifiedReal, IntMatrix
 from .jordan import jordan_basis, jordan_profile
 from .points import PointGm, log_profile, weil_height_of_point
@@ -218,7 +218,7 @@ def effective_constants(A: IntMatrix, P: PointGm, prec=None) -> BakerConstants:
     and Hdet that of 1/det J.  Heights refer to the representative of P
     cleared to integral coordinates; both representatives are reported.
     """
-    prec = prec or max(default_precision(), 192)
+    prec = checked_precision(prec, max(default_precision(), 192))
     with mp.workprec(prec):
         inputs, prof, path = _baker_inputs(A, P, prec)
         N, kdeg = inputs.n, inputs.field_degree

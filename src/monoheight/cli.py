@@ -13,7 +13,7 @@ import sys
 from datetime import datetime, timezone
 
 from .errors import BudgetError, InputError, MonoheightError, UnsupportedError
-from .precision import default_precision, mp, real_str
+from .precision import checked_precision, mp, real_str
 from .matrices import IntMatrix
 from .jordan import jordan_basis, jordan_profile, limit_matrix_B
 from .points import PointGm, log_profile, weil_height_of_point
@@ -208,8 +208,6 @@ def _validate(args):
         raise InputError("budgets must be positive")
     if args.truncation_order < 0:
         raise InputError("--truncation-order must be >= 0")
-    if args.precision is not None and not 16 <= args.precision <= 1 << 16:
-        raise InputError("precision must be between 16 and 65536 bits")
     return handler
 
 
@@ -240,9 +238,9 @@ def run(argv=None, out=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code else EXIT_OK
-    prec = args.precision or default_precision()
     try:
         handler = _validate(args)
+        prec = checked_precision(args.precision)
         with mp.workprec(prec):
             report = handler(args)
         doc = {

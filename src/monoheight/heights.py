@@ -21,7 +21,7 @@ from .logforms import LogLinear
 from .matrices import CertifiedReal, IntMatrix, _as_system, charpoly_factors
 from .points import HeightValue, LogProfile, PointGm, _place_heights, log_profile
 from .polys import cyclotomic_index
-from .precision import default_precision, fraction_to_mpf, real_str
+from .precision import checked_precision, default_precision, fraction_to_mpf, real_str
 
 DEFAULT_WORD_BUDGET = 10**6
 
@@ -33,9 +33,12 @@ def canonical_height_closed(A: IntMatrix, P: PointGm, prec=None) -> HeightValue:
     eigenvalues give a LogLinear with coefficients in the same field.  Anything
     else gives an enclosure built from the iterated limit matrix of
     limit_matrix_B, run to LIMIT_TOL scaled down by the point's log mass; its
-    stopping rule is a heuristic, so that enclosure is not certified.
+    stopping rule is a heuristic, so that enclosure is not certified.  Every
+    point reads the same power iteration of A at prec, walked once, up to
+    its own stopping step.  prec is None (the default precision) or an int
+    of 16 to 65536 bits.
     """
-    prec = prec or default_precision()
+    prec = checked_precision(prec)
     if A.n != P.n:
         raise InputError("matrix dimension does not match point dimension")
     prof = log_profile(P)
@@ -168,7 +171,7 @@ def truncated_estimates(
     """Word sums of Weil heights, exactly, from one walk over the word levels, keyed
     by variant: "summed" divides by n^l delta^n, "averaged" also by k^n (the
     per-word average rather than the level sum)."""
-    prec = prec or default_precision()
+    prec = checked_precision(prec)
     mats = _as_system(F).matrices
     k = len(mats)
     if type(n) is not int:  # bool is an int subclass, not a depth

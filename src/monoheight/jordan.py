@@ -22,7 +22,7 @@ from . import kernels
 from .errors import BudgetError, UnsupportedError
 from .matrices import CertifiedReal, IntMatrix, ModulusProfile, _analysis, det, modulus_profile, nullspace, rank
 from .polys import IntPoly
-from .precision import default_precision
+from .precision import checked_precision
 from .quadratic import Quad
 from .scalars import h_mult_log_enclosure
 
@@ -161,13 +161,17 @@ def limit_matrix_B(A: IntMatrix, prec=None, *, _tol=LIMIT_TOL) -> LimitMatrixB:
     proven error bound, so such entries and their width are not certified.
     Dominant complex eigenvalues are rejected.  The exact limit, which
     depends on neither the tolerance nor prec, is computed once per distinct
-    rows.  The private _tol lets canonical_height_closed tighten the
-    tolerance for its point.
+    rows.  The power iteration is walked once per distinct rows and prec,
+    whatever the ambient mp.prec, and each tolerance reads that walk up to
+    its own first passing step, so its entries and width are those of a
+    fresh iteration.  The private _tol lets canonical_height_closed tighten
+    the tolerance for its point.  prec is None (the default precision) or
+    an int of 16 to 65536 bits.
     """
+    prec = checked_precision(prec)
     record = _analysis(A)
     if record.limit_matrix_B is not None:
         return record.limit_matrix_B
-    prec = prec or default_precision()
     jp = jordan_profile(A)
     prof = jp.modulus
     l, m = jp.l, jp.m
@@ -244,58 +248,125 @@ def _check_exact_limit(A: IntMatrix, b: LimitMatrixB):
 
 def _iterated_limit(A: IntMatrix, jp, stop: Fraction, prec: int):
     """Power iteration for dominant eigenvalues of degree > 2 (real), until
-    iterates move by less than stop and the geometric tail estimate is below it.
+    iterates move by less than stop and the geometric tail estimate is below
+    it; read from the one walk of A at prec, kept per distinct rows and prec,
+    so only the stopping step depends on stop."""
+    record = _analysis(A)
+    if record._iterated_limit is None:
+        record._iterated_limit = {}
+    if prec not in record._iterated_limit:
+        record._iterated_limit[prec] = _PowerWalk(A, jp, prec)
+    return record._iterated_limit[prec].read(stop)
 
-    A power is formed only at the steps that read it: the tail estimate
-    depends on the step alone, and the bit budget cannot be reached while
-    nval * bits(||A||_inf) stays within it, as ||A^nval||_inf <= ||A||_inf^nval.
+
+class _PowerWalk:
+    """The scaled powers A^n / (n^l rho^n), n = km for k = 1, 2, ..., with
+    their geometric tail bounds and step differences, computed once and read
+    with any stop.
+
+    Step k passes a stop when its tail bound and its difference from step
+    k - 1 are below it (and the difference times n, when the dominant blocks
+    decay only polynomially).  Every value depends on A and prec alone, so a
+    read returns the first passing step whatever was read before.  Steps are
+    kept from `first`, the first step that the loosest stop so far reads;
+    the steps before it are summarised by `floor`, their least tail bound.
+    A stop at or below `floor` starts at `first`, and a looser one walks
+    again from step 1.
+
+    A power is formed only at the steps that read it: the tail bound depends
+    on the step alone, and the bit budget cannot be reached while
+    n * bits(||A||_inf) stays within it, as ||A^n||_inf <= ||A||_inf^n.
     """
-    l, m = jp.l, jp.m
-    n = A.n
-    rho_mpf = jp.rho.to_mpf(prec + 32)
-    second = jp.modulus.second_sq_hi
-    ratio = None
-    if second is not None:
-        ratio = mp.sqrt(mpf(second.numerator) / mpf(second.denominator)) / rho_mpf
-    poly_decay = any(jp.block_sizes[i][-1] < l + 1 for i in jp.modulus.max_indices)
-    stop_mpf = mpf(stop.numerator) / mpf(stop.denominator)
-    norm_bits = max(sum(map(abs, row)) for row in A.rows).bit_length()
-    step = A.pow(m)
-    formed = {}  # exponent -> power, the latest two steps
 
-    def power(e):
-        if e not in formed:
-            formed[e] = formed[e - m].mul(step) if e - m in formed else A.pow(e)
-            formed.pop(e - 2 * m, None)
-        return formed[e]
+    def __init__(self, A: IntMatrix, jp, prec: int):
+        self.A, self.l, self.m, self.prec = A, jp.l, jp.m, prec
+        self.rho = jp.rho.to_mpf(prec + 32)
+        second = jp.modulus.second_sq_hi
+        self.ratio = None
+        if second is not None:
+            with mp.workprec(53):
+                self.ratio = mp.sqrt(mpf(second.numerator) / mpf(second.denominator)) / self.rho
+        self.poly_decay = any(jp.block_sizes[i][-1] < jp.l + 1 for i in jp.modulus.max_indices)
+        self.norm_bits = max(sum(map(abs, row)) for row in A.rows).bit_length()
+        self.step = A.pow(jp.m)
+        self.first = self.floor = None  # nothing walked yet
+        self.steps = []  # (tail bound, difference from the step before, scaled power) from first on
+        self.power = None  # the power of the last kept step
 
-    with mp.workprec(prec + 64):
+    def read(self, stop: Fraction):
+        """(scaled power, width) at the first step that passes stop; past the
+        last step the walk can take, a BudgetError with the last scaled power."""
+        with mp.workprec(self.prec + 64):
+            stop = mpf(stop.numerator) / mpf(stop.denominator)
+            if self.first is None or stop > self.floor:
+                self._restart(stop)
+            k = self.first
+            while True:
+                geo, diff, cur = self.steps[k - self.first]
+                if diff is not None and geo < stop and diff < stop \
+                        and (not self.poly_decay or diff * (k * self.m) < stop):
+                    return [row[:] for row in cur], diff + geo
+                k += 1
+                if k - self.first == len(self.steps) and not self._extend():
+                    raise BudgetError("power iteration for the limit matrix did not converge",
+                                      partial=[row[:] for row in cur])
 
-        def scaled(e):
-            denom = mpf(e) ** l * rho_mpf**e
-            return [[mpf(v) / denom for v in row] for row in power(e).rows]
+    def _geo(self, k):
+        n = k * self.m
+        return self.ratio**n * mpf(n) ** (2 * self.A.n) if self.ratio is not None else mpf(0)
 
-        nval = m
-        prev = None  # scaled power of the step before, when that step built it
-        for _ in range(4000):
-            # the geometric tail bound depends on nval alone: scale only where it can pass
-            geo = (ratio**nval * mpf(nval) ** (2 * n)) if ratio is not None else mpf(0)
-            cur = None
-            if geo < stop_mpf:
-                if prev is None and nval > m:
-                    prev = scaled(nval - m)
-                cur = scaled(nval)
-                if prev is not None:
-                    diff = max(abs(cur[i][j] - prev[i][j]) for i in range(n) for j in range(n))
-                    poly_ok = (not poly_decay) or diff * nval < stop_mpf
-                    if diff < stop_mpf and poly_ok:
-                        return cur, diff + geo
-            prev = cur
-            nval += m
-            if nval * norm_bits > _POWER_BIT_BUDGET and power(nval).max_bit_length() > _POWER_BIT_BUDGET:
-                break
-        partial = prev if prev is not None else scaled(nval - m)
-        raise BudgetError("power iteration for the limit matrix did not converge", partial=partial)
+    def _scaled(self, power: IntMatrix, k):
+        n = k * self.m
+        denom = mpf(n) ** self.l * self.rho**n
+        return [[mpf(v) / denom for v in row] for row in power.rows]
+
+    def _over_budget(self, k, power_at):
+        """Whether the walk stops before step k: past the step cap, or with
+        A^(km) past the bit budget (formed by power_at only when it can be)."""
+        n = k * self.m
+        if k > 4000:
+            return True
+        return n * self.norm_bits > _POWER_BIT_BUDGET and power_at(n).max_bit_length() > _POWER_BIT_BUDGET
+
+    def _keep(self, k, power, prev):
+        """Keep step k, whose power is power, after the scaled power prev of step k - 1."""
+        cur = self._scaled(power, k)
+        diff = None if prev is None else max(abs(c - p) for crow, prow in zip(cur, prev) for c, p in zip(crow, prow))
+        self.steps.append((self._geo(k), diff, cur))
+        self.power = power
+
+    def _restart(self, stop):
+        """Walk from step 1, with the budget checked at every step, to the
+        first step whose tail bound is below stop, and keep the steps from
+        there on."""
+        m = self.m
+        formed = {}  # exponent -> power, the latest two steps
+
+        def power(e):
+            if e not in formed:
+                formed[e] = formed[e - m].mul(self.step) if e - m in formed else self.A.pow(e)
+                formed.pop(e - 2 * m, None)
+            return formed[e]
+
+        k, floor = 1, mpf("inf")
+        while (geo := self._geo(k)) >= stop:
+            floor = min(floor, geo)
+            if self._over_budget(k + 1, power):
+                raise BudgetError("power iteration for the limit matrix did not converge",
+                                  partial=self._scaled(power(k * m), k))
+            k += 1
+        prev = self._scaled(power((k - 1) * m), k - 1) if k > 1 else None
+        self.first, self.floor, self.steps = k, floor, []
+        self._keep(k, power(k * m), prev)
+
+    def _extend(self):
+        """Keep the step after the last kept one; False when the walk ends before it."""
+        k = self.first + len(self.steps)
+        power = self.power.mul(self.step)
+        if self._over_budget(k, lambda n: power):
+            return False
+        self._keep(k, power, self.steps[-1][2])
+        return True
 
 
 # ---------------------------------------------------------------------------

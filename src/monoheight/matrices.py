@@ -815,6 +815,7 @@ class _Analysis:
     jordan_profile: object = None  # jordan.JordanProfile
     limit_matrix_B: object = None  # jordan.LimitMatrixB, exact limits only
     jordan_basis: object = None  # jordan.JordanBasisData
+    _iterated_limit: dict = None  # prec -> jordan._PowerWalk, the power iteration of an inexact limit
 
 
 def _analysis(A: IntMatrix) -> _Analysis:

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
+from .errors import InputError
+
 DEFAULT_PRECISION = 128
 
 # Guard bits added inside computations so results are good to the caller's precision.
@@ -18,6 +20,16 @@ PAD_BITS = 8
 
 def default_precision() -> int:
     return DEFAULT_PRECISION
+
+
+def checked_precision(prec, default: int = DEFAULT_PRECISION) -> int:
+    """The working precision a caller asked for: default for None, else an
+    int of 16 to 65536 bits (bool is not one); anything else is an InputError."""
+    if prec is None:
+        return default
+    if type(prec) is not int or not 16 <= prec <= 1 << 16:
+        raise InputError(f"precision must be between 16 and 65536 bits, as an int; got {prec!r}")
+    return prec
 
 
 def _dyadic(man: int, exp: int) -> Fraction:

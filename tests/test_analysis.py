@@ -102,8 +102,12 @@ def test_point_batch_sequence_analyses_each_matrix_once(analyses, rows, exact):
     assert analyses["modulus"] == {key: 1}
     assert set(analyses["jordan"].values()) == {1}
     assert {k[0] for k in analyses["jordan"]} == {key}
-    # an iterated limit depends on tol and prec, so only the exact one is kept
+    # the record keeps the exact limit; an iterated one depends on the
+    # point's stop, so the record keeps its power iteration instead, one walk
+    # per prec, which every stop reads
     assert analyses["limit"] == ({key: 1} if exact else {})
+    walks = monoheight.matrices._ANALYSES[key]._iterated_limit
+    assert walks is None if exact else set(walks) == {128}
     # Baker's Jordan basis: once per eigenvalue; a cubic has none to build
     assert set(analyses["basis"].values()) == ({1} if exact else set())
 
@@ -209,3 +213,25 @@ def test_outputs_do_not_depend_on_what_the_table_saw_before(tmp_path, rows):
     assert warm == cold
     assert _analyze_output(tmp_path, rows, "--precision", "256") == cold_analyze
     assert len(table) == 1  # every call above read the one record of these rows
+    if rows == CUBIC:
+        # the point of smaller log mass has the looser stop: one walk of the
+        # power iteration, read loosest stop first and tightest stop first
+        for order in ((0, 1), (1, 0)):
+            table.clear()
+            got = [_run_steps(_point_batch_steps(lambda: IntMatrix(rows), _points(n)[i])) for i in order]
+            assert got == [cold[i] for i in order]
+
+
+def test_a_second_cubic_height_forms_no_power(monkeypatch):
+    # a new point of the same log mass reads the walk the first point left
+    canonical_height_closed(IntMatrix(CUBIC), _point(2, 3, 5), prec=128)
+    formed = []
+    for name in ("mul", "pow"):
+        method = getattr(IntMatrix, name)
+        monkeypatch.setattr(IntMatrix, name,
+                            lambda self, arg, name=name, method=method: formed.append(name) or method(self, arg))
+    warm = canonical_height_closed(IntMatrix(CUBIC), _point(5, 3, 2), prec=128)
+    assert formed == []
+    monoheight.matrices._ANALYSES.clear()
+    assert canonical_height_closed(IntMatrix(CUBIC), _point(5, 3, 2), prec=128).to_json() == warm.to_json()
+    assert formed

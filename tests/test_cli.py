@@ -237,8 +237,11 @@ def test_exit_input_errors(files):
     (["system", "--system", "pair", "--point", "2,3", "--word-budget", "0"], "budgets must be positive"),
     (["analyze", "--matrix", "fib", "--precision", "8"], "precision must be between"),
     (["analyze", "--matrix", "fib", "--precision", "70000"], "precision must be between"),
+    (["analyze", "--matrix", "fib", "--precision", "0"], "precision must be between"),
+    (["analyze", "--matrix", "fib", "--precision", "-1"], "precision must be between"),
     (["classify", "--point", "2,3"], "classify requires --matrix or --system"),
-], ids=["n-max-0", "word-budget-0", "precision-8", "precision-70000", "classify-point-only"])
+], ids=["n-max-0", "word-budget-0", "precision-8", "precision-70000", "precision-0", "precision-minus-1",
+        "classify-point-only"])
 def test_refused_options_exit_with_input_error(files, extra, message):
     code, text = invoke([files.get(a, a) for a in extra])
     assert code == EXIT_INPUT

@@ -12,6 +12,7 @@ corrupted B must fail the runtime self-check.
 import re
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 from math import comb, factorial
 
 import pytest
@@ -229,21 +230,23 @@ def test_jordan_basis_heights_attached():
 
 def _stepping_limit(A, jp, tol, prec):
     """The power iteration of _iterated_limit as it formed and scaled the power
-    at every step, kept as the reference; returns (entries, width, stop n,
-    first n whose tail estimate is below tol)."""
+    at every step, cold, kept as the reference; returns (entries, width, stop
+    n, first n whose tail estimate is below tol).  The decay ratio is rounded
+    to 53 bits and tol to prec + 64, whatever the ambient precision."""
     l, m = jp.l, jp.m
     n = A.n
     rho_mpf = jp.rho.to_mpf(prec + 32)
     second = jp.modulus.second_sq_hi
     ratio = None
     if second is not None:
-        ratio = mp.sqrt(mpf(second.numerator) / mpf(second.denominator)) / rho_mpf
+        with mp.workprec(53):
+            ratio = mp.sqrt(mpf(second.numerator) / mpf(second.denominator)) / rho_mpf
     poly_decay = any(
         i in jp.modulus.max_indices and any(s < l + 1 for s in sizes)
         for i, sizes in enumerate(jp.block_sizes)
     )
-    tol_mpf = mpf(tol.numerator) / mpf(tol.denominator)
     with mp.workprec(prec + 64):
+        tol_mpf = mpf(tol.numerator) / mpf(tol.denominator)
         step = A.pow(m)
         power = step
         nval = m
@@ -279,17 +282,18 @@ LIMIT_COMPANIONS = [
 ]
 
 
-def _counting_muls(monkeypatch):
-    """Count IntMatrix.mul calls: the power iteration makes one per step that
-    reads or checks the power, after the first such step."""
+def _counting_muls(monkeypatch, name="mul"):
+    """Count IntMatrix.mul (or another IntMatrix method's) calls: the power
+    iteration makes one product per step that reads or checks the power,
+    after the first such step."""
     calls = []
-    mul = IntMatrix.mul
+    method = getattr(IntMatrix, name)
 
-    def counted(self, other):
+    def counted(self, *args):
         calls.append(1)
-        return mul(self, other)
+        return method(self, *args)
 
-    monkeypatch.setattr(IntMatrix, "mul", counted)
+    monkeypatch.setattr(IntMatrix, name, counted)
     return calls
 
 
@@ -302,6 +306,8 @@ def test_iterated_limit_matches_the_stepping_reference(rows, monkeypatch):
         for prec in (64, 128, 256):
             entries, width, stop, first = _stepping_limit(A, jp, Fraction(tol), prec)
             muls.clear()
+            # the count below is that of one cold walk: no walk of A is kept
+            monoheight.matrices._ANALYSES.clear()
             got = monoheight.jordan._iterated_limit(A, jp, Fraction(tol), prec)
             assert got == (entries, width)
             # powers are formed from the first step whose tail estimate passes:
@@ -341,6 +347,50 @@ def test_iterated_limit_budget_keeps_the_partial_limit(rows, monkeypatch):
         monoheight.jordan._iterated_limit(A, jp, Fraction("1e-16"), 128)
     assert expected.value.partial is not None
     assert got.value.partial == expected.value.partial
+
+
+@pytest.mark.parametrize("rows", LIMIT_COMPANIONS)
+def test_iterated_limit_reads_one_walk_in_any_order(rows):
+    # every stop reads the one walk of A at prec, kept between calls, and
+    # gets what a cold iteration gives, whichever stops were read before
+    A = IntMatrix(rows)
+    jp = jordan_profile(A)
+    stops = [Fraction(tol) for tol in ("1e-8", "1e-12", "1e-16")]
+    for prec in (64, 128, 256):
+        cold = {stop: _stepping_limit(A, jp, stop, prec)[:2] for stop in stops}
+        for order in permutations(stops):
+            monoheight.matrices._ANALYSES.clear()
+            for stop in order + order:
+                assert monoheight.jordan._iterated_limit(A, jp, stop, prec) == cold[stop]
+
+
+@pytest.mark.parametrize("rows", LIMIT_COMPANIONS)
+def test_a_repeated_iterated_limit_forms_no_power(rows, monkeypatch):
+    A = IntMatrix(rows)
+    jp = jordan_profile(A)
+    stop = Fraction("1e-12")
+    first = monoheight.jordan._iterated_limit(A, jp, stop, 128)
+    muls, pows = _counting_muls(monkeypatch), _counting_muls(monkeypatch, "pow")
+    again = monoheight.jordan._iterated_limit(A, jp, stop, 128)
+    assert again == first and (muls, pows) == ([], [])
+    # entries handed out are copies: changing them changes no later read
+    again[0][0][0] = mpf(7)
+    assert monoheight.jordan._iterated_limit(A, jp, stop, 128) == first
+    assert monoheight.jordan._iterated_limit(A, jp, stop, 64) != first  # another precision, another walk
+    assert muls and pows
+
+
+@pytest.mark.parametrize("rows", LIMIT_COMPANIONS)
+def test_iterated_limit_does_not_read_the_ambient_precision(rows):
+    A = IntMatrix(rows)
+    jp = jordan_profile(A)
+    raw = set()
+    for ambient in (20, 53, 300):
+        monoheight.matrices._ANALYSES.clear()
+        with mp.workprec(ambient):
+            entries, width = monoheight.jordan._iterated_limit(A, jp, Fraction("1e-12"), 128)
+        raw.add((tuple(v._mpf_ for row in entries for v in row), width._mpf_))
+    assert len(raw) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ CYCLOTOMIC_TABLES = ("totient", "cyclotomic_poly")
 # sympy's expression routes to a resultant: symbols to build the polynomials, resultant on them
 SYMPY_EXPRESSION_ROUTES = ("symbols", "resultant")
 # fields of a matrix's analysis record; each is filled by the function of its name
-RECORD_FIELDS = ("charpoly_factors", "modulus_profile", "jordan_profile", "limit_matrix_B", "jordan_basis")
+RECORD_FIELDS = ("charpoly_factors", "modulus_profile", "jordan_profile", "limit_matrix_B", "jordan_basis",
+                 "_iterated_limit")
 # calls that make an empty container, which at module level is a table waiting to fill
 EMPTY_CONTAINERS = ("dict", "OrderedDict", "defaultdict", "WeakKeyDictionary", "WeakValueDictionary", "set", "list")
 # LogProfile attributes that only its constructor writes, and the dict methods that change vals
