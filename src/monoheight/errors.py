@@ -3,10 +3,11 @@ BudgetError to exit codes 2, 3 and 4.
 
 Certified comparisons and square roots work out their last precision from
 their inputs (Mahler's root-separation bound), so they never give up; failing
-there is an ArithmeticError, an internal self-check that surfaces.  A
-refinement with no proof that it ends (the root-disc precision, the sign
-ladder of log-linear forms, the Baker ceiling) raises BudgetError with its
-last enclosures in partial.
+there is an ArithmeticError, an internal self-check that surfaces.  A loop
+with no proof that it ends (the root-disc precision, the sign ladder of
+log-linear forms, the Baker ceiling, the power iteration of a limit matrix
+of degree >= 3) raises BudgetError with its last enclosures, or its last
+scaled power, in partial.
 """
 
 

@@ -14,6 +14,7 @@ eigenvalues are real.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import factorial
 
 from mpmath import mp, mpf
@@ -165,8 +166,8 @@ def limit_matrix_B(A: IntMatrix, prec=None, *, _tol=LIMIT_TOL) -> LimitMatrixB:
     whatever the ambient mp.prec, and each tolerance reads that walk up to
     its own first passing step, so its entries and width are those of a
     fresh iteration.  The private _tol lets canonical_height_closed tighten
-    the tolerance for its point.  prec is None (the default precision) or
-    an int of 16 to 65536 bits.
+    the tolerance for its point; one above LIMIT_TOL is an ArithmeticError.
+    prec is None (the default precision) or an int of 16 to 65536 bits.
     """
     prec = checked_precision(prec)
     record = _analysis(A)
@@ -250,7 +251,8 @@ def _iterated_limit(A: IntMatrix, jp, stop: Fraction, prec: int):
     """Power iteration for dominant eigenvalues of degree > 2 (real), until
     iterates move by less than stop and the geometric tail estimate is below
     it; read from the one walk of A at prec, kept per distinct rows and prec,
-    so only the stopping step depends on stop."""
+    so only the stopping step depends on stop.  A stop above LIMIT_TOL fails
+    a self-check (ArithmeticError)."""
     record = _analysis(A)
     if record._iterated_limit is None:
         record._iterated_limit = {}
@@ -262,16 +264,16 @@ def _iterated_limit(A: IntMatrix, jp, stop: Fraction, prec: int):
 class _PowerWalk:
     """The scaled powers A^n / (n^l rho^n), n = km for k = 1, 2, ..., with
     their geometric tail bounds and step differences, computed once and read
-    with any stop.
+    with any stop up to LIMIT_TOL.
 
     Step k passes a stop when its tail bound and its difference from step
     k - 1 are below it (and the difference times n, when the dominant blocks
-    decay only polynomially).  Every value depends on A and prec alone, so a
-    read returns the first passing step whatever was read before.  Steps are
-    kept from `first`, the first step that the loosest stop so far reads;
-    the steps before it are summarised by `floor`, their least tail bound.
-    A stop at or below `floor` starts at `first`, and a looser one walks
-    again from step 1.
+    decay only polynomially).  Step 1 has no difference, so no stop up to
+    LIMIT_TOL passes a step before k0, the first step after 1 whose tail
+    bound is below LIMIT_TOL.  Construction checks the budget of every step
+    before k0 and keeps step k0 - 1; reads only extend the kept steps, so
+    every value depends on A and prec alone and a read returns the first
+    passing step of a cold iteration, whatever was read before.
 
     A power is formed only at the steps that read it: the tail bound depends
     on the step alone, and the bit budget cannot be reached while
@@ -289,27 +291,31 @@ class _PowerWalk:
         self.poly_decay = any(jp.block_sizes[i][-1] < jp.l + 1 for i in jp.modulus.max_indices)
         self.norm_bits = max(sum(map(abs, row)) for row in A.rows).bit_length()
         self.step = A.pow(jp.m)
-        self.first = self.floor = None  # nothing walked yet
         self.steps = []  # (tail bound, difference from the step before, scaled power) from first on
-        self.power = None  # the power of the last kept step
+        with mp.workprec(prec + 64):
+            tol = Fraction(str(LIMIT_TOL))
+            self.tol = mpf(tol.numerator) / mpf(tol.denominator)
+            k, power = 1, None  # A^(km), formed once n * bits(||A||_inf) passes the bit budget
+            while self._geo(k + 1) >= self.tol:
+                power = self._next_power(k, power)
+                k += 1
+            self.first = k
+            self._keep(A.pow(k * self.m) if power is None else power)
 
     def read(self, stop: Fraction):
         """(scaled power, width) at the first step that passes stop; past the
         last step the walk can take, a BudgetError with the last scaled power."""
         with mp.workprec(self.prec + 64):
             stop = mpf(stop.numerator) / mpf(stop.denominator)
-            if self.first is None or stop > self.floor:
-                self._restart(stop)
-            k = self.first
-            while True:
+            if stop > self.tol:
+                raise ArithmeticError("the power iteration was read with a stop above LIMIT_TOL")
+            for k in count(self.first):
+                if k - self.first == len(self.steps):
+                    self._keep(self._next_power(k - 1, self.power))
                 geo, diff, cur = self.steps[k - self.first]
                 if diff is not None and geo < stop and diff < stop \
                         and (not self.poly_decay or diff * (k * self.m) < stop):
                     return [row[:] for row in cur], diff + geo
-                k += 1
-                if k - self.first == len(self.steps) and not self._extend():
-                    raise BudgetError("power iteration for the limit matrix did not converge",
-                                      partial=[row[:] for row in cur])
 
     def _geo(self, k):
         n = k * self.m
@@ -320,53 +326,29 @@ class _PowerWalk:
         denom = mpf(n) ** self.l * self.rho**n
         return [[mpf(v) / denom for v in row] for row in power.rows]
 
-    def _over_budget(self, k, power_at):
-        """Whether the walk stops before step k: past the step cap, or with
-        A^(km) past the bit budget (formed by power_at only when it can be)."""
-        n = k * self.m
-        if k > 4000:
-            return True
-        return n * self.norm_bits > _POWER_BIT_BUDGET and power_at(n).max_bit_length() > _POWER_BIT_BUDGET
+    def _next_power(self, k, power):
+        """A^((k+1)m) from power = A^(km), or None while power is None and the
+        norm bound keeps step k + 1 within the bit budget; a BudgetError with
+        the scaled A^(km) when the walk ends before step k + 1: past the step
+        cap, or with A^((k+1)m) past the bit budget."""
+        n = (k + 1) * self.m
+        if k < 4000:
+            if n * self.norm_bits <= _POWER_BIT_BUDGET:
+                return None if power is None else power.mul(self.step)
+            power_next = self.A.pow(n) if power is None else power.mul(self.step)
+            if power_next.max_bit_length() <= _POWER_BIT_BUDGET:
+                return power_next
+        raise BudgetError("power iteration for the limit matrix did not converge",
+                          partial=self._scaled(self.A.pow(k * self.m) if power is None else power, k))
 
-    def _keep(self, k, power, prev):
-        """Keep step k, whose power is power, after the scaled power prev of step k - 1."""
+    def _keep(self, power):
+        """Keep the step after the last kept one (step first when none is), whose power is power."""
+        k = self.first + len(self.steps)
         cur = self._scaled(power, k)
+        prev = self.steps[-1][2] if self.steps else None
         diff = None if prev is None else max(abs(c - p) for crow, prow in zip(cur, prev) for c, p in zip(crow, prow))
         self.steps.append((self._geo(k), diff, cur))
         self.power = power
-
-    def _restart(self, stop):
-        """Walk from step 1, with the budget checked at every step, to the
-        first step whose tail bound is below stop, and keep the steps from
-        there on."""
-        m = self.m
-        formed = {}  # exponent -> power, the latest two steps
-
-        def power(e):
-            if e not in formed:
-                formed[e] = formed[e - m].mul(self.step) if e - m in formed else self.A.pow(e)
-                formed.pop(e - 2 * m, None)
-            return formed[e]
-
-        k, floor = 1, mpf("inf")
-        while (geo := self._geo(k)) >= stop:
-            floor = min(floor, geo)
-            if self._over_budget(k + 1, power):
-                raise BudgetError("power iteration for the limit matrix did not converge",
-                                  partial=self._scaled(power(k * m), k))
-            k += 1
-        prev = self._scaled(power((k - 1) * m), k - 1) if k > 1 else None
-        self.first, self.floor, self.steps = k, floor, []
-        self._keep(k, power(k * m), prev)
-
-    def _extend(self):
-        """Keep the step after the last kept one; False when the walk ends before it."""
-        k = self.first + len(self.steps)
-        power = self.power.mul(self.step)
-        if self._over_budget(k, lambda n: power):
-            return False
-        self._keep(k, power, self.steps[-1][2])
-        return True
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,11 @@ def factor_over_q(p: IntPoly):
     return out
 
 
+def _is_root(p: IntPoly, x: Fraction) -> bool:
+    """Whether p(x) = 0, decided by sign_at on integers."""
+    return sign_at(p.coeffs, x.numerator, x.denominator) == 0
+
+
 def _isolate_real_roots(p: IntPoly):
     """Isolating intervals whose endpoints are not roots, or degenerate ones at roots."""
     sp = p.to_sympy()
@@ -230,13 +235,13 @@ def _isolate_real_roots(p: IntPoly):
         hi = Fraction(int(b.p), int(b.q))
         # an endpoint may be a neighbouring root: shrink towards the root in
         # the open interval (lo, hi), or keep the endpoint root if there is none
-        while lo < hi and (p(lo) == 0 or p(hi) == 0):
+        while lo < hi and (_is_root(p, lo) or _is_root(p, hi)):
             chain = chain or sturm_chain(p)
-            inside = sturm_count(p, lo, hi, chain) - (p(hi) == 0)  # roots in the open (lo, hi)
+            inside = sturm_count(p, lo, hi, chain) - _is_root(p, hi)  # roots in the open (lo, hi)
             mid = (lo + hi) / 2
             if not inside:
-                lo = hi = lo if p(lo) == 0 else hi
-            elif p(mid) == 0:
+                lo = hi = lo if _is_root(p, lo) else hi
+            elif _is_root(p, mid):
                 lo = hi = mid
             elif sturm_count(p, lo, mid, chain):
                 hi = mid
@@ -254,7 +259,7 @@ def _bisect_to_width(p: IntPoly, lo: Fraction, hi: Fraction, eps: Fraction):
     """
     if lo == hi:
         return lo, hi
-    if p(lo) == 0:
+    if _is_root(p, lo):
         return lo, lo
     den = lcm(lo.denominator, hi.denominator)
     x_lo, x_hi = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
@@ -345,7 +350,7 @@ class CertifiedReal:
             s = sq.descriptor.rational_value()
         else:
             p, a, b = sq._defining_poly(), max(sq.lo, Fraction(0)), sq.hi
-            s = next((end for end in (a, b) if sign_at(p.coeffs, end.numerator, end.denominator) == 0), None)
+            s = next((end for end in (a, b) if _is_root(p, end)), None)
         if s is not None:
             return cls.from_fraction(0) if s == 0 else cls.from_quad(Quad.sqrt_of(s))
         if p.coeffs[0] == 0:  # s > 0 is a root of p / x, and p(x^2) stays squarefree
@@ -465,7 +470,7 @@ def _share_root(p: IntPoly, q: IntPoly, lo: Fraction, hi: Fraction) -> bool:
     if len(g) < 2:  # a constant gcd has no roots
         return False
     g = IntPoly(tuple(int(c) for c in reversed(g)))
-    return g(lo) == 0 or sturm_count(g, lo, hi) >= 1
+    return _is_root(g, lo) or sturm_count(g, lo, hi) >= 1
 
 
 def _separation_bits(coeffs) -> int:

@@ -222,6 +222,25 @@ def test_outputs_do_not_depend_on_what_the_table_saw_before(tmp_path, rows):
             assert got == [cold[i] for i in order]
 
 
+def test_warm_cubic_heights_match_cold_in_traffic_order():
+    # points of many log masses, as a batch serves them: one warm table reads
+    # and extends the cubic's walk, forward and reversed, and each height is
+    # the one a cold table gives
+    points = [_point(Fraction(2 + i, 3 + 2 * i), 10 ** (i % 5) + i, Fraction(1, 7 * i + 2)) for i in range(30)]
+    table = monoheight.matrices._ANALYSES
+
+    def height(P):
+        return json.dumps(canonical_height_closed(IntMatrix(CUBIC), P, prec=128).to_json())
+
+    cold = {}
+    for P in points:
+        table.clear()
+        cold[P] = height(P)
+    for order in (points, points[::-1]):
+        table.clear()
+        assert [height(P) for P in order + order[::-1]] == [cold[P] for P in order + order[::-1]]
+
+
 def test_a_second_cubic_height_forms_no_power(monkeypatch):
     # a new point of the same log mass reads the walk the first point left
     canonical_height_closed(IntMatrix(CUBIC), _point(2, 3, 5), prec=128)

@@ -13,7 +13,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
-from math import comb, factorial
+from math import comb, factorial, log
 
 import pytest
 import sympy
@@ -297,23 +297,48 @@ def _counting_muls(monkeypatch, name="mul"):
     return calls
 
 
+# stops up to LIMIT_TOL, the loosest a caller passes: LIMIT_TOL itself (as
+# limit_matrix_B), one scaled by a point's log mass 2 log 6 (as
+# canonical_height_closed) and a tighter one
+LIMIT_STOP = Fraction(str(monoheight.jordan.LIMIT_TOL))
+STOPS = (LIMIT_STOP, Fraction(str(monoheight.jordan.LIMIT_TOL / (4.0 * (2.0 * log(6) + 1.0)))),
+         Fraction("1e-16"))
+
+
 @pytest.mark.parametrize("rows", LIMIT_COMPANIONS)
 def test_iterated_limit_matches_the_stepping_reference(rows, monkeypatch):
     A = IntMatrix(rows)
     jp = jordan_profile(A)
-    muls = _counting_muls(monkeypatch)
-    for tol in ("1e-8", "1e-12", "1e-16"):
+    muls, pows = _counting_muls(monkeypatch), _counting_muls(monkeypatch, "pow")
+    for tol in STOPS:
         for prec in (64, 128, 256):
-            entries, width, stop, first = _stepping_limit(A, jp, Fraction(tol), prec)
+            first = _stepping_limit(A, jp, LIMIT_STOP, prec)[3]
+            entries, width, stop, _ = _stepping_limit(A, jp, tol, prec)
             muls.clear()
-            # the count below is that of one cold walk: no walk of A is kept
+            pows.clear()
+            # the counts below are those of one cold walk: no walk of A is kept
             monoheight.matrices._ANALYSES.clear()
-            got = monoheight.jordan._iterated_limit(A, jp, Fraction(tol), prec)
+            got = monoheight.jordan._iterated_limit(A, jp, tol, prec)
             assert got == (entries, width)
-            # powers are formed from the first step whose tail estimate passes:
-            # A^(first - m) by A.pow, then one product per step up to stop
-            assert len(muls) == (stop - first) // jp.m + (first > jp.m)
+            # no stop up to LIMIT_TOL passes a step whose tail estimate is at
+            # least LIMIT_TOL, so powers are formed from the step before the
+            # first that passes LIMIT_TOL: A^m and A^(first - m) by A.pow, then
+            # one product per step up to stop
+            assert first > jp.m
+            assert (len(pows), len(muls)) == (2, (stop - first) // jp.m + 1)
             assert len(muls) < stop // jp.m - 1
+
+
+@pytest.mark.parametrize("rows", LIMIT_COMPANIONS)
+def test_a_stop_above_limit_tol_fails_the_self_check(rows):
+    A = IntMatrix(rows)
+    jp = jordan_profile(A)
+    for stop in (Fraction("1e-8"), LIMIT_STOP + Fraction(1, 10**40)):
+        with pytest.raises(ArithmeticError, match="above LIMIT_TOL"):
+            monoheight.jordan._iterated_limit(A, jp, stop, 128)
+    with pytest.raises(ArithmeticError, match="above LIMIT_TOL"):
+        limit_matrix_B(A, prec=128, _tol=1e-8)
+    assert monoheight.jordan._iterated_limit(A, jp, LIMIT_STOP, 128) == _stepping_limit(A, jp, LIMIT_STOP, 128)[:2]
 
 
 @pytest.mark.parametrize("rows", LIMIT_COMPANIONS)
@@ -355,10 +380,9 @@ def test_iterated_limit_reads_one_walk_in_any_order(rows):
     # gets what a cold iteration gives, whichever stops were read before
     A = IntMatrix(rows)
     jp = jordan_profile(A)
-    stops = [Fraction(tol) for tol in ("1e-8", "1e-12", "1e-16")]
     for prec in (64, 128, 256):
-        cold = {stop: _stepping_limit(A, jp, stop, prec)[:2] for stop in stops}
-        for order in permutations(stops):
+        cold = {stop: _stepping_limit(A, jp, stop, prec)[:2] for stop in STOPS}
+        for order in permutations(STOPS):
             monoheight.matrices._ANALYSES.clear()
             for stop in order + order:
                 assert monoheight.jordan._iterated_limit(A, jp, stop, prec) == cold[stop]

@@ -343,19 +343,28 @@ def test_no_public_name_is_defined_in_two_modules():
     assert {name: stems for name, stems in modules.items() if len(stems) > 1} == {}
 
 
+def _private_definitions(path):
+    """(qualified name, line) of each private module-level function and each
+    private method of a module-level class."""
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        scope, defs = ("", [node]) if not isinstance(node, ast.ClassDef) else (f"{node.name}.", node.body)
+        for d in defs:
+            if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and d.name.startswith("_") and not d.name.startswith("__"):
+                yield scope + d.name, d.lineno
+
+
 def test_every_private_helper_has_a_caller():
-    # a private module-level function that nothing in the library loads is
-    # left over from a deletion: delete it with its last caller
+    # a private function or method that nothing in the library loads is left
+    # over from a deletion: delete it with its last caller
     names, attributes = set(), set()
     for path in sorted(SRC.rglob("*.py")):
         n, a = _loads(path.read_text())
         names |= n
         attributes |= {attr for _, attr in a}
-    found = [f"{path.name}:{node.lineno} {node.name}" for path in sorted(SRC.rglob("*.py"))
-             for node in ast.parse(path.read_text(), filename=str(path)).body
-             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-             and node.name.startswith("_") and not node.name.startswith("__")
-             and node.name not in names | attributes]
+    found = [f"{path.name}:{line} {name}" for path in sorted(SRC.rglob("*.py"))
+             for name, line in _private_definitions(path)
+             if name.split(".")[-1] not in names | attributes]
     assert found == []
 
 
