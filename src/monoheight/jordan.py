@@ -163,10 +163,12 @@ def limit_matrix_B(A: IntMatrix, prec=None, *, _tol=LIMIT_TOL) -> LimitMatrixB:
     Dominant complex eigenvalues are rejected.  The exact limit, which
     depends on neither the tolerance nor prec, is computed once per distinct
     rows.  The power iteration is walked once per distinct rows and prec,
-    whatever the ambient mp.prec, and each tolerance reads that walk up to
-    its own first passing step, so its entries and width are those of a
-    fresh iteration.  The private _tol lets canonical_height_closed tighten
-    the tolerance for its point; one above LIMIT_TOL is an ArithmeticError.
+    whatever the ambient mp.prec, from the step before the first one after
+    step 1 whose tail estimate is below LIMIT_TOL, found by bisection on that
+    estimate; each tolerance reads the walk up to its own first passing step,
+    so its entries and width are those of a fresh iteration.  The private
+    _tol lets canonical_height_closed tighten the tolerance for its point;
+    one above LIMIT_TOL is an ArithmeticError.
     prec is None (the default precision) or an int of 16 to 65536 bits.
     """
     prec = checked_precision(prec)
@@ -268,12 +270,16 @@ class _PowerWalk:
 
     Step k passes a stop when its tail bound and its difference from step
     k - 1 are below it (and the difference times n, when the dominant blocks
-    decay only polynomially).  Step 1 has no difference, so no stop up to
-    LIMIT_TOL passes a step before k0, the first step after 1 whose tail
-    bound is below LIMIT_TOL.  Construction checks the budget of every step
-    before k0 and keeps step k0 - 1; reads only extend the kept steps, so
-    every value depends on A and prec alone and a read returns the first
-    passing step of a cold iteration, whatever was read before.
+    decay only polynomially).  Step 1 has no difference, and steps 2 to first
+    have tail bounds of at least LIMIT_TOL, where first is the first step whose
+    next tail bound is below LIMIT_TOL, so no stop up to LIMIT_TOL passes a
+    step up to first.  Construction finds first by bisecting the tail bound
+    between steps 2 and 4001, in at most 14 evaluations instead of one per
+    step, checks the budget of the steps before it (the step cap, and the bit
+    budget from the norm-bound crossing on) and keeps step first; reads only
+    extend the kept steps, so every value depends on A and prec alone and a
+    read returns the first passing step of a cold iteration, whatever was
+    read before.
 
     A power is formed only at the steps that read it: the tail bound depends
     on the step alone, and the bit budget cannot be reached while
@@ -295,12 +301,14 @@ class _PowerWalk:
         with mp.workprec(prec + 64):
             tol = Fraction(str(LIMIT_TOL))
             self.tol = mpf(tol.numerator) / mpf(tol.denominator)
-            k, power = 1, None  # A^(km), formed once n * bits(||A||_inf) passes the bit budget
-            while self._geo(k + 1) >= self.tol:
+            self.first = self._first_step()
+            # the steps before first pass no stop, so only their budget is checked: _next_power
+            # ends the walk at step 4000, the step cap, and forms no power below the first
+            # step k whose (k + 1)m * bits(||A||_inf) passes the bit budget
+            power = None  # A^(km), formed from that crossing on
+            for k in range(max(1, min(_POWER_BIT_BUDGET // (self.m * self.norm_bits), 4000)), self.first):
                 power = self._next_power(k, power)
-                k += 1
-            self.first = k
-            self._keep(A.pow(k * self.m) if power is None else power)
+            self._keep(A.pow(self.first * self.m) if power is None else power)
 
     def read(self, stop: Fraction):
         """(scaled power, width) at the first step that passes stop; past the
@@ -316,6 +324,35 @@ class _PowerWalk:
                 if diff is not None and geo < stop and diff < stop \
                         and (not self.poly_decay or diff * (k * self.m) < stop):
                     return [row[:] for row in cur], diff + geo
+
+    def _first_step(self):
+        """min(4001, the first step k >= 1 with _geo(k + 1) < tol), in at most 14
+        calls of _geo; at 4001 the walk ends at the step cap.
+
+        ln _geo = n ln(ratio) + 2N ln(n) is concave in n = km, so when
+        _geo(2) >= tol the steps j >= 2 with _geo(j) >= tol form one run
+        [2, J): the bound rises to its peak at n* = 2N / ln(1/ratio) and falls
+        after it (it never falls when ratio >= 1), and the answer is J - 1.
+        Bisection between 2 and 4001 finds J, comparing _geo(j) with tol as a
+        step-by-step scan does.  Past the peak the bound strictly decreases,
+        by the factor ratio^m (1 + 1/k)^(2N) a step, so rounding at prec + 64
+        bits can put only J - 1 or J on the other side of tol, unless the peak
+        itself lies within rounding of tol; the comparisons then stay false up
+        to one step and true after it, and bisection finds the step that the
+        scan finds.
+        """
+        if self._geo(2) < self.tol:
+            return 1
+        lo, hi = 2, 4001
+        if self._geo(hi) >= self.tol:
+            return hi
+        while hi - lo > 1:  # _geo(lo) >= tol > _geo(hi); at most 12 halvings of 3999
+            mid = (lo + hi) // 2
+            if self._geo(mid) < self.tol:
+                hi = mid
+            else:
+                lo = mid
+        return lo
 
     def _geo(self, k):
         n = k * self.m

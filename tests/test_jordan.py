@@ -11,6 +11,7 @@ corrupted B must fail the runtime self-check.
 
 import re
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial, log
@@ -415,6 +416,132 @@ def test_iterated_limit_does_not_read_the_ambient_precision(rows):
             entries, width = monoheight.jordan._iterated_limit(A, jp, Fraction("1e-12"), 128)
         raw.add((tuple(v._mpf_ for row in entries for v in row), width._mpf_))
     assert len(raw) == 1
+
+
+def _counting_geo(monkeypatch):
+    """Record the steps at which _PowerWalk evaluates its tail bound."""
+    calls = []
+    geo = monoheight.jordan._PowerWalk._geo
+
+    def counted(self, k):
+        calls.append(k)
+        return geo(self, k)
+
+    monkeypatch.setattr(monoheight.jordan._PowerWalk, "_geo", counted)
+    return calls
+
+
+def _scanned_first(walk):
+    """The first step k >= 1 whose next tail bound is below LIMIT_TOL, capped at
+    4001, found by evaluating the bound at every step as the walk once did."""
+    with mp.workprec(walk.prec + 64):
+        return next(k for k in range(1, 4002) if k == 4001 or walk._geo(k + 1) < walk.tol)
+
+
+# companion of x^3 - 100x + 1: roots near -10.005 and 9.995 give a decay ratio
+# of about 0.999, so the tail bound stays above LIMIT_TOL past the step cap
+NEAR_TIE = [[0, 0, -1], [1, 0, 100], [0, 1, 0]]
+
+
+@pytest.mark.parametrize("rows", LIMIT_COMPANIONS + [NEAR_TIE])
+def test_a_cold_limit_evaluates_few_tail_bounds(rows, monkeypatch):
+    # the first step is bisected: at most 14 bounds, then one per kept step; a
+    # scan evaluated one per step, 4,000 on the near tie
+    A = IntMatrix(rows)
+    monoheight.matrices._ANALYSES.clear()
+    calls = _counting_geo(monkeypatch)
+    try:
+        limit_matrix_B(A)
+    except BudgetError:
+        assert rows == NEAR_TIE
+    assert 0 < len(calls) <= 40
+
+
+def test_the_step_cap_ends_a_cold_walk_as_the_stepping_reference():
+    A = IntMatrix(NEAR_TIE)
+    jp = jordan_profile(A)
+    with pytest.raises(BudgetError) as expected:
+        _stepping_limit(A, jp, LIMIT_STOP, 128)
+    monoheight.matrices._ANALYSES.clear()
+    with pytest.raises(BudgetError) as got:
+        monoheight.jordan._iterated_limit(A, jp, LIMIT_STOP, 128)
+    assert str(got.value) == str(expected.value)
+    assert expected.value.partial is not None
+    assert got.value.partial == expected.value.partial
+
+
+def _companion(coeffs):
+    """Companion matrix of x^d + coeffs[d-1] x^(d-1) + ... + coeffs[0]."""
+    d = len(coeffs)
+    return [[-coeffs[i] if j == d - 1 else int(i == j + 1) for j in range(d)] for i in range(d)]
+
+
+def _seeded_walk_companions(rng, count):
+    """count companions of degree 3 to 5 whose dominant root is real of degree
+    >= 3, of three kinds in the proportion 3 : 3 : 1: random small
+    coefficients; even quartics x^4 + a x^2 + b, alone or times x - e, whose
+    roots +-r give m = 2; and near ties x^d - a x^(d-2) + c x^(d-3) (+-1 when
+    d > 3), whose roots near +-sqrt(a) give decay ratios of about 0.8 to 0.94."""
+    found, seen = [], set()
+    while len(found) < count:
+        kind = (0, 0, 0, 1, 1, 1, 2)[len(found) % 7]
+        if kind == 0:
+            coeffs = [rng.randint(-3, 3) for _ in range(rng.randint(3, 5))]
+        elif kind == 1:
+            a, b = rng.randint(-6, 6), rng.choice([-3, -2, -1, 1, 2, 3])
+            coeffs = [b, 0, a, 0]
+            if rng.random() < 0.5:
+                e = rng.choice([-2, -1, 1, 2])
+                coeffs = [-e * b, b, -e * a, a, -e]
+        else:
+            d = rng.randint(3, 5)
+            coeffs = [rng.choice([-1, 1])] + [0] * (d - 1)
+            coeffs[d - 3] = rng.choice([-2, -1, 1, 2])
+            coeffs[d - 2] = -rng.randint(5, 6)
+        if coeffs[0] == 0 or tuple(coeffs) in seen:
+            continue
+        seen.add(tuple(coeffs))
+        A = IntMatrix(_companion(coeffs))
+        jp = jordan_profile(A)
+        try:
+            dominant = monoheight.jordan._dominant_factors(jp)
+        except UnsupportedError:
+            continue
+        if all(fd.poly.degree <= 2 for fd in dominant) or (kind == 1 and jp.m != 2):
+            continue
+        found.append((A, jp))
+    return found
+
+
+def test_the_first_step_and_limit_match_a_scan_on_seeded_companions(rng):
+    ms, ratios = Counter(), []
+    for A, jp in _seeded_walk_companions(rng, 105):
+        monoheight.matrices._ANALYSES.clear()
+        got = monoheight.jordan._iterated_limit(A, jp, LIMIT_STOP, 64)
+        walk = monoheight.matrices._analysis(A)._iterated_limit[64]
+        assert walk.first == _scanned_first(walk)
+        assert got == _stepping_limit(A, jp, LIMIT_STOP, 64)[:2]
+        ms[jp.m] += 1
+        ratios.append(walk.ratio)
+    assert ms[1] >= 20 and ms[2] >= 20
+    assert sum(r > 0.9 for r in ratios) >= 10
+
+
+@pytest.mark.parametrize("second_sq_hi", [Fraction(2), Fraction(10**6)])
+def test_a_decay_ratio_of_at_least_one_ends_at_the_step_cap(second_sq_hi):
+    # rho^2 of the x^3 - x - 1 companion is about 1.755, so either bound on the
+    # second modulus gives a ratio >= 1 and a tail bound that never falls
+    A = IntMatrix(LIMIT_COMPANIONS[0])
+    jp = jordan_profile(A)
+    jp = replace(jp, modulus=replace(jp.modulus, second_sq_hi=second_sq_hi))
+    with pytest.raises(BudgetError) as expected:
+        _stepping_limit(A, jp, LIMIT_STOP, 128)
+    monoheight.matrices._ANALYSES.clear()
+    with pytest.raises(BudgetError) as got:
+        monoheight.jordan._iterated_limit(A, jp, LIMIT_STOP, 128)
+    assert monoheight.matrices._analysis(A)._iterated_limit == {}  # no walk is kept
+    assert str(got.value) == str(expected.value)
+    assert got.value.partial == expected.value.partial
 
 
 # ---------------------------------------------------------------------------
