@@ -33,15 +33,22 @@ def canonical_height_closed(A: IntMatrix, P: PointGm, prec=None) -> HeightValue:
     eigenvalues give a LogLinear with coefficients in the same field.  Anything
     else gives an enclosure built from the iterated limit matrix of
     limit_matrix_B, run to LIMIT_TOL scaled down by the point's log mass; its
-    stopping rule is a heuristic, so that enclosure is not certified.  Every
-    point reads the same power iteration of A at prec, walked once, up to
-    its own stopping step.  prec is None (the default precision) or an int
-    of 16 to 65536 bits.
+    stopping rule is a heuristic, so that enclosure is not certified.  The
+    height is computed once per matrix rows and prec and kept on P, as its
+    valuation profile is; every later call returns the same object, and an
+    error is raised again by the next call.  prec is None (the default
+    precision) or an int of 16 to 65536 bits.
     """
     prec = checked_precision(prec)
     if A.n != P.n:
         raise InputError("matrix dimension does not match point dimension")
-    prof = log_profile(P)
+    key = (A.rows, prec)
+    if key not in P._heights:
+        P._heights[key] = _closed_height(A, log_profile(P), prec)
+    return P._heights[key]
+
+
+def _closed_height(A: IntMatrix, prof: LogProfile, prec: int) -> HeightValue:
     if prof.is_torsion():
         _dominant_factors(jordan_profile(A))  # the same support as the limit, then exact 0
         return HeightValue(LogLinear({}))
@@ -146,13 +153,22 @@ def _level_sums(mats, P: PointGm):
         yield LogLinear(coeffs)
 
 
+def _check_count(value, name: str):
+    """Refuse a count, such as a depth or a budget, that is not an int >= 1
+    (bool is an int subclass, not a count)."""
+    if type(value) is not int:
+        raise InputError(f"{name} must be an integer")
+    if value < 1:
+        raise InputError(f"{name} must be >= 1")
+
+
 def _walk_words(k: int, n: int, word_budget: int) -> int:
     """Words in a walk over levels 1..n, k + k^2 + ... + k^n in closed form;
     raises BudgetError when the count passes word_budget, naming the first
     partial sum that does."""
     if k == 1:
         words = n
-    elif n < max(word_budget, 0).bit_length():
+    elif n < word_budget.bit_length():
         words = (k ** (n + 1) - k) // (k - 1)
     else:  # k^n >= 2^n passes the budget; k^(n+1) is never formed for a long walk
         words = word_budget + 1
@@ -174,10 +190,8 @@ def truncated_estimates(
     prec = checked_precision(prec)
     mats = _as_system(F).matrices
     k = len(mats)
-    if type(n) is not int:  # bool is an int subclass, not a depth
-        raise InputError("n must be an integer")
-    if n < 1:
-        raise InputError("n must be >= 1")
+    _check_count(n, "n")
+    _check_count(word_budget, "word_budget")
     words = _walk_words(k, n, word_budget)
     delta_mpf, delta_str, l = _delta_and_l(mats, delta, l_override)
     values = {"summed": [], "averaged": []}
@@ -315,10 +329,7 @@ def classify_orbit(F, P: PointGm, budget: int = 65536) -> OrbitVerdict:
     m <= N, and the states are at most that many valuation states times 2^N
     signs.
     """
-    if type(budget) is not int:  # bool is an int subclass, not a budget
-        raise InputError("budget must be an integer")
-    if budget < 1:
-        raise InputError("budget must be >= 1")
+    _check_count(budget, "budget")
     mats = _as_system(F).matrices
     prof = log_profile(P)
     for i, A in enumerate(mats):

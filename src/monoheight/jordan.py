@@ -162,13 +162,10 @@ def limit_matrix_B(A: IntMatrix, prec=None, *, _tol=LIMIT_TOL) -> LimitMatrixB:
     proven error bound, so such entries and their width are not certified.
     Dominant complex eigenvalues are rejected.  The exact limit, which
     depends on neither the tolerance nor prec, is computed once per distinct
-    rows.  The power iteration is walked once per distinct rows and prec,
-    whatever the ambient mp.prec, from the step before the first one after
-    step 1 whose tail estimate is below LIMIT_TOL, found by bisection on that
-    estimate; each tolerance reads the walk up to its own first passing step,
-    so its entries and width are those of a fresh iteration.  The private
-    _tol lets canonical_height_closed tighten the tolerance for its point;
-    one above LIMIT_TOL is an ArithmeticError.
+    rows.  The power iteration runs afresh on every call, whatever the
+    ambient mp.prec, from the last step whose tail estimate is at least the
+    tolerance, found by bisection on that estimate.  The private _tol lets
+    canonical_height_closed tighten the tolerance for its point.
     prec is None (the default precision) or an int of 16 to 65536 bits.
     """
     prec = checked_precision(prec)
@@ -250,142 +247,99 @@ def _check_exact_limit(A: IntMatrix, b: LimitMatrixB):
 
 
 def _iterated_limit(A: IntMatrix, jp, stop: Fraction, prec: int):
-    """Power iteration for dominant eigenvalues of degree > 2 (real), until
-    iterates move by less than stop and the geometric tail estimate is below
-    it; read from the one walk of A at prec, kept per distinct rows and prec,
-    so only the stopping step depends on stop.  A stop above LIMIT_TOL fails
-    a self-check (ArithmeticError)."""
-    record = _analysis(A)
-    if record._iterated_limit is None:
-        record._iterated_limit = {}
-    if prec not in record._iterated_limit:
-        record._iterated_limit[prec] = _PowerWalk(A, jp, prec)
-    return record._iterated_limit[prec].read(stop)
+    """Power iteration for dominant eigenvalues of degree > 2 (real):
+    (A^n / (n^l rho^n), width) at the first step k, n = km, whose tail bound
+    and difference from step k - 1 are below stop (and the difference times
+    n, when the dominant blocks decay only polynomially); the width is their
+    sum.  Past the 4,000-step cap or the bit budget, a BudgetError with the
+    last scaled power.  Values depend on A, stop and prec alone.
 
-
-class _PowerWalk:
-    """The scaled powers A^n / (n^l rho^n), n = km for k = 1, 2, ..., with
-    their geometric tail bounds and step differences, computed once and read
-    with any stop up to LIMIT_TOL.
-
-    Step k passes a stop when its tail bound and its difference from step
-    k - 1 are below it (and the difference times n, when the dominant blocks
-    decay only polynomially).  Step 1 has no difference, and steps 2 to first
-    have tail bounds of at least LIMIT_TOL, where first is the first step whose
-    next tail bound is below LIMIT_TOL, so no stop up to LIMIT_TOL passes a
-    step up to first.  Construction finds first by bisecting the tail bound
-    between steps 2 and 4001, in at most 14 evaluations instead of one per
-    step, checks the budget of the steps before it (the step cap, and the bit
-    budget from the norm-bound crossing on) and keeps step first; reads only
-    extend the kept steps, so every value depends on A and prec alone and a
-    read returns the first passing step of a cold iteration, whatever was
-    read before.
-
-    A power is formed only at the steps that read it: the tail bound depends
-    on the step alone, and the bit budget cannot be reached while
-    n * bits(||A||_inf) stays within it, as ||A^n||_inf <= ||A||_inf^n.
+    No step up to first (_first_step) passes: step 1 has no difference and
+    steps 2 to first have tail bounds of at least stop.  Those steps are not
+    formed, only their budget is checked: the bit budget only from the step
+    where n * bits(||A||_inf) passes it, since ||A^n||_inf <= ||A||_inf^n.
     """
+    l, m = jp.l, jp.m
+    rho = jp.rho.to_mpf(prec + 32)
+    second = jp.modulus.second_sq_hi
+    ratio = None
+    if second is not None:
+        with mp.workprec(53):
+            ratio = mp.sqrt(mpf(second.numerator) / mpf(second.denominator)) / rho
+    poly_decay = any(jp.block_sizes[i][-1] < l + 1 for i in jp.modulus.max_indices)
+    norm_bits = max(sum(map(abs, row)) for row in A.rows).bit_length()
+    step = A.pow(m)
 
-    def __init__(self, A: IntMatrix, jp, prec: int):
-        self.A, self.l, self.m, self.prec = A, jp.l, jp.m, prec
-        self.rho = jp.rho.to_mpf(prec + 32)
-        second = jp.modulus.second_sq_hi
-        self.ratio = None
-        if second is not None:
-            with mp.workprec(53):
-                self.ratio = mp.sqrt(mpf(second.numerator) / mpf(second.denominator)) / self.rho
-        self.poly_decay = any(jp.block_sizes[i][-1] < jp.l + 1 for i in jp.modulus.max_indices)
-        self.norm_bits = max(sum(map(abs, row)) for row in A.rows).bit_length()
-        self.step = A.pow(jp.m)
-        self.steps = []  # (tail bound, difference from the step before, scaled power) from first on
-        with mp.workprec(prec + 64):
-            tol = Fraction(str(LIMIT_TOL))
-            self.tol = mpf(tol.numerator) / mpf(tol.denominator)
-            self.first = self._first_step()
-            # the steps before first pass no stop, so only their budget is checked: _next_power
-            # ends the walk at step 4000, the step cap, and forms no power below the first
-            # step k whose (k + 1)m * bits(||A||_inf) passes the bit budget
-            power = None  # A^(km), formed from that crossing on
-            for k in range(max(1, min(_POWER_BIT_BUDGET // (self.m * self.norm_bits), 4000)), self.first):
-                power = self._next_power(k, power)
-            self._keep(A.pow(self.first * self.m) if power is None else power)
-
-    def read(self, stop: Fraction):
-        """(scaled power, width) at the first step that passes stop; past the
-        last step the walk can take, a BudgetError with the last scaled power."""
-        with mp.workprec(self.prec + 64):
-            stop = mpf(stop.numerator) / mpf(stop.denominator)
-            if stop > self.tol:
-                raise ArithmeticError("the power iteration was read with a stop above LIMIT_TOL")
-            for k in count(self.first):
-                if k - self.first == len(self.steps):
-                    self._keep(self._next_power(k - 1, self.power))
-                geo, diff, cur = self.steps[k - self.first]
-                if diff is not None and geo < stop and diff < stop \
-                        and (not self.poly_decay or diff * (k * self.m) < stop):
-                    return [row[:] for row in cur], diff + geo
-
-    def _first_step(self):
-        """min(4001, the first step k >= 1 with _geo(k + 1) < tol), in at most 14
-        calls of _geo; at 4001 the walk ends at the step cap.
-
-        ln _geo = n ln(ratio) + 2N ln(n) is concave in n = km, so when
-        _geo(2) >= tol the steps j >= 2 with _geo(j) >= tol form one run
-        [2, J): the bound rises to its peak at n* = 2N / ln(1/ratio) and falls
-        after it (it never falls when ratio >= 1), and the answer is J - 1.
-        Bisection between 2 and 4001 finds J, comparing _geo(j) with tol as a
-        step-by-step scan does.  Past the peak the bound strictly decreases,
-        by the factor ratio^m (1 + 1/k)^(2N) a step, so rounding at prec + 64
-        bits can put only J - 1 or J on the other side of tol, unless the peak
-        itself lies within rounding of tol; the comparisons then stay false up
-        to one step and true after it, and bisection finds the step that the
-        scan finds.
-        """
-        if self._geo(2) < self.tol:
-            return 1
-        lo, hi = 2, 4001
-        if self._geo(hi) >= self.tol:
-            return hi
-        while hi - lo > 1:  # _geo(lo) >= tol > _geo(hi); at most 12 halvings of 3999
-            mid = (lo + hi) // 2
-            if self._geo(mid) < self.tol:
-                hi = mid
-            else:
-                lo = mid
-        return lo
-
-    def _geo(self, k):
-        n = k * self.m
-        return self.ratio**n * mpf(n) ** (2 * self.A.n) if self.ratio is not None else mpf(0)
-
-    def _scaled(self, power: IntMatrix, k):
-        n = k * self.m
-        denom = mpf(n) ** self.l * self.rho**n
+    def scaled(power, k):
+        denom = mpf(k * m) ** l * rho ** (k * m)
         return [[mpf(v) / denom for v in row] for row in power.rows]
 
-    def _next_power(self, k, power):
+    def next_power(k, power):
         """A^((k+1)m) from power = A^(km), or None while power is None and the
         norm bound keeps step k + 1 within the bit budget; a BudgetError with
-        the scaled A^(km) when the walk ends before step k + 1: past the step
-        cap, or with A^((k+1)m) past the bit budget."""
-        n = (k + 1) * self.m
+        the scaled A^(km) when the iteration ends before step k + 1: past the
+        step cap, or with A^((k+1)m) past the bit budget."""
+        n = (k + 1) * m
         if k < 4000:
-            if n * self.norm_bits <= _POWER_BIT_BUDGET:
-                return None if power is None else power.mul(self.step)
-            power_next = self.A.pow(n) if power is None else power.mul(self.step)
+            if n * norm_bits <= _POWER_BIT_BUDGET:
+                return None if power is None else power.mul(step)
+            power_next = A.pow(n) if power is None else power.mul(step)
             if power_next.max_bit_length() <= _POWER_BIT_BUDGET:
                 return power_next
         raise BudgetError("power iteration for the limit matrix did not converge",
-                          partial=self._scaled(self.A.pow(k * self.m) if power is None else power, k))
+                          partial=scaled(A.pow(k * m) if power is None else power, k))
 
-    def _keep(self, power):
-        """Keep the step after the last kept one (step first when none is), whose power is power."""
-        k = self.first + len(self.steps)
-        cur = self._scaled(power, k)
-        prev = self.steps[-1][2] if self.steps else None
-        diff = None if prev is None else max(abs(c - p) for crow, prow in zip(cur, prev) for c, p in zip(crow, prow))
-        self.steps.append((self._geo(k), diff, cur))
-        self.power = power
+    with mp.workprec(prec + 64):
+        tol = mpf(stop.numerator) / mpf(stop.denominator)
+        first = _first_step(lambda k: _geo(ratio, k * m, A.n), tol)
+        power = None  # A^(km), formed from the norm-bound crossing on
+        for k in range(max(1, min(_POWER_BIT_BUDGET // (m * norm_bits), 4000)), first):
+            power = next_power(k, power)
+        power = A.pow(first * m) if power is None else power
+        prev = scaled(power, first)
+        for k in count(first + 1):
+            power = next_power(k - 1, power)
+            cur = scaled(power, k)
+            diff = max(abs(c - p) for crow, prow in zip(cur, prev) for c, p in zip(crow, prow))
+            geo = _geo(ratio, k * m, A.n)
+            if geo < tol and diff < tol and (not poly_decay or diff * (k * m) < tol):
+                return cur, diff + geo
+            prev = cur
+
+
+def _first_step(geo, stop):
+    """min(4001, the first step k >= 1 with geo(k + 1) < stop), in at most 14
+    calls of geo; at 4001 the iteration ends at the step cap.
+
+    ln _geo = n ln(ratio) + 2N ln(n) is concave in n = km, so when
+    geo(2) >= stop the steps j >= 2 with geo(j) >= stop form one run [2, J):
+    the bound rises to its peak at n* = 2N / ln(1/ratio) and falls after it
+    (it never falls when ratio >= 1), and the answer is J - 1.  Bisection
+    between 2 and 4001 finds J, comparing geo(j) with stop as a step-by-step
+    scan does.  Past the peak the bound strictly decreases, by the factor
+    ratio^m (1 + 1/k)^(2N) a step, so rounding at the caller's precision can
+    put only J - 1 or J on the other side of stop, unless the peak itself
+    lies within rounding of stop; the comparisons then stay false up to one
+    step and true after it, and bisection finds the step that the scan finds.
+    """
+    if geo(2) < stop:
+        return 1
+    lo, hi = 2, 4001
+    if geo(hi) >= stop:
+        return hi
+    while hi - lo > 1:  # geo(lo) >= stop > geo(hi); at most 12 halvings of 3999
+        mid = (lo + hi) // 2
+        if geo(mid) < stop:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+def _geo(ratio, n, N):
+    """The geometric tail bound ratio^n n^(2N) of step n of an N x N matrix,
+    0 when the matrix has no second modulus (ratio None)."""
+    return ratio**n * mpf(n) ** (2 * N) if ratio is not None else mpf(0)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ import sympy
 from sympy.polys.densebasic import dmp_strip
 from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dmp_resultant, dup_gcd, dup_lcm
+from sympy.polys.rootisolation import dup_isolate_real_roots
 
 from . import kernels
 from .errors import BudgetError, InputError, UnsupportedError
@@ -227,12 +228,11 @@ def _is_root(p: IntPoly, x: Fraction) -> bool:
 
 def _isolate_real_roots(p: IntPoly):
     """Isolating intervals whose endpoints are not roots, or degenerate ones at roots."""
-    sp = p.to_sympy()
     out = set()
     chain = None  # p's Sturm chain, built once and only if an endpoint is a root
-    for (a, b), _k in sp.intervals():
-        lo = Fraction(int(a.p), int(a.q))
-        hi = Fraction(int(b.p), int(b.q))
+    for (a, b), _k in dup_isolate_real_roots(_dense(p), ZZ):
+        lo = Fraction(int(a.numerator), int(a.denominator))
+        hi = Fraction(int(b.numerator), int(b.denominator))
         # an endpoint may be a neighbouring root: shrink towards the root in
         # the open interval (lo, hi), or keep the endpoint root if there is none
         while lo < hi and (_is_root(p, lo) or _is_root(p, hi)):
@@ -820,7 +820,6 @@ class _Analysis:
     jordan_profile: object = None  # jordan.JordanProfile
     limit_matrix_B: object = None  # jordan.LimitMatrixB, exact limits only
     jordan_basis: object = None  # jordan.JordanBasisData
-    _iterated_limit: dict = None  # prec -> jordan._PowerWalk, the power iteration of an inexact limit
 
 
 def _analysis(A: IntMatrix) -> _Analysis:

@@ -34,6 +34,8 @@ class PointGm:
     coords: tuple
     # the LogProfile of coords, made by the first log_profile(P) call
     _profile: object = field(default=None, init=False, compare=False, repr=False)
+    # (matrix rows, prec) -> HeightValue, kept by canonical_height_closed
+    _heights: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.coords:
@@ -159,9 +161,10 @@ def eval_monomial(A: IntMatrix, P: PointGm, bit_budget: int = DEFAULT_COORD_BIT_
     return PointGm(tuple(coords))
 
 
-@dataclass
+@dataclass(frozen=True)
 class HeightValue:
-    """A nonnegative real height, symbolic when exact.
+    """A nonnegative real height, symbolic when exact; immutable, as one
+    kept height reaches every caller.
 
     symbolic is a LogLinear on prime logarithms when the value is known in
     closed form; otherwise lo/hi is a numeric enclosure, certified only as far

@@ -21,6 +21,7 @@ from mpmath import mp, mpf
 from .errors import BudgetError, InputError, MonoheightError
 from .heights import (
     DEFAULT_WORD_BUDGET,
+    _check_count,
     _walk_words,
     canonical_height_closed,
     classify_orbit,
@@ -174,10 +175,8 @@ def growth_table(
     F, n_max: int = DEFAULT_N_MAX, word_budget: int = DEFAULT_WORD_BUDGET
 ) -> GrowthTable:
     system = _as_system(F)
-    if type(n_max) is not int:  # bool is an int subclass, not a depth
-        raise InputError("n_max must be an integer")
-    if n_max < 1:
-        raise InputError("n_max must be >= 1")
+    _check_count(n_max, "n_max")
+    _check_count(word_budget, "word_budget")
     levels = _word_levels(system, word_budget)
     rows = []
     for n in range(1, n_max + 1):

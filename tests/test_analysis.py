@@ -15,9 +15,11 @@ import pytest
 import monoheight.jordan
 import monoheight.matrices
 from monoheight import (
+    BudgetError,
     IntMatrix,
     MonoheightError,
     PointGm,
+    UnsupportedError,
     canonical_height_closed,
     classify_orbit,
     charpoly_factors,
@@ -52,8 +54,10 @@ def analyses(monkeypatch):
     ran: charpoly inside charpoly_factors (which modulus_profile reads), the
     block sizes of each factor inside jordan_profile, the exact limit inside
     limit_matrix_B, and the kernel ascent of each eigenvalue inside
-    jordan_basis."""
-    counts = {"modulus": Counter(), "jordan": Counter(), "limit": Counter(), "basis": Counter()}
+    jordan_basis; and how often the iterated limit, which no record keeps,
+    ran."""
+    counts = {"modulus": Counter(), "jordan": Counter(), "limit": Counter(), "basis": Counter(),
+              "iterated": Counter()}
 
     def count(module, name, slot, key, caller=None):
         fn = getattr(module, name)
@@ -69,6 +73,7 @@ def analyses(monkeypatch):
     count(monoheight.jordan, "_block_sizes", "jordan", lambda A, g, mult: (A.rows, g.coeffs))
     count(monoheight.jordan, "_exact_limit", "limit", lambda A, *rest: A.rows)
     count(monoheight.jordan, "_chains_for_eigenvalue", "basis", lambda rows, lam, sizes: (rows, str(lam)))
+    count(monoheight.jordan, "_iterated_limit", "iterated", lambda A, *rest: A.rows)
     return counts
 
 
@@ -96,18 +101,20 @@ def _run_steps(steps):
 @pytest.mark.parametrize("rows, exact", [(JORDAN2, True), (CUBIC, False)])
 def test_point_batch_sequence_analyses_each_matrix_once(analyses, rows, exact):
     # a new IntMatrix per call, as a caller that rebuilds the rows for every job
-    for P in _points(len(rows)):
+    points = _points(len(rows))
+    for P in points:
         _run_steps(_point_batch_steps(lambda: IntMatrix(rows), P))
     key = IntMatrix(rows).rows
     assert analyses["modulus"] == {key: 1}
     assert set(analyses["jordan"].values()) == {1}
     assert {k[0] for k in analyses["jordan"]} == {key}
     # the record keeps the exact limit; an iterated one depends on the
-    # point's stop, so the record keeps its power iteration instead, one walk
-    # per prec, which every stop reads
+    # point's stop, so each point keeps its height instead, per prec, and
+    # classify_orbit reads the one canonical_height_closed kept at prec 128
     assert analyses["limit"] == ({key: 1} if exact else {})
-    walks = monoheight.matrices._ANALYSES[key]._iterated_limit
-    assert walks is None if exact else set(walks) == {128}
+    assert analyses["iterated"] == ({} if exact else {key: len(points)})
+    for P in points:
+        assert set(P._heights) == ({(key, 128), (key, 192)} if exact else {(key, 128)})
     # Baker's Jordan basis: once per eigenvalue; a cubic has none to build
     assert set(analyses["basis"].values()) == ({1} if exact else set())
 
@@ -214,8 +221,8 @@ def test_outputs_do_not_depend_on_what_the_table_saw_before(tmp_path, rows):
     assert _analyze_output(tmp_path, rows, "--precision", "256") == cold_analyze
     assert len(table) == 1  # every call above read the one record of these rows
     if rows == CUBIC:
-        # the point of smaller log mass has the looser stop: one walk of the
-        # power iteration, read loosest stop first and tightest stop first
+        # the point of smaller log mass has the looser stop: loosest stop
+        # first and tightest stop first
         for order in ((0, 1), (1, 0)):
             table.clear()
             got = [_run_steps(_point_batch_steps(lambda: IntMatrix(rows), _points(n)[i])) for i in order]
@@ -223,34 +230,58 @@ def test_outputs_do_not_depend_on_what_the_table_saw_before(tmp_path, rows):
 
 
 def test_warm_cubic_heights_match_cold_in_traffic_order():
-    # points of many log masses, as a batch serves them: one warm table reads
-    # and extends the cubic's walk, forward and reversed, and each height is
-    # the one a cold table gives
+    # points of many log masses, as a batch serves them, each asked at two
+    # precisions, forward and reversed: a kept height is the one that a new
+    # point and an empty table give
     points = [_point(Fraction(2 + i, 3 + 2 * i), 10 ** (i % 5) + i, Fraction(1, 7 * i + 2)) for i in range(30)]
     table = monoheight.matrices._ANALYSES
 
-    def height(P):
-        return json.dumps(canonical_height_closed(IntMatrix(CUBIC), P, prec=128).to_json())
+    def height(P, prec):
+        return json.dumps(canonical_height_closed(IntMatrix(CUBIC), P, prec=prec).to_json())
 
     cold = {}
     for P in points:
+        for prec in (64, 128):
+            table.clear()
+            cold[P, prec] = height(PointGm(P.coords), prec)
+    asks = [(P, prec) for P in points for prec in (128, 64)]
+    for order in (asks, asks[::-1]):
         table.clear()
-        cold[P] = height(P)
-    for order in (points, points[::-1]):
-        table.clear()
-        assert [height(P) for P in order + order[::-1]] == [cold[P] for P in order + order[::-1]]
+        assert [height(*ask) for ask in order + order[::-1]] == [cold[ask] for ask in order + order[::-1]]
 
 
-def test_a_second_cubic_height_forms_no_power(monkeypatch):
-    # a new point of the same log mass reads the walk the first point left
-    canonical_height_closed(IntMatrix(CUBIC), _point(2, 3, 5), prec=128)
+def test_a_repeated_height_is_kept_on_the_point(analyses, monkeypatch):
+    # the same point, matrix rows and prec give the same object and form no
+    # limit and no matrix power; another prec or matrix computes anew
+    P = _point(2, 3, 5)
+    first = canonical_height_closed(IntMatrix(CUBIC), P, prec=128)
     formed = []
     for name in ("mul", "pow"):
         method = getattr(IntMatrix, name)
         monkeypatch.setattr(IntMatrix, name,
                             lambda self, arg, name=name, method=method: formed.append(name) or method(self, arg))
-    warm = canonical_height_closed(IntMatrix(CUBIC), _point(5, 3, 2), prec=128)
+    assert canonical_height_closed(IntMatrix(CUBIC), P, prec=128) is first
+    assert canonical_height_closed(IntMatrix(CUBIC), P) is first  # the default precision is 128
     assert formed == []
-    monoheight.matrices._ANALYSES.clear()
-    assert canonical_height_closed(IntMatrix(CUBIC), _point(5, 3, 2), prec=128).to_json() == warm.to_json()
-    assert formed
+    other = IntMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 1]])  # companion of x^3 - x^2 - 1
+    assert canonical_height_closed(IntMatrix(CUBIC), P, prec=64) is not first
+    canonical_height_closed(other, P, prec=128)
+    assert analyses["iterated"] == {IntMatrix(CUBIC).rows: 2, other.rows: 1}
+    assert set(P._heights) == {(IntMatrix(CUBIC).rows, 128), (IntMatrix(CUBIC).rows, 64), (other.rows, 128)}
+    assert canonical_height_closed(IntMatrix(CUBIC), _point(2, 3, 5), prec=128) == first
+
+
+def test_a_failed_height_is_not_kept(monkeypatch):
+    # an error is raised again by the next call on the point, and a call
+    # that succeeds later keeps the height a new point gets
+    P, Q = _point(2, 3), _point(2, 3, 5)
+    for _ in range(2):
+        with pytest.raises(UnsupportedError):
+            canonical_height_closed(IntMatrix([[1, -1], [1, 1]]), P)  # dominant roots 1 +- i
+    monkeypatch.setattr(monoheight.jordan, "_POWER_BIT_BUDGET", 12)
+    with pytest.raises(BudgetError):
+        canonical_height_closed(IntMatrix(CUBIC), Q, prec=128)
+    assert P._heights == Q._heights == {}
+    monkeypatch.undo()
+    assert canonical_height_closed(IntMatrix(CUBIC), Q, prec=128) == \
+        canonical_height_closed(IntMatrix(CUBIC), _point(2, 3, 5), prec=128)

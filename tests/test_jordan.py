@@ -13,7 +13,6 @@ import re
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from itertools import permutations
 from math import comb, factorial, log
 
 import pytest
@@ -229,19 +228,25 @@ def test_jordan_basis_heights_attached():
     assert 0 <= dlo <= dhi
 
 
+def _decay_ratio(jp, prec):
+    """sqrt(second_sq_hi) / rho, the decay ratio of the tail bound, rounded to
+    53 bits; None without a second modulus."""
+    second = jp.modulus.second_sq_hi
+    if second is None:
+        return None
+    with mp.workprec(53):
+        return mp.sqrt(mpf(second.numerator) / mpf(second.denominator)) / jp.rho.to_mpf(prec + 32)
+
+
 def _stepping_limit(A, jp, tol, prec):
     """The power iteration of _iterated_limit as it formed and scaled the power
-    at every step, cold, kept as the reference; returns (entries, width, stop
-    n, first n whose tail estimate is below tol).  The decay ratio is rounded
+    at every step, kept as the reference; returns (entries, width, stop n,
+    first n whose tail estimate is below tol).  The decay ratio is rounded
     to 53 bits and tol to prec + 64, whatever the ambient precision."""
     l, m = jp.l, jp.m
     n = A.n
     rho_mpf = jp.rho.to_mpf(prec + 32)
-    second = jp.modulus.second_sq_hi
-    ratio = None
-    if second is not None:
-        with mp.workprec(53):
-            ratio = mp.sqrt(mpf(second.numerator) / mpf(second.denominator)) / rho_mpf
+    ratio = _decay_ratio(jp, prec)
     poly_decay = any(
         i in jp.modulus.max_indices and any(s < l + 1 for s in sizes)
         for i, sizes in enumerate(jp.block_sizes)
@@ -281,6 +286,9 @@ LIMIT_COMPANIONS = [
     [[0, 0, 0, 0, 2], [1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 1]],
     [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 3], [0, 0, 1, 0]],
 ]
+# companion of x^3 - 10^6 x^2 + 1: the second modulus is about 10^-3 against
+# rho near 10^6, so every stop below has its first step at 1
+FIRST_STEP_ONE = [[0, 0, -1], [1, 0, 0], [0, 1, 1000000]]
 
 
 def _counting_muls(monkeypatch, name="mul"):
@@ -298,48 +306,31 @@ def _counting_muls(monkeypatch, name="mul"):
     return calls
 
 
-# stops up to LIMIT_TOL, the loosest a caller passes: LIMIT_TOL itself (as
-# limit_matrix_B), one scaled by a point's log mass 2 log 6 (as
-# canonical_height_closed) and a tighter one
+# LIMIT_TOL itself (as limit_matrix_B), one scaled by a point's log mass
+# 2 log 6 (as canonical_height_closed), a tighter one and a looser one
 LIMIT_STOP = Fraction(str(monoheight.jordan.LIMIT_TOL))
 STOPS = (LIMIT_STOP, Fraction(str(monoheight.jordan.LIMIT_TOL / (4.0 * (2.0 * log(6) + 1.0)))),
-         Fraction("1e-16"))
+         Fraction("1e-16"), Fraction("1e-8"))
 
 
-@pytest.mark.parametrize("rows", LIMIT_COMPANIONS)
+@pytest.mark.parametrize("rows", LIMIT_COMPANIONS + [FIRST_STEP_ONE])
 def test_iterated_limit_matches_the_stepping_reference(rows, monkeypatch):
     A = IntMatrix(rows)
     jp = jordan_profile(A)
     muls, pows = _counting_muls(monkeypatch), _counting_muls(monkeypatch, "pow")
     for tol in STOPS:
         for prec in (64, 128, 256):
-            first = _stepping_limit(A, jp, LIMIT_STOP, prec)[3]
-            entries, width, stop, _ = _stepping_limit(A, jp, tol, prec)
+            entries, width, stop, first = _stepping_limit(A, jp, tol, prec)
             muls.clear()
             pows.clear()
-            # the counts below are those of one cold walk: no walk of A is kept
-            monoheight.matrices._ANALYSES.clear()
-            got = monoheight.jordan._iterated_limit(A, jp, tol, prec)
-            assert got == (entries, width)
-            # no stop up to LIMIT_TOL passes a step whose tail estimate is at
-            # least LIMIT_TOL, so powers are formed from the step before the
-            # first that passes LIMIT_TOL: A^m and A^(first - m) by A.pow, then
-            # one product per step up to stop
-            assert first > jp.m
-            assert (len(pows), len(muls)) == (2, (stop - first) // jp.m + 1)
-            assert len(muls) < stop // jp.m - 1
-
-
-@pytest.mark.parametrize("rows", LIMIT_COMPANIONS)
-def test_a_stop_above_limit_tol_fails_the_self_check(rows):
-    A = IntMatrix(rows)
-    jp = jordan_profile(A)
-    for stop in (Fraction("1e-8"), LIMIT_STOP + Fraction(1, 10**40)):
-        with pytest.raises(ArithmeticError, match="above LIMIT_TOL"):
-            monoheight.jordan._iterated_limit(A, jp, stop, 128)
-    with pytest.raises(ArithmeticError, match="above LIMIT_TOL"):
-        limit_matrix_B(A, prec=128, _tol=1e-8)
-    assert monoheight.jordan._iterated_limit(A, jp, LIMIT_STOP, 128) == _stepping_limit(A, jp, LIMIT_STOP, 128)[:2]
+            assert monoheight.jordan._iterated_limit(A, jp, tol, prec) == (entries, width)
+            # no step whose tail estimate is at least tol passes tol, so
+            # powers are formed from the step k0 before the first whose
+            # estimate is below it (step 1 at the latest): A^m and A^(k0 m)
+            # by A.pow, then one product per step up to stop
+            k0 = max(1, first // jp.m - 1)
+            assert (k0 == 1) == (rows == FIRST_STEP_ONE)
+            assert (len(pows), len(muls)) == (2, stop // jp.m - k0)
 
 
 @pytest.mark.parametrize("rows", LIMIT_COMPANIONS)
@@ -377,32 +368,15 @@ def test_iterated_limit_budget_keeps_the_partial_limit(rows, monkeypatch):
 
 @pytest.mark.parametrize("rows", LIMIT_COMPANIONS)
 def test_iterated_limit_reads_one_walk_in_any_order(rows):
-    # every stop reads the one walk of A at prec, kept between calls, and
-    # gets what a cold iteration gives, whichever stops were read before
+    # nothing is kept between calls: every stop gets what the stepping
+    # iteration gives, whichever stops came before it
     A = IntMatrix(rows)
     jp = jordan_profile(A)
     for prec in (64, 128, 256):
         cold = {stop: _stepping_limit(A, jp, stop, prec)[:2] for stop in STOPS}
-        for order in permutations(STOPS):
-            monoheight.matrices._ANALYSES.clear()
+        for order in (STOPS, STOPS[::-1]):
             for stop in order + order:
                 assert monoheight.jordan._iterated_limit(A, jp, stop, prec) == cold[stop]
-
-
-@pytest.mark.parametrize("rows", LIMIT_COMPANIONS)
-def test_a_repeated_iterated_limit_forms_no_power(rows, monkeypatch):
-    A = IntMatrix(rows)
-    jp = jordan_profile(A)
-    stop = Fraction("1e-12")
-    first = monoheight.jordan._iterated_limit(A, jp, stop, 128)
-    muls, pows = _counting_muls(monkeypatch), _counting_muls(monkeypatch, "pow")
-    again = monoheight.jordan._iterated_limit(A, jp, stop, 128)
-    assert again == first and (muls, pows) == ([], [])
-    # entries handed out are copies: changing them changes no later read
-    again[0][0][0] = mpf(7)
-    assert monoheight.jordan._iterated_limit(A, jp, stop, 128) == first
-    assert monoheight.jordan._iterated_limit(A, jp, stop, 64) != first  # another precision, another walk
-    assert muls and pows
 
 
 @pytest.mark.parametrize("rows", LIMIT_COMPANIONS)
@@ -411,7 +385,6 @@ def test_iterated_limit_does_not_read_the_ambient_precision(rows):
     jp = jordan_profile(A)
     raw = set()
     for ambient in (20, 53, 300):
-        monoheight.matrices._ANALYSES.clear()
         with mp.workprec(ambient):
             entries, width = monoheight.jordan._iterated_limit(A, jp, Fraction("1e-12"), 128)
         raw.add((tuple(v._mpf_ for row in entries for v in row), width._mpf_))
@@ -419,23 +392,37 @@ def test_iterated_limit_does_not_read_the_ambient_precision(rows):
 
 
 def _counting_geo(monkeypatch):
-    """Record the steps at which _PowerWalk evaluates its tail bound."""
+    """Record the n at which the iteration evaluates its tail bound."""
     calls = []
-    geo = monoheight.jordan._PowerWalk._geo
+    geo = monoheight.jordan._geo
 
-    def counted(self, k):
-        calls.append(k)
-        return geo(self, k)
+    def counted(ratio, n, N):
+        calls.append(n)
+        return geo(ratio, n, N)
 
-    monkeypatch.setattr(monoheight.jordan._PowerWalk, "_geo", counted)
+    monkeypatch.setattr(monoheight.jordan, "_geo", counted)
     return calls
 
 
-def _scanned_first(walk):
-    """The first step k >= 1 whose next tail bound is below LIMIT_TOL, capped at
-    4001, found by evaluating the bound at every step as the walk once did."""
-    with mp.workprec(walk.prec + 64):
-        return next(k for k in range(1, 4002) if k == 4001 or walk._geo(k + 1) < walk.tol)
+def _recording_first_steps(monkeypatch):
+    """Record (bound, tol, first step) of each first-step search."""
+    calls = []
+    first_step = monoheight.jordan._first_step
+
+    def recorded(geo, stop):
+        calls.append((geo, stop, first_step(geo, stop)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(monoheight.jordan, "_first_step", recorded)
+    return calls
+
+
+def _scanned_first(geo, tol, prec):
+    """The first step k >= 1 whose next tail bound is below tol, capped at
+    4001, found by evaluating the bound at every step, at prec + 64 bits as
+    the iteration compares."""
+    with mp.workprec(prec + 64):
+        return next(k for k in range(1, 4002) if k == 4001 or geo(k + 1) < tol)
 
 
 # companion of x^3 - 100x + 1: roots near -10.005 and 9.995 give a decay ratio
@@ -445,10 +432,9 @@ NEAR_TIE = [[0, 0, -1], [1, 0, 100], [0, 1, 0]]
 
 @pytest.mark.parametrize("rows", LIMIT_COMPANIONS + [NEAR_TIE])
 def test_a_cold_limit_evaluates_few_tail_bounds(rows, monkeypatch):
-    # the first step is bisected: at most 14 bounds, then one per kept step; a
-    # scan evaluated one per step, 4,000 on the near tie
+    # the first step is bisected: at most 14 bounds, then one per step after
+    # it; a scan evaluated one per step, 4,000 on the near tie
     A = IntMatrix(rows)
-    monoheight.matrices._ANALYSES.clear()
     calls = _counting_geo(monkeypatch)
     try:
         limit_matrix_B(A)
@@ -462,7 +448,6 @@ def test_the_step_cap_ends_a_cold_walk_as_the_stepping_reference():
     jp = jordan_profile(A)
     with pytest.raises(BudgetError) as expected:
         _stepping_limit(A, jp, LIMIT_STOP, 128)
-    monoheight.matrices._ANALYSES.clear()
     with pytest.raises(BudgetError) as got:
         monoheight.jordan._iterated_limit(A, jp, LIMIT_STOP, 128)
     assert str(got.value) == str(expected.value)
@@ -513,16 +498,17 @@ def _seeded_walk_companions(rng, count):
     return found
 
 
-def test_the_first_step_and_limit_match_a_scan_on_seeded_companions(rng):
+def test_the_first_step_and_limit_match_a_scan_on_seeded_companions(rng, monkeypatch):
+    firsts = _recording_first_steps(monkeypatch)
     ms, ratios = Counter(), []
     for A, jp in _seeded_walk_companions(rng, 105):
-        monoheight.matrices._ANALYSES.clear()
+        firsts.clear()
         got = monoheight.jordan._iterated_limit(A, jp, LIMIT_STOP, 64)
-        walk = monoheight.matrices._analysis(A)._iterated_limit[64]
-        assert walk.first == _scanned_first(walk)
+        [(geo, tol, first)] = firsts
+        assert first == _scanned_first(geo, tol, 64)
         assert got == _stepping_limit(A, jp, LIMIT_STOP, 64)[:2]
         ms[jp.m] += 1
-        ratios.append(walk.ratio)
+        ratios.append(_decay_ratio(jp, 64))
     assert ms[1] >= 20 and ms[2] >= 20
     assert sum(r > 0.9 for r in ratios) >= 10
 
@@ -536,10 +522,8 @@ def test_a_decay_ratio_of_at_least_one_ends_at_the_step_cap(second_sq_hi):
     jp = replace(jp, modulus=replace(jp.modulus, second_sq_hi=second_sq_hi))
     with pytest.raises(BudgetError) as expected:
         _stepping_limit(A, jp, LIMIT_STOP, 128)
-    monoheight.matrices._ANALYSES.clear()
     with pytest.raises(BudgetError) as got:
         monoheight.jordan._iterated_limit(A, jp, LIMIT_STOP, 128)
-    assert monoheight.matrices._analysis(A)._iterated_limit == {}  # no walk is kept
     assert str(got.value) == str(expected.value)
     assert got.value.partial == expected.value.partial
 

@@ -101,6 +101,15 @@ def test_the_kept_profile_leaves_the_point_unchanged():
         PointGm((Fraction(2),), log_profile(Q))  # not a constructor argument
 
 
+def test_a_kept_height_leaves_the_point_unchanged():
+    P, Q = pt("-4/9", 10), pt("-4/9", 10)
+    kept = canonical_height_closed(IntMatrix([[1, 1], [1, 0]]), P, prec=128)
+    assert P == Q and hash(P) == hash(Q) and {P: 1}[Q] == 1
+    assert repr(P) == repr(Q) and P.to_json() == Q.to_json()
+    with pytest.raises(AttributeError):
+        kept.lo = 0  # one kept height reaches every caller, so none may change it
+
+
 def test_profile_round_trip():
     for coords in [(2, 3), ("-4/9", 10), ("1/2", "1/3"), (1, -1), (6, "-35/4")]:
         P = pt(*coords)

@@ -2,9 +2,10 @@
 
 import ast
 import re
+from dataclasses import fields
 from pathlib import Path
 
-from monoheight import IntMatrix
+from monoheight import IntMatrix, PointGm
 from monoheight.matrices import _Analysis
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -18,8 +19,9 @@ CYCLOTOMIC_TABLES = ("totient", "cyclotomic_poly")
 # sympy's expression routes to a resultant: symbols to build the polynomials, resultant on them
 SYMPY_EXPRESSION_ROUTES = ("symbols", "resultant")
 # fields of a matrix's analysis record; each is filled by the function of its name
-RECORD_FIELDS = ("charpoly_factors", "modulus_profile", "jordan_profile", "limit_matrix_B", "jordan_basis",
-                 "_iterated_limit")
+RECORD_FIELDS = ("charpoly_factors", "modulus_profile", "jordan_profile", "limit_matrix_B", "jordan_basis")
+# PointGm attributes kept on the point, each filled only by the function named
+POINT_FILLERS = {"_profile": "log_profile", "_heights": "canonical_height_closed"}
 # calls that make an empty container, which at module level is a table waiting to fill
 EMPTY_CONTAINERS = ("dict", "OrderedDict", "defaultdict", "WeakKeyDictionary", "WeakValueDictionary", "set", "list")
 # LogProfile attributes that only its constructor writes, and the dict methods that change vals
@@ -221,6 +223,36 @@ def test_only_the_analysis_functions_fill_the_matrix_slots():
               for scope, _ in _row_tables(path)]
     assert tables.count("matrices.py <module>") == 1  # _ANALYSES
     assert set(tables) == {"matrices.py <module>", "matrices.py _analysis"}
+
+
+def _point_writes(path):
+    """(scope, attribute, line) of each assignment, deletion or setattr of a
+    POINT_FILLERS attribute, each assignment or deletion of an item of one,
+    and each mutating method called on one."""
+    found = []
+    for scope, node in _scoped_nodes(path):
+        if isinstance(node, ast.Attribute) and node.attr in POINT_FILLERS and not isinstance(node.ctx, ast.Load):
+            found.append((scope, node.attr, node.lineno))
+        elif isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load) \
+                and isinstance(node.value, ast.Attribute) and node.value.attr in POINT_FILLERS:
+            found.append((scope, node.value.attr, node.lineno))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in MUTATING_METHODS \
+                and isinstance(node.func.value, ast.Attribute) and node.func.value.attr in POINT_FILLERS:
+            found.append((scope, node.func.value.attr, node.lineno))
+        elif isinstance(node, ast.Call) and _call_name(node) in ("setattr", "__setattr__"):
+            found.extend((scope, a.value, node.lineno) for a in node.args
+                         if isinstance(a, ast.Constant) and a.value in POINT_FILLERS)
+    return found
+
+
+def test_only_their_fillers_write_the_point_slots():
+    # as an analysis record's fields: log_profile keeps the profile on the
+    # point and canonical_height_closed its heights, and every other
+    # definition only reads them
+    assert {f.name for f in fields(PointGm) if not f.init} == set(POINT_FILLERS)
+    writes = {(scope, name) for path in sorted(SRC.rglob("*.py")) for scope, name, _ in _point_writes(path)}
+    assert writes == {(filler, name) for name, filler in POINT_FILLERS.items()}
 
 
 def _profile_writes(path):

@@ -194,6 +194,30 @@ def test_n_max_must_be_an_integer(n_max):
             call([SHEAR_U, SHEAR_L], *([pt(2, 3)] if call is system_report else []), n_max=n_max)
 
 
+def _word_budget_calls(word_budget):
+    """The entry points that take a word budget, on a commuting pair."""
+    F, P = [DIAG23, DIAG52], pt(2, 3)
+    return [
+        lambda: growth_table(F, n_max=3, word_budget=word_budget),
+        lambda: system_report(F, P, n_max=3, word_budget=word_budget),
+        lambda: truncated_estimates(F, P, 3, delta=Fraction(5), word_budget=word_budget),
+    ]
+
+
+@pytest.mark.parametrize("word_budget", [2.5, 8.0, True, "100"])
+def test_word_budget_must_be_an_integer(word_budget):
+    for call in _word_budget_calls(word_budget):
+        with pytest.raises(InputError, match="word_budget must be an integer"):
+            call()
+
+
+@pytest.mark.parametrize("word_budget", [0, -1])
+def test_word_budget_below_one_rejected(word_budget):
+    for call in _word_budget_calls(word_budget):
+        with pytest.raises(InputError, match="word_budget must be >= 1"):
+            call()
+
+
 def _loop_best_row(rows, prec):
     """The best-row search as a loop, kept as the reference: the first row maximizing rho^(1/n)."""
     best = None
@@ -409,6 +433,17 @@ def test_system_report_zero_height_bound():
     assert rep.verdict.status == "infinite"
     assert rep.zero_height_dim_bound == 1
     assert any("dimension >= 1" in n for n in rep.notes)
+
+
+def test_system_report_prints_the_zero_height_bound():
+    # diag(2,3), diag(5,2) reduce to diag(10,6): (1, -1) is torsion, delta = 10 > 1
+    rep = system_report([DIAG23, DIAG52], pt(1, -1), n_max=3)
+    assert rep.to_json()["zero_height_subgroup_dim_bound"] == rep.zero_height_dim_bound == 1
+
+
+def test_truncated_estimates_of_a_system_need_delta():
+    with pytest.raises(InputError, match="multi-map systems need delta"):
+        truncated_estimates([DIAG23, DIAG52], pt(2, 3), 3)
 
 
 def test_system_report_needs_an_exact_zero():
